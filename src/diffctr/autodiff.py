@@ -235,18 +235,21 @@ def log(a: Tensor) -> Tensor:
     return Tensor(np.log(a.data), op="log", parents=(a,), vjps=(lambda g: g / a.data,))
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x), computed without overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _logistic(a.data)
     return Tensor(out, op="sigmoid", parents=(a,), vjps=(lambda g: g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed without overflow."""
-    out = np.logaddexp(0.0, a.data)
-    x = a.data
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return Tensor(out, op="softplus", parents=(a,), vjps=(lambda g: g * sig,))
+    """log(1 + e^x), computed without overflow; its slope is the logistic."""
+    sig = _logistic(a.data)
+    return Tensor(np.logaddexp(0.0, a.data), op="softplus", parents=(a,), vjps=(lambda g: g * sig,))
 
 
 def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:

@@ -20,7 +20,6 @@ from .train import RunConfig
 
 DEFAULTS: dict[str, dict[str, object]] = {
     "run": {
-        "stage": "both",
         "seed": 0,
         "pretrain_epochs": 3,
         "finetune_epochs": 6,

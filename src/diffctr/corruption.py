@@ -23,16 +23,6 @@ LABEL_MODES = ("diffuse", "always-mask", "never-mask", "drop")
 
 
 @dataclass
-class CorruptedSample:
-    """A sample after the one-shot jump from clean data to mask level."""
-
-    tokens: tuple[int, ...]  # token id, or the field's mask id
-    masked_fields: tuple[int, ...]  # positions currently masked
-    mask_probs: tuple[float, ...]  # per-field probability used for the jump
-    origin: Sample
-
-
-@dataclass
 class CorruptedBatch:
     tokens: np.ndarray  # (B, P) with mask ids in place
     masked: np.ndarray  # (B, P) bool
@@ -46,60 +36,11 @@ def _eligibility(num_fields: int, label_mode: str) -> tuple[np.ndarray, np.ndarr
         raise DataError(f"unknown label_mode '{label_mode}'")
     may_mask = np.ones(num_fields, dtype=bool)
     earns_loss = np.ones(num_fields, dtype=bool)
-    if label_mode == "never-mask":
-        may_mask[-1] = False
-        earns_loss[-1] = False
-    elif label_mode == "drop":
-        # label enters the input permanently masked but never the loss
+    if label_mode in ("never-mask", "drop"):
+        # drop: the label enters the input permanently masked but never the loss
         may_mask[-1] = False
         earns_loss[-1] = False
     return may_mask, earns_loss
-
-
-def corrupt(
-    sample: Sample,
-    mask_probs: np.ndarray,
-    rng: np.random.Generator,
-    mask_ids: np.ndarray,
-    label_mode: str = "diffuse",
-) -> CorruptedSample:
-    """One-shot corruption of a single sample.
-
-    Guarantees at least one loss-bearing field is masked: if the draw
-    masks none, the eligible field with the largest mask probability is
-    forced (ties broken by the rng).
-    """
-    probs = np.asarray(mask_probs, dtype=np.float64)
-    P = len(sample.tokens)
-    if probs.shape != (P,):
-        raise DataError(f"mask_probs has shape {probs.shape}, expected ({P},)")
-    if np.any(probs < 0) or np.any(probs >= 1):
-        raise DataError("mask probabilities must lie in [0, 1)")
-
-    may_mask, earns_loss = _eligibility(P, label_mode)
-    draws = rng.random(P)  # always drawn in full so streams align across modes
-    masked = (draws < probs) & may_mask
-    if label_mode == "always-mask":
-        masked[-1] = True
-    elif label_mode == "drop":
-        masked[-1] = True
-
-    if not np.any(masked & earns_loss):
-        candidates = np.flatnonzero(may_mask & earns_loss)
-        best = probs[candidates].max()
-        top = candidates[probs[candidates] == best]
-        pick = top[0] if len(top) == 1 else top[rng.integers(len(top))]
-        masked[pick] = True
-
-    tokens = tuple(
-        int(mask_ids[k]) if masked[k] else int(sample.tokens[k]) for k in range(P)
-    )
-    return CorruptedSample(
-        tokens=tokens,
-        masked_fields=tuple(int(k) for k in np.flatnonzero(masked)),
-        mask_probs=tuple(float(p) for p in probs),
-        origin=sample,
-    )
 
 
 def corrupt_batch(
@@ -110,28 +51,36 @@ def corrupt_batch(
     label_mode: str = "diffuse",
     fixed_probs: np.ndarray | None = None,
 ) -> CorruptedBatch:
-    """Corrupt a batch; each instance draws its own schedule time.
+    """One-shot corruption; each instance draws its own schedule time.
 
     fixed_probs bypasses the schedule with one constant per-field
-    probability vector (used by the fixed-rate masking ablation).
+    probability vector in [0, 1) (the fixed-rate masking ablation).
+    Every row gets at least one loss-bearing field masked: a row whose
+    draw masks none has its eligible field with the largest mask
+    probability forced (ties broken by the rng).
     """
     B = len(samples)
     P = len(samples[0].tokens)
     clean = np.array([s.tokens for s in samples], dtype=np.int64)
     if fixed_probs is not None:
-        probs = np.tile(np.asarray(fixed_probs, dtype=np.float64), (B, 1))
+        fixed = np.asarray(fixed_probs, dtype=np.float64)
+        if fixed.shape != (P,):
+            raise DataError(f"mask_probs has shape {fixed.shape}, expected ({P},)")
+        if np.any(fixed < 0) or np.any(fixed >= 1):
+            raise DataError("mask probabilities must lie in [0, 1)")
+        probs = np.tile(fixed, (B, 1))
     else:
         probs = schedule.sample_mask_prob_matrix(rng, B)
     may_mask, earns_loss = _eligibility(P, label_mode)
 
-    draws = rng.random((B, P))
+    draws = rng.random((B, P))  # always drawn in full so streams align across modes
     masked = (draws < probs) & may_mask
     if label_mode in ("always-mask", "drop"):
         masked[:, -1] = True
 
     lossable = masked & earns_loss
+    candidates = np.flatnonzero(may_mask & earns_loss)
     for i in np.flatnonzero(~lossable.any(axis=1)):
-        candidates = np.flatnonzero(may_mask & earns_loss)
         best = probs[i, candidates].max()
         top = candidates[probs[i, candidates] == best]
         pick = top[0] if len(top) == 1 else top[rng.integers(len(top))]

@@ -44,7 +44,6 @@ class FieldSchema:
 @dataclass
 class Sample:
     tokens: tuple[int, ...]  # one id per field, label last
-    weight: float = 1.0
     session_id: str | None = None
 
 
@@ -78,8 +77,6 @@ class Dataset:
                         f"sample {i}: token {tok} out of range for field '{f.name}' "
                         f"(vocab {f.vocab_size})"
                     )
-            if s.weight <= 0:
-                raise DataError(f"sample {i}: weight must be positive")
 
     @property
     def num_fields(self) -> int:
@@ -163,7 +160,7 @@ def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]
         inverse = {c: {i: tok for tok, i in v.items()} for c, v in vocabs.items()}
     feature_names = [f.name for f in dataset.schema[:-1]]
     has_session = any(s.session_id is not None for s in dataset.samples)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = feature_names + [LABEL_FIELD] + ([SESSION_COLUMN] if has_session else [])
         writer.writerow(header)
@@ -182,22 +179,24 @@ def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]
 
 def _read_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = []
+            for lineno, raw in enumerate(reader, start=2):
+                if not raw:
+                    continue
+                if len(raw) != len(header):
+                    raise DataError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(raw)}")
+                rows.append(dict(zip(header, raw)))
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise DataError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(raw)}")
-            rows.append(dict(zip(header, raw)))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise DataError(f"{path}: unreadable as UTF-8 CSV: {e}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, rows

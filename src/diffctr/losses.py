@@ -51,26 +51,14 @@ def _candidate_mask(clean_col: np.ndarray, vocab: int, max_negatives: int) -> np
     the clean conditional, which breaks reverse sampling.
     """
     B = clean_col.shape[0]
-    totals = np.bincount(clean_col, minlength=vocab)
-    distinct = int((totals > 0).sum())
-    if distinct - 1 <= max_negatives:
-        # a token is a valid negative for row i when some other instance has it
-        mask = totals[None, :] > (np.arange(vocab)[None, :] == clean_col[:, None])
-        mask[np.arange(B), clean_col] = True
-        return mask
-    mask = np.zeros((B, vocab), dtype=bool)
-    for i in range(B):
-        tok = clean_col[i]
-        taken = 0
-        for j in range(B):
-            t = clean_col[j]
-            if j == i or t == tok or mask[i, t]:
-                continue
-            mask[i, t] = True
-            taken += 1
-            if taken == max_negatives:
-                break
-        mask[i, tok] = True
+    # rank of each distinct token by first appearance; absent tokens never qualify
+    distinct, first = np.unique(clean_col, return_index=True)
+    rank = np.full(vocab, np.iinfo(np.int64).max)
+    rank[distinct[np.argsort(first)]] = np.arange(len(distinct))
+    # a row whose own token ranks inside the cap reaches one rank further
+    limit = max_negatives + (rank[clean_col] < max_negatives)
+    mask = rank[None, :] < limit[:, None]
+    mask[np.arange(B), clean_col] = True
     return mask
 
 
@@ -196,23 +184,24 @@ def score_entropy_oracle(
     return out
 
 
-def sft_loss(model: Model, samples: list[Sample]) -> Tensor:
-    """Mean click logloss through the label-masked scoring head."""
+def _click_losses(model: Model, samples: list[Sample]) -> Tensor:
+    """Per-instance click logloss softplus(-(2y - 1) * logit) as a (B,) tensor."""
     tokens = np.array([s.tokens for s in samples], dtype=np.int64)
     labels = tokens[:, -1]
     if np.any((labels != 0) & (labels != 1)):
         raise DataError("sft_loss: labels must be 0 or 1")
     diff = label_logit_diff(model, tokens)
     signed = ad.mul(diff, ad.const(2.0 * labels - 1.0))
-    return ad.tmean(ad.softplus(ad.smul(signed, -1.0)))
+    return ad.softplus(ad.smul(signed, -1.0))
+
+
+def sft_loss(model: Model, samples: list[Sample]) -> Tensor:
+    """Mean click logloss through the label-masked scoring head."""
+    return ad.tmean(_click_losses(model, samples))
 
 
 def per_instance_sft_losses(model: Model, samples: list[Sample]) -> np.ndarray:
-    tokens = np.array([s.tokens for s in samples], dtype=np.int64)
-    labels = tokens[:, -1]
-    diff = label_logit_diff(model, tokens)
-    signed = ad.mul(diff, ad.const(2.0 * labels - 1.0))
-    return ad.softplus(ad.smul(signed, -1.0)).data
+    return _click_losses(model, samples).data
 
 
 def verify_label_equivalence(model: Model, samples: list[Sample]) -> float:

@@ -1,9 +1,10 @@
 """Ranking and calibration metrics with brute-force cross-checks.
 
-The production AUC is the tie-aware rank statistic; auc_pairwise is the
-O(n^2) definition it must match. Session-weighted AUC averages per-
-session AUCs weighted by impression count, skipping single-class
-sessions entirely.
+Every metric takes parallel arrays: scores, 0/1 labels and, for the
+session metrics, one session id per row. The production AUC is the
+tie-aware rank statistic; auc_pairwise is the O(n^2) definition it must
+match. Session-weighted AUC averages per-session AUCs weighted by
+impression count, skipping single-class sessions entirely.
 """
 
 from __future__ import annotations
@@ -16,14 +17,6 @@ import scipy.stats
 from .errors import DataError
 
 LOGLOSS_CLIP = 1e-7
-
-
-@dataclass
-class ScoredExample:
-    score: float
-    label: int
-    session_id: str | None = None
-    weight: float = 1.0
 
 
 @dataclass
@@ -41,49 +34,49 @@ class MetricReport:
         return rows
 
 
-def _split(examples: list[ScoredExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    scores = np.array([e.score for e in examples], dtype=np.float64)
-    labels = np.array([e.label for e in examples], dtype=np.int64)
-    weights = np.array([e.weight for e in examples], dtype=np.float64)
+def _split(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise DataError(f"scores {scores.shape} and labels {labels.shape} must be equal-length vectors")
     if not np.all(np.isfinite(scores)):
         raise DataError("scores must be finite")
     if np.any((labels != 0) & (labels != 1)):
         raise DataError("labels must be 0 or 1")
-    if np.any(weights <= 0):
-        raise DataError("weights must be positive")
-    return scores, labels, weights
+    return scores, labels.astype(np.int64)
 
 
-def _tie_average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied scores share the mean of their rank range."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _session_codes(sessions, n: int) -> np.ndarray:
+    """Session index per row, numbered in order of first appearance."""
+    sessions = np.asarray(sessions)
+    if sessions.shape != (n,):
+        raise DataError(f"sessions {sessions.shape} must match {n} scores")
+    if sessions.dtype == object and np.equal(sessions, None).any():
+        raise DataError("gauc_pv needs a session_id on every example")
+    _, first, inverse = np.unique(sessions, return_index=True, return_inverse=True)
+    renumber = np.empty(len(first), dtype=np.int64)
+    renumber[np.argsort(first)] = np.arange(len(first))
+    return renumber[inverse.reshape(-1)]
 
 
-def auc(examples: list[ScoredExample]) -> float:
+def _rank_auc(pos_rank_sum, n_pos, n_neg):
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def auc(scores, labels) -> float:
     """Tie-aware rank AUC: P(score_pos > score_neg) + half the tie mass."""
-    scores, labels, _ = _split(examples)
+    scores, labels = _split(scores, labels)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("auc needs at least one positive and one negative")
-    ranks = _tie_average_ranks(scores)
-    pos_rank_sum = ranks[labels == 1].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    ranks = scipy.stats.rankdata(scores)
+    return float(_rank_auc(ranks[labels == 1].sum(), n_pos, n_neg))
 
 
-def auc_pairwise(examples: list[ScoredExample]) -> float:
+def auc_pairwise(scores, labels) -> float:
     """Brute-force pairwise oracle for auc."""
-    scores, labels, _ = _split(examples)
+    scores, labels = _split(scores, labels)
     pos = scores[labels == 1]
     neg = scores[labels == 0]
     if len(pos) == 0 or len(neg) == 0:
@@ -93,52 +86,54 @@ def auc_pairwise(examples: list[ScoredExample]) -> float:
     return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
 
 
-def logloss(examples: list[ScoredExample]) -> float:
-    """Weighted mean negative log likelihood, scores clipped away from 0/1."""
-    scores, labels, weights = _split(examples)
+def logloss(scores, labels) -> float:
+    """Mean negative log likelihood, scores clipped away from 0/1."""
+    scores, labels = _split(scores, labels)
     s = np.clip(scores, LOGLOSS_CLIP, 1.0 - LOGLOSS_CLIP)
-    ll = -(labels * np.log(s) + (1 - labels) * np.log(1.0 - s))
-    return float((ll * weights).sum() / weights.sum())
+    return float((-(labels * np.log(s) + (1 - labels) * np.log(1.0 - s))).mean())
 
 
-def _sessions(examples: list[ScoredExample]) -> dict[str, list[ScoredExample]]:
-    out: dict[str, list[ScoredExample]] = {}
-    for e in examples:
-        if e.session_id is None:
-            raise DataError("gauc_pv needs a session_id on every example")
-        out.setdefault(e.session_id, []).append(e)
-    return out
-
-
-def gauc_pv(examples: list[ScoredExample]) -> float:
+def gauc_pv(scores, labels, sessions) -> float:
     """Impression-weighted mean of per-session AUCs.
 
     Sessions with a single class have no defined AUC and are excluded
-    from both numerator and denominator.
+    from both numerator and denominator. One rank pass covers every
+    session: rows are keyed by (session, dense score rank), so tie
+    groups never cross sessions, and each row's within-session rank is
+    its global rank less the rows of earlier sessions.
     """
-    num = 0.0
-    den = 0.0
-    for sess in _sessions(examples).values():
-        labels = {e.label for e in sess}
-        if labels != {0, 1}:
-            continue
-        num += len(sess) * auc(sess)
-        den += len(sess)
-    if den == 0:
+    scores, labels = _split(scores, labels)
+    codes = _session_codes(sessions, len(scores))
+    _, dense = np.unique(scores, return_inverse=True)
+    ranks = scipy.stats.rankdata(codes * (int(dense.max()) + 1) + dense)
+    size = np.bincount(codes)
+    earlier = np.cumsum(size) - size
+    n_pos = np.bincount(codes[labels == 1], minlength=len(size))
+    n_neg = size - n_pos
+    pos_rank_sum = np.bincount(
+        codes, weights=np.where(labels == 1, ranks - earlier[codes], 0.0), minlength=len(size)
+    )
+    valid = (n_pos > 0) & (n_neg > 0)
+    if not valid.any():
         raise DataError("gauc_pv: no session contains both classes")
-    return float(num / den)
+    aucs = _rank_auc(pos_rank_sum[valid], n_pos[valid], n_neg[valid])
+    # sessions summed one after another in first-appearance order
+    num = np.cumsum(size[valid] * aucs)[-1]
+    return float(num / size[valid].sum())
 
 
-def gauc_pv_pairwise(examples: list[ScoredExample]) -> float:
+def gauc_pv_pairwise(scores, labels, sessions) -> float:
     """Brute-force oracle for gauc_pv using the pairwise per-session AUC."""
+    scores, labels = _split(scores, labels)
+    codes = _session_codes(sessions, len(scores))
     num = 0.0
     den = 0.0
-    for sess in _sessions(examples).values():
-        labels = {e.label for e in sess}
-        if labels != {0, 1}:
+    for code in range(codes.max() + 1):
+        rows = codes == code
+        if labels[rows].min() == labels[rows].max():
             continue
-        num += len(sess) * auc_pairwise(sess)
-        den += len(sess)
+        num += rows.sum() * auc_pairwise(scores[rows], labels[rows])
+        den += rows.sum()
     if den == 0:
         raise DataError("gauc_pv: no session contains both classes")
     return float(num / den)
@@ -152,32 +147,20 @@ def mann_whitney_p(a: list[float] | np.ndarray, b: list[float] | np.ndarray) -> 
     return float(scipy.stats.mannwhitneyu(a, b, alternative="two-sided").pvalue)
 
 
-def score_dataset(scores: np.ndarray, dataset) -> list[ScoredExample]:
-    labels = dataset.labels()
-    return [
-        ScoredExample(
-            score=float(scores[i]),
-            label=int(labels[i]),
-            session_id=dataset.samples[i].session_id,
-            weight=dataset.samples[i].weight,
-        )
-        for i in range(len(scores))
-    ]
-
-
 def report_for(scores: np.ndarray, dataset, split: str) -> MetricReport:
     """AUC and logloss, plus session AUC whenever session ids exist."""
-    examples = score_dataset(scores, dataset)
+    labels = dataset.labels()
+    sessions = [s.session_id for s in dataset.samples]
     gauc = None
-    if all(e.session_id is not None for e in examples):
+    if None not in sessions:
         try:
-            gauc = gauc_pv(examples)
+            gauc = gauc_pv(scores, labels, sessions)
         except DataError:
             gauc = None
     return MetricReport(
         split=split,
-        n=len(examples),
-        auc=auc(examples),
-        logloss=logloss(examples),
+        n=len(scores),
+        auc=auc(scores, labels),
+        logloss=logloss(scores, labels),
         gauc_pv=gauc,
     )

@@ -251,6 +251,22 @@ def save_checkpoint(model: Model, path: str, meta: dict | None = None) -> None:
         fh.write(hashlib.sha256(bytes(payload)).digest())
 
 
+def _well_formed(header) -> bool:
+    def count(v) -> bool:
+        return type(v) is int and v >= 0
+
+    return (
+        isinstance(header, dict)
+        and isinstance(header.get("fingerprint"), dict)
+        and isinstance(header.get("params"), list)
+        and all(
+            isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+            and isinstance(e[1], list) and all(count(d) for d in e[1]) and count(e[2])
+            for e in header["params"]
+        )
+    )
+
+
 def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Parse and verify a checkpoint; returns (header, arrays by name)."""
     try:
@@ -269,6 +285,9 @@ def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(blob[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: bad header: {e}") from None
+    if not _well_formed(header):
+        raise CheckpointError(f"{path}: bad header: need a fingerprint object and "
+                              "params entries [name, [dims >= 0], offset >= 0]")
     payload = blob[header_end:-32]
     if hashlib.sha256(payload).digest() != blob[-32:]:
         raise CheckpointError(f"{path}: payload checksum mismatch")
@@ -307,11 +326,11 @@ def load_checkpoint(
             raise CheckpointError(f"fingerprint mismatch: checkpoint {fp}, model {want}")
         prefix = None
     elif mode == "embeddings-only":
-        if fp["fields"] != want["fields"] or fp["embed_dim"] != want["embed_dim"]:
+        if fp.get("fields") != want["fields"] or fp.get("embed_dim") != want["embed_dim"]:
             raise CheckpointError("embedding transfer needs matching fields and embed_dim")
         prefix = "embed/"
     else:
-        if any(fp[k] != want[k] for k in ("embed_dim", "blocks", "heads")):
+        if any(fp.get(k) != want[k] for k in ("embed_dim", "blocks", "heads")):
             raise CheckpointError("scoring-network transfer needs matching embed_dim/blocks/heads")
         prefix = "net/"
 

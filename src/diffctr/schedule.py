@@ -61,49 +61,24 @@ class NoiseSchedule:
     def num_fields(self) -> int:
         return len(self.curves)
 
-    def _curve(self, field: int) -> FieldCurve:
-        return self.curves[0] if self.shared else self.curves[field]
-
-    def mask_prob(self, field: int, t: float) -> float:
-        """Probability the field is masked by time t."""
-        self._check_t(t)
-        c = self._curve(field)
+    def mask_probs(self, t: float | np.ndarray) -> np.ndarray:
+        """Every field's mask probability at time t: (P,), or (n, P) for n times."""
+        t = np.asarray(t, dtype=np.float64)
+        inside = (t >= 0.0) & (t <= self.horizon)
+        if not inside.all():
+            raise DataError(f"t={t[~inside].flat[0]} outside [0, {self.horizon}]")
+        curves = self.curves[:1] * self.num_fields if self.shared else self.curves
+        lo = np.array([c.lo for c in curves])
+        hi = np.array([c.hi for c in curves])
+        frac = t[..., None] / self.horizon
         if self.kind == "linear-mask":
-            return c.lo + (c.hi - c.lo) * (t / self.horizon)
-        rate_lo, rate_hi = -np.log1p(-c.lo), -np.log1p(-c.hi)
-        rate = rate_lo ** (1.0 - t / self.horizon) * rate_hi ** (t / self.horizon)
-        return float(-np.expm1(-rate))
-
-    def cumulative_rate(self, field: int, t: float) -> float:
-        """Integrated corruption rate: -log(1 - mask_prob)."""
-        return float(-np.log1p(-self.mask_prob(field, t)))
-
-    def mask_probs(self, t: float) -> np.ndarray:
-        return np.array([self.mask_prob(k, t) for k in range(self.num_fields)])
-
-    def sample_mask_probs(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw t uniform in (0, T] and return every field's mask probability."""
-        t = self.horizon * (1.0 - rng.random())
-        return self.mask_probs(t)
-
-    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        curves = [self._curve(k) for k in range(self.num_fields)]
-        return np.array([c.lo for c in curves]), np.array([c.hi for c in curves])
+            return lo + (hi - lo) * frac
+        rate_lo, rate_hi = -np.log1p(-lo), -np.log1p(-hi)
+        return -np.expm1(-(rate_lo ** (1.0 - frac) * rate_hi ** frac))
 
     def sample_mask_prob_matrix(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Batched draw: one t per row, all fields evaluated at it: (n, P)."""
-        ts = self.horizon * (1.0 - rng.random(n))
-        lo, hi = self._bounds()
-        frac = ts[:, None] / self.horizon
-        if self.kind == "linear-mask":
-            return lo[None, :] + (hi - lo)[None, :] * frac
-        rate_lo, rate_hi = -np.log1p(-lo), -np.log1p(-hi)
-        rates = rate_lo[None, :] ** (1.0 - frac) * rate_hi[None, :] ** frac
-        return -np.expm1(-rates)
-
-    def _check_t(self, t: float) -> None:
-        if not 0.0 <= t <= self.horizon:
-            raise DataError(f"t={t} outside [0, {self.horizon}]")
+        """One t uniform in (0, T] per row, every field evaluated at it: (n, P)."""
+        return self.mask_probs(self.horizon * (1.0 - rng.random(n)))
 
 
 def build_schedule(

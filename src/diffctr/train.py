@@ -25,14 +25,12 @@ from .optim import adam_step, xavier_init
 from .rng import stream
 from .schedule import NoiseSchedule
 
-STAGES = ("pretrain", "finetune", "both")
 TRANSFERS = ("full", "embeddings-only", "scoring-network-only", "none")
 
 
 @dataclass
 class RunConfig:
     seed: int = 0
-    stage: str = "both"
     pretrain_epochs: int = 3
     finetune_epochs: int = 6
     pretrain_batch: int = 96
@@ -50,8 +48,6 @@ class RunConfig:
     patience: int = 2
 
     def validate(self) -> None:
-        if self.stage not in STAGES:
-            raise DataError(f"unknown stage '{self.stage}'")
         if self.transfer not in TRANSFERS:
             raise DataError(f"unknown transfer mode '{self.transfer}'")
         if min(self.pretrain_epochs, self.finetune_epochs) < 0:
@@ -248,22 +244,18 @@ def sample_reverse_batch(
     conditioning = conditioning or {}
     P = model.num_positions
     out = np.empty((n, P), dtype=np.int64)
-    ts = [schedule.horizon * (1.0 - j / steps) for j in range(steps + 1)]
+    curve = schedule.mask_probs(schedule.horizon * (1.0 - np.arange(steps + 1) / steps))
+    now, later = curve[:-1], curve[1:]
+    unmask_probs = np.where(now > 0, (now - later) / np.where(now > 0, now, 1.0), 1.0)
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
         tokens = np.tile(model.mask_ids, (m, 1))
         for k, tok in conditioning.items():
             tokens[:, k] = tok
-        for j in range(steps):
-            t_now, t_next = ts[j], ts[j + 1]
+        for probs in unmask_probs:
             still = tokens == model.mask_ids[None, :]
             if not still.any():
                 break
-            probs = np.zeros(P)
-            for k in range(P):
-                p_now = schedule.mask_prob(k, t_now)
-                p_next = schedule.mask_prob(k, t_next)
-                probs[k] = 1.0 if p_now <= 0 else (p_now - p_next) / p_now
             unmask = still & (rng.random((m, P)) < probs[None, :])
             tokens = _fill_from_conditionals(model, tokens, unmask, rng)
         still = tokens == model.mask_ids[None, :]
@@ -298,12 +290,3 @@ def _fill_from_conditionals(
         )
     return tokens
 
-
-def sample_reverse(
-    model: Model,
-    schedule: NoiseSchedule,
-    steps: int,
-    rng: np.random.Generator,
-    conditioning: dict[int, int] | None = None,
-) -> tuple[int, ...]:
-    return tuple(sample_reverse_batch(model, schedule, steps, rng, 1, conditioning)[0])

@@ -17,7 +17,6 @@ from diffctr import verify as vf
 from diffctr.data import Sample
 from diffctr.experiments import Environment, transfer_suite, ablation_suite, headline_suite, two_stage_run
 from diffctr.losses import PretrainLossConfig
-from diffctr.metrics import ScoredExample, auc
 from diffctr.model import Model, ModelConfig
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
@@ -46,15 +45,11 @@ def test_criterion_2_monte_carlo_forward_process():
     t0 = time.perf_counter()
     vocab = (5,) * 9 + (2,)
     ids = np.array(vocab)
-    sample = Sample(tokens=(0,) * 10)
-    probs = np.full(10, 0.5)
-    rng = stream(42, "acceptance-mc")
     n = 10**5
-    counts = np.zeros(10)
-    for _ in range(n):
-        out = fc.corrupt(sample, probs, rng, ids)
-        for k in out.masked_fields:
-            counts[k] += 1
+    samples = [Sample(tokens=(0,) * 10)] * n
+    out = fc.corrupt_batch(samples, None, stream(42, "acceptance-mc"), ids,
+                           fixed_probs=np.full(10, 0.5))
+    counts = out.masked.sum(axis=0)
     sigma = np.sqrt(0.25 / n)
     # the force-mask rule can only add mass, bounded by P(no field drawn)
     slack = 4 * sigma + 2.0**-10

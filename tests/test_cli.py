@@ -1,11 +1,15 @@
+import hashlib
+import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
+from diffctr import model as md
 from diffctr.cli import main
-from diffctr.config import parse_config
+from diffctr.config import parse_config, render_config, to_model_config
 from diffctr.data import load_delimited, load_training_delimited
 from diffctr.model import load_checkpoint
 from diffctr.train import evaluate
@@ -21,7 +25,7 @@ def test_print_config_round_trips(capsys):
     assert main(["print-config"]) == 0
     text = capsys.readouterr().out
     cfg = parse_config(text)
-    assert cfg.get("run", "stage") == "both"
+    assert render_config(cfg) == text
 
 
 def test_generate_data_outputs_and_determinism(tmp_path, tiny_config_path, capsys):
@@ -87,7 +91,6 @@ def test_zero_epoch_finetune_reports_checkpoint_metrics(tmp_path, tiny_config_pa
     cfg = parse_config(read(str(frozen)))
     train, vocabs = load_training_delimited(os.path.join(data_dir, "train.csv"))
     test = load_delimited(os.path.join(data_dir, "test.csv"), vocabs, split="test")
-    from diffctr.config import to_model_config
     model = load_checkpoint(ckpt, "full", to_model_config(cfg), train.schema, seed=0)
     direct = evaluate(model, test, "test")
     assert abs(direct.auc - got_auc) < 5e-5  # printed at 4 decimals
@@ -133,3 +136,74 @@ def test_experiment_headline_smoke(tmp_path, tiny_config_path, capsys):
     assert os.path.exists(os.path.join(out, "rows.csv"))
     assert os.path.exists(os.path.join(out, "summary.csv"))
     assert os.path.exists(os.path.join(out, "manifest.txt"))
+
+
+def test_removed_stage_key_is_unknown(tmp_path, capsys):
+    old = tmp_path / "old.cfg"
+    old.write_text("[run]\nstage = both\n")
+    code = main(["generate-data", "--config", str(old), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "unknown config key [run] stage" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    cfg_path = root / "tiny.cfg"
+    cfg_path.write_text(TINY_CONFIG_TEXT)
+    data_dir = str(root / "data")
+    assert main(["generate-data", "--config", str(cfg_path), "--out", data_dir]) == 0
+    return str(cfg_path), data_dir
+
+
+def raw_checkpoint(path, header, payload=b""):
+    """A checkpoint file with a valid checksum around an arbitrary header."""
+    head = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(md.CHECKPOINT_MAGIC + struct.pack("<II", md.CHECKPOINT_VERSION, len(head)))
+        fh.write(head + payload + hashlib.sha256(payload).digest())
+
+
+def damaged_checkpoint(path, cfg_path, data_dir, how):
+    train, _ = load_training_delimited(os.path.join(data_dir, "train.csv"))
+    cfg = parse_config(read(cfg_path))
+    md.save_checkpoint(md.Model.init(to_model_config(cfg), train.schema, 0), path)
+    blob = bytearray(open(path, "rb").read())
+    if how == "truncated":
+        blob = blob[: len(blob) // 2]
+    else:
+        blob[len(blob) // 2] ^= 0x10
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+
+
+@pytest.mark.parametrize("case", ["empty-header", "params-not-list", "offset-not-int",
+                                  "truncated", "bit-flip"])
+def test_malformed_checkpoint_exits_2(tmp_path, tiny_data, capsys, case):
+    cfg_path, data_dir = tiny_data
+    ckpt = str(tmp_path / "bad.dgct")
+    if case == "empty-header":
+        raw_checkpoint(ckpt, {})
+    elif case == "params-not-list":
+        raw_checkpoint(ckpt, {"fingerprint": {}, "params": 5})
+    elif case == "offset-not-int":
+        raw_checkpoint(ckpt, {"fingerprint": {}, "params": [["x", [1], "a"]]}, bytes(8))
+    else:
+        damaged_checkpoint(ckpt, cfg_path, data_dir, case)
+    capsys.readouterr()
+    code = main(["finetune", "--config", cfg_path, "--data", data_dir, "--init", ckpt,
+                 "--transfer", "full", "--out", str(tmp_path / "ft")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bad.dgct" in err
+
+
+def test_non_utf8_csv_exits_2(tmp_path, tiny_config_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "train.csv").write_bytes(b"\xff\xfef0,label\n1,0\n")
+    code = main(["pretrain", "--config", tiny_config_path, "--data", str(data_dir),
+                 "--out", str(tmp_path / "pre")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "train.csv" in err

@@ -58,7 +58,7 @@ def test_builders_produce_valid_objects():
     assert model.embed_dim == 8
     sched = to_schedule(cfg, num_fields=3)
     assert sched.num_fields == 4 and sched.horizon == 50
-    assert sched.mask_prob(3, 0.0) == 0.2  # label curve differs
+    assert sched.mask_probs(0.0)[3] == 0.2  # label curve differs
     loss = to_loss_config(cfg)
     assert loss.max_negatives == 127
     spec = to_synthetic_spec(cfg)

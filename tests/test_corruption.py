@@ -17,66 +17,64 @@ def mask_ids_for(vocab_sizes):
     return np.array(vocab_sizes, dtype=np.int64)
 
 
+def corrupt_rows(tokens, probs, rng, ids, label_mode="diffuse", n=1):
+    """n copies of one sample through corrupt_batch at fixed per-field probabilities."""
+    return fc.corrupt_batch([sample_of(tokens)] * n, None, rng, ids, label_mode,
+                            fixed_probs=probs)
+
+
 class TestCorrupt:
     vocab = (4, 4, 4, 2)  # three features + binary label
 
     def test_all_zero_probs_forces_exactly_one(self):
-        s = sample_of((1, 2, 3, 1))
-        out = fc.corrupt(s, np.zeros(4), stream(0, "c"), mask_ids_for(self.vocab))
-        assert len(out.masked_fields) == 1
+        out = corrupt_rows((1, 2, 3, 1), np.zeros(4), stream(0, "c"), mask_ids_for(self.vocab))
+        assert out.masked.sum() == 1
 
     def test_near_one_probs_mask_everything(self):
-        s = sample_of((1, 2, 3, 1))
-        out = fc.corrupt(s, np.full(4, 1 - 1e-9), stream(1, "c"), mask_ids_for(self.vocab))
-        assert out.masked_fields == (0, 1, 2, 3)
-        assert out.tokens == (4, 4, 4, 2)
+        out = corrupt_rows((1, 2, 3, 1), np.full(4, 1 - 1e-9), stream(1, "c"),
+                           mask_ids_for(self.vocab))
+        assert out.masked.all()
+        assert tuple(out.tokens[0]) == (4, 4, 4, 2)
 
     def test_mask_consistency_invariant(self):
-        rng = stream(2, "c")
-        s = sample_of((0, 1, 2, 0))
-        for _ in range(200):
-            out = fc.corrupt(s, np.full(4, 0.5), rng, mask_ids_for(self.vocab))
-            for k in range(4):
-                if k in out.masked_fields:
-                    assert out.tokens[k] == self.vocab[k]
-                else:
-                    assert out.tokens[k] == s.tokens[k]
+        clean = (0, 1, 2, 0)
+        out = corrupt_rows(clean, np.full(4, 0.5), stream(2, "c"), mask_ids_for(self.vocab), n=200)
+        expect = np.where(out.masked, np.array(self.vocab)[None, :], np.array(clean)[None, :])
+        np.testing.assert_array_equal(out.tokens, expect)
+        np.testing.assert_array_equal(out.clean_tokens, np.tile(clean, (200, 1)))
 
     def test_monte_carlo_mask_rate(self):
         # 10 fields at probability one half, checked against the closed form
         vocab = (3,) * 9 + (2,)
-        s = sample_of((0,) * 10)
-        rng = stream(3, "mc")
         n = 10**5
-        counts = np.zeros(10)
-        probs = np.full(10, 0.5)
-        ids = mask_ids_for(vocab)
-        for _ in range(n):
-            out = fc.corrupt(s, probs, rng, ids)
-            for k in out.masked_fields:
-                counts[k] += 1
+        out = corrupt_rows((0,) * 10, np.full(10, 0.5), stream(3, "mc"), mask_ids_for(vocab), n=n)
+        counts = out.masked.sum(axis=0)
         sigma = np.sqrt(0.25 / n)
         # force-masking nudges rates upward by at most P(nothing drawn) = 2^-10
         assert np.all(np.abs(counts / n - 0.5) < 4 * sigma + 2.0**-10)
 
     def test_label_modes(self):
-        s = sample_of((1, 2, 3, 1))
+        s = (1, 2, 3, 1)
         ids = mask_ids_for(self.vocab)
         probs = np.array([0.5, 0.5, 0.5, 0.5])
         rng = stream(4, "modes")
-        always = fc.corrupt(s, probs, rng, ids, label_mode="always-mask")
-        assert 3 in always.masked_fields and always.tokens[3] == 2
-        never = fc.corrupt(s, probs, rng, ids, label_mode="never-mask")
-        assert 3 not in never.masked_fields and never.tokens[3] == 1
-        drop = fc.corrupt(s, probs, rng, ids, label_mode="drop")
-        assert drop.tokens[3] == 2 and 3 in drop.masked_fields
+        always = corrupt_rows(s, probs, rng, ids, label_mode="always-mask")
+        assert always.masked[0, 3] and always.tokens[0, 3] == 2
+        never = corrupt_rows(s, probs, rng, ids, label_mode="never-mask")
+        assert not never.masked[0, 3] and never.tokens[0, 3] == 1
+        drop = corrupt_rows(s, probs, rng, ids, label_mode="drop")
+        assert drop.tokens[0, 3] == 2 and drop.masked[0, 3]
         assert not fc.loss_positions(4, "drop")[3]
         assert fc.loss_positions(4, "diffuse")[3]
 
     def test_invalid_probs_rejected(self):
-        s = sample_of((0, 0, 0, 0))
+        ids = mask_ids_for(self.vocab)
         with pytest.raises(DataError):
-            fc.corrupt(s, np.full(4, 1.0), stream(0, "x"), mask_ids_for(self.vocab))
+            corrupt_rows((0, 0, 0, 0), np.full(4, 1.0), stream(0, "x"), ids)
+        with pytest.raises(DataError):
+            corrupt_rows((0, 0, 0, 0), np.full(4, -0.1), stream(0, "x"), ids)
+        with pytest.raises(DataError):
+            corrupt_rows((0, 0, 0, 0), np.full(3, 0.5), stream(0, "x"), ids)
 
 
 class TestKernels:

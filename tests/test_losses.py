@@ -123,6 +123,44 @@ def test_constant_network_gives_log_candidate_count():
     np.testing.assert_allclose(terms[masked_rows, 0], np.log(5.0), atol=1e-12)
 
 
+def candidate_reference(col, vocab, max_negatives):
+    """Per-row brute force of the _candidate_mask docstring.
+
+    Row i keeps its positive plus the first max_negatives distinct tokens,
+    in batch order, that other instances carry and that differ from it.
+    """
+    mask = np.zeros((len(col), vocab), dtype=bool)
+    for i, tok in enumerate(col):
+        negatives = []
+        for j, t in enumerate(col):
+            if j != i and t != tok and t not in negatives and len(negatives) < max_negatives:
+                negatives.append(t)
+        mask[i, negatives] = True
+        mask[i, tok] = True
+    return mask
+
+
+@pytest.mark.parametrize("regime", ["all-fit", "truncated", "cap-above-vocab"])
+def test_candidate_mask_matches_brute_force(regime):
+    for trial in range(40):
+        rng = stream(26, "candidates", regime, trial)
+        B = int(rng.integers(2, 161))
+        V = int(rng.integers(1, 12)) if regime == "cap-above-vocab" else int(rng.integers(2, 401))
+        # skewed draws give repeated tokens, so rows share and lack negatives
+        col = rng.permutation(V)[np.minimum(rng.geometric(min(0.5, 4.0 / V), size=B) - 1, V - 1)]
+        distinct = len(np.unique(col))
+        if regime == "truncated" and distinct < 3:
+            continue
+        if regime == "all-fit":
+            max_negatives = int(rng.integers(max(distinct - 1, 1), distinct + 20))
+        elif regime == "truncated":
+            max_negatives = int(rng.integers(1, distinct - 1))
+        else:
+            max_negatives = int(rng.integers(V, V + 5))
+        got = ls._candidate_mask(col, V, max_negatives)
+        np.testing.assert_array_equal(got, candidate_reference(col, V, max_negatives))
+
+
 def test_batch_of_one_rejected():
     model = make_model()
     schedule = build_schedule(2)
@@ -226,6 +264,14 @@ class TestSftLoss:
         unchanged = np.delete(np.arange(5), 2)
         np.testing.assert_array_equal(base[unchanged], after[unchanged])
         assert base[2] != after[2]
+
+    def test_non_binary_label_rejected_on_both_routes(self):
+        model = make_model(blocks=0, vocabs=(3,), seed=13)
+        masked_label = [Sample(tokens=(0, 1)), Sample(tokens=(1, 2))]  # 2 is the mask id
+        with pytest.raises(DataError):
+            ls.sft_loss(model, masked_label)
+        with pytest.raises(DataError):
+            ls.per_instance_sft_losses(model, masked_label)
 
     def test_field_order_invariance(self):
         model = make_model(blocks=2, d=8, vocabs=(4, 3, 5), seed=12)

@@ -128,9 +128,9 @@ class TestSampleReverse:
         model = tiny_model(train, seed=15)
         schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
         conditioning = {k: 1 for k in range(model.num_positions)}
-        out = tr.sample_reverse(model, schedule, steps=4, rng=stream(0, "r"),
-                                conditioning=conditioning)
-        assert out == tuple([1] * model.num_positions)
+        out = tr.sample_reverse_batch(model, schedule, steps=4, rng=stream(0, "r"), n=1,
+                                      conditioning=conditioning)[0]
+        assert tuple(out) == tuple([1] * model.num_positions)
 
     def test_one_step_draws_everything(self):
         train, _, _ = tiny_env()
