@@ -32,6 +32,7 @@ from .data import (
     generate_synthetic,
     load_delimited,
     load_training_delimited,
+    make_output_dir,
     save_delimited,
     split_indices,
     subset,
@@ -168,7 +169,7 @@ def _synthetic_splits(cfg: Config) -> tuple[Dataset, Dataset, Dataset, np.ndarra
 
 def cmd_generate_data(args) -> int:
     cfg = _load_conf(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    make_output_dir(args.out)
     spec = to_synthetic_spec(cfg)
     dataset, bayes = generate_synthetic(spec)
     parts = split_indices(spec.samples, spec.seed)
@@ -192,7 +193,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_conf(args.config)
     run_cfg = to_run_config(cfg)
     train, _, _ = _load_splits(cfg, args.data)
-    os.makedirs(args.out, exist_ok=True)
+    make_output_dir(args.out)
     model = Model.init(to_model_config(cfg), train.schema, run_cfg.seed)
     schedule = to_schedule(cfg, train.num_fields)
     model, report = pretrain(model, train, schedule, run_cfg, to_loss_config(cfg), out_dir=args.out)
@@ -217,7 +218,7 @@ def cmd_finetune(args) -> int:
     if run_cfg.transfer != "none" and not args.init:
         raise UsageError(f"--transfer {run_cfg.transfer} requires --init CHECKPOINT")
     train, validation, test = _load_splits(cfg, args.data)
-    os.makedirs(args.out, exist_ok=True)
+    make_output_dir(args.out)
     model_cfg = to_model_config(cfg)
     if run_cfg.transfer == "none":
         model = Model.init(model_cfg, train.schema, run_cfg.seed)
@@ -263,8 +264,8 @@ def cmd_experiment(args) -> int:
         loss_cfg=to_loss_config(cfg),
     )
     seeds = list(range(args.seeds))
+    make_output_dir(args.out)  # before the suite runs, not after
     report = EXPERIMENT_SUITES[args.suite](env, seeds)
-    os.makedirs(args.out, exist_ok=True)
     write_report_files(report, args.out)
     write_manifest(args.out)
     for cid, metric, mean, std in report.summary():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +152,14 @@ def load_delimited(path: str, vocabs: dict[str, dict[str, int]], split: str = "t
 def load_training_delimited(path: str) -> tuple[Dataset, dict[str, dict[str, int]]]:
     vocabs = build_vocabs(path)
     return load_delimited(path, vocabs, split="train"), vocabs
+
+
+def make_output_dir(path: str) -> None:
+    """Create an output directory and its parents; an unusable path is a DataError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create output directory {path}: {e.strerror}") from None
 
 
 def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]] | None = None) -> None:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, make_output_dir
 from .errors import DataError
 from .losses import PretrainLossConfig
 from .metrics import mann_whitney_p
@@ -229,7 +229,7 @@ SUITES = {
 # report files: raw rows, mean/std summary, p-values vs the baseline
 
 def write_report_files(report: SuiteReport, out_dir: str, baseline: str = BASELINE) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     paths = []
 
     rows_path = os.path.join(out_dir, "rows.csv")

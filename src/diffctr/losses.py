@@ -4,8 +4,9 @@ The pretraining loss reconstructs masked fields from the surviving ones:
 for every masked position the model scores the true token against the
 ground-truth tokens other batch instances carry in that field (cosine
 logits, softmax over the sampled candidate set), and each term is
-importance-weighted by the reciprocal of its mask probability. The
-label field always uses its exhaustive two-way softmax. The fine-tune
+importance-weighted by the reciprocal of its mask probability. Logits
+cover only the U <= B distinct batch tokens of a field, never the whole
+vocabulary. The label field always uses its exhaustive two-way softmax. The fine-tune
 loss is the plain click logloss through the label-masked CTR head; for
 label-only masking the two coincide term by term, which
 verify_label_equivalence checks numerically.
@@ -40,26 +41,27 @@ class PretrainLossConfig:
             raise DataError("mask_prob_floor must lie in (0, 1)")
 
 
-def _candidate_mask(clean_col: np.ndarray, vocab: int, max_negatives: int) -> np.ndarray:
-    """Per-instance candidate set over the field vocabulary.
+def _candidate_mask(clean_col: np.ndarray, max_negatives: int) -> tuple[np.ndarray, ...]:
+    """Per-instance candidate sets over the batch's distinct tokens.
 
-    Row i holds the union of the positive with the distinct tokens other
-    instances carry in this field, minus any token equal to the positive
-    (a contradictory negative), truncated to max_negatives distinct
+    Returns (columns, pos, mask): the sorted distinct tokens, each row's
+    positive as an index into columns, and the (B, U) mask. Row i holds
+    the union of the positive with the distinct tokens other instances
+    carry in this field, minus any token equal to the positive (a
+    contradictory negative), truncated to max_negatives distinct
     negatives in batch order. Keeping the candidates a set matters:
     duplicate-weighted denominators bias the learned softmax away from
     the clean conditional, which breaks reverse sampling.
     """
-    B = clean_col.shape[0]
-    # rank of each distinct token by first appearance; absent tokens never qualify
-    distinct, first = np.unique(clean_col, return_index=True)
-    rank = np.full(vocab, np.iinfo(np.int64).max)
-    rank[distinct[np.argsort(first)]] = np.arange(len(distinct))
+    columns, first, pos = np.unique(clean_col, return_index=True, return_inverse=True)
+    # rank of each distinct token by first appearance in the batch
+    rank = np.empty(len(columns), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(columns))
     # a row whose own token ranks inside the cap reaches one rank further
-    limit = max_negatives + (rank[clean_col] < max_negatives)
+    limit = max_negatives + (rank[pos] < max_negatives)
     mask = rank[None, :] < limit[:, None]
-    mask[np.arange(B), clean_col] = True
-    return mask
+    mask[np.arange(len(pos)), pos] = True
+    return columns, pos, mask
 
 
 def masked_field_losses(
@@ -85,17 +87,17 @@ def masked_field_losses(
     for k in range(P):
         if not weights[:, k].any():
             continue
-        f = model.schema[k]
-        if k == model.label_position:
-            mask = np.ones((B, f.vocab_size), dtype=bool)  # exhaustive two-way softmax
+        clean = corrupted.clean_tokens[:, k]
+        if k == model.label_position:  # exhaustive two-way softmax
+            columns, pos = np.arange(model.schema[k].vocab_size), clean
+            mask = np.ones((B, len(columns)), dtype=bool)
         else:
-            mask = _candidate_mask(corrupted.clean_tokens[:, k], f.vocab_size, cfg.max_negatives)
-        ctx = ad.take_position(ctx_all, k)
-        logits = full_vocab_logits(model, k, ctx)
+            columns, pos, mask = _candidate_mask(clean, cfg.max_negatives)
+        logits = field_logits(model, k, ad.take_position(ctx_all, k), columns)
         gate = np.where(mask, 0.0, ad.LOG_ZERO)
         denom = ad.logsumexp(ad.add(logits, ad.const(gate)), axis=1)
-        onehot = np.zeros((B, f.vocab_size))
-        onehot[np.arange(B), corrupted.clean_tokens[:, k]] = 1.0
+        onehot = np.zeros((B, len(columns)))
+        onehot[np.arange(B), pos] = 1.0
         positive = ad.tsum(ad.mul(logits, ad.const(onehot)), axis=1)
         ce = ad.sub(denom, positive)
         terms[:, k] = ce.data * weights[:, k]

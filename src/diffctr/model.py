@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -243,12 +244,19 @@ def save_checkpoint(model: Model, path: str, meta: dict | None = None) -> None:
         },
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(bytes(payload))
-        fh.write(hashlib.sha256(bytes(payload)).digest())
+    # write aside, then rename: a crash mid-write never clobbers a good file
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(bytes(payload))
+            fh.write(hashlib.sha256(bytes(payload)).digest())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only after a failed write
+            os.remove(tmp)
 
 
 def _well_formed(header) -> bool:

@@ -207,3 +207,22 @@ def test_non_utf8_csv_exits_2(tmp_path, tiny_config_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "train.csv" in err
+
+
+@pytest.mark.parametrize("command", ["generate-data", "pretrain", "finetune", "experiment"])
+def test_out_under_regular_file_exits_2(tmp_path, tiny_data, capsys, command):
+    cfg_path, data_dir = tiny_data
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory")
+    out = str(blocker / "sub")
+    extra = {
+        "generate-data": [],
+        "pretrain": ["--data", data_dir],
+        "finetune": ["--data", data_dir, "--transfer", "none"],
+        "experiment": ["--suite", "headline", "--seeds", "1"],
+    }[command]
+    capsys.readouterr()
+    code = main([command, "--config", cfg_path, "--out", out] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and out in err

@@ -157,8 +157,128 @@ def test_candidate_mask_matches_brute_force(regime):
             max_negatives = int(rng.integers(1, distinct - 1))
         else:
             max_negatives = int(rng.integers(V, V + 5))
-        got = ls._candidate_mask(col, V, max_negatives)
+        columns, pos, mask = ls._candidate_mask(col, max_negatives)
+        np.testing.assert_array_equal(columns, np.unique(col))
+        np.testing.assert_array_equal(columns[pos], col)
+        got = np.zeros((B, V), dtype=bool)
+        got[:, columns] = mask
         np.testing.assert_array_equal(got, candidate_reference(col, V, max_negatives))
+
+
+def full_vocab_field_losses(model, corrupted, cfg):
+    """The full-vocabulary form of masked_field_losses, as a reference.
+
+    Every field scores all V targets; non-candidates are gated with
+    LOG_ZERO and the positive is picked by a V-wide onehot. The candidate
+    mask is the first-appearance rank construction written over V.
+    """
+    B, P = corrupted.tokens.shape
+    ctx_all = md.encode(model, corrupted.tokens)
+    eligible = fc.loss_positions(P, cfg.label_mode)
+    weights = np.where(
+        corrupted.masked & eligible[None, :],
+        1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor)
+        if cfg.weight_by_mask_prob
+        else 1.0,
+        0.0,
+    )
+    total = None
+    terms = np.zeros((B, P))
+    for k in range(P):
+        if not weights[:, k].any():
+            continue
+        V, col = model.schema[k].vocab_size, corrupted.clean_tokens[:, k]
+        if k == model.label_position:
+            mask = np.ones((B, V), dtype=bool)
+        else:
+            distinct, first = np.unique(col, return_index=True)
+            rank = np.full(V, np.iinfo(np.int64).max)
+            rank[distinct[np.argsort(first)]] = np.arange(len(distinct))
+            limit = cfg.max_negatives + (rank[col] < cfg.max_negatives)
+            mask = rank[None, :] < limit[:, None]
+            mask[np.arange(B), col] = True
+        logits = md.full_vocab_logits(model, k, ad.take_position(ctx_all, k))
+        gate = np.where(mask, 0.0, ad.LOG_ZERO)
+        denom = ad.logsumexp(ad.add(logits, ad.const(gate)), axis=1)
+        onehot = np.zeros((B, V))
+        onehot[np.arange(B), col] = 1.0
+        ce = ad.sub(denom, ad.tsum(ad.mul(logits, ad.const(onehot)), axis=1))
+        terms[:, k] = ce.data * weights[:, k]
+        contrib = ad.tsum(ad.mul(ce, ad.const(weights[:, k])))
+        total = contrib if total is None else ad.add(total, contrib)
+    return ad.smul(total, 1.0 / B), terms
+
+
+def skewed_samples(model, rng, n):
+    """Geometric-rank tokens, so fields repeat tokens and rows share negatives."""
+    cols = []
+    for f in model.schema[:-1]:
+        V = f.vocab_size
+        ranks = np.minimum(rng.geometric(min(0.5, 4.0 / V), size=n) - 1, V - 1)
+        cols.append(rng.permutation(V)[ranks])
+    cols.append(rng.integers(2, size=n))
+    return [Sample(tokens=tuple(int(t) for t in row)) for row in np.stack(cols, axis=1)]
+
+
+PARITY_ATOL = 1e-12
+
+
+def loss_terms_grads(loss_fn, model, corrupted, cfg):
+    terms = {}
+
+    def fn(params, _):
+        loss, terms["value"] = loss_fn(model, corrupted, cfg)
+        return loss
+
+    loss, grads = ad.forward_backward(fn, model.params)
+    return loss, terms["value"], grads
+
+
+@pytest.mark.parametrize("blocks", [0, 2])
+@pytest.mark.parametrize("V,B", [(6, 8), (6, 96), (50, 96), (50, 256), (2000, 8), (2000, 256)])
+def test_losses_match_full_vocab_formula(V, B, blocks):
+    model = make_model(blocks=blocks, d=8, vocabs=(V, V), seed=V + B + blocks)
+    samples = skewed_samples(model, stream(40, "parity", V, B, blocks), B)
+    distinct = min(len({s.tokens[k] for s in samples}) for k in range(2))
+    schedule = build_schedule(2, lo=0.1, hi=0.9, horizon=50)
+    for label_mode in ("diffuse", "drop", "always-mask"):
+        corrupted = fc.corrupt_batch(samples, schedule, stream(41, "c", V, B), model.mask_ids,
+                                     label_mode=label_mode)
+        for max_negatives in (max(distinct // 2, 1), distinct + 5):
+            cfg = ls.PretrainLossConfig(max_negatives=max_negatives, label_mode=label_mode)
+            new_loss, new_terms, new_grads = loss_terms_grads(
+                ls.masked_field_losses, model, corrupted, cfg)
+            ref_loss, ref_terms, ref_grads = loss_terms_grads(
+                full_vocab_field_losses, model, corrupted, cfg)
+            assert abs(new_loss - ref_loss) <= PARITY_ATOL
+            np.testing.assert_allclose(new_terms, ref_terms, rtol=0, atol=PARITY_ATOL)
+            for name in ref_grads:
+                np.testing.assert_allclose(new_grads[name], ref_grads[name], rtol=0,
+                                           atol=PARITY_ATOL, err_msg=name)
+
+
+def test_loss_tape_never_spans_the_vocabulary():
+    # a regression to full-vocabulary logits shows up as a V-row gather
+    V, B = 20000, 32
+    model = make_model(blocks=1, d=8, vocabs=(V, V), seed=15)
+    samples = make_samples(model, stream(42, "wide"), B)
+    corrupted = fc.corrupt_batch(samples, build_schedule(2), stream(43, "c"), model.mask_ids,
+                                 fixed_probs=np.array([0.9, 0.9, 0.5]))
+    loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
+    targets = {id(model.params[f"embed/target/{f.name}"]): f.name for f in model.schema[:-1]}
+    gathered, seen, work = [], {id(loss)}, [loss]
+    while work:
+        node = work.pop()
+        if node.op == "gather_rows" and id(node.parents[0]) in targets:
+            gathered.append(targets[id(node.parents[0])])
+            assert node.shape[0] <= B
+        if node.op == "logsumexp":
+            assert node.parents[0].shape[-1] <= B
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                work.append(p)
+    assert sorted(gathered) == ["f0", "f1"]
 
 
 def test_batch_of_one_rejected():

@@ -194,6 +194,44 @@ class TestCheckpoint:
         for name in model.params.names():
             np.testing.assert_array_equal(model.params.get_data(name), again.params.get_data(name))
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        old, new = make_model(seed=13), make_model(seed=14)
+        path = str(tmp_path / "m.dgct")
+        md.save_checkpoint(old, path)
+        real_open = open
+
+        class FailingWriter:
+            """Lets the first write through, then fails like a full disk."""
+
+            def __init__(self, *args):
+                self.fh, self.writes = real_open(*args), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(md, "open", FailingWriter, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            md.save_checkpoint(new, path)
+        monkeypatch.undo()
+        again = md.load_checkpoint(path, "full", old.cfg, old.schema, seed=99)
+        for name in old.params.names():
+            np.testing.assert_array_equal(old.params.get_data(name), again.params.get_data(name))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.dgct"]
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        md.save_checkpoint(make_model(), str(tmp_path / "m.dgct"))
+        md.save_checkpoint(make_model(seed=1), str(tmp_path / "m.dgct"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.dgct"]
+
     def test_embeddings_only(self, tmp_path):
         model = make_model(seed=13)
         path = str(tmp_path / "m.dgct")
