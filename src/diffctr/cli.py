@@ -124,7 +124,8 @@ def write_manifest(out_dir: str) -> str:
             if name == "manifest.txt":
                 continue
             path = os.path.join(root, name)
-            digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
             entries.append((os.path.relpath(path, out_dir), digest))
     manifest = os.path.join(out_dir, "manifest.txt")
     with open(manifest, "w") as fh:
@@ -184,7 +185,7 @@ def cmd_generate_data(args) -> int:
             save_delimited(piece, os.path.join(args.out, d[split_name]))
             for row, i in enumerate(idx):
                 w.writerow([split_name, row, repr(float(bayes[int(i)]))])
-            print(f"{split_name}: {len(piece.samples)} rows -> {d[split_name]}")
+            print(f"{split_name}: {len(piece.token_matrix())} rows -> {d[split_name]}")
     write_manifest(args.out)
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+from dataclasses import asdict
 
 from .data import SyntheticSpec, random_spec
 from .errors import ConfigError
@@ -19,32 +20,8 @@ from .schedule import NoiseSchedule, build_schedule
 from .train import RunConfig
 
 DEFAULTS: dict[str, dict[str, object]] = {
-    "run": {
-        "seed": 0,
-        "pretrain_epochs": 3,
-        "finetune_epochs": 6,
-        "pretrain_batch": 96,
-        "finetune_batch": 2048,
-        "pretrain_lr": 1e-3,
-        "finetune_lr": 1e-3,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_eps": 1e-8,
-        "transfer": "full",
-        "label_mode": "diffuse",
-        "no_label": False,
-        "no_diff": False,
-        "bert_mask_rate": 0.15,
-        "patience": 2,
-    },
-    "model": {
-        "embed_dim": 32,
-        "blocks": 2,
-        "heads": 2,
-        "ffn_width": 64,
-        "temperature": 0.1,
-        "tied_embeddings": False,
-    },
+    "run": asdict(RunConfig()),
+    "model": asdict(ModelConfig()),
     "schedule": {
         "kind": "linear-mask",
         "lambda_min": 0.0,

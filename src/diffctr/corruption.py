@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample
 from .errors import DataError, NumericError
 from .schedule import NoiseSchedule
 
@@ -44,14 +43,15 @@ def _eligibility(num_fields: int, label_mode: str) -> tuple[np.ndarray, np.ndarr
 
 
 def corrupt_batch(
-    samples: list[Sample],
+    clean: np.ndarray,
     schedule: NoiseSchedule,
     rng: np.random.Generator,
     mask_ids: np.ndarray,
     label_mode: str = "diffuse",
     fixed_probs: np.ndarray | None = None,
 ) -> CorruptedBatch:
-    """One-shot corruption; each instance draws its own schedule time.
+    """One-shot corruption of a (B, P) clean token batch; each instance
+    draws its own schedule time.
 
     fixed_probs bypasses the schedule with one constant per-field
     probability vector in [0, 1) (the fixed-rate masking ablation).
@@ -59,9 +59,7 @@ def corrupt_batch(
     draw masks none has its eligible field with the largest mask
     probability forced (ties broken by the rng).
     """
-    B = len(samples)
-    P = len(samples[0].tokens)
-    clean = np.array([s.tokens for s in samples], dtype=np.int64)
+    B, P = clean.shape
     if fixed_probs is not None:
         fixed = np.asarray(fixed_probs, dtype=np.float64)
         if fixed.shape != (P,):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,14 +53,25 @@ class Dataset:
     schema: list[FieldSchema]
     samples: list[Sample]
     split: str = "train"
-    _tokens: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.samples:
+            raise DataError(f"dataset split '{self.split}' is empty")
+        width = len(self.schema)
+        try:
+            tokens = np.array([s.tokens for s in self.samples], dtype=np.int64)
+        except (TypeError, ValueError):  # ragged rows, or tokens that are not integers
+            tokens = None
+        if tokens is None or tokens.shape != (len(self.samples), width):
+            for i, s in enumerate(self.samples):
+                if len(s.tokens) != width:
+                    raise DataError(f"sample {i}: expected {width} tokens, got {len(s.tokens)}")
+            raise DataError("sample tokens must be integer ids")
+        tokens.flags.writeable = False
+        self._tokens = tokens
         self.validate()
 
     def validate(self) -> None:
-        if not self.samples:
-            raise DataError(f"dataset split '{self.split}' is empty")
         names = [f.name for f in self.schema]
         if len(set(names)) != len(names):
             raise DataError("field names must be unique")
@@ -68,16 +79,15 @@ class Dataset:
             raise DataError("last field must be the binary label")
         for f in self.schema:
             f.validate()
-        width = len(self.schema)
-        for i, s in enumerate(self.samples):
-            if len(s.tokens) != width:
-                raise DataError(f"sample {i}: expected {width} tokens, got {len(s.tokens)}")
-            for f, tok in zip(self.schema, s.tokens):
-                if not 0 <= tok < f.vocab_size:
-                    raise DataError(
-                        f"sample {i}: token {tok} out of range for field '{f.name}' "
-                        f"(vocab {f.vocab_size})"
-                    )
+        vocab = np.array([f.vocab_size for f in self.schema])
+        bad = (self._tokens < 0) | (self._tokens >= vocab)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            f = self.schema[k]
+            raise DataError(
+                f"sample {i}: token {self._tokens[i, k]} out of range for field '{f.name}' "
+                f"(vocab {f.vocab_size})"
+            )
 
     @property
     def num_fields(self) -> int:
@@ -85,13 +95,16 @@ class Dataset:
         return len(self.schema) - 1
 
     def token_matrix(self) -> np.ndarray:
-        """(n, num_fields + 1) int64 matrix, cached."""
-        if self._tokens is None:
-            self._tokens = np.array([s.tokens for s in self.samples], dtype=np.int64)
+        """Read-only (n, num_fields + 1) int64 matrix, one row per sample."""
         return self._tokens
 
     def labels(self) -> np.ndarray:
-        return self.token_matrix()[:, -1]
+        return self._tokens[:, -1]
+
+    def session_ids(self) -> list[str] | None:
+        """One session id per row, or None when any row lacks one."""
+        ids = [s.session_id for s in self.samples]
+        return None if None in ids else ids
 
 
 def feature_schema(vocab_sizes: list[int] | tuple[int, ...], names: list[str] | None = None) -> list[FieldSchema]:
@@ -145,6 +158,8 @@ def load_delimited(path: str, vocabs: dict[str, dict[str, int]], split: str = "t
             raise DataError(f"{path}: line {lineno}: label value {label_raw!r} is not 0 or 1")
         toks = tuple(vocabs[c].get(row[c], OOV_ID) for c in feature_cols) + (int(label_raw),)
         session = row[SESSION_COLUMN] if has_session else None
+        if session is not None and not session.strip():
+            raise DataError(f"{path}: line {lineno}: empty {SESSION_COLUMN}")
         samples.append(Sample(tokens=toks, session_id=session))
     return Dataset(schema=schema, samples=samples, split=split)
 
@@ -169,6 +184,8 @@ def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]
         inverse = {c: {i: tok for tok, i in v.items()} for c, v in vocabs.items()}
     feature_names = [f.name for f in dataset.schema[:-1]]
     has_session = any(s.session_id is not None for s in dataset.samples)
+    if has_session and dataset.session_ids() is None:  # a blank cell would not load back
+        raise DataError(f"cannot write {path}: some rows have a {SESSION_COLUMN} and others none")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = feature_names + [LABEL_FIELD] + ([SESSION_COLUMN] if has_session else [])
@@ -182,7 +199,7 @@ def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]
                     row.append(str(tok))
             row.append(str(s.tokens[-1]))
             if has_session:
-                row.append(s.session_id or "")
+                row.append(s.session_id)
             writer.writerow(row)
 
 
@@ -375,9 +392,10 @@ def subset(dataset: Dataset, indices: np.ndarray, split: str) -> Dataset:
 
 
 def batch_iter(dataset: Dataset, batch_size: int, seed: int, epoch: int):
-    """Shuffled batches for one epoch; the final short batch is emitted."""
+    """Shuffled (B, P) int64 token batches for one epoch; the final short batch is emitted."""
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
-    perm = stream(seed, "shuffle", epoch).permutation(len(dataset.samples))
+    tokens = dataset.token_matrix()
+    perm = stream(seed, "shuffle", epoch).permutation(len(tokens))
     for start in range(0, len(perm), batch_size):
-        yield [dataset.samples[int(i)] for i in perm[start : start + batch_size]]
+        yield tokens[perm[start : start + batch_size]]

@@ -21,7 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corruption import CorruptedBatch, corrupt_batch, loss_positions
-from .data import Sample
 from .errors import DataError
 from .model import Model, field_logits, full_vocab_logits, encode, label_logit_diff
 from .schedule import NoiseSchedule
@@ -108,22 +107,22 @@ def masked_field_losses(
 
 def pretrain_loss(
     model: Model,
-    samples: list[Sample],
+    tokens: np.ndarray,
     schedule: NoiseSchedule,
     rng: np.random.Generator,
     cfg: PretrainLossConfig | None = None,
     fixed_probs: np.ndarray | None = None,
 ) -> Tensor:
-    """Corrupt a clean batch and score the masked-field reconstruction.
+    """Corrupt a clean (B, P) token batch and score the masked-field reconstruction.
 
     One schedule draw per instance Monte-Carlo-estimates the integral
     over mask levels; fixed_probs switches to constant-rate masking.
     """
     cfg = cfg or PretrainLossConfig()
-    if len(samples) < 2:
+    if len(tokens) < 2:
         raise DataError("pretrain_loss needs a batch of at least 2 instances")
     corrupted = corrupt_batch(
-        samples, schedule, rng, model.mask_ids, label_mode=cfg.label_mode, fixed_probs=fixed_probs
+        tokens, schedule, rng, model.mask_ids, label_mode=cfg.label_mode, fixed_probs=fixed_probs
     )
     loss, _ = masked_field_losses(model, corrupted, cfg)
     return loss
@@ -144,7 +143,7 @@ MAX_SCORE_ENTROPY_VOCAB = 64
 
 def score_entropy_oracle(
     model: Model,
-    sample: Sample,
+    row: np.ndarray,
     masked_fields: tuple[int, ...],
     rate_slopes: np.ndarray,
     cum_rates: np.ndarray,
@@ -152,15 +151,16 @@ def score_entropy_oracle(
     """Exact single-point evaluation of the rate-weighted entropy integrand.
 
     Documentation-only oracle: training uses the mask-probability form.
-    Needs both the instantaneous rate slope and the cumulative rate per
-    field; full-vocabulary softmax keeps it exact.
+    row is one clean (P,) token row. Needs both the instantaneous rate
+    slope and the cumulative rate per field; full-vocabulary softmax
+    keeps it exact.
     """
     for f in model.schema:
         if f.vocab_size > MAX_SCORE_ENTROPY_VOCAB:
             raise DataError(
                 f"score_entropy_oracle limited to vocab <= {MAX_SCORE_ENTROPY_VOCAB}"
             )
-    tokens = np.array([sample.tokens], dtype=np.int64)
+    tokens = np.array([row], dtype=np.int64)
     for k in masked_fields:
         tokens[0, k] = model.mask_ids[k]
     ctx_all = encode(model, tokens)
@@ -172,7 +172,7 @@ def score_entropy_oracle(
         logits = full_vocab_logits(model, k, ad.take_position(ctx_all, k)).data[0]
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        q = float(probs[sample.tokens[k]])
+        q = float(probs[row[k]])
         out.append(
             ScoreEntropyTerm(
                 field_index=k,
@@ -186,9 +186,8 @@ def score_entropy_oracle(
     return out
 
 
-def _click_losses(model: Model, samples: list[Sample]) -> Tensor:
+def _click_losses(model: Model, tokens: np.ndarray) -> Tensor:
     """Per-instance click logloss softplus(-(2y - 1) * logit) as a (B,) tensor."""
-    tokens = np.array([s.tokens for s in samples], dtype=np.int64)
     labels = tokens[:, -1]
     if np.any((labels != 0) & (labels != 1)):
         raise DataError("sft_loss: labels must be 0 or 1")
@@ -197,22 +196,21 @@ def _click_losses(model: Model, samples: list[Sample]) -> Tensor:
     return ad.softplus(ad.smul(signed, -1.0))
 
 
-def sft_loss(model: Model, samples: list[Sample]) -> Tensor:
-    """Mean click logloss through the label-masked scoring head."""
-    return ad.tmean(_click_losses(model, samples))
+def sft_loss(model: Model, tokens: np.ndarray) -> Tensor:
+    """Mean click logloss of a (B, P) token batch through the label-masked scoring head."""
+    return ad.tmean(_click_losses(model, tokens))
 
 
-def per_instance_sft_losses(model: Model, samples: list[Sample]) -> np.ndarray:
-    return _click_losses(model, samples).data
+def per_instance_sft_losses(model: Model, tokens: np.ndarray) -> np.ndarray:
+    return _click_losses(model, tokens).data
 
 
-def verify_label_equivalence(model: Model, samples: list[Sample]) -> float:
+def verify_label_equivalence(model: Model, tokens: np.ndarray) -> float:
     """Max |label-only-masked pretraining term - fine-tune logloss term|.
 
     The pretraining side runs the two-way softmax route, the fine-tune
     side the sigmoid route; the two are algebraically identical.
     """
-    tokens = np.array([s.tokens for s in samples], dtype=np.int64)
     lbl = model.label_position
     masked = tokens.copy()
     masked[:, lbl] = model.mask_ids[lbl]
@@ -220,6 +218,6 @@ def verify_label_equivalence(model: Model, samples: list[Sample]) -> float:
     logits = field_logits(model, lbl, ctx, np.array([0, 1]))
     log_probs = ad.log_softmax(logits, axis=1).data
     labels = tokens[:, lbl]
-    softmax_route = -log_probs[np.arange(len(samples)), labels]
-    sigmoid_route = per_instance_sft_losses(model, samples)
+    softmax_route = -log_probs[np.arange(len(tokens)), labels]
+    sigmoid_route = per_instance_sft_losses(model, tokens)
     return float(np.max(np.abs(softmax_route - sigmoid_route)))

@@ -150,9 +150,9 @@ def mann_whitney_p(a: list[float] | np.ndarray, b: list[float] | np.ndarray) -> 
 def report_for(scores: np.ndarray, dataset, split: str) -> MetricReport:
     """AUC and logloss, plus session AUC whenever session ids exist."""
     labels = dataset.labels()
-    sessions = [s.session_id for s in dataset.samples]
+    sessions = dataset.session_ids()
     gauc = None
-    if None not in sessions:
+    if sessions is not None:
         try:
             gauc = gauc_pv(scores, labels, sessions)
         except DataError:

@@ -278,7 +278,8 @@ def _well_formed(header) -> bool:
 def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Parse and verify a checkpoint; returns (header, arrays by name)."""
     try:
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:

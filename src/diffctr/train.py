@@ -52,8 +52,10 @@ class RunConfig:
             raise DataError(f"unknown transfer mode '{self.transfer}'")
         if min(self.pretrain_epochs, self.finetune_epochs) < 0:
             raise DataError("epoch counts must be >= 0")
-        if min(self.pretrain_batch, self.finetune_batch) < 1:
-            raise DataError("batch sizes must be >= 1")
+        if self.finetune_batch < 1:
+            raise DataError("finetune_batch must be >= 1")
+        if self.pretrain_batch < 2:
+            raise DataError("pretrain_batch must be >= 2: in-batch negatives need two rows")
 
     def effective_label_mode(self) -> str:
         return "drop" if self.no_label else self.label_mode
@@ -106,6 +108,9 @@ def pretrain(
     at bert_mask_rate with uniform term weights.
     """
     cfg.validate()
+    rows = len(dataset.token_matrix())
+    if rows < 2:
+        raise DataError(f"pretraining needs at least 2 rows; split '{dataset.split}' has {rows}")
     loss_cfg = loss_cfg or PretrainLossConfig()
     loss_cfg = PretrainLossConfig(
         max_negatives=loss_cfg.max_negatives,

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import corruption as fc
 from . import losses as ls
 from . import metrics as mt
-from .data import Sample, feature_schema
+from .data import feature_schema
 from .errors import DataError
 from .model import Model, ModelConfig
 from .rng import stream
@@ -109,11 +109,8 @@ def suite_equivalence(draws: int = 1000, seed: int = 2026) -> SuiteResult:
         )
         schema = feature_schema([int(v) for v in rng.integers(2, 6, size=int(rng.integers(1, 4)))])
         model = Model.init(cfg, schema, seed=int(rng.integers(10**6)))
-        samples = [
-            Sample(tokens=tuple(int(rng.integers(f.vocab_size)) for f in schema))
-            for _ in range(per_model)
-        ]
-        worst = max(worst, ls.verify_label_equivalence(model, samples))
+        tokens = rng.integers([f.vocab_size for f in schema], size=(per_model, len(schema)))
+        worst = max(worst, ls.verify_label_equivalence(model, tokens))
     return SuiteResult("equivalence", worst <= 1e-9, worst, 1e-9,
                        detail=f"{models * per_model} instances")
 
@@ -129,18 +126,16 @@ def suite_gradcheck(negative_control: bool = False, seed: int = 2027) -> SuiteRe
     cfg = ModelConfig(embed_dim=4, blocks=1, heads=2, ffn_width=8, temperature=1.0)
     schema = feature_schema([3, 2])
     model = Model.init(cfg, schema, seed=13)
-    samples = [
-        Sample(tokens=tuple(int(rng.integers(f.vocab_size)) for f in schema)) for _ in range(4)
-    ]
+    tokens = rng.integers([f.vocab_size for f in schema], size=(4, len(schema)))
     schedule = build_schedule(2, lo=0.1, hi=0.9)
-    corrupted = fc.corrupt_batch(samples, schedule, stream(seed, "corrupt"), model.mask_ids)
+    corrupted = fc.corrupt_batch(tokens, schedule, stream(seed, "corrupt"), model.mask_ids)
 
     def pretrain_fn(params, _):
         loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
         return loss
 
     def sft_fn(params, _):
-        return ls.sft_loss(model, samples)
+        return ls.sft_loss(model, tokens)
 
     worst = 0.0
     details = []

@@ -14,7 +14,6 @@ import pytest
 from diffctr import corruption as fc
 from diffctr import data as dd
 from diffctr import verify as vf
-from diffctr.data import Sample
 from diffctr.experiments import Environment, transfer_suite, ablation_suite, headline_suite, two_stage_run
 from diffctr.losses import PretrainLossConfig
 from diffctr.model import Model, ModelConfig
@@ -46,8 +45,8 @@ def test_criterion_2_monte_carlo_forward_process():
     vocab = (5,) * 9 + (2,)
     ids = np.array(vocab)
     n = 10**5
-    samples = [Sample(tokens=(0,) * 10)] * n
-    out = fc.corrupt_batch(samples, None, stream(42, "acceptance-mc"), ids,
+    clean = np.zeros((n, 10), dtype=np.int64)
+    out = fc.corrupt_batch(clean, None, stream(42, "acceptance-mc"), ids,
                            fixed_probs=np.full(10, 0.5))
     counts = out.masked.sum(axis=0)
     sigma = np.sqrt(0.25 / n)
@@ -115,7 +114,7 @@ def test_criterion_11_reverse_sampler_diagnostic():
     rng = stream(7, "reverse-data")
     n_train = 4096
     flat = rng.choice(4, size=n_train, p=p0.reshape(-1))
-    samples = [Sample(tokens=(int(i // 2), int(i % 2), 0)) for i in flat]
+    samples = [dd.Sample(tokens=(int(i // 2), int(i % 2), 0)) for i in flat]
     schema = dd.feature_schema([2, 2])
     train = dd.Dataset(schema=schema, samples=samples, split="train")
 

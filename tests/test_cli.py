@@ -168,7 +168,8 @@ def damaged_checkpoint(path, cfg_path, data_dir, how):
     train, _ = load_training_delimited(os.path.join(data_dir, "train.csv"))
     cfg = parse_config(read(cfg_path))
     md.save_checkpoint(md.Model.init(to_model_config(cfg), train.schema, 0), path)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
     if how == "truncated":
         blob = blob[: len(blob) // 2]
     else:
@@ -226,3 +227,44 @@ def test_out_under_regular_file_exits_2(tmp_path, tiny_data, capsys, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and out in err
+
+
+def one_line_error(capsys, code, *fragments):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_pretrain_batch_of_one_exits_2(tmp_path, tiny_data, capsys):
+    _, data_dir = tiny_data
+    cfg = tmp_path / "batch1.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT.replace("pretrain_batch = 16", "pretrain_batch = 1"))
+    capsys.readouterr()
+    code = main(["pretrain", "--config", str(cfg), "--data", data_dir, "--out", str(tmp_path / "pre")])
+    one_line_error(capsys, code, "pretrain_batch must be >= 2")
+
+
+def write_splits(data_dir, train_text):
+    data_dir.mkdir()
+    (data_dir / "train.csv").write_text(train_text)
+    for name in ("validation.csv", "test.csv"):
+        (data_dir / name).write_text("f0,label\na,0\nb,1\n")
+
+
+def test_one_row_training_file_exits_2(tmp_path, tiny_config_path, capsys):
+    data_dir = tmp_path / "data"
+    write_splits(data_dir, "f0,label\na,1\n")
+    code = main(["pretrain", "--config", tiny_config_path, "--data", str(data_dir),
+                 "--out", str(tmp_path / "pre")])
+    one_line_error(capsys, code, "at least 2 rows", "has 1")
+    assert not os.path.exists(tmp_path / "pre" / "pretrained.dgct")
+
+
+def test_blank_session_cell_exits_2(tmp_path, tiny_config_path, capsys):
+    data_dir = tmp_path / "data"
+    write_splits(data_dir, "f0,label,session_id\na,1,s1\nb,0,\na,0,s2\n")
+    code = main(["pretrain", "--config", tiny_config_path, "--data", str(data_dir),
+                 "--out", str(tmp_path / "pre")])
+    one_line_error(capsys, code, "train.csv: line 3: empty session_id")

@@ -3,14 +3,9 @@ import pytest
 import scipy.linalg
 
 from diffctr import corruption as fc
-from diffctr.data import Sample
 from diffctr.errors import DataError
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
-
-
-def sample_of(tokens):
-    return Sample(tokens=tuple(tokens))
 
 
 def mask_ids_for(vocab_sizes):
@@ -18,9 +13,9 @@ def mask_ids_for(vocab_sizes):
 
 
 def corrupt_rows(tokens, probs, rng, ids, label_mode="diffuse", n=1):
-    """n copies of one sample through corrupt_batch at fixed per-field probabilities."""
-    return fc.corrupt_batch([sample_of(tokens)] * n, None, rng, ids, label_mode,
-                            fixed_probs=probs)
+    """n copies of one token row through corrupt_batch at fixed per-field probabilities."""
+    return fc.corrupt_batch(np.tile(np.array(tokens, dtype=np.int64), (n, 1)), None, rng, ids,
+                            label_mode, fixed_probs=probs)
 
 
 class TestCorrupt:

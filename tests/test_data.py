@@ -55,6 +55,28 @@ def test_session_column_round_trip(tmp_path):
     assert [s.session_id for s in ds.samples] == ["s1", "s1", "s2"]
 
 
+def test_session_ids_need_every_row():
+    schema = dd.feature_schema([2])
+    rows = [dd.Sample(tokens=(0, 1), session_id="a"), dd.Sample(tokens=(1, 0), session_id="b")]
+    assert dd.Dataset(schema=schema, samples=rows).session_ids() == ["a", "b"]
+    rows[1] = dd.Sample(tokens=(1, 0))
+    assert dd.Dataset(schema=schema, samples=rows).session_ids() is None
+
+
+def test_save_rejects_partial_session_ids(tmp_path):
+    rows = [dd.Sample(tokens=(0, 1), session_id="a"), dd.Sample(tokens=(1, 0))]
+    ds = dd.Dataset(schema=dd.feature_schema([2]), samples=rows)
+    with pytest.raises(DataError, match="some rows have a session_id"):
+        dd.save_delimited(ds, str(tmp_path / "out.csv"))
+
+
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_blank_session_cell_cites_line(tmp_path, blank):
+    path = write(tmp_path, "s.csv", f"a,label,session_id\nu,1,s1\nv,0,{blank}\nu,0,s2\n")
+    with pytest.raises(DataError, match="line 3: empty session_id"):
+        dd.load_training_delimited(path)
+
+
 def test_save_load_round_trip(tmp_path):
     path = write(tmp_path, "train.csv", "a,b,label\nred,x,1\nblue,y,0\nred,z,1\n")
     ds, vocabs = dd.load_training_delimited(path)
@@ -130,7 +152,7 @@ def test_batch_iter_sizes_and_determinism():
     assert [len(b) for b in batches] == [4, 4, 2]
     again = list(dd.batch_iter(ds, 4, seed=1, epoch=0))
     for b1, b2 in zip(batches, again):
-        assert [s.tokens for s in b1] == [s.tokens for s in b2]
+        np.testing.assert_array_equal(b1, b2)
 
 
 def test_batch_iter_epochs_permute_differently():
@@ -138,9 +160,56 @@ def test_batch_iter_epochs_permute_differently():
     ds, _ = dd.generate_synthetic(spec)
 
     def order(epoch):
-        return [s.tokens for b in dd.batch_iter(ds, 32, seed=9, epoch=epoch) for s in b]
+        return np.concatenate(list(dd.batch_iter(ds, 32, seed=9, epoch=epoch)))
 
-    assert order(0) != order(1)
+    assert not np.array_equal(order(0), order(1))
+
+
+def test_batch_iter_yields_int64_matrices_covering_the_split():
+    spec = dd.random_spec(num_fields=3, vocab=5, clusters=2, samples=103, seed=4)
+    ds, _ = dd.generate_synthetic(spec)
+    batches = list(dd.batch_iter(ds, 16, seed=3, epoch=2))
+    for b in batches:
+        assert b.dtype == np.int64 and b.shape[1] == 4
+    assert [len(b) for b in batches] == [16] * 6 + [7]
+
+    def sorted_rows(m):
+        return m[np.lexsort(m.T[::-1])]
+
+    np.testing.assert_array_equal(sorted_rows(np.concatenate(batches)), sorted_rows(ds.token_matrix()))
+
+
+def test_token_matrix_is_read_only():
+    ds = dd.Dataset(schema=dd.feature_schema([3]), samples=[dd.Sample(tokens=(1, 0)),
+                                                            dd.Sample(tokens=(2, 1))])
+    toks = ds.token_matrix()
+    assert toks.dtype == np.int64 and toks.shape == (2, 2)
+    with pytest.raises(ValueError):
+        toks[0, 0] = 0
+    with pytest.raises(ValueError):
+        ds.labels()[0] = 1
+
+
+F0_LABEL = [("f0", 3), ("label", 2)]
+
+
+@pytest.mark.parametrize("schema,rows,match", [
+    (F0_LABEL, [(1, 0), (2, 1, 0)], "sample 1: expected 2 tokens, got 3"),
+    (F0_LABEL, [(1, 0), (2,)], "sample 1: expected 2 tokens, got 1"),
+    (F0_LABEL, [(1, 0, 1), (2, 1, 0)], "sample 0: expected 2 tokens, got 3"),
+    (F0_LABEL, [(1, 0), (1, 1), (-1, 0)], "sample 2: token -1 out of range for field 'f0'"),
+    (F0_LABEL, [(1, 0), (3, 1)], r"sample 1: token 3 out of range for field 'f0' \(vocab 3\)"),
+    (F0_LABEL, [(1, 2)], r"sample 0: token 2 out of range for field 'label' \(vocab 2\)"),
+    (F0_LABEL, [(1, 0), ("a", 1)], "sample tokens must be integer ids"),
+    ([("f0", 3), ("f1", 2)], [(1, 0)], "last field must be the binary label"),
+    ([("f0", 3), ("label", 3)], [(1, 0)], "last field must be the binary label"),
+    ([("f0", 3), ("f0", 3), ("label", 2)], [(1, 0, 1)], "field names must be unique"),
+    (F0_LABEL, [], "split 'train' is empty"),
+])
+def test_dataset_rejects_malformed_rows_and_schemas(schema, rows, match):
+    fields = [dd.FieldSchema(k, name, v) for k, (name, v) in enumerate(schema)]
+    with pytest.raises(DataError, match=match):
+        dd.Dataset(schema=fields, samples=[dd.Sample(tokens=r) for r in rows])
 
 
 def test_split_indices_exact_counts_and_determinism():

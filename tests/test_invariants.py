@@ -5,28 +5,25 @@ import numpy as np
 from diffctr import corruption as fc
 from diffctr import losses as ls
 from diffctr import model as md
-from diffctr.data import Sample, feature_schema
+from diffctr.data import feature_schema
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
 from diffctr.train import RunConfig, finetune, pretrain
 
 
 def make_batch(schema, rng, n):
-    return [
-        Sample(tokens=tuple(int(rng.integers(f.vocab_size)) for f in schema))
-        for _ in range(n)
-    ]
+    return rng.integers([f.vocab_size for f in schema], size=(n, len(schema)))
 
 
 def test_label_mode_toggle_leaves_feature_path_byte_identical():
     schema = feature_schema([5, 5, 5])
     cfg = md.ModelConfig(embed_dim=8, blocks=1, heads=2, ffn_width=16)
     model = md.Model.init(cfg, schema, seed=4)
-    samples = make_batch(schema, stream(50, "iso"), 24)
+    tokens = make_batch(schema, stream(50, "iso"), 24)
     schedule = build_schedule(3, lo=0.3, hi=0.9, label_lo=0.85, label_hi=0.95, horizon=100)
 
     def run(label_mode):
-        return fc.corrupt_batch(samples, schedule, stream(51, "iso-rng"), model.mask_ids,
+        return fc.corrupt_batch(tokens, schedule, stream(51, "iso-rng"), model.mask_ids,
                                 label_mode=label_mode)
 
     diffuse, drop = run("diffuse"), run("drop")

@@ -5,7 +5,7 @@ from diffctr import autodiff as ad
 from diffctr import corruption as fc
 from diffctr import losses as ls
 from diffctr import model as md
-from diffctr.data import Sample, feature_schema
+from diffctr.data import feature_schema
 from diffctr.errors import DataError
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
@@ -17,12 +17,9 @@ def make_model(blocks=0, d=6, vocabs=(2, 2), seed=0, temperature=0.1):
     return md.Model.init(cfg, feature_schema(list(vocabs)), seed)
 
 
-def make_samples(model, rng, n):
-    out = []
-    for _ in range(n):
-        toks = tuple(int(rng.integers(f.vocab_size)) for f in model.schema)
-        out.append(Sample(tokens=toks))
-    return out
+def make_tokens(model, rng, n):
+    """(n, P) uniform token rows, drawn row by row and field by field."""
+    return rng.integers([f.vocab_size for f in model.schema], size=(n, len(model.schema)))
 
 
 def straight_line_loss(model, corrupted, cfg):
@@ -70,10 +67,10 @@ def straight_line_loss(model, corrupted, cfg):
 def test_pretrain_loss_matches_straight_line_oracle(trial):
     model = make_model(blocks=0, vocabs=(2, 2), seed=trial)
     rng = stream(20, "oracle", trial)
-    samples = make_samples(model, rng, 6)
+    tokens = make_tokens(model, rng, 6)
     schedule = build_schedule(2, lo=0.1, hi=0.9, horizon=50)
     cfg = ls.PretrainLossConfig()
-    corrupted = fc.corrupt_batch(samples, schedule, stream(21, "c", trial), model.mask_ids)
+    corrupted = fc.corrupt_batch(tokens, schedule, stream(21, "c", trial), model.mask_ids)
     loss, _ = ls.masked_field_losses(model, corrupted, cfg)
     oracle = straight_line_loss(model, corrupted, cfg)
     assert abs(loss.item() - oracle) < 1e-9
@@ -82,10 +79,10 @@ def test_pretrain_loss_matches_straight_line_oracle(trial):
 def test_weighting_factor_two_at_half_probability():
     model = make_model(blocks=1, vocabs=(3, 3), seed=1)
     rng = stream(22, "w")
-    samples = make_samples(model, rng, 8)
+    tokens = make_tokens(model, rng, 8)
     schedule = build_schedule(2, lo=0.0, hi=0.9)
     corrupted = fc.corrupt_batch(
-        samples, schedule, stream(23, "c"), model.mask_ids, fixed_probs=np.full(3, 0.5)
+        tokens, schedule, stream(23, "c"), model.mask_ids, fixed_probs=np.full(3, 0.5)
     )
     on, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=True))
     off, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False))
@@ -95,10 +92,10 @@ def test_weighting_factor_two_at_half_probability():
 def test_duplicate_positive_collapses_candidates():
     # every instance carries the same token in field 0: no usable negatives
     model = make_model(blocks=0, vocabs=(4, 4), seed=2)
-    samples = [Sample(tokens=(2, i % 4, i % 2)) for i in range(5)]
+    tokens = np.array([(2, i % 4, i % 2) for i in range(5)])
     schedule = build_schedule(2, lo=0.0, hi=0.9)
     corrupted = fc.corrupt_batch(
-        samples, schedule, stream(24, "c"), model.mask_ids, fixed_probs=np.array([0.8, 0.0, 0.0])
+        tokens, schedule, stream(24, "c"), model.mask_ids, fixed_probs=np.array([0.8, 0.0, 0.0])
     )
     _, terms = ls.masked_field_losses(
         model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False)
@@ -111,10 +108,10 @@ def test_constant_network_gives_log_candidate_count():
     model = make_model(blocks=0, vocabs=(5, 5), seed=3)
     # identical target rows make every logit equal
     model.params.set_data("embed/target/f0", np.tile([1.0, 2.0, 0.5, 0, 0, 0], (5, 1)))
-    samples = [Sample(tokens=(i, i, i % 2)) for i in range(5)]  # distinct tokens in f0
+    tokens = np.array([(i, i, i % 2) for i in range(5)])  # distinct tokens in f0
     schedule = build_schedule(2, lo=0.0, hi=0.9)
     corrupted = fc.corrupt_batch(
-        samples, schedule, stream(25, "c"), model.mask_ids, fixed_probs=np.array([0.9, 0.0, 0.0])
+        tokens, schedule, stream(25, "c"), model.mask_ids, fixed_probs=np.array([0.9, 0.0, 0.0])
     )
     _, terms = ls.masked_field_losses(
         model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False)
@@ -209,7 +206,7 @@ def full_vocab_field_losses(model, corrupted, cfg):
     return ad.smul(total, 1.0 / B), terms
 
 
-def skewed_samples(model, rng, n):
+def skewed_tokens(model, rng, n):
     """Geometric-rank tokens, so fields repeat tokens and rows share negatives."""
     cols = []
     for f in model.schema[:-1]:
@@ -217,7 +214,7 @@ def skewed_samples(model, rng, n):
         ranks = np.minimum(rng.geometric(min(0.5, 4.0 / V), size=n) - 1, V - 1)
         cols.append(rng.permutation(V)[ranks])
     cols.append(rng.integers(2, size=n))
-    return [Sample(tokens=tuple(int(t) for t in row)) for row in np.stack(cols, axis=1)]
+    return np.stack(cols, axis=1)
 
 
 PARITY_ATOL = 1e-12
@@ -238,11 +235,11 @@ def loss_terms_grads(loss_fn, model, corrupted, cfg):
 @pytest.mark.parametrize("V,B", [(6, 8), (6, 96), (50, 96), (50, 256), (2000, 8), (2000, 256)])
 def test_losses_match_full_vocab_formula(V, B, blocks):
     model = make_model(blocks=blocks, d=8, vocabs=(V, V), seed=V + B + blocks)
-    samples = skewed_samples(model, stream(40, "parity", V, B, blocks), B)
-    distinct = min(len({s.tokens[k] for s in samples}) for k in range(2))
+    tokens = skewed_tokens(model, stream(40, "parity", V, B, blocks), B)
+    distinct = min(len(np.unique(tokens[:, k])) for k in range(2))
     schedule = build_schedule(2, lo=0.1, hi=0.9, horizon=50)
     for label_mode in ("diffuse", "drop", "always-mask"):
-        corrupted = fc.corrupt_batch(samples, schedule, stream(41, "c", V, B), model.mask_ids,
+        corrupted = fc.corrupt_batch(tokens, schedule, stream(41, "c", V, B), model.mask_ids,
                                      label_mode=label_mode)
         for max_negatives in (max(distinct // 2, 1), distinct + 5):
             cfg = ls.PretrainLossConfig(max_negatives=max_negatives, label_mode=label_mode)
@@ -261,8 +258,8 @@ def test_loss_tape_never_spans_the_vocabulary():
     # a regression to full-vocabulary logits shows up as a V-row gather
     V, B = 20000, 32
     model = make_model(blocks=1, d=8, vocabs=(V, V), seed=15)
-    samples = make_samples(model, stream(42, "wide"), B)
-    corrupted = fc.corrupt_batch(samples, build_schedule(2), stream(43, "c"), model.mask_ids,
+    tokens = make_tokens(model, stream(42, "wide"), B)
+    corrupted = fc.corrupt_batch(tokens, build_schedule(2), stream(43, "c"), model.mask_ids,
                                  fixed_probs=np.array([0.9, 0.9, 0.5]))
     loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
     targets = {id(model.params[f"embed/target/{f.name}"]): f.name for f in model.schema[:-1]}
@@ -285,17 +282,17 @@ def test_batch_of_one_rejected():
     model = make_model()
     schedule = build_schedule(2)
     with pytest.raises(DataError, match="at least 2"):
-        ls.pretrain_loss(model, [Sample(tokens=(0, 0, 0))], schedule, stream(0, "x"))
+        ls.pretrain_loss(model, np.zeros((1, 3), dtype=np.int64), schedule, stream(0, "x"))
 
 
 def test_unmasked_field_target_table_gets_zero_gradient():
     model = make_model(blocks=1, vocabs=(3, 3), seed=4)
     rng = stream(26, "z")
-    samples = make_samples(model, rng, 6)
+    tokens = make_tokens(model, rng, 6)
     schedule = build_schedule(2, lo=0.0, hi=0.9)
     # field 1 never masks; field 0 and the label carry all probability
     corrupted = fc.corrupt_batch(
-        samples, schedule, stream(27, "c"), model.mask_ids,
+        tokens, schedule, stream(27, "c"), model.mask_ids,
         fixed_probs=np.array([0.7, 0.0, 0.5]),
     )
     assert not corrupted.masked[:, 1].any()
@@ -319,34 +316,34 @@ class TestScoreEntropyOracle:
 
     def test_outer_weight_linear_in_slope(self):
         model = make_model(blocks=0, vocabs=(3, 3), seed=6)
-        s = Sample(tokens=(1, 2, 0))
-        a = ls.score_entropy_oracle(model, s, (0,), np.array([0.5, 0, 0]), np.array([1.0, 1, 1]))
-        b = ls.score_entropy_oracle(model, s, (0,), np.array([1.0, 0, 0]), np.array([1.0, 1, 1]))
+        row = np.array([1, 2, 0])
+        a = ls.score_entropy_oracle(model, row, (0,), np.array([0.5, 0, 0]), np.array([1.0, 1, 1]))
+        b = ls.score_entropy_oracle(model, row, (0,), np.array([1.0, 0, 0]), np.array([1.0, 1, 1]))
         assert abs(b[0].outer_weight - 2 * a[0].outer_weight) < 1e-15
         assert a[0].q_true == b[0].q_true  # cumulative rate unchanged
 
     def test_cross_entropy_part_matches_pretrain_integrand(self):
         model = make_model(blocks=0, vocabs=(2, 2), seed=7)
         # batch of two complementary instances: in-batch candidates = full vocab
-        samples = [Sample(tokens=(0, 1, 1)), Sample(tokens=(1, 0, 0))]
+        clean = np.array([(0, 1, 1), (1, 0, 0)])
         masked = np.array([[True, False, False], [True, False, False]])
         probs = np.full((2, 3), 0.5)
-        clean = np.array([s.tokens for s in samples])
         tokens = np.where(masked, model.mask_ids[None, :], clean)
         corrupted = fc.CorruptedBatch(tokens=tokens, masked=masked, mask_probs=probs, clean_tokens=clean)
         _, terms = ls.masked_field_losses(
             model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False)
         )
-        for i, s in enumerate(samples):
+        for i, row in enumerate(clean):
             oracle = ls.score_entropy_oracle(
-                model, s, (0,), np.array([1.0, 1, 1]), np.array([np.log(2.0), 1, 1])
+                model, row, (0,), np.array([1.0, 1, 1]), np.array([np.log(2.0), 1, 1])
             )
             assert abs(oracle[0].cross_entropy - terms[i, 0]) < 1e-9
 
     def test_vocab_limit(self):
         model = make_model(blocks=0, vocabs=(100, 2), seed=8)
         with pytest.raises(DataError):
-            ls.score_entropy_oracle(model, Sample(tokens=(0, 0, 0)), (0,), np.ones(3), np.ones(3))
+            ls.score_entropy_oracle(model, np.zeros(3, dtype=np.int64), (0,), np.ones(3),
+                                    np.ones(3))
 
 
 class TestSftLoss:
@@ -354,8 +351,8 @@ class TestSftLoss:
         model = make_model(blocks=0, vocabs=(3, 3), seed=9)
         f = model.schema[-1]
         model.params.set_data("embed/target/label", np.tile([0.3, 0.4, 0, 0, 0, 0], (2, 1)))
-        samples = make_samples(model, stream(28, "s"), 6)
-        loss = ls.sft_loss(model, samples)
+        tokens = make_tokens(model, stream(28, "s"), 6)
+        loss = ls.sft_loss(model, tokens)
         assert abs(loss.item() - np.log(2.0)) < 1e-12
 
     def test_large_gap_loss(self):
@@ -369,17 +366,17 @@ class TestSftLoss:
         rows[0] = [-1.0, 0, 0, 0]  # cos -1 -> logit -5
         rows[1] = [1.0, 0, 0, 0]   # cos +1 -> logit +5, gap 10
         model.params.set_data("embed/target/label", rows)
-        loss = ls.sft_loss(model, [Sample(tokens=(0, 1))])
+        loss = ls.sft_loss(model, np.array([[0, 1]]))
         expected = -np.log(1.0 / (1.0 + np.exp(-10.0)))
         assert abs(loss.item() - expected) < 1e-12
         assert abs(expected - 4.5398899e-05) < 1e-11
 
     def test_flipping_one_label_changes_only_that_term(self):
         model = make_model(blocks=1, vocabs=(4, 4), seed=11)
-        samples = make_samples(model, stream(29, "s"), 5)
-        base = ls.per_instance_sft_losses(model, samples)
-        flipped = [Sample(tokens=s.tokens) for s in samples]
-        flipped[2] = Sample(tokens=flipped[2].tokens[:-1] + (1 - flipped[2].tokens[-1],))
+        tokens = make_tokens(model, stream(29, "s"), 5)
+        base = ls.per_instance_sft_losses(model, tokens)
+        flipped = tokens.copy()
+        flipped[2, -1] = 1 - flipped[2, -1]
         after = ls.per_instance_sft_losses(model, flipped)
         unchanged = np.delete(np.arange(5), 2)
         np.testing.assert_array_equal(base[unchanged], after[unchanged])
@@ -387,7 +384,7 @@ class TestSftLoss:
 
     def test_non_binary_label_rejected_on_both_routes(self):
         model = make_model(blocks=0, vocabs=(3,), seed=13)
-        masked_label = [Sample(tokens=(0, 1)), Sample(tokens=(1, 2))]  # 2 is the mask id
+        masked_label = np.array([(0, 1), (1, 2)])  # 2 is the mask id
         with pytest.raises(DataError):
             ls.sft_loss(model, masked_label)
         with pytest.raises(DataError):
@@ -395,8 +392,7 @@ class TestSftLoss:
 
     def test_field_order_invariance(self):
         model = make_model(blocks=2, d=8, vocabs=(4, 3, 5), seed=12)
-        samples = make_samples(model, stream(30, "s"), 4)
-        tokens = np.array([s.tokens for s in samples])
+        tokens = make_tokens(model, stream(30, "s"), 4)
         masked = tokens.copy()
         lbl = model.label_position
         masked[:, lbl] = model.mask_ids[lbl]
@@ -410,8 +406,8 @@ def test_label_equivalence_on_random_models():
     worst = 0.0
     for trial in range(20):
         model = make_model(blocks=trial % 3, d=8, vocabs=(4, 3), seed=100 + trial)
-        samples = make_samples(model, stream(31, "eq", trial), 10)
-        worst = max(worst, ls.verify_label_equivalence(model, samples))
+        tokens = make_tokens(model, stream(31, "eq", trial), 10)
+        worst = max(worst, ls.verify_label_equivalence(model, tokens))
     assert worst < 1e-9
 
 
@@ -420,9 +416,9 @@ def test_grad_check_through_both_losses():
     # entry sinks into central-difference noise
     model = make_model(blocks=1, d=4, vocabs=(3, 2), seed=13, temperature=1.0)
     rng = stream(32, "gc")
-    samples = make_samples(model, rng, 4)
+    tokens = make_tokens(model, rng, 4)
     schedule = build_schedule(2, lo=0.1, hi=0.9)
-    corrupted = fc.corrupt_batch(samples, schedule, stream(33, "c"), model.mask_ids)
+    corrupted = fc.corrupt_batch(tokens, schedule, stream(33, "c"), model.mask_ids)
 
     def pretrain_fn(params, _):
         loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
@@ -432,7 +428,7 @@ def test_grad_check_through_both_losses():
     assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports if not r.passed]
 
     def sft_fn(params, _):
-        return ls.sft_loss(model, samples)
+        return ls.sft_loss(model, tokens)
 
     reports = ad.grad_check(sft_fn, model.params, h=1e-5, tol=1e-5)
     assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports if not r.passed]
@@ -440,8 +436,8 @@ def test_grad_check_through_both_losses():
 
 def test_pretrain_loss_deterministic():
     model = make_model(blocks=1, vocabs=(3, 3), seed=14)
-    samples = make_samples(model, stream(34, "d"), 6)
+    tokens = make_tokens(model, stream(34, "d"), 6)
     schedule = build_schedule(2, lo=0.0, hi=0.9)
-    a = ls.pretrain_loss(model, samples, schedule, stream(35, "c"), ls.PretrainLossConfig())
-    b = ls.pretrain_loss(model, samples, schedule, stream(35, "c"), ls.PretrainLossConfig())
+    a = ls.pretrain_loss(model, tokens, schedule, stream(35, "c"), ls.PretrainLossConfig())
+    b = ls.pretrain_loss(model, tokens, schedule, stream(35, "c"), ls.PretrainLossConfig())
     assert a.item() == b.item()
