@@ -5,7 +5,9 @@ vector-Jacobian closure per parent; backward() walks the recorded tape
 in reverse topological order with a fixed left-to-right accumulation,
 so repeated runs are bit-identical. Values are checked finite at
 creation time, which names the op that produced a NaN/Inf instead of
-letting it surface three modules later.
+letting it surface three modules later. Inside no_grad() ops record no
+parents and no closures, so forward-only callers keep no tape alive;
+the finiteness check still runs on every value.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import NumericError, ShapeError
 LOG_ZERO = -1e30
 
 _adjoint_faults: dict[str, float] = {}
+_no_grad_depth = 0
 
 
 @contextmanager
@@ -35,6 +38,26 @@ def adjoint_fault(op: str, scale: float):
         _adjoint_faults.pop(op, None)
 
 
+@contextmanager
+def no_grad():
+    """Record no tape while active, as `with no_grad():` or `@no_grad()`.
+
+    Nests, and restores the previous state when its body raises;
+    backward() refuses to run inside it.
+    """
+    global _no_grad_depth
+    _no_grad_depth += 1
+    try:
+        yield
+    finally:
+        _no_grad_depth -= 1
+
+
+def taping() -> bool:
+    """Whether ops record the tape, that is, whether no no_grad() is active."""
+    return _no_grad_depth == 0
+
+
 class Tensor:
     """One tape node: a float64 array plus how it was computed."""
 
@@ -43,6 +66,8 @@ class Tensor:
     def __init__(self, data, op="leaf", parents=(), vjps=(), tracked=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.op = op
+        if _no_grad_depth:
+            parents, vjps = (), ()
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
         self.tracked = any(p.tracked for p in self.parents) if tracked is None else tracked
@@ -397,6 +422,8 @@ def _topo(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into .grad over the tape."""
+    if _no_grad_depth:
+        raise RuntimeError("backward: called inside no_grad(), which records no tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     order = _topo(loss)

@@ -29,6 +29,7 @@ from .config import (
 )
 from .data import (
     Dataset,
+    atomic_write,
     generate_synthetic,
     load_delimited,
     load_training_delimited,
@@ -128,14 +129,14 @@ def write_manifest(out_dir: str) -> str:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             entries.append((os.path.relpath(path, out_dir), digest))
     manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w") as fh:
+    with atomic_write(manifest) as fh:
         for rel, digest in sorted(entries):
             fh.write(f"{digest}  {rel}\n")
     return manifest
 
 
 def _write_run_rows(path: str, config_id: str, seed: int, report) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["config_id", "seed", "split", "metric", "value"])
         for log in report.epochs:
@@ -177,7 +178,7 @@ def cmd_generate_data(args) -> int:
     names = ("train", "validation", "test")
     d = cfg.values["data"]
     sidecar = os.path.join(args.out, "bayes_scores.csv")
-    with open(sidecar, "w", newline="") as fh:
+    with atomic_write(sidecar, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["split", "row", "score"])
         for split_name, idx in zip(names, parts):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,23 @@ def make_output_dir(path: str) -> None:
         raise DataError(f"cannot create output directory {path}: {e.strerror}") from None
 
 
+@contextmanager
+def atomic_write(path: str, mode: str = "w", **open_args):
+    """Write to path + ".tmp", then rename it over path.
+
+    A failed write removes the temporary file and leaves any previous
+    file at path untouched, so a crash never clobbers a good file.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only after a failed write
+            os.remove(tmp)
+
+
 def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]] | None = None) -> None:
     """Write a dataset back out; with vocabs, ids turn back into their strings."""
     inverse = None
@@ -186,7 +204,7 @@ def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]
     has_session = any(s.session_id is not None for s in dataset.samples)
     if has_session and dataset.session_ids() is None:  # a blank cell would not load back
         raise DataError(f"cannot write {path}: some rows have a {SESSION_COLUMN} and others none")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = feature_names + [LABEL_FIELD] + ([SESSION_COLUMN] if has_session else [])
         writer.writerow(header)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, make_output_dir
+from .data import Dataset, atomic_write, make_output_dir
 from .errors import DataError
 from .losses import PretrainLossConfig
 from .metrics import mann_whitney_p
@@ -233,7 +233,7 @@ def write_report_files(report: SuiteReport, out_dir: str, baseline: str = BASELI
     paths = []
 
     rows_path = os.path.join(out_dir, "rows.csv")
-    with open(rows_path, "w", newline="") as fh:
+    with atomic_write(rows_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["config_id", "seed", "split", "metric", "value"])
         for r in report.rows:
@@ -241,7 +241,7 @@ def write_report_files(report: SuiteReport, out_dir: str, baseline: str = BASELI
     paths.append(rows_path)
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
+    with atomic_write(summary_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["config_id", "metric", "mean", "std"])
         for cid, metric, mean, std in report.summary():
@@ -250,7 +250,7 @@ def write_report_files(report: SuiteReport, out_dir: str, baseline: str = BASELI
 
     if any(cid != baseline for cid in report.config_ids()):
         p_path = os.path.join(out_dir, "pvalues.csv")
-        with open(p_path, "w", newline="") as fh:
+        with atomic_write(p_path, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["config_id", "metric", "p_value_vs_" + baseline])
             for cid, p in report.pvalues(baseline):
@@ -259,7 +259,7 @@ def write_report_files(report: SuiteReport, out_dir: str, baseline: str = BASELI
 
     if report.failures:
         f_path = os.path.join(out_dir, "failures.csv")
-        with open(f_path, "w", newline="") as fh:
+        with atomic_write(f_path, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["config_id", "seed", "error"])
             for cid, seed, err in report.failures:

@@ -141,6 +141,7 @@ class ScoreEntropyTerm:
 MAX_SCORE_ENTROPY_VOCAB = 64
 
 
+@ad.no_grad()
 def score_entropy_oracle(
     model: Model,
     row: np.ndarray,
@@ -201,10 +202,12 @@ def sft_loss(model: Model, tokens: np.ndarray) -> Tensor:
     return ad.tmean(_click_losses(model, tokens))
 
 
+@ad.no_grad()
 def per_instance_sft_losses(model: Model, tokens: np.ndarray) -> np.ndarray:
     return _click_losses(model, tokens).data
 
 
+@ad.no_grad()
 def verify_label_equivalence(model: Model, tokens: np.ndarray) -> float:
     """Max |label-only-masked pretraining term - fine-tune logloss term|.
 

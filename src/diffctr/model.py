@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import FieldSchema
+from .data import FieldSchema, atomic_write
 from .errors import CheckpointError, DataError, ShapeError
 from .optim import ParamStore, xavier_init
 
@@ -127,12 +126,19 @@ def rms_scale(x: Tensor, gain: Tensor, d: int) -> Tensor:
     return ad.mul(ad.smul(ad.l2_normalize(x), float(np.sqrt(d))), gain)
 
 
-def encode(model: Model, tokens: np.ndarray, order: tuple[int, ...] | None = None) -> Tensor:
+# an overflow inside the network surfaces as the op's NumericError, not a RuntimeWarning
+@np.errstate(over="ignore", invalid="ignore")
+def encode(
+    model: Model, tokens: np.ndarray, order: tuple[int, ...] | None = None, keep: int | None = None
+) -> Tensor:
     """Contextual vectors, one per field position: (B, P, d).
 
     tokens is (B, P) in canonical field order; mask ids are allowed.
     order permutes which field sits at which position (identity by
-    default); outputs follow the permuted layout.
+    default); outputs follow the permuted layout. keep, a position in
+    that layout, returns only its (B, d) vectors: the last block still
+    attends over every position, then runs its output projection,
+    residual, FFN and the final projection on that one row.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     P = model.num_positions
@@ -156,8 +162,12 @@ def encode(model: Model, tokens: np.ndarray, order: tuple[int, ...] | None = Non
     ]
     x = ad.stack(columns, axis=1)  # (B, P, d)
     x = ad.add(x, ad.gather_rows(model.params["embed/field_pos"], np.array(fields)))
+    # one row would run the tail through BLAS gemv, which sums in another
+    # order than the gemm of the full route, so a single row keeps every row
+    tail_block = cfg.blocks - 1 if keep is not None and len(tokens) > 1 else None
 
     for b in range(cfg.blocks):
+        tail = b == tail_block
         h = rms_scale(x, model.params[f"net/b{b}/attn_gain"], d)
         attn_total = None
         for head in range(cfg.heads):
@@ -166,8 +176,12 @@ def encode(model: Model, tokens: np.ndarray, order: tuple[int, ...] | None = Non
             v = ad.matmul(h, model.params[f"net/b{b}/h{head}/wv"])
             scores = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))
             mixed = ad.matmul(ad.softmax(scores, axis=-1), v)
+            if tail:
+                mixed = ad.take_position(mixed, keep)
             out = ad.matmul(mixed, model.params[f"net/b{b}/h{head}/wo"])
             attn_total = out if attn_total is None else ad.add(attn_total, out)
+        if tail:
+            x = ad.take_position(x, keep)
         x = ad.add(x, attn_total)
         g = rms_scale(x, model.params[f"net/b{b}/ffn_gain"], d)
         inner = ad.relu(ad.add(ad.matmul(g, model.params[f"net/b{b}/ffn_w1"]), model.params[f"net/b{b}/ffn_b1"]))
@@ -175,6 +189,8 @@ def encode(model: Model, tokens: np.ndarray, order: tuple[int, ...] | None = Non
 
     if cfg.blocks > 0:
         x = ad.matmul(rms_scale(x, model.params["net/out_gain"], d), model.params["net/out_proj"])
+    if keep is not None and x.data.ndim == 3:  # no blocks, or a single row
+        x = ad.take_position(x, keep)
     return x
 
 
@@ -195,7 +211,13 @@ def full_vocab_logits(model: Model, field_index: int, context: Tensor) -> Tensor
 
 
 def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
-    """Differentiable click-vs-no-click logit gap, label masked internally."""
+    """Differentiable click-vs-no-click logit gap, label masked internally.
+
+    Without a tape, the last block's tail runs on the label row alone
+    (encode's keep), which gives the same values for far less work. A
+    taped call keeps every row: on the tail the gradient sums would run
+    over B rows instead of B*P and round differently.
+    """
     tokens = np.asarray(tokens, dtype=np.int64)
     lbl = model.label_position
     for f in model.schema[:-1]:
@@ -203,13 +225,17 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
             raise DataError(f"ctr scoring requires unmasked field '{f.name}'")
     masked = tokens.copy()
     masked[:, lbl] = model.mask_ids[lbl]
-    ctx = ad.take_position(encode(model, masked), lbl)
+    if ad.taping():
+        ctx = ad.take_position(encode(model, masked), lbl)
+    else:
+        ctx = encode(model, masked, keep=lbl)
     logits = field_logits(model, lbl, ctx, np.array([0, 1]))
     return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
 
 
+@ad.no_grad()
 def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
-    """P(click | features) per row; the input label token is ignored."""
+    """P(click | features) per row; the input label token is ignored. Records no tape."""
     return ad.sigmoid(label_logit_diff(model, tokens)).data
 
 
@@ -244,19 +270,12 @@ def save_checkpoint(model: Model, path: str, meta: dict | None = None) -> None:
         },
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    # write aside, then rename: a crash mid-write never clobbers a good file
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(bytes(payload))
-            fh.write(hashlib.sha256(bytes(payload)).digest())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # only after a failed write
-            os.remove(tmp)
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
+        fh.write(header_bytes)
+        fh.write(bytes(payload))
+        fh.write(hashlib.sha256(bytes(payload)).digest())
 
 
 def _well_formed(header) -> bool:

@@ -86,6 +86,8 @@ def _build_fingerprint() -> dict:
 
 def evaluate(model: Model, dataset: Dataset, split: str, batch: int = 4096) -> MetricReport:
     """Chunked CTR scoring of a whole split."""
+    if batch < 1:
+        raise DataError(f"evaluate: batch must be >= 1, got {batch}")
     tokens = dataset.token_matrix()
     scores = np.empty(len(tokens))
     for start in range(0, len(tokens), batch):
@@ -270,6 +272,7 @@ def sample_reverse_batch(
     return out
 
 
+@ad.no_grad()
 def _fill_from_conditionals(
     model: Model, tokens: np.ndarray, fill: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:

@@ -1,3 +1,5 @@
+import builtins
+
 import pytest
 
 from diffctr import data as dd
@@ -32,6 +34,25 @@ clusters = 2
 samples = 300
 seed = 3
 """
+
+
+class FailingWriter:
+    """Stands in for open(): lets the first write through, then fails like a full disk."""
+
+    def __init__(self, *args, **kwargs):
+        self.fh, self.writes = builtins.open(*args, **kwargs), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
 
 
 @pytest.fixture

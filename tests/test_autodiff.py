@@ -195,3 +195,54 @@ def test_grad_check_h_range():
     store = make_store({"w": np.ones((1,))})
     with pytest.raises(ValueError):
         ad.grad_check(lambda p, _: ad.tsum(p["w"]), store, h=1e-2)
+
+
+def test_no_grad_records_no_tape_but_keeps_values():
+    store = make_store({"w": np.array([[1.0, -2.0], [3.0, 4.0]])})
+    taped = ad.relu(ad.matmul(store["w"], store["w"]))
+    with ad.no_grad():
+        bare = ad.relu(ad.matmul(store["w"], store["w"]))
+    np.testing.assert_array_equal(bare.data, taped.data)
+    assert taped.parents and taped.tracked
+    assert bare.parents == () and bare.vjps == () and not bare.tracked
+
+
+def test_no_grad_keeps_the_finiteness_check():
+    with ad.no_grad():
+        with pytest.raises(NumericError, match="exp"):
+            ad.exp(ad.const(np.array([1000.0])))
+        with pytest.raises(NumericError, match="made-up"):
+            ad.Tensor(np.array([1.0, np.inf]), op="made-up")
+
+
+def test_no_grad_nests_and_restores_on_error():
+    w = make_store({"w": np.ones((2,))})["w"]
+
+    def taped():
+        return bool(ad.smul(w, 2.0).parents)
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not taped()
+        assert not taped()  # leaving the inner block keeps the outer one
+    assert taped()
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            raise KeyError("body fails")
+    assert taped()
+
+
+def test_backward_refuses_to_run_inside_no_grad():
+    store = make_store({"w": np.array([1.0, 2.0])})
+
+    def fn(p, _):
+        return ad.tsum(ad.mul(p["w"], p["w"]))
+
+    loss = fn(store, None)
+    with ad.no_grad():
+        with pytest.raises(RuntimeError, match="no_grad"):
+            ad.backward(loss)
+        with pytest.raises(RuntimeError, match="no_grad"):
+            ad.forward_backward(fn, store)
+    _, grads = ad.forward_backward(fn, store)
+    np.testing.assert_array_equal(grads["w"], [2.0, 4.0])

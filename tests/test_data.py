@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from diffctr import cli
 from diffctr import data as dd
+from diffctr import experiments as ex
+from diffctr import train as tr
 from diffctr.errors import DataError
 from diffctr.rng import stream
+from conftest import FailingWriter
 
 
 def write(tmp_path, name, text):
@@ -221,3 +225,47 @@ def test_split_indices_exact_counts_and_determinism():
     assert len(np.intersect1d(tr, te)) == 0
     combined = np.sort(np.concatenate([tr, va, te]))
     np.testing.assert_array_equal(combined, np.arange(60000))
+
+
+def write_dataset(out, _):
+    rows = [dd.Sample(tokens=(i % 3, i % 2), session_id=f"s{i // 2}") for i in range(6)]
+    dd.save_delimited(dd.Dataset(schema=dd.feature_schema([3]), samples=rows), f"{out}/rows.csv")
+
+
+def write_suite_report(out, _):
+    rows = [ex.SuiteRow(cid, seed, "test", "auc", 0.5 + 0.1 * seed + (cid == "full") * 0.05)
+            for cid in ("full", "other") for seed in range(3)]
+    ex.write_report_files(ex.SuiteReport(rows=rows, failures=[("other", 3, "diverged")]), out)
+
+
+def write_run_rows(out, _):
+    report = tr.RunReport(stage="pretrain", seed=0, config={},
+                          epochs=[tr.EpochLog(0, 1.5), tr.EpochLog(1, 1.25)])
+    cli._write_run_rows(f"{out}/pretrain_rows.csv", "pretrain", 0, report)
+
+
+def write_manifest(out, _):
+    for name in ("a.txt", "b.txt"):
+        with open(f"{out}/{name}", "w") as fh:
+            fh.write(name)
+    cli.write_manifest(out)
+
+
+def generate_data(out, config_path):
+    assert cli.main(["generate-data", "--config", config_path, "--out", out]) == 0
+
+
+@pytest.mark.parametrize(
+    "write", [write_dataset, write_suite_report, write_run_rows, write_manifest, generate_data]
+)
+def test_failed_write_keeps_previous_files(tmp_path, tiny_config_path, monkeypatch, write):
+    out = tmp_path / "out"
+    out.mkdir()
+    write(str(out), tiny_config_path)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(dd, "open", FailingWriter, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write(str(out), tiny_config_path)
+    monkeypatch.undo()
+    # every file as it was, and no temporary file left behind
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

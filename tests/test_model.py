@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from diffctr import autodiff as ad
+from diffctr import data as dd
 from diffctr import model as md
 from diffctr.data import feature_schema
-from diffctr.errors import CheckpointError, DataError, ShapeError
+from diffctr.errors import CheckpointError, DataError, NumericError, ShapeError
 from diffctr.optim import adam_step
 from diffctr.rng import stream
+from conftest import FailingWriter
 
 
 def tiny_schema(vocabs=(4, 3, 5)):
@@ -144,6 +146,83 @@ class TestCtrScore:
         assert np.all(s > 0) and np.all(s < 1)
 
 
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+def test_ctr_score_equals_tape_route(blocks, heads, tied):
+    model = make_model(blocks=blocks, heads=heads, tied=tied, seed=blocks + 10 * heads)
+    tokens = random_tokens(model, stream(20, blocks, heads), n=4096, allow_mask=False)
+    for rows in (1, 7, 4096):
+        chunk = tokens[:rows]
+        tape = ad.sigmoid(md.label_logit_diff(model, chunk)).data
+        assert np.array_equal(md.ctr_score(model, chunk), tape), rows
+
+
+def constant_input_model():
+    """One block whose FFN sees g = 1 on every row: input embeddings of
+    ones, no position offsets and a zero attention output."""
+    model = make_model(blocks=1, heads=2, d=8)
+    for name in model.params.names():
+        if name.startswith("embed/input/"):
+            model.params.set_data(name, np.ones_like(model.params.get_data(name)))
+        elif name == "embed/field_pos" or name.endswith("/wo"):
+            model.params.set_data(name, np.zeros_like(model.params.get_data(name)))
+    return model
+
+
+def test_ctr_score_raises_where_relu_would_hide_minus_inf():
+    model = constant_input_model()
+    model.params.set_data("net/b0/ffn_w1", np.full((8, 16), -1e308))  # g @ w1 = -inf
+    tokens = random_tokens(model, stream(21, "t"), n=5, allow_mask=False)
+    with pytest.raises(NumericError, match="matmul"):
+        md.ctr_score(model, tokens)
+    with pytest.raises(NumericError, match="matmul"):
+        md.label_logit_diff(model, tokens)
+
+
+def test_ctr_score_raises_on_overflowing_attention_score():
+    model = constant_input_model()
+    for name in ("net/b0/h0/wq", "net/b0/h0/wk"):
+        model.params.set_data(name, np.full((8, 4), 1e200))  # q . k = inf
+    tokens = random_tokens(model, stream(22, "t"), n=5, allow_mask=False)
+    with pytest.raises(NumericError, match="matmul"):
+        md.ctr_score(model, tokens)
+
+
+def test_ctr_score_builds_no_tape(monkeypatch):
+    model = make_model(blocks=2)
+    tokens = random_tokens(model, stream(23, "t"), n=9, allow_mask=False)
+    created = []
+    init = ad.Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
+    md.ctr_score(model, tokens)
+    assert created and all(t.parents == () and t.vjps == () for t in created)
+    relu_shapes = [t.data.shape for t in created if t.op == "relu"]
+    assert relu_shapes == [(9, 4, 16), (9, 16)]  # the last block's FFN sees the label row alone
+    created.clear()
+    md.label_logit_diff(model, tokens)  # the taped route records its parents
+    assert any(t.parents for t in created)
+
+
+def test_grad_check_through_the_kept_row():
+    model = make_model(blocks=2, heads=2, d=4, vocabs=(3, 3))
+    tokens = random_tokens(model, stream(24, "t"), n=3)
+    weights = ad.const(stream(24, "w").normal(size=(3, 4)))
+
+    def fn(params, _):
+        return ad.tsum(ad.mul(md.encode(model, tokens, keep=1), weights))
+
+    full = ad.take_position(md.encode(model, tokens), 1).data
+    np.testing.assert_array_equal(md.encode(model, tokens, keep=1).data, full)
+    reports = ad.grad_check(fn, model.params, h=1e-5, tol=1e-5)
+    assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports if not r.passed]
+
+
 def test_mask_row_receives_gradient_when_masked():
     model = make_model(blocks=1, d=8)
     tokens = random_tokens(model, stream(8, "t"), n=4, allow_mask=False)
@@ -198,27 +277,7 @@ class TestCheckpoint:
         old, new = make_model(seed=13), make_model(seed=14)
         path = str(tmp_path / "m.dgct")
         md.save_checkpoint(old, path)
-        real_open = open
-
-        class FailingWriter:
-            """Lets the first write through, then fails like a full disk."""
-
-            def __init__(self, *args):
-                self.fh, self.writes = real_open(*args), 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 1:
-                    raise OSError("no space left on device")
-                return self.fh.write(data)
-
-        monkeypatch.setattr(md, "open", FailingWriter, raising=False)
+        monkeypatch.setattr(dd, "open", FailingWriter, raising=False)
         with pytest.raises(OSError, match="no space"):
             md.save_checkpoint(new, path)
         monkeypatch.undo()

@@ -5,7 +5,7 @@ import diffctr.train as tr
 from diffctr import data as dd
 from diffctr import losses as ls
 from diffctr import model as md
-from diffctr.errors import NumericError
+from diffctr.errors import DataError, NumericError
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
 
@@ -167,3 +167,13 @@ def test_evaluate_matches_direct_scoring():
 
     direct = report_for(ctr_score(model, val.token_matrix()), val, "validation")
     assert rep.auc == direct.auc and rep.logloss == direct.logloss
+
+
+def test_evaluate_rejects_a_chunk_below_one_row():
+    train, validation, _ = tiny_env()
+    model = tiny_model(train)
+    for batch in (0, -1):
+        with pytest.raises(DataError, match="batch must be >= 1"):
+            tr.evaluate(model, validation, "validation", batch=batch)
+    full = tr.evaluate(model, validation, "validation")
+    assert tr.evaluate(model, validation, "validation", batch=1).auc == full.auc
