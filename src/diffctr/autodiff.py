@@ -85,36 +85,10 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return smul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
 
 def const(data) -> Tensor:
     """Untracked constant node."""
     return Tensor(data, op="const", tracked=False)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else const(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -138,7 +112,6 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     _check_broadcast("add", a, b)
     return Tensor(
         a.data + b.data,
@@ -152,7 +125,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     _check_broadcast("sub", a, b)
     return Tensor(
         a.data - b.data,
@@ -166,7 +138,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     _check_broadcast("mul", a, b)
     return Tensor(
         a.data * b.data,
@@ -252,12 +223,6 @@ def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow becomes the finite-check error
         out = np.exp(a.data)
     return Tensor(out, op="exp", parents=(a,), vjps=(lambda g: g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise NumericError("log: non-positive input")
-    return Tensor(np.log(a.data), op="log", parents=(a,), vjps=(lambda g: g / a.data,))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -391,11 +356,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return sub(x, logsumexp(x, axis=axis, keepdims=True))
 
 
-def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine between matching rows of two equally shaped arrays."""
-    return clip_unit(tsum(mul(l2_normalize(a), l2_normalize(b)), axis=-1))
-
-
 def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
     """All-pairs cosine: (m, d) x (n, d) -> (m, n)."""
     return clip_unit(matmul(l2_normalize(a), transpose(l2_normalize(b))))
@@ -444,6 +404,8 @@ def backward(loss: Tensor) -> None:
             parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
+# an overflow surfaces as the op's NumericError, not a RuntimeWarning first
+@np.errstate(over="ignore", invalid="ignore")
 def forward_backward(graph_fn: Callable, params, inputs=None) -> tuple[float, dict[str, np.ndarray]]:
     """Evaluate graph_fn(params, inputs) and return (loss, grads per parameter).
 

@@ -42,7 +42,7 @@ from .errors import CheckpointError, ConfigError, DataError, DiffCtrError, Numer
 from .experiments import SUITES as EXPERIMENT_SUITES
 from .experiments import Environment, write_report_files
 from .model import Model, load_checkpoint, save_checkpoint
-from .train import evaluate, finetune, pretrain, reinit_label_head
+from .train import TRANSFERS, evaluate, finetune, pretrain, reinit_label_head
 from .verify import SUITES as VERIFY_SUITES
 from .verify import run_suites
 
@@ -93,7 +93,7 @@ def build_parser() -> CliParser:
     p.add_argument("--config", help="config file")
     p.add_argument("--data", required=True, help="directory with the data files")
     p.add_argument("--init", help="checkpoint to transfer from")
-    p.add_argument("--transfer", choices=["full", "embeddings-only", "scoring-network-only", "none"],
+    p.add_argument("--transfer", choices=TRANSFERS,
                    help="override the config transfer mode")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -251,6 +251,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = _load_conf(args.config)
     if args.data:
         train, validation, test = _load_splits(cfg, args.data)

@@ -9,6 +9,7 @@ exactly.
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
 from dataclasses import asdict
 
@@ -18,6 +19,15 @@ from .losses import PretrainLossConfig
 from .model import ModelConfig
 from .schedule import NoiseSchedule, build_schedule
 from .train import RunConfig
+
+# config key -> keyword of the object the section builds, which owns the default
+_LOSS_KEYS = {
+    "lambda_weight": "weight_by_mask_prob",
+    "lambda_clip": "mask_prob_floor",
+    "max_negatives": "max_negatives",
+}
+_SPEC_PARAMS = inspect.signature(random_spec).parameters
+_SYNTHETIC_KEYS = {("fields" if name == "num_fields" else name): name for name in _SPEC_PARAMS}
 
 DEFAULTS: dict[str, dict[str, object]] = {
     "run": asdict(RunConfig()),
@@ -31,30 +41,13 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "T": 500,
         "shared": False,
     },
-    "loss": {
-        "lambda_weight": True,
-        "lambda_clip": 0.01,
-        "max_negatives": 127,
-    },
+    "loss": {key: getattr(PretrainLossConfig(), name) for key, name in _LOSS_KEYS.items()},
     "data": {
         "train": "train.csv",
         "validation": "validation.csv",
         "test": "test.csv",
     },
-    "synthetic": {
-        "fields": 8,
-        "vocab": 50,
-        "clusters": 10,
-        "samples": 60000,
-        "seed": 7,
-        "intercept": 0.0,
-        "main_scale": 0.5,
-        "cross_scale": 0.4,
-        "cross_density": 1.0,
-        "cross_rank": 6,
-        "cross_noise": 0.6,
-        "concentration": 0.25,
-    },
+    "synthetic": {key: _SPEC_PARAMS[name].default for key, name in _SYNTHETIC_KEYS.items()},
 }
 
 
@@ -80,9 +73,6 @@ class Config:
             raise ConfigError(f"unknown config key [{section}] {key}")
         default = DEFAULTS[section][key]
         self.values[section][key] = _coerce(section, key, value, type(default))
-
-    def as_dict(self) -> dict:
-        return {s: dict(d) for s, d in self.values.items()}
 
 
 def _coerce(section: str, key: str, value, want: type):
@@ -181,31 +171,17 @@ def to_schedule(cfg: Config, num_fields: int) -> NoiseSchedule:
     )
 
 
+def _keywords(values: dict, keys: dict[str, str]) -> dict:
+    return {name: values[key] for key, name in keys.items()}
+
+
 def to_loss_config(cfg: Config) -> PretrainLossConfig:
-    l = cfg.values["loss"]
     out = PretrainLossConfig(
-        max_negatives=l["max_negatives"],
-        weight_by_mask_prob=l["lambda_weight"],
-        mask_prob_floor=l["lambda_clip"],
-        label_mode=cfg.values["run"]["label_mode"],
+        **_keywords(cfg.values["loss"], _LOSS_KEYS), label_mode=cfg.values["run"]["label_mode"]
     )
     out.validate()
     return out
 
 
 def to_synthetic_spec(cfg: Config) -> SyntheticSpec:
-    s = cfg.values["synthetic"]
-    return random_spec(
-        num_fields=s["fields"],
-        vocab=s["vocab"],
-        clusters=s["clusters"],
-        samples=s["samples"],
-        seed=s["seed"],
-        intercept=s["intercept"],
-        main_scale=s["main_scale"],
-        cross_scale=s["cross_scale"],
-        cross_density=s["cross_density"],
-        cross_rank=s["cross_rank"],
-        cross_noise=s["cross_noise"],
-        concentration=s["concentration"],
-    )
+    return random_spec(**_keywords(cfg.values["synthetic"], _SYNTHETIC_KEYS))

@@ -34,10 +34,6 @@ class FieldSchema:
     name: str
     vocab_size: int
 
-    @property
-    def mask_id(self) -> int:
-        return self.vocab_size
-
     def validate(self) -> None:
         if self.vocab_size < 1:
             raise DataError(f"field '{self.name}': vocab_size must be >= 1")

@@ -20,7 +20,7 @@ from .data import Dataset, atomic_write, make_output_dir
 from .errors import DataError
 from .losses import PretrainLossConfig
 from .metrics import mann_whitney_p
-from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import TRANSFER_MODES, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .schedule import NoiseSchedule
 from .train import RunConfig, RunReport, finetune, pretrain, reinit_label_head
 
@@ -146,8 +146,6 @@ def two_stage_run(
 def transfer_suite(env: Environment, seeds: list[int]) -> SuiteReport:
     """One pretraining per seed, fine-tuned under each transfer mode."""
     report = SuiteReport()
-    names = {"full": "full", "scoring-network-only": "scoring-network-only",
-             "embeddings-only": "embeddings-only"}
     for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
             ckpt = os.path.join(tmp, "pretrained.dgct")
@@ -157,28 +155,23 @@ def transfer_suite(env: Environment, seeds: list[int]) -> SuiteReport:
                 model, _ = pretrain(model, env.train, env.schedule, cfg, env.loss_cfg)
                 save_checkpoint(model, ckpt, meta={"seed": seed})
             except Exception as e:
-                for cid in names:
-                    report.failures.append((cid, seed, f"{type(e).__name__}: {e}"))
+                for mode in TRANSFER_MODES:
+                    report.failures.append((mode, seed, f"{type(e).__name__}: {e}"))
                 continue
-            for mode, cid in names.items():
+            for mode in TRANSFER_MODES:
                 try:
                     started = load_checkpoint(ckpt, mode, env.model_cfg, env.train.schema, seed)
                     cfg = replace(env.run_cfg, seed=seed, transfer=mode)
                     _, rep = finetune(started, env.train, env.validation, env.test, cfg)
-                    report.add_report(cid, seed, rep)
+                    report.add_report(mode, seed, rep)
                 except Exception as e:
-                    report.failures.append((cid, seed, f"{type(e).__name__}: {e}"))
+                    report.failures.append((mode, seed, f"{type(e).__name__}: {e}"))
     return report
 
 
 def ablation_suite(env: Environment, seeds: list[int]) -> SuiteReport:
     """Rows: full, without the label, without schedule draws, unified schedule."""
-    shared_schedule = NoiseSchedule(
-        curves=env.schedule.curves,
-        horizon=env.schedule.horizon,
-        kind=env.schedule.kind,
-        shared=True,
-    )
+    shared_schedule = replace(env.schedule, shared=True)
     variants: dict[str, Callable[[int], RunReport]] = {
         "full": lambda seed: two_stage_run(env, seed)[1],
         "w/o Label": lambda seed: two_stage_run(env, seed, run_patch={"no_label": True})[1],
@@ -203,13 +196,8 @@ def sweep_suite(env: Environment, seeds: list[int],
     """Two one-dimensional sweeps: schedule horizon, then pretrain epochs."""
     variants: dict[str, Callable[[int], RunReport]] = {}
     for horizon in horizons:
-        sched = NoiseSchedule(
-            curves=env.schedule.curves, horizon=horizon,
-            kind=env.schedule.kind, shared=env.schedule.shared,
-        )
-        variants[f"T={horizon}"] = (
-            lambda seed, s=sched: two_stage_run(env, seed, schedule=s)[1]
-        )
+        sched = replace(env.schedule, horizon=horizon)
+        variants[f"T={horizon}"] = lambda seed, s=sched: two_stage_run(env, seed, schedule=s)[1]
     for epochs in epoch_counts:
         variants[f"epochs={epochs}"] = (
             lambda seed, e=epochs: two_stage_run(env, seed, run_patch={"pretrain_epochs": e})[1]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -128,15 +128,11 @@ def rms_scale(x: Tensor, gain: Tensor, d: int) -> Tensor:
 
 # an overflow inside the network surfaces as the op's NumericError, not a RuntimeWarning
 @np.errstate(over="ignore", invalid="ignore")
-def encode(
-    model: Model, tokens: np.ndarray, order: tuple[int, ...] | None = None, keep: int | None = None
-) -> Tensor:
+def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
     """Contextual vectors, one per field position: (B, P, d).
 
-    tokens is (B, P) in canonical field order; mask ids are allowed.
-    order permutes which field sits at which position (identity by
-    default); outputs follow the permuted layout. keep, a position in
-    that layout, returns only its (B, d) vectors: the last block still
+    tokens is (B, P) in field order; mask ids are allowed. keep, a
+    position, returns only its (B, d) vectors: the last block still
     attends over every position, then runs its output projection,
     residual, FFN and the final projection on that one row.
     """
@@ -144,9 +140,6 @@ def encode(
     P = model.num_positions
     if tokens.ndim != 2 or tokens.shape[1] != P:
         raise ShapeError(f"encode: tokens must be (B, {P}), got {tokens.shape}")
-    fields = tuple(range(P)) if order is None else tuple(order)
-    if sorted(fields) != list(range(P)):
-        raise DataError(f"encode: order must permute all {P} fields")
     for f in model.schema:
         col = tokens[:, f.index]
         if col.min() < 0 or col.max() > f.vocab_size:
@@ -156,12 +149,10 @@ def encode(
 
     cfg = model.cfg
     d, dh = cfg.embed_dim, cfg.embed_dim // cfg.heads
-    columns = [
-        ad.gather_rows(model.params[f"embed/input/{model.schema[f].name}"], tokens[:, f])
-        for f in fields
-    ]
+    columns = [ad.gather_rows(model.params[f"embed/input/{f.name}"], tokens[:, f.index])
+               for f in model.schema]
     x = ad.stack(columns, axis=1)  # (B, P, d)
-    x = ad.add(x, ad.gather_rows(model.params["embed/field_pos"], np.array(fields)))
+    x = ad.add(x, ad.gather_rows(model.params["embed/field_pos"], np.arange(P)))
     # one row would run the tail through BLAS gemv, which sums in another
     # order than the gemm of the full route, so a single row keeps every row
     tail_block = cfg.blocks - 1 if keep is not None and len(tokens) > 1 else None
@@ -234,6 +225,7 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
 
 
 @ad.no_grad()
+@np.errstate(over="ignore", invalid="ignore")
 def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
     """P(click | features) per row; the input label token is ignored. Records no tape."""
     return ad.sigmoid(label_logit_diff(model, tokens)).data
@@ -260,14 +252,7 @@ def save_checkpoint(model: Model, path: str, meta: dict | None = None) -> None:
         "fingerprint": model.fingerprint(),
         "meta": meta or {},
         "params": directory,
-        "config": {
-            "embed_dim": model.cfg.embed_dim,
-            "blocks": model.cfg.blocks,
-            "heads": model.cfg.heads,
-            "ffn_width": model.cfg.ffn_width,
-            "temperature": model.cfg.temperature,
-            "tied_embeddings": model.cfg.tied_embeddings,
-        },
+        "config": asdict(model.cfg),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:

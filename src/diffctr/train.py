@@ -10,22 +10,23 @@ with early stopping. Every random draw comes from a stream addressed by
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from . import autodiff as ad
+from .corruption import LABEL_MODES
 from .data import Dataset, batch_iter
 from .errors import DataError, NumericError
 from .losses import PretrainLossConfig, pretrain_loss, sft_loss
 from .metrics import MetricReport, report_for
-from .model import Model, ctr_score, encode, full_vocab_logits, save_checkpoint
+from .model import TRANSFER_MODES, Model, ctr_score, encode, full_vocab_logits, save_checkpoint
 from .optim import adam_step, xavier_init
 from .rng import stream
 from .schedule import NoiseSchedule
 
-TRANSFERS = ("full", "embeddings-only", "scoring-network-only", "none")
+TRANSFERS = (*TRANSFER_MODES, "none")
 
 
 @dataclass
@@ -56,6 +57,16 @@ class RunConfig:
             raise DataError("finetune_batch must be >= 1")
         if self.pretrain_batch < 2:
             raise DataError("pretrain_batch must be >= 2: in-batch negatives need two rows")
+        if self.label_mode not in LABEL_MODES:
+            raise DataError(f"unknown label_mode '{self.label_mode}'")
+        if not 0 <= self.bert_mask_rate < 1:
+            raise DataError("bert_mask_rate must lie in [0, 1)")
+        if self.patience < 1:
+            raise DataError("patience must be >= 1")
+        if not all(v > 0 for v in (self.pretrain_lr, self.finetune_lr, self.adam_eps)):
+            raise DataError("pretrain_lr, finetune_lr and adam_eps must be > 0")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise DataError("adam_beta1 and adam_beta2 must lie in [0, 1)")
 
     def effective_label_mode(self) -> str:
         return "drop" if self.no_label else self.label_mode
@@ -114,10 +125,9 @@ def pretrain(
     if rows < 2:
         raise DataError(f"pretraining needs at least 2 rows; split '{dataset.split}' has {rows}")
     loss_cfg = loss_cfg or PretrainLossConfig()
-    loss_cfg = PretrainLossConfig(
-        max_negatives=loss_cfg.max_negatives,
+    loss_cfg = replace(
+        loss_cfg,
         weight_by_mask_prob=loss_cfg.weight_by_mask_prob and not cfg.no_diff,
-        mask_prob_floor=loss_cfg.mask_prob_floor,
         label_mode=cfg.effective_label_mode(),
     )
     fixed = None

@@ -5,7 +5,7 @@ import pytest
 from diffctr import data as dd
 from diffctr.experiments import Environment
 from diffctr.losses import PretrainLossConfig
-from diffctr.model import ModelConfig
+from diffctr.model import Model, ModelConfig
 from diffctr.schedule import build_schedule
 from diffctr.train import RunConfig
 
@@ -53,6 +53,21 @@ class FailingWriter:
         if self.writes > 1:
             raise OSError("no space left on device")
         return self.fh.write(data)
+
+
+def permuted_model(model, order):
+    """The same network with field order[j] at position j.
+
+    Each field keeps its tables (they are named after it) and takes its
+    schema entry and its field_pos row to the new position, so
+    encode(permuted_model(m, order), tokens[:, order]) is m's encoding of
+    tokens with its positions reordered.
+    """
+    schema = [dd.FieldSchema(j, model.schema[f].name, model.schema[f].vocab_size)
+              for j, f in enumerate(order)]
+    params = model.params.clone()
+    params.set_data("embed/field_pos", params.get_data("embed/field_pos")[list(order)])
+    return Model(model.cfg, schema, params)
 
 
 @pytest.fixture

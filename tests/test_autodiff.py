@@ -70,7 +70,6 @@ def test_three_layer_composite_matches_central_differences():
         ("smul", lambda p: ad.smul(p["a"], 2.5)),
         ("relu_shifted", lambda p: ad.relu(ad.add(p["a"], ad.const(0.5)))),
         ("exp", lambda p: ad.exp(p["a"])),
-        ("log", lambda p: ad.log(ad.add(ad.mul(p["a"], p["a"]), ad.const(1.0)))),
         ("sigmoid", lambda p: ad.sigmoid(p["a"])),
         ("softplus", lambda p: ad.softplus(p["a"])),
         ("sum_axis", lambda p: ad.tsum(p["a"], axis=1)),
@@ -80,7 +79,6 @@ def test_three_layer_composite_matches_central_differences():
         ("stack", lambda p: ad.stack([p["a"], p["a2"]], axis=1)),
         ("l2_normalize", lambda p: ad.l2_normalize(p["a"])),
         ("logsumexp", lambda p: ad.logsumexp(p["a"], axis=1)),
-        ("cosine_rows", lambda p: ad.cosine_rows(p["a"], p["a2"])),
         ("cosine_matrix", lambda p: ad.cosine_matrix(p["a"], p["b2"])),
         ("softmax", lambda p: ad.softmax(p["a"], axis=1)),
         ("log_softmax", lambda p: ad.log_softmax(p["a"], axis=1)),
@@ -129,11 +127,9 @@ def test_cosine_bounds():
     rng = stream(5, "cos")
     a = ad.const(rng.normal(size=(50, 8)) * 10)
     b = ad.const(rng.normal(size=(50, 8)) * 10)
-    c = ad.cosine_rows(a, b).data
-    assert np.all(c >= -1.0) and np.all(c <= 1.0)
     m = ad.cosine_matrix(a, b).data
     assert np.all(m >= -1.0) and np.all(m <= 1.0)
-    same = ad.cosine_rows(a, a).data
+    same = np.diag(ad.cosine_matrix(a, a).data)
     np.testing.assert_allclose(same, 1.0, atol=1e-12)
 
 
@@ -169,8 +165,10 @@ def test_shape_error_names_both_operands():
 def test_non_finite_names_op():
     with pytest.raises(NumericError, match="exp"):
         ad.exp(ad.const(np.array([1000.0])))
-    with pytest.raises(NumericError, match="log"):
-        ad.log(ad.const(np.array([0.0])))
+    # an overflow inside forward_backward names the op, with no RuntimeWarning first
+    store = make_store({"w": np.full((2,), 1e200)})
+    with pytest.raises(NumericError, match="'mul'"):
+        ad.forward_backward(lambda p, _: ad.tsum(ad.mul(p["w"], p["w"])), store)
 
 
 def test_gather_rows_range_check():

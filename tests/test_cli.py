@@ -3,6 +3,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -268,3 +270,51 @@ def test_blank_session_cell_exits_2(tmp_path, tiny_config_path, capsys):
     code = main(["pretrain", "--config", tiny_config_path, "--data", str(data_dir),
                  "--out", str(tmp_path / "pre")])
     one_line_error(capsys, code, "train.csv: line 3: empty session_id")
+
+
+def test_overflowing_loss_exits_3_without_runtime_warning(tmp_path, tiny_data):
+    # a fresh interpreter keeps numpy's default warning filter, which prints to stderr
+    _, data_dir = tiny_data
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT.replace("[model]", "[model]\ntemperature = 1e-308"))
+    src = os.path.dirname(os.path.dirname(md.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffctr.cli", "finetune", "--config", str(cfg), "--data", data_dir,
+         "--transfer", "none", "--out", str(tmp_path / "ft")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key,value,fragment", [
+    ("label_mode", "bogus", "label_mode"),
+    ("bert_mask_rate", "1.0", "bert_mask_rate"),
+    ("bert_mask_rate", "-0.1", "bert_mask_rate"),
+    ("patience", "0", "patience"),
+    ("pretrain_lr", "0.0", "pretrain_lr"),
+    ("finetune_lr", "-1e-3", "finetune_lr"),
+    ("adam_eps", "0.0", "adam_eps"),
+    ("adam_beta1", "1.0", "adam_beta1"),
+    ("adam_beta2", "-0.5", "adam_beta2"),
+])
+def test_out_of_range_run_key_exits_2(tmp_path, tiny_data, capsys, key, value, fragment):
+    _, data_dir = tiny_data
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT.replace("[run]", f"[run]\n{key} = {value}"))
+    capsys.readouterr()
+    code = main(["finetune", "--config", str(cfg), "--data", data_dir, "--transfer", "none",
+                 "--out", str(tmp_path / "ft")])
+    one_line_error(capsys, code, fragment)
+    assert not os.path.exists(tmp_path / "ft")
+
+
+@pytest.mark.parametrize("suite", ["transfer", "ablation", "headline", "sweep"])
+def test_experiment_without_seeds_is_usage_error(tmp_path, tiny_config_path, capsys, suite):
+    out = tmp_path / "exp"
+    code = main(["experiment", "--suite", suite, "--config", tiny_config_path, "--seeds", "0",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--seeds" in err
+    assert not out.exists()

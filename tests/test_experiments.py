@@ -4,6 +4,8 @@ import numpy as np
 
 from diffctr import experiments as ex
 from diffctr.metrics import MetricReport
+from diffctr.model import TRANSFER_MODES
+from diffctr.schedule import NoiseSchedule
 from diffctr.train import RunReport
 
 
@@ -65,7 +67,7 @@ def test_ablation_suite_row_set(micro_env):
 
 def test_transfer_suite_row_set(micro_env):
     report = ex.transfer_suite(micro_env, seeds=[0])
-    assert set(report.config_ids()) == {"full", "scoring-network-only", "embeddings-only"}
+    assert report.config_ids() == list(TRANSFER_MODES)
     assert not report.failures
 
 
@@ -83,3 +85,41 @@ def test_report_files_written(tmp_path, micro_env):
         rows = list(csv.DictReader(fh))
     assert {r["config_id"] for r in rows} == {"full", "sft-scratch"}
     assert all(float(r["value"]) == float(r["value"]) for r in rows)
+
+
+def record_two_stage_runs(monkeypatch):
+    """Replace two_stage_run by a recorder of (seed, run_patch, schedule); no training."""
+    calls = []
+
+    def fake(env, seed, run_patch=None, schedule=None, out_dir=None):
+        calls.append((seed, run_patch, schedule))
+        return None, RunReport(stage="finetune", seed=seed, config={})
+
+    monkeypatch.setattr(ex, "two_stage_run", fake)
+    return calls
+
+
+def test_ablation_suite_variants(monkeypatch, micro_env):
+    calls = record_two_stage_runs(monkeypatch)
+    ex.ablation_suite(micro_env, seeds=[0, 1])
+    s = micro_env.schedule
+    shared = NoiseSchedule(curves=s.curves, horizon=s.horizon, kind=s.kind, shared=True)
+    assert not s.shared
+    expected = []
+    for run_patch, schedule in [(None, None), ({"no_label": True}, None),
+                                ({"no_diff": True}, None), (None, shared)]:
+        expected += [(0, run_patch, schedule), (1, run_patch, schedule)]
+    assert calls == expected
+
+
+def test_sweep_suite_variants(monkeypatch, micro_env):
+    calls = record_two_stage_runs(monkeypatch)
+    report = ex.sweep_suite(micro_env, seeds=[3], horizons=(10, 1000), epoch_counts=(1, 4))
+    s = micro_env.schedule
+    assert calls == [
+        (3, None, NoiseSchedule(curves=s.curves, horizon=10, kind=s.kind, shared=s.shared)),
+        (3, None, NoiseSchedule(curves=s.curves, horizon=1000, kind=s.kind, shared=s.shared)),
+        (3, {"pretrain_epochs": 1}, None),
+        (3, {"pretrain_epochs": 4}, None),
+    ]
+    assert not report.failures

@@ -6,9 +6,10 @@ from diffctr import corruption as fc
 from diffctr import losses as ls
 from diffctr import model as md
 from diffctr.data import feature_schema
-from diffctr.errors import DataError
+from diffctr.errors import DataError, NumericError
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
+from conftest import permuted_model
 
 
 def make_model(blocks=0, d=6, vocabs=(2, 2), seed=0, temperature=0.1):
@@ -398,7 +399,7 @@ class TestSftLoss:
         masked[:, lbl] = model.mask_ids[lbl]
         base_ctx = ad.take_position(md.encode(model, masked), lbl).data
         order = (2, 1, 0, 3)  # features shuffled, label at position 3
-        perm_ctx = ad.take_position(md.encode(model, masked, order=order), 3).data
+        perm_ctx = ad.take_position(md.encode(permuted_model(model, order), masked[:, order]), 3).data
         np.testing.assert_allclose(base_ctx, perm_ctx, atol=1e-12)
 
 
@@ -441,3 +442,33 @@ def test_pretrain_loss_deterministic():
     a = ls.pretrain_loss(model, tokens, schedule, stream(35, "c"), ls.PretrainLossConfig())
     b = ls.pretrain_loss(model, tokens, schedule, stream(35, "c"), ls.PretrainLossConfig())
     assert a.item() == b.item()
+
+
+def overflowing_model():
+    """Temperature 1e-308 with antiparallel label targets: the click logit gap is 2e308."""
+    model = make_model(blocks=0, vocabs=(3, 2), temperature=1e-308)
+    lbl = model.schema[-1]
+    ctx = (model.params.get_data(f"embed/input/{lbl.name}")[lbl.vocab_size]
+           + model.params.get_data("embed/field_pos")[lbl.index])
+    model.params.set_data(f"embed/target/{lbl.name}", np.stack([-ctx, ctx]))
+    return model
+
+
+@pytest.mark.parametrize("route", ["sft", "pretrain", "score"])
+def test_overflow_raises_numeric_error_before_any_warning(route):
+    # pytest turns RuntimeWarning into an error, so a warning ahead of the
+    # finiteness check would fail this test instead of raising NumericError
+    model = overflowing_model()
+    tokens = make_tokens(model, stream(40, "overflow"), 8)
+    schedule = build_schedule(2, lo=0.5, hi=0.9, label_lo=0.9, label_hi=0.99)
+
+    def fn(params, _):
+        if route == "sft":
+            return ls.sft_loss(model, tokens)
+        return ls.pretrain_loss(model, tokens, schedule, stream(41, "c"), ls.PretrainLossConfig())
+
+    with pytest.raises(NumericError):
+        if route == "score":
+            md.ctr_score(model, tokens)
+        else:
+            ad.forward_backward(fn, model.params)
