@@ -53,11 +53,6 @@ def no_grad():
         _no_grad_depth -= 1
 
 
-def taping() -> bool:
-    """Whether ops record the tape, that is, whether no no_grad() is active."""
-    return _no_grad_depth == 0
-
-
 class Tensor:
     """One tape node: a float64 array plus how it was computed."""
 

@@ -42,7 +42,7 @@ from .errors import CheckpointError, ConfigError, DataError, DiffCtrError, Numer
 from .experiments import SUITES as EXPERIMENT_SUITES
 from .experiments import Environment, write_report_files
 from .model import Model, load_checkpoint, save_checkpoint
-from .train import TRANSFERS, evaluate, finetune, pretrain, reinit_label_head
+from .train import TRANSFERS, finetune, pretrain
 from .verify import SUITES as VERIFY_SUITES
 from .verify import run_suites
 
@@ -195,10 +195,11 @@ def cmd_pretrain(args) -> int:
     cfg = _load_conf(args.config)
     run_cfg = to_run_config(cfg)
     train, _, _ = _load_splits(cfg, args.data)
-    make_output_dir(args.out)
     model = Model.init(to_model_config(cfg), train.schema, run_cfg.seed)
     schedule = to_schedule(cfg, train.num_fields)
-    model, report = pretrain(model, train, schedule, run_cfg, to_loss_config(cfg), out_dir=args.out)
+    loss_cfg = to_loss_config(cfg)
+    make_output_dir(args.out)
+    model, report = pretrain(model, train, schedule, run_cfg, loss_cfg, out_dir=args.out)
     save_checkpoint(model, os.path.join(args.out, "pretrained.dgct"),
                     meta={"seed": run_cfg.seed, "epochs": run_cfg.pretrain_epochs})
     _write_run_rows(os.path.join(args.out, "pretrain_rows.csv"), "pretrain", run_cfg.seed, report)
@@ -220,14 +221,12 @@ def cmd_finetune(args) -> int:
     if run_cfg.transfer != "none" and not args.init:
         raise UsageError(f"--transfer {run_cfg.transfer} requires --init CHECKPOINT")
     train, validation, test = _load_splits(cfg, args.data)
-    make_output_dir(args.out)
     model_cfg = to_model_config(cfg)
     if run_cfg.transfer == "none":
         model = Model.init(model_cfg, train.schema, run_cfg.seed)
     else:
         model = load_checkpoint(args.init, run_cfg.transfer, model_cfg, train.schema, run_cfg.seed)
-    if run_cfg.no_label:
-        reinit_label_head(model, run_cfg.seed)
+    make_output_dir(args.out)
     model, report = finetune(model, train, validation, test, run_cfg, out_dir=args.out)
     _write_run_rows(os.path.join(args.out, "finetune_rows.csv"), "finetune", run_cfg.seed, report)
     write_manifest(args.out)
@@ -239,7 +238,10 @@ def cmd_finetune(args) -> int:
         if report.test.gauc_pv is not None:
             line += f", gauc_pv {report.test.gauc_pv:.4f}"
         print(line)
-    return EXIT_NUMERIC if report.diverged else EXIT_OK
+    if report.diverged:
+        print("aborted on non-finite loss; kept the best validation snapshot", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -26,6 +26,16 @@ _LOSS_KEYS = {
     "lambda_clip": "mask_prob_floor",
     "max_negatives": "max_negatives",
 }
+_SCHEDULE_KEYS = {
+    "kind": "kind",
+    "lambda_min": "lo",
+    "lambda_max": "hi",
+    "label_lambda_min": "label_lo",
+    "label_lambda_max": "label_hi",
+    "T": "horizon",
+    "shared": "shared",
+}
+_SCHEDULE_PARAMS = inspect.signature(build_schedule).parameters
 _SPEC_PARAMS = inspect.signature(random_spec).parameters
 _SYNTHETIC_KEYS = {("fields" if name == "num_fields" else name): name for name in _SPEC_PARAMS}
 
@@ -33,13 +43,12 @@ DEFAULTS: dict[str, dict[str, object]] = {
     "run": asdict(RunConfig()),
     "model": asdict(ModelConfig()),
     "schedule": {
-        "kind": "linear-mask",
-        "lambda_min": 0.0,
-        "lambda_max": 0.995,
+        key: _SCHEDULE_PARAMS[name].default for key, name in _SCHEDULE_KEYS.items()
+    } | {
+        # the label keeps a mask probability of at least a quarter at every
+        # t, so every noise level trains the click term fine-tuning continues
         "label_lambda_min": 0.25,
-        "label_lambda_max": 0.995,
-        "T": 500,
-        "shared": False,
+        "label_lambda_max": _SCHEDULE_PARAMS["hi"].default,
     },
     "loss": {key: getattr(PretrainLossConfig(), name) for key, name in _LOSS_KEYS.items()},
     "data": {
@@ -157,28 +166,16 @@ def to_model_config(cfg: Config) -> ModelConfig:
     return m
 
 
-def to_schedule(cfg: Config, num_fields: int) -> NoiseSchedule:
-    s = cfg.values["schedule"]
-    return build_schedule(
-        num_fields,
-        lo=s["lambda_min"],
-        hi=s["lambda_max"],
-        label_lo=s["label_lambda_min"],
-        label_hi=s["label_lambda_max"],
-        horizon=s["T"],
-        kind=s["kind"],
-        shared=s["shared"],
-    )
-
-
 def _keywords(values: dict, keys: dict[str, str]) -> dict:
     return {name: values[key] for key, name in keys.items()}
 
 
+def to_schedule(cfg: Config, num_fields: int) -> NoiseSchedule:
+    return build_schedule(num_fields, **_keywords(cfg.values["schedule"], _SCHEDULE_KEYS))
+
+
 def to_loss_config(cfg: Config) -> PretrainLossConfig:
-    out = PretrainLossConfig(
-        **_keywords(cfg.values["loss"], _LOSS_KEYS), label_mode=cfg.values["run"]["label_mode"]
-    )
+    out = PretrainLossConfig(**_keywords(cfg.values["loss"], _LOSS_KEYS))
     out.validate()
     return out
 

@@ -22,7 +22,7 @@ from .losses import PretrainLossConfig
 from .metrics import mann_whitney_p
 from .model import TRANSFER_MODES, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .schedule import NoiseSchedule
-from .train import RunConfig, RunReport, finetune, pretrain, reinit_label_head
+from .train import RunConfig, RunReport, finetune, pretrain
 
 BASELINE = "full"
 
@@ -138,8 +138,6 @@ def two_stage_run(
             ckpt = os.path.join(tmp, "pretrained.dgct")
             save_checkpoint(model, ckpt, meta={"seed": seed})
             model = load_checkpoint(ckpt, cfg.transfer, env.model_cfg, env.train.schema, seed)
-    if cfg.no_label:
-        reinit_label_head(model, seed)
     return finetune(model, env.train, env.validation, env.test, cfg, out_dir=out_dir)
 
 
@@ -174,7 +172,7 @@ def ablation_suite(env: Environment, seeds: list[int]) -> SuiteReport:
     shared_schedule = replace(env.schedule, shared=True)
     variants: dict[str, Callable[[int], RunReport]] = {
         "full": lambda seed: two_stage_run(env, seed)[1],
-        "w/o Label": lambda seed: two_stage_run(env, seed, run_patch={"no_label": True})[1],
+        "w/o Label": lambda seed: two_stage_run(env, seed, run_patch={"label_mode": "drop"})[1],
         "w/o Diff": lambda seed: two_stage_run(env, seed, run_patch={"no_diff": True})[1],
         "w/o Fea": lambda seed: two_stage_run(env, seed, schedule=shared_schedule)[1],
     }

@@ -45,8 +45,8 @@ class ModelConfig:
             raise DataError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
-        if self.temperature <= 0:
-            raise DataError("temperature must be > 0")
+        if not 0 < self.temperature < float("inf"):  # NaN fails too
+            raise DataError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 class Model:
@@ -204,10 +204,9 @@ def full_vocab_logits(model: Model, field_index: int, context: Tensor) -> Tensor
 def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
     """Differentiable click-vs-no-click logit gap, label masked internally.
 
-    Without a tape, the last block's tail runs on the label row alone
-    (encode's keep), which gives the same values for far less work. A
-    taped call keeps every row: on the tail the gradient sums would run
-    over B rows instead of B*P and round differently.
+    The last block's tail runs on the label row alone (encode's keep),
+    for training and scoring alike: values equal the full route's, and
+    gradients differ from it only in summation order.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lbl = model.label_position
@@ -216,10 +215,7 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
             raise DataError(f"ctr scoring requires unmasked field '{f.name}'")
     masked = tokens.copy()
     masked[:, lbl] = model.mask_ids[lbl]
-    if ad.taping():
-        ctx = ad.take_position(encode(model, masked), lbl)
-    else:
-        ctx = encode(model, masked, keep=lbl)
+    ctx = encode(model, masked, keep=lbl)
     logits = field_logits(model, lbl, ctx, np.array([0, 1]))
     return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
 

@@ -22,7 +22,7 @@ from .errors import DataError, NumericError
 from .losses import PretrainLossConfig, pretrain_loss, sft_loss
 from .metrics import MetricReport, report_for
 from .model import TRANSFER_MODES, Model, ctr_score, encode, full_vocab_logits, save_checkpoint
-from .optim import adam_step, xavier_init
+from .optim import adam_step
 from .rng import stream
 from .schedule import NoiseSchedule
 
@@ -43,7 +43,6 @@ class RunConfig:
     adam_eps: float = 1e-8
     transfer: str = "full"
     label_mode: str = "diffuse"
-    no_label: bool = False  # pretrain without the label field in the loss
     no_diff: bool = False  # fixed-rate masking instead of schedule draws
     bert_mask_rate: float = 0.15
     patience: int = 2
@@ -67,9 +66,6 @@ class RunConfig:
             raise DataError("pretrain_lr, finetune_lr and adam_eps must be > 0")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise DataError("adam_beta1 and adam_beta2 must lie in [0, 1)")
-
-    def effective_label_mode(self) -> str:
-        return "drop" if self.no_label else self.label_mode
 
 
 @dataclass
@@ -128,12 +124,12 @@ def pretrain(
     loss_cfg = replace(
         loss_cfg,
         weight_by_mask_prob=loss_cfg.weight_by_mask_prob and not cfg.no_diff,
-        label_mode=cfg.effective_label_mode(),
+        label_mode=cfg.label_mode,
     )
     fixed = None
     if cfg.no_diff:
         fixed = np.full(model.num_positions, cfg.bert_mask_rate)
-        if cfg.effective_label_mode() == "always-mask":
+        if cfg.label_mode == "always-mask":
             fixed[-1] = 0.0  # mask decision comes from the mode, not the rate
 
     report = RunReport(
@@ -169,20 +165,6 @@ def pretrain(
                             meta={"seed": cfg.seed, "epoch": epoch})
     report.wall_clock = time.perf_counter() - started
     return model, report
-
-
-def reinit_label_head(model: Model, seed: int) -> None:
-    """Fresh label scoring head, used when pretraining dropped the label."""
-    name = model.schema[-1].name
-    if model.cfg.tied_embeddings:
-        table = model.params.get_data(f"embed/input/{name}").copy()
-        table[:2] = xavier_init((2, model.cfg.embed_dim), seed, "label-head")
-        model.params.set_data(f"embed/input/{name}", table)
-    else:
-        model.params.set_data(
-            f"embed/target/{name}",
-            xavier_init((2, model.cfg.embed_dim), seed, "label-head"),
-        )
 
 
 def finetune(

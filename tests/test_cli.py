@@ -284,7 +284,33 @@ def test_overflowing_loss_exits_3_without_runtime_warning(tmp_path, tiny_data):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert proc.returncode == 3
-    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr == "aborted on non-finite loss; kept the best validation snapshot\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_temperature_exits_2(tmp_path, tiny_data, capsys, value):
+    _, data_dir = tiny_data
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT.replace("[model]", f"[model]\ntemperature = {value}"))
+    capsys.readouterr()
+    code = main(["finetune", "--config", str(cfg), "--data", data_dir, "--transfer", "none",
+                 "--out", str(tmp_path / "ft")])
+    one_line_error(capsys, code, "temperature must be finite and > 0", value)
+    assert not os.path.exists(tmp_path / "ft")
+
+
+@pytest.mark.parametrize("anchor,insert,fragment", [
+    ("[run]", "[run]\nno_label = true", "unknown config key [run] no_label"),  # the removed key
+    ("[model]", "[loss]\nmax_negatives = 0\n[model]", "max_negatives must be >= 1"),
+])
+def test_bad_pretrain_config_exits_2_before_out(tmp_path, tiny_data, capsys, anchor, insert, fragment):
+    _, data_dir = tiny_data
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT.replace(anchor, insert))
+    capsys.readouterr()
+    code = main(["pretrain", "--config", str(cfg), "--data", data_dir, "--out", str(tmp_path / "pre")])
+    one_line_error(capsys, code, fragment)
+    assert not os.path.exists(tmp_path / "pre")
 
 
 @pytest.mark.parametrize("key,value,fragment", [

@@ -12,6 +12,7 @@ from diffctr.config import (
     to_synthetic_spec,
 )
 from diffctr.errors import ConfigError
+from diffctr.schedule import build_schedule
 
 
 def test_defaults_round_trip_exactly():
@@ -42,8 +43,8 @@ def test_unknown_key_rejected():
 def test_bad_value_type_rejected():
     with pytest.raises(ConfigError, match="seed"):
         parse_config("[run]\nseed = banana\n")
-    with pytest.raises(ConfigError, match="no_label"):
-        parse_config("[run]\nno_label = maybe\n")
+    with pytest.raises(ConfigError, match="no_diff"):
+        parse_config("[run]\nno_diff = maybe\n")
 
 
 def test_builders_produce_valid_objects():
@@ -63,6 +64,11 @@ def test_builders_produce_valid_objects():
     assert loss.max_negatives == 127
     spec = to_synthetic_spec(cfg)
     assert spec.num_fields == 3 and spec.samples == 100
+
+
+def test_default_schedule_is_build_schedules_own():
+    # the config adds only the label curve's floor to build_schedule's defaults
+    assert to_schedule(Config(), num_fields=3) == build_schedule(3, label_lo=0.25)
 
 
 def test_shared_schedule_flag_flows_through():

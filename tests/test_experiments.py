@@ -106,7 +106,7 @@ def test_ablation_suite_variants(monkeypatch, micro_env):
     shared = NoiseSchedule(curves=s.curves, horizon=s.horizon, kind=s.kind, shared=True)
     assert not s.shared
     expected = []
-    for run_patch, schedule in [(None, None), ({"no_label": True}, None),
+    for run_patch, schedule in [(None, None), ({"label_mode": "drop"}, None),
                                 ({"no_diff": True}, None), (None, shared)]:
         expected += [(0, run_patch, schedule), (1, run_patch, schedule)]
     assert calls == expected

@@ -3,6 +3,7 @@ import pytest
 
 from diffctr import autodiff as ad
 from diffctr import data as dd
+from diffctr import losses as ls
 from diffctr import model as md
 from diffctr.data import feature_schema
 from diffctr.errors import CheckpointError, DataError, NumericError, ShapeError
@@ -150,12 +151,44 @@ class TestCtrScore:
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("blocks", [0, 1, 2, 3])
 def test_ctr_score_equals_tape_route(blocks, heads, tied):
+    """Tape-free scoring and the taped label-row route both equal the taped full route."""
     model = make_model(blocks=blocks, heads=heads, tied=tied, seed=blocks + 10 * heads)
     tokens = random_tokens(model, stream(20, blocks, heads), n=4096, allow_mask=False)
     for rows in (1, 7, 4096):
         chunk = tokens[:rows]
-        tape = ad.sigmoid(md.label_logit_diff(model, chunk)).data
-        assert np.array_equal(md.ctr_score(model, chunk), tape), rows
+        full = full_route_logit_diff(model, chunk).data
+        assert np.array_equal(md.label_logit_diff(model, chunk).data, full), rows
+        assert np.array_equal(md.ctr_score(model, chunk), ad.sigmoid(ad.const(full)).data), rows
+
+
+def full_route_logit_diff(model, tokens):
+    """label_logit_diff with every row run through the last block, then the label row taken."""
+    lbl = model.label_position
+    masked = tokens.copy()
+    masked[:, lbl] = model.mask_ids[lbl]
+    ctx = ad.take_position(md.encode(model, masked), lbl)
+    logits = md.field_logits(model, lbl, ctx, np.array([0, 1]))
+    return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+def test_sft_loss_within_bound_of_full_route(blocks, heads, tied):
+    """The label-row tail changes only gradient summation order: loss equal, grads within 1e-12."""
+    # d = 32 and 256 rows are wide enough for BLAS to sum the two routes in different orders
+    model = make_model(blocks=blocks, heads=heads, d=32, tied=tied, seed=30 + blocks + 10 * heads)
+    tokens = random_tokens(model, stream(25, blocks, heads), n=256, allow_mask=False)
+    signs = ad.const(2.0 * tokens[:, -1] - 1.0)
+
+    def full(params, _):
+        return ad.tmean(ad.softplus(ad.smul(ad.mul(full_route_logit_diff(model, tokens), signs), -1.0)))
+
+    want_loss, want = ad.forward_backward(full, model.params)
+    got_loss, got = ad.forward_backward(lambda params, _: ls.sft_loss(model, tokens), model.params)
+    assert got_loss == want_loss
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def constant_input_model():
@@ -205,8 +238,9 @@ def test_ctr_score_builds_no_tape(monkeypatch):
     relu_shapes = [t.data.shape for t in created if t.op == "relu"]
     assert relu_shapes == [(9, 4, 16), (9, 16)]  # the last block's FFN sees the label row alone
     created.clear()
-    md.label_logit_diff(model, tokens)  # the taped route records its parents
+    ls.sft_loss(model, tokens)  # training records its tape on the same label-row route
     assert any(t.parents for t in created)
+    assert [t.data.shape for t in created if t.op == "relu"] == [(9, 4, 16), (9, 16)]
 
 
 def test_grad_check_through_the_kept_row():

@@ -22,8 +22,9 @@ def tiny_env(samples=400, fields=3, vocab=6, seed=5):
     )
 
 
-def tiny_model(train, d=8, blocks=1, seed=0):
-    cfg = md.ModelConfig(embed_dim=d, blocks=blocks, heads=2, ffn_width=16, temperature=0.1)
+def tiny_model(train, d=8, blocks=1, seed=0, tied=False):
+    cfg = md.ModelConfig(embed_dim=d, blocks=blocks, heads=2, ffn_width=16, temperature=0.1,
+                         tied_embeddings=tied)
     return md.Model.init(cfg, train.schema, seed)
 
 
@@ -110,16 +111,20 @@ def test_finetune_returns_best_validation_params():
     assert final >= best_logged - 1e-12
 
 
-def test_reinit_label_head_touches_only_label_target():
+@pytest.mark.parametrize("no_diff", [False, True])
+@pytest.mark.parametrize("tied", [False, True])
+def test_drop_mode_pretrain_leaves_label_head_at_init(tied, no_diff):
+    """Dropping the label from pretraining hands fine-tuning an untrained label head."""
     train, _, _ = tiny_env()
-    model = tiny_model(train, seed=13)
-    before = {n: model.params.get_data(n).copy() for n in model.params.names()}
-    tr.reinit_label_head(model, seed=99)
-    for n, v in before.items():
-        if n == "embed/target/label":
-            assert not np.array_equal(v, model.params.get_data(n))
-        else:
-            np.testing.assert_array_equal(v, model.params.get_data(n))
+    model = tiny_model(train, seed=13, tied=tied)
+    lbl = model.label_position
+    head = model.target_table_data(lbl).copy()
+    schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
+    for label_mode, untouched in (("drop", True), ("diffuse", False)):
+        run = tiny_run_cfg(seed=13, label_mode=label_mode, no_diff=no_diff)
+        out, report = tr.pretrain(model.clone(), train, schedule, run)
+        assert report.epochs and not report.diverged
+        assert np.array_equal(out.target_table_data(lbl), head) == untouched, label_mode
 
 
 class TestSampleReverse:
