@@ -9,7 +9,6 @@ Every output lands under --out next to a manifest.txt of checksums.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import os
 import sys
@@ -37,6 +36,7 @@ from .data import (
     save_delimited,
     split_indices,
     subset,
+    write_csv,
 )
 from .errors import CheckpointError, ConfigError, DataError, DiffCtrError, NumericError, ShapeError
 from .experiments import SUITES as EXPERIMENT_SUITES
@@ -136,17 +136,16 @@ def write_manifest(out_dir: str) -> str:
 
 
 def _write_run_rows(path: str, config_id: str, seed: int, report) -> None:
-    with atomic_write(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["config_id", "seed", "split", "metric", "value"])
-        for log in report.epochs:
-            w.writerow([config_id, seed, "train", f"loss_epoch{log.epoch}", repr(log.train_loss)])
-            if log.validation is not None:
-                for metric, value in log.validation.as_rows():
-                    w.writerow([config_id, seed, "validation", f"{metric}_epoch{log.epoch}", repr(value)])
-        if report.test is not None:
-            for metric, value in report.test.as_rows():
-                w.writerow([config_id, seed, "test", metric, repr(value)])
+    rows = []
+    for log in report.epochs:
+        rows.append([config_id, seed, "train", f"loss_epoch{log.epoch}", repr(log.train_loss)])
+        if log.validation is not None:
+            for metric, value in log.validation.as_rows():
+                rows.append([config_id, seed, "validation", f"{metric}_epoch{log.epoch}", repr(value)])
+    if report.test is not None:
+        for metric, value in report.test.as_rows():
+            rows.append([config_id, seed, "test", metric, repr(value)])
+    write_csv(path, ["config_id", "seed", "split", "metric", "value"], rows)
 
 
 def _load_splits(cfg: Config, data_dir: str) -> tuple[Dataset, Dataset, Dataset]:
@@ -157,36 +156,28 @@ def _load_splits(cfg: Config, data_dir: str) -> tuple[Dataset, Dataset, Dataset]
     return train, validation, test
 
 
-def _synthetic_splits(cfg: Config) -> tuple[Dataset, Dataset, Dataset, np.ndarray]:
+def _synthetic_splits(cfg: Config) -> list[tuple[Dataset, np.ndarray]]:
+    """The train, validation and test splits, each with the Bayes scores of its rows."""
     spec = to_synthetic_spec(cfg)
     dataset, bayes = generate_synthetic(spec)
-    tr, va, te = split_indices(spec.samples, spec.seed)
-    return (
-        subset(dataset, tr, "train"),
-        subset(dataset, va, "validation"),
-        subset(dataset, te, "test"),
-        bayes,
-    )
+    parts = split_indices(spec.samples, spec.seed)
+    return [
+        (subset(dataset, idx, name), bayes[idx])
+        for name, idx in zip(("train", "validation", "test"), parts)
+    ]
 
 
 def cmd_generate_data(args) -> int:
     cfg = _load_conf(args.config)
+    splits = _synthetic_splits(cfg)
     make_output_dir(args.out)
-    spec = to_synthetic_spec(cfg)
-    dataset, bayes = generate_synthetic(spec)
-    parts = split_indices(spec.samples, spec.seed)
-    names = ("train", "validation", "test")
     d = cfg.values["data"]
-    sidecar = os.path.join(args.out, "bayes_scores.csv")
-    with atomic_write(sidecar, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["split", "row", "score"])
-        for split_name, idx in zip(names, parts):
-            piece = subset(dataset, idx, split_name)
-            save_delimited(piece, os.path.join(args.out, d[split_name]))
-            for row, i in enumerate(idx):
-                w.writerow([split_name, row, repr(float(bayes[int(i)]))])
-            print(f"{split_name}: {len(piece.token_matrix())} rows -> {d[split_name]}")
+    scores = []
+    for piece, bayes in splits:
+        save_delimited(piece, os.path.join(args.out, d[piece.split]))
+        scores += [[piece.split, row, repr(float(p))] for row, p in enumerate(bayes)]
+        print(f"{piece.split}: {len(piece.token_matrix())} rows -> {d[piece.split]}")
+    write_csv(os.path.join(args.out, "bayes_scores.csv"), ["split", "row", "score"], scores)
     write_manifest(args.out)
     return EXIT_OK
 
@@ -222,6 +213,9 @@ def cmd_finetune(args) -> int:
         raise UsageError(f"--transfer {run_cfg.transfer} requires --init CHECKPOINT")
     train, validation, test = _load_splits(cfg, args.data)
     model_cfg = to_model_config(cfg)
+    # finetune uses neither, but rejects the configs pretrain rejects
+    to_schedule(cfg, train.num_fields)
+    to_loss_config(cfg)
     if run_cfg.transfer == "none":
         model = Model.init(model_cfg, train.schema, run_cfg.seed)
     else:
@@ -259,7 +253,7 @@ def cmd_experiment(args) -> int:
     if args.data:
         train, validation, test = _load_splits(cfg, args.data)
     else:
-        train, validation, test, _ = _synthetic_splits(cfg)
+        train, validation, test = (piece for piece, _ in _synthetic_splits(cfg))
     env = Environment(
         train=train,
         validation=validation,

@@ -25,6 +25,9 @@ _LOSS_KEYS = {
     "lambda_weight": "weight_by_mask_prob",
     "lambda_clip": "mask_prob_floor",
     "max_negatives": "max_negatives",
+    "label_mode": "label_mode",
+    "no_diff": "no_diff",
+    "bert_mask_rate": "bert_mask_rate",
 }
 _SCHEDULE_KEYS = {
     "kind": "kind",

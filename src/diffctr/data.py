@@ -191,6 +191,14 @@ def atomic_write(path: str, mode: str = "w", **open_args):
             os.remove(tmp)
 
 
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Atomically write a UTF-8 CSV file: the header, then each row."""
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]] | None = None) -> None:
     """Write a dataset back out; with vocabs, ids turn back into their strings."""
     inverse = None
@@ -200,10 +208,9 @@ def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]
     has_session = any(s.session_id is not None for s in dataset.samples)
     if has_session and dataset.session_ids() is None:  # a blank cell would not load back
         raise DataError(f"cannot write {path}: some rows have a {SESSION_COLUMN} and others none")
-    with atomic_write(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = feature_names + [LABEL_FIELD] + ([SESSION_COLUMN] if has_session else [])
-        writer.writerow(header)
+    header = feature_names + [LABEL_FIELD] + ([SESSION_COLUMN] if has_session else [])
+
+    def rows():
         for s in dataset.samples:
             row = []
             for name, tok in zip(feature_names, s.tokens[:-1]):
@@ -214,7 +221,9 @@ def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]
             row.append(str(s.tokens[-1]))
             if has_session:
                 row.append(s.session_id)
-            writer.writerow(row)
+            yield row
+
+    write_csv(path, header, rows())
 
 
 def _read_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:

@@ -8,7 +8,6 @@ Mann-Whitney p-values of every variant against the baseline variant.
 
 from __future__ import annotations
 
-import csv
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -16,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, atomic_write, make_output_dir
+from .data import Dataset, make_output_dir, write_csv
 from .errors import DataError
 from .losses import PretrainLossConfig
 from .metrics import mann_whitney_p
@@ -114,6 +113,17 @@ class Environment:
     loss_cfg: PretrainLossConfig = field(default_factory=PretrainLossConfig)
 
 
+def _pretrained_checkpoint(
+    env: Environment, cfg: RunConfig, schedule: NoiseSchedule, tmp: str, out_dir: str | None = None
+) -> str:
+    """Initialise a model for cfg.seed, pretrain it and save it under tmp; returns the path."""
+    model = Model.init(env.model_cfg, env.train.schema, cfg.seed)
+    model, _ = pretrain(model, env.train, schedule, cfg, env.loss_cfg, out_dir=out_dir)
+    ckpt = os.path.join(tmp, "pretrained.dgct")
+    save_checkpoint(model, ckpt, meta={"seed": cfg.seed})
+    return ckpt
+
+
 def two_stage_run(
     env: Environment,
     seed: int,
@@ -129,14 +139,11 @@ def two_stage_run(
     """
     cfg = replace(env.run_cfg, seed=seed, **(run_patch or {}))
     cfg.validate()
-    schedule = schedule or env.schedule
-    model = Model.init(env.model_cfg, env.train.schema, seed)
-
-    if cfg.transfer != "none":
-        model, _ = pretrain(model, env.train, schedule, cfg, env.loss_cfg, out_dir=out_dir)
+    if cfg.transfer == "none":
+        model = Model.init(env.model_cfg, env.train.schema, seed)
+    else:
         with tempfile.TemporaryDirectory() as tmp:
-            ckpt = os.path.join(tmp, "pretrained.dgct")
-            save_checkpoint(model, ckpt, meta={"seed": seed})
+            ckpt = _pretrained_checkpoint(env, cfg, schedule or env.schedule, tmp, out_dir)
             model = load_checkpoint(ckpt, cfg.transfer, env.model_cfg, env.train.schema, seed)
     return finetune(model, env.train, env.validation, env.test, cfg, out_dir=out_dir)
 
@@ -146,12 +153,8 @@ def transfer_suite(env: Environment, seeds: list[int]) -> SuiteReport:
     report = SuiteReport()
     for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
-            ckpt = os.path.join(tmp, "pretrained.dgct")
             try:
-                cfg = replace(env.run_cfg, seed=seed)
-                model = Model.init(env.model_cfg, env.train.schema, seed)
-                model, _ = pretrain(model, env.train, env.schedule, cfg, env.loss_cfg)
-                save_checkpoint(model, ckpt, meta={"seed": seed})
+                ckpt = _pretrained_checkpoint(env, replace(env.run_cfg, seed=seed), env.schedule, tmp)
             except Exception as e:
                 for mode in TRANSFER_MODES:
                     report.failures.append((mode, seed, f"{type(e).__name__}: {e}"))
@@ -170,10 +173,12 @@ def transfer_suite(env: Environment, seeds: list[int]) -> SuiteReport:
 def ablation_suite(env: Environment, seeds: list[int]) -> SuiteReport:
     """Rows: full, without the label, without schedule draws, unified schedule."""
     shared_schedule = replace(env.schedule, shared=True)
+    no_label = replace(env, loss_cfg=replace(env.loss_cfg, label_mode="drop"))
+    no_diff = replace(env, loss_cfg=replace(env.loss_cfg, no_diff=True))
     variants: dict[str, Callable[[int], RunReport]] = {
         "full": lambda seed: two_stage_run(env, seed)[1],
-        "w/o Label": lambda seed: two_stage_run(env, seed, run_patch={"label_mode": "drop"})[1],
-        "w/o Diff": lambda seed: two_stage_run(env, seed, run_patch={"no_diff": True})[1],
+        "w/o Label": lambda seed: two_stage_run(no_label, seed)[1],
+        "w/o Diff": lambda seed: two_stage_run(no_diff, seed)[1],
         "w/o Fea": lambda seed: two_stage_run(env, seed, schedule=shared_schedule)[1],
     }
     return run_experiment_suite(variants, seeds)
@@ -216,39 +221,18 @@ SUITES = {
 
 def write_report_files(report: SuiteReport, out_dir: str, baseline: str = BASELINE) -> list[str]:
     make_output_dir(out_dir)
-    paths = []
-
-    rows_path = os.path.join(out_dir, "rows.csv")
-    with atomic_write(rows_path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["config_id", "seed", "split", "metric", "value"])
-        for r in report.rows:
-            w.writerow([r.config_id, r.seed, r.split, r.metric, repr(r.value)])
-    paths.append(rows_path)
-
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with atomic_write(summary_path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["config_id", "metric", "mean", "std"])
-        for cid, metric, mean, std in report.summary():
-            w.writerow([cid, metric, repr(mean), repr(std)])
-    paths.append(summary_path)
-
+    files = [
+        ("rows.csv", ["config_id", "seed", "split", "metric", "value"],
+         [[r.config_id, r.seed, r.split, r.metric, repr(r.value)] for r in report.rows]),
+        ("summary.csv", ["config_id", "metric", "mean", "std"],
+         [[cid, metric, repr(mean), repr(std)] for cid, metric, mean, std in report.summary()]),
+    ]
     if any(cid != baseline for cid in report.config_ids()):
-        p_path = os.path.join(out_dir, "pvalues.csv")
-        with atomic_write(p_path, newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["config_id", "metric", "p_value_vs_" + baseline])
-            for cid, p in report.pvalues(baseline):
-                w.writerow([cid, "auc", repr(p)])
-        paths.append(p_path)
-
+        files.append(("pvalues.csv", ["config_id", "metric", "p_value_vs_" + baseline],
+                      [[cid, "auc", repr(p)] for cid, p in report.pvalues(baseline)]))
     if report.failures:
-        f_path = os.path.join(out_dir, "failures.csv")
-        with atomic_write(f_path, newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["config_id", "seed", "error"])
-            for cid, seed, err in report.failures:
-                w.writerow([cid, seed, err])
-        paths.append(f_path)
-    return paths
+        files.append(("failures.csv", ["config_id", "seed", "error"],
+                      [list(f) for f in report.failures]))
+    for name, header, rows in files:
+        write_csv(os.path.join(out_dir, name), header, rows)
+    return [os.path.join(out_dir, name) for name, _, _ in files]

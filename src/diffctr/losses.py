@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corruption import CorruptedBatch, corrupt_batch, loss_positions
+from .corruption import LABEL_MODES, CorruptedBatch, corrupt_batch, loss_positions
 from .errors import DataError
 from .model import Model, field_logits, full_vocab_logits, encode, label_logit_diff
 from .schedule import NoiseSchedule
@@ -32,12 +32,18 @@ class PretrainLossConfig:
     weight_by_mask_prob: bool = True  # 1/p importance weight per masked term
     mask_prob_floor: float = 0.01  # weight clip keeping 1/p bounded
     label_mode: str = "diffuse"
+    no_diff: bool = False  # fixed-rate masking at bert_mask_rate, uniform term weights
+    bert_mask_rate: float = 0.15
 
     def validate(self) -> None:
         if self.max_negatives < 1:
             raise DataError("max_negatives must be >= 1")
         if not 0 < self.mask_prob_floor < 1:
             raise DataError("mask_prob_floor must lie in (0, 1)")
+        if self.label_mode not in LABEL_MODES:
+            raise DataError(f"unknown label_mode '{self.label_mode}'")
+        if not 0 <= self.bert_mask_rate < 1:
+            raise DataError("bert_mask_rate must lie in [0, 1)")
 
 
 def _candidate_mask(clean_col: np.ndarray, max_negatives: int) -> tuple[np.ndarray, ...]:
@@ -76,7 +82,7 @@ def masked_field_losses(
     weights = np.where(
         corrupted.masked & eligible[None, :],
         1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor)
-        if cfg.weight_by_mask_prob
+        if cfg.weight_by_mask_prob and not cfg.no_diff
         else 1.0,
         0.0,
     )
@@ -111,18 +117,18 @@ def pretrain_loss(
     schedule: NoiseSchedule,
     rng: np.random.Generator,
     cfg: PretrainLossConfig | None = None,
-    fixed_probs: np.ndarray | None = None,
 ) -> Tensor:
     """Corrupt a clean (B, P) token batch and score the masked-field reconstruction.
 
     One schedule draw per instance Monte-Carlo-estimates the integral
-    over mask levels; fixed_probs switches to constant-rate masking.
+    over mask levels; cfg.no_diff masks every field at bert_mask_rate.
     """
     cfg = cfg or PretrainLossConfig()
     if len(tokens) < 2:
         raise DataError("pretrain_loss needs a batch of at least 2 instances")
+    fixed = np.full(model.num_positions, cfg.bert_mask_rate) if cfg.no_diff else None
     corrupted = corrupt_batch(
-        tokens, schedule, rng, model.mask_ids, label_mode=cfg.label_mode, fixed_probs=fixed_probs
+        tokens, schedule, rng, model.mask_ids, label_mode=cfg.label_mode, fixed_probs=fixed
     )
     loss, _ = masked_field_losses(model, corrupted, cfg)
     return loss

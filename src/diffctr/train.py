@@ -9,14 +9,12 @@ with early stopping. Every random draw comes from a stream addressed by
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .corruption import LABEL_MODES
 from .data import Dataset, batch_iter
 from .errors import DataError, NumericError
 from .losses import PretrainLossConfig, pretrain_loss, sft_loss
@@ -42,9 +40,6 @@ class RunConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     transfer: str = "full"
-    label_mode: str = "diffuse"
-    no_diff: bool = False  # fixed-rate masking instead of schedule draws
-    bert_mask_rate: float = 0.15
     patience: int = 2
 
     def validate(self) -> None:
@@ -56,10 +51,6 @@ class RunConfig:
             raise DataError("finetune_batch must be >= 1")
         if self.pretrain_batch < 2:
             raise DataError("pretrain_batch must be >= 2: in-batch negatives need two rows")
-        if self.label_mode not in LABEL_MODES:
-            raise DataError(f"unknown label_mode '{self.label_mode}'")
-        if not 0 <= self.bert_mask_rate < 1:
-            raise DataError("bert_mask_rate must lie in [0, 1)")
         if self.patience < 1:
             raise DataError("patience must be >= 1")
         if not all(v > 0 for v in (self.pretrain_lr, self.finetune_lr, self.adam_eps)):
@@ -77,17 +68,12 @@ class EpochLog:
 
 @dataclass
 class RunReport:
-    stage: str
-    seed: int
-    config: dict
     epochs: list[EpochLog] = field(default_factory=list)
     test: MetricReport | None = None
-    wall_clock: float = 0.0
     diverged: bool = False
-    build: dict = field(default_factory=dict)
 
 
-def _build_fingerprint() -> dict:
+def _build_fingerprint() -> dict:  # perfbench records it with its machine fingerprint
     return {"package": __version__, "numpy": np.__version__}
 
 
@@ -112,30 +98,17 @@ def pretrain(
 ) -> tuple[Model, RunReport]:
     """Masked-reconstruction pretraining; saves a checkpoint per epoch.
 
-    A non-finite loss aborts the run and returns the last epoch-end
-    parameters. The fixed-rate ablation masks every field independently
-    at bert_mask_rate with uniform term weights.
+    loss_cfg decides the objective, label mode and fixed-rate ablation
+    included. A non-finite loss aborts the run and returns the last
+    epoch-end parameters.
     """
     cfg.validate()
+    loss_cfg = loss_cfg or PretrainLossConfig()
+    loss_cfg.validate()
     rows = len(dataset.token_matrix())
     if rows < 2:
         raise DataError(f"pretraining needs at least 2 rows; split '{dataset.split}' has {rows}")
-    loss_cfg = loss_cfg or PretrainLossConfig()
-    loss_cfg = replace(
-        loss_cfg,
-        weight_by_mask_prob=loss_cfg.weight_by_mask_prob and not cfg.no_diff,
-        label_mode=cfg.label_mode,
-    )
-    fixed = None
-    if cfg.no_diff:
-        fixed = np.full(model.num_positions, cfg.bert_mask_rate)
-        if cfg.label_mode == "always-mask":
-            fixed[-1] = 0.0  # mask decision comes from the mode, not the rate
-
-    report = RunReport(
-        stage="pretrain", seed=cfg.seed, config=asdict(cfg), build=_build_fingerprint()
-    )
-    started = time.perf_counter()
+    report = RunReport()
     last_good = model.clone()
     for epoch in range(cfg.pretrain_epochs):
         losses = []
@@ -146,7 +119,7 @@ def pretrain(
                 rng = stream(cfg.seed, "pretrain-corrupt", epoch, step)
 
                 def fn(params, _):
-                    return pretrain_loss(model, batch, schedule, rng, loss_cfg, fixed_probs=fixed)
+                    return pretrain_loss(model, batch, schedule, rng, loss_cfg)
 
                 loss, grads = ad.forward_backward(fn, model.params)
                 adam_step(
@@ -163,7 +136,6 @@ def pretrain(
         if out_dir is not None:
             save_checkpoint(model, f"{out_dir}/pretrain_epoch{epoch}.dgct",
                             meta={"seed": cfg.seed, "epoch": epoch})
-    report.wall_clock = time.perf_counter() - started
     return model, report
 
 
@@ -182,10 +154,7 @@ def finetune(
     validation AUC improvement.
     """
     cfg.validate()
-    report = RunReport(
-        stage="finetune", seed=cfg.seed, config=asdict(cfg), build=_build_fingerprint()
-    )
-    started = time.perf_counter()
+    report = RunReport()
     best = model.clone()
     best_auc = evaluate(model, validation, "validation").auc
     since_best = 0
@@ -218,7 +187,6 @@ def finetune(
         save_checkpoint(model, f"{out_dir}/finetuned.dgct", meta={"seed": cfg.seed})
     if test is not None:
         report.test = evaluate(model, test, "test")
-    report.wall_clock = time.perf_counter() - started
     return model, report
 
 

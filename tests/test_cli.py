@@ -11,7 +11,7 @@ import pytest
 
 from diffctr import model as md
 from diffctr.cli import main
-from diffctr.config import parse_config, render_config, to_model_config
+from diffctr.config import DEFAULTS, parse_config, render_config, to_model_config
 from diffctr.data import load_delimited, load_training_delimited
 from diffctr.model import load_checkpoint
 from diffctr.train import evaluate
@@ -299,18 +299,27 @@ def test_non_finite_temperature_exits_2(tmp_path, tiny_data, capsys, value):
     assert not os.path.exists(tmp_path / "ft")
 
 
+def rejected_before_out(tmp_path, data_dir, capsys, config_text, fragment):
+    """pretrain and finetune --transfer none each exit 2 with one line and create no --out."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config_text)
+    for command in (["pretrain"], ["finetune", "--transfer", "none"]):
+        out = tmp_path / command[0]
+        capsys.readouterr()
+        code = main(command + ["--config", str(cfg), "--data", data_dir, "--out", str(out)])
+        one_line_error(capsys, code, fragment)
+        assert not os.path.exists(out), command
+
+
 @pytest.mark.parametrize("anchor,insert,fragment", [
     ("[run]", "[run]\nno_label = true", "unknown config key [run] no_label"),  # the removed key
     ("[model]", "[loss]\nmax_negatives = 0\n[model]", "max_negatives must be >= 1"),
+    ("[run]", "[run]\nlabel_mode = drop", "unknown config key [run] label_mode"),  # moved to [loss]
+    ("T = 50", "T = 50\nlambda_max = 2.0", "schedule bounds must satisfy"),
 ])
 def test_bad_pretrain_config_exits_2_before_out(tmp_path, tiny_data, capsys, anchor, insert, fragment):
     _, data_dir = tiny_data
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY_CONFIG_TEXT.replace(anchor, insert))
-    capsys.readouterr()
-    code = main(["pretrain", "--config", str(cfg), "--data", data_dir, "--out", str(tmp_path / "pre")])
-    one_line_error(capsys, code, fragment)
-    assert not os.path.exists(tmp_path / "pre")
+    rejected_before_out(tmp_path, data_dir, capsys, TINY_CONFIG_TEXT.replace(anchor, insert), fragment)
 
 
 @pytest.mark.parametrize("key,value,fragment", [
@@ -326,13 +335,11 @@ def test_bad_pretrain_config_exits_2_before_out(tmp_path, tiny_data, capsys, anc
 ])
 def test_out_of_range_run_key_exits_2(tmp_path, tiny_data, capsys, key, value, fragment):
     _, data_dir = tiny_data
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY_CONFIG_TEXT.replace("[run]", f"[run]\n{key} = {value}"))
-    capsys.readouterr()
-    code = main(["finetune", "--config", str(cfg), "--data", data_dir, "--transfer", "none",
-                 "--out", str(tmp_path / "ft")])
-    one_line_error(capsys, code, fragment)
-    assert not os.path.exists(tmp_path / "ft")
+    if key in DEFAULTS["run"]:
+        text = TINY_CONFIG_TEXT.replace("[run]", f"[run]\n{key} = {value}")
+    else:  # the pretraining objective's keys
+        text = f"{TINY_CONFIG_TEXT}\n[loss]\n{key} = {value}\n"
+    rejected_before_out(tmp_path, data_dir, capsys, text, fragment)
 
 
 @pytest.mark.parametrize("suite", ["transfer", "ablation", "headline", "sweep"])

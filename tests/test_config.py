@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from diffctr.config import (
@@ -12,7 +14,10 @@ from diffctr.config import (
     to_synthetic_spec,
 )
 from diffctr.errors import ConfigError
+from diffctr.losses import PretrainLossConfig
+from diffctr.model import ModelConfig
 from diffctr.schedule import build_schedule
+from diffctr.train import RunConfig
 
 
 def test_defaults_round_trip_exactly():
@@ -44,7 +49,7 @@ def test_bad_value_type_rejected():
     with pytest.raises(ConfigError, match="seed"):
         parse_config("[run]\nseed = banana\n")
     with pytest.raises(ConfigError, match="no_diff"):
-        parse_config("[run]\nno_diff = maybe\n")
+        parse_config("[loss]\nno_diff = maybe\n")
 
 
 def test_builders_produce_valid_objects():
@@ -52,6 +57,7 @@ def test_builders_produce_valid_objects():
         "[run]\npretrain_epochs = 1\n[model]\nembed_dim = 8\nheads = 2\n"
         "[schedule]\nT = 50\nlambda_max = 0.9\nlabel_lambda_min = 0.2\nlabel_lambda_max = 0.9\n"
         "[synthetic]\nfields = 3\nvocab = 5\nsamples = 100\n"
+        "[loss]\nlabel_mode = drop\nno_diff = true\nbert_mask_rate = 0.25\n"
     )
     run = to_run_config(cfg)
     assert run.pretrain_epochs == 1
@@ -62,8 +68,17 @@ def test_builders_produce_valid_objects():
     assert sched.mask_probs(0.0)[3] == 0.2  # label curve differs
     loss = to_loss_config(cfg)
     assert loss.max_negatives == 127
+    assert (loss.label_mode, loss.no_diff, loss.bert_mask_rate) == ("drop", True, 0.25)
     spec = to_synthetic_spec(cfg)
     assert spec.num_fields == 3 and spec.samples == 100
+
+
+def test_each_setting_has_one_owner():
+    seen: dict[str, str] = {}
+    for owner in (RunConfig, PretrainLossConfig, ModelConfig):
+        for f in fields(owner):
+            assert f.name not in seen, f"{f.name} is in both {seen[f.name]} and {owner.__name__}"
+            seen[f.name] = owner.__name__
 
 
 def test_default_schedule_is_build_schedules_own():

@@ -239,8 +239,7 @@ def write_suite_report(out, _):
 
 
 def write_run_rows(out, _):
-    report = tr.RunReport(stage="pretrain", seed=0, config={},
-                          epochs=[tr.EpochLog(0, 1.5), tr.EpochLog(1, 1.25)])
+    report = tr.RunReport(epochs=[tr.EpochLog(0, 1.5), tr.EpochLog(1, 1.25)])
     cli._write_run_rows(f"{out}/pretrain_rows.csv", "pretrain", 0, report)
 
 

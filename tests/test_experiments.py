@@ -3,6 +3,7 @@ import csv
 import numpy as np
 
 from diffctr import experiments as ex
+from diffctr.losses import PretrainLossConfig
 from diffctr.metrics import MetricReport
 from diffctr.model import TRANSFER_MODES
 from diffctr.schedule import NoiseSchedule
@@ -10,7 +11,7 @@ from diffctr.train import RunReport
 
 
 def fake_report(auc):
-    rep = RunReport(stage="finetune", seed=0, config={})
+    rep = RunReport()
     rep.test = MetricReport(split="test", n=10, auc=auc, logloss=0.5)
     return rep
 
@@ -88,12 +89,12 @@ def test_report_files_written(tmp_path, micro_env):
 
 
 def record_two_stage_runs(monkeypatch):
-    """Replace two_stage_run by a recorder of (seed, run_patch, schedule); no training."""
+    """Replace two_stage_run by a recorder of (seed, run_patch, schedule, loss_cfg); no training."""
     calls = []
 
     def fake(env, seed, run_patch=None, schedule=None, out_dir=None):
-        calls.append((seed, run_patch, schedule))
-        return None, RunReport(stage="finetune", seed=seed, config={})
+        calls.append((seed, run_patch, schedule, env.loss_cfg))
+        return None, RunReport()
 
     monkeypatch.setattr(ex, "two_stage_run", fake)
     return calls
@@ -104,11 +105,13 @@ def test_ablation_suite_variants(monkeypatch, micro_env):
     ex.ablation_suite(micro_env, seeds=[0, 1])
     s = micro_env.schedule
     shared = NoiseSchedule(curves=s.curves, horizon=s.horizon, kind=s.kind, shared=True)
-    assert not s.shared
+    assert not s.shared and micro_env.loss_cfg == PretrainLossConfig()
     expected = []
-    for run_patch, schedule in [(None, None), ({"label_mode": "drop"}, None),
-                                ({"no_diff": True}, None), (None, shared)]:
-        expected += [(0, run_patch, schedule), (1, run_patch, schedule)]
+    for schedule, loss_cfg in [(None, PretrainLossConfig()),
+                               (None, PretrainLossConfig(label_mode="drop")),
+                               (None, PretrainLossConfig(no_diff=True)),
+                               (shared, PretrainLossConfig())]:
+        expected += [(0, None, schedule, loss_cfg), (1, None, schedule, loss_cfg)]
     assert calls == expected
 
 
@@ -116,10 +119,11 @@ def test_sweep_suite_variants(monkeypatch, micro_env):
     calls = record_two_stage_runs(monkeypatch)
     report = ex.sweep_suite(micro_env, seeds=[3], horizons=(10, 1000), epoch_counts=(1, 4))
     s = micro_env.schedule
+    loss_cfg = micro_env.loss_cfg
     assert calls == [
-        (3, None, NoiseSchedule(curves=s.curves, horizon=10, kind=s.kind, shared=s.shared)),
-        (3, None, NoiseSchedule(curves=s.curves, horizon=1000, kind=s.kind, shared=s.shared)),
-        (3, {"pretrain_epochs": 1}, None),
-        (3, {"pretrain_epochs": 4}, None),
+        (3, None, NoiseSchedule(curves=s.curves, horizon=10, kind=s.kind, shared=s.shared), loss_cfg),
+        (3, None, NoiseSchedule(curves=s.curves, horizon=1000, kind=s.kind, shared=s.shared), loss_cfg),
+        (3, {"pretrain_epochs": 1}, None, loss_cfg),
+        (3, {"pretrain_epochs": 4}, None, loss_cfg),
     ]
     assert not report.failures

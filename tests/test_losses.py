@@ -58,7 +58,7 @@ def straight_line_loss(model, corrupted, cfg):
             exps = [np.exp(v) for v in logits]
             ce = -np.log(exps[cands.index(pos_tok)] / sum(exps))
             w = 1.0
-            if cfg.weight_by_mask_prob:
+            if cfg.weight_by_mask_prob and not cfg.no_diff:
                 w = 1.0 / max(corrupted.mask_probs[i, k], cfg.mask_prob_floor)
             total += w * ce
     return total / B
@@ -70,11 +70,11 @@ def test_pretrain_loss_matches_straight_line_oracle(trial):
     rng = stream(20, "oracle", trial)
     tokens = make_tokens(model, rng, 6)
     schedule = build_schedule(2, lo=0.1, hi=0.9, horizon=50)
-    cfg = ls.PretrainLossConfig()
     corrupted = fc.corrupt_batch(tokens, schedule, stream(21, "c", trial), model.mask_ids)
-    loss, _ = ls.masked_field_losses(model, corrupted, cfg)
-    oracle = straight_line_loss(model, corrupted, cfg)
-    assert abs(loss.item() - oracle) < 1e-9
+    for cfg in (ls.PretrainLossConfig(), ls.PretrainLossConfig(no_diff=True)):
+        loss, _ = ls.masked_field_losses(model, corrupted, cfg)
+        oracle = straight_line_loss(model, corrupted, cfg)
+        assert abs(loss.item() - oracle) < 1e-9
 
 
 def test_weighting_factor_two_at_half_probability():
@@ -88,6 +88,8 @@ def test_weighting_factor_two_at_half_probability():
     on, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=True))
     off, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False))
     assert abs(on.item() - 2.0 * off.item()) < 1e-12
+    uniform, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(no_diff=True))
+    assert uniform.item() == off.item()  # the fixed-rate ablation weighs every term alike
 
 
 def test_duplicate_positive_collapses_candidates():
@@ -176,7 +178,7 @@ def full_vocab_field_losses(model, corrupted, cfg):
     weights = np.where(
         corrupted.masked & eligible[None, :],
         1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor)
-        if cfg.weight_by_mask_prob
+        if cfg.weight_by_mask_prob and not cfg.no_diff
         else 1.0,
         0.0,
     )

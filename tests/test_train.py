@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,10 +86,39 @@ def test_divergence_keeps_last_good_epoch(monkeypatch):
             raise NumericError("op 'exp' produced non-finite values")
         return real(*args, **kwargs)
 
+    epoch0, _ = tr.pretrain(model.clone(), train, schedule, tiny_run_cfg(pretrain_epochs=1, seed=8))
     monkeypatch.setattr(tr, "pretrain_loss", flaky)
     out, report = tr.pretrain(model, train, schedule, tiny_run_cfg(pretrain_epochs=3, seed=8))
     assert report.diverged
     assert len(report.epochs) == 1  # only the completed epoch is logged
+    for n in epoch0.params.names():
+        np.testing.assert_array_equal(out.params.get_data(n), epoch0.params.get_data(n))
+
+
+def test_finetune_divergence_keeps_best_validation_snapshot(monkeypatch):
+    train, val, test = tiny_env(samples=600)
+    model = tiny_model(train, seed=11)
+    run = tiny_run_cfg(finetune_epochs=3, seed=12, patience=10)
+    best, best_report = tr.finetune(model.clone(), train, val, test, replace(run, finetune_epochs=1))
+    assert not np.array_equal(best.params.get_data("embed/field_pos"),
+                              model.params.get_data("embed/field_pos"))  # epoch 0 won
+    real = tr.sft_loss
+    state = {"calls": 0}
+    steps_per_epoch = (len(train.samples) + 63) // 64
+
+    def flaky(*args, **kwargs):
+        state["calls"] += 1
+        if state["calls"] > steps_per_epoch + 1:  # partway through epoch 1
+            raise NumericError("op 'exp' produced non-finite values")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "sft_loss", flaky)
+    out, report = tr.finetune(model, train, val, test, run)
+    assert report.diverged
+    assert len(report.epochs) == 1
+    for n in best.params.names():
+        np.testing.assert_array_equal(out.params.get_data(n), best.params.get_data(n))
+    assert report.test == best_report.test == tr.evaluate(out, test, "test")
 
 
 def test_finetune_zero_epochs_is_identity_and_evaluates():
@@ -121,8 +152,8 @@ def test_drop_mode_pretrain_leaves_label_head_at_init(tied, no_diff):
     head = model.target_table_data(lbl).copy()
     schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
     for label_mode, untouched in (("drop", True), ("diffuse", False)):
-        run = tiny_run_cfg(seed=13, label_mode=label_mode, no_diff=no_diff)
-        out, report = tr.pretrain(model.clone(), train, schedule, run)
+        loss_cfg = ls.PretrainLossConfig(label_mode=label_mode, no_diff=no_diff)
+        out, report = tr.pretrain(model.clone(), train, schedule, tiny_run_cfg(seed=13), loss_cfg)
         assert report.epochs and not report.diverged
         assert np.array_equal(out.target_table_data(lbl), head) == untouched, label_mode
 
