@@ -150,7 +150,24 @@ def smul(a: Tensor, c: float) -> Tensor:
     return Tensor(a.data * c, op="smul", parents=(a,), vjps=(lambda g: g * c,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_widths(op: str, widths, rows: int, size: int) -> np.ndarray:
+    """widths as int64, one per leading row, each in [1, size]."""
+    widths = np.asarray(widths, dtype=np.int64)
+    if widths.shape != (rows,) or widths.min() < 1 or widths.max() > size:
+        raise ShapeError(f"{op}: widths {widths.tolist()} must be {rows} values in [1, {size}]")
+    return widths
+
+
+def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
+    """a @ b. widths, for rank-3 a (K, m, n) and b (K, n, N), limits product k
+    to the first widths[k] columns of b and leaves the rest of its output zero.
+
+    Each product runs as its own GEMM at its own width, in the forward and
+    in both adjoints: BLAS rounds a narrow product differently from the
+    same columns inside a wider one, so zero padding would not be exact.
+    """
+    if widths is not None:
+        return _matmul_widths(a, b, widths)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(
             f"matmul: operands must have rank >= 2, got {a.data.shape} and {b.data.shape}"
@@ -190,6 +207,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
         ),
     )
+
+
+def _matmul_widths(a: Tensor, b: Tensor, widths) -> Tensor:
+    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[0] != b.data.shape[0] \
+            or a.data.shape[2] != b.data.shape[1]:
+        raise ShapeError(
+            f"matmul: widths need (K, m, n) @ (K, n, N), got {a.data.shape} @ {b.data.shape}"
+        )
+    widths = _check_widths("matmul", widths, b.data.shape[0], b.data.shape[2])
+    out = np.zeros(a.data.shape[:2] + b.data.shape[2:])
+    for k, w in enumerate(widths):
+        out[k, :, :w] = a.data[k] @ b.data[k, :, :w]
+
+    def vjp_a(g):
+        ga = np.empty_like(a.data)
+        for k, w in enumerate(widths):
+            ga[k] = g[k, :, :w] @ b.data[k, :, :w].T
+        return ga
+
+    def vjp_b(g):
+        gb = np.zeros(b.data.shape)
+        for k, w in enumerate(widths):
+            gb[k, :, :w] = a.data[k].T @ g[k, :, :w]
+        return gb
+
+    return Tensor(out, op="matmul", parents=(a, b), vjps=(vjp_a, vjp_b))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -254,6 +297,24 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     )
 
 
+def tsum_rows(a: Tensor) -> Tensor:
+    """Scalar sum of a rank-2 tensor: each row summed on its own, then the
+    row sums added first to last.
+
+    The fixed grouping equals a running total of per-row sums bit for bit,
+    which a plain sum over every entry does not.
+    """
+    if a.data.ndim != 2 or a.data.shape[0] == 0:
+        raise ShapeError(f"tsum_rows: non-empty rank 2 required, got {a.data.shape}")
+    rows = np.ascontiguousarray(a.data).sum(axis=1)
+    return Tensor(
+        np.add.accumulate(rows)[-1],  # accumulate adds strictly left to right
+        op="sum",
+        parents=(a,),
+        vjps=(lambda g: np.broadcast_to(g, a.data.shape),),
+    )
+
+
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
     return Tensor(
@@ -281,19 +342,33 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     return Tensor(table.data[idx], op="gather_rows", parents=(table,), vjps=(vjp,))
 
 
-def take_position(x: Tensor, pos: int) -> Tensor:
-    """Select x[:, pos, :] from a rank-3 tensor."""
+def take_position(x: Tensor, pos) -> Tensor:
+    """Select x[:, pos, :] from a rank-3 (B, P, d) tensor.
+
+    pos is one position, giving (B, d), or a sequence of K distinct
+    positions, giving (K, B, d) with one leading row per position.
+    """
     if x.data.ndim != 3:
         raise ShapeError(f"take_position: rank 3 required, got {x.data.shape}")
-    if not 0 <= pos < x.data.shape[1]:
-        raise ShapeError(f"take_position: position {pos} out of range for {x.data.shape}")
+    P = x.data.shape[1]
+    if np.ndim(pos) == 0:
+        if not 0 <= pos < P:
+            raise ShapeError(f"take_position: position {pos} out of range for {x.data.shape}")
+        idx, out, scatter = pos, x.data[:, pos, :], lambda g: g
+    else:
+        idx = np.asarray(pos, dtype=np.int64)
+        if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= P \
+                or np.unique(idx).size != idx.size:
+            raise ShapeError(f"take_position: positions {idx.tolist()} must be distinct "
+                             f"and in range for {x.data.shape}")
+        out, scatter = x.data.transpose(1, 0, 2)[idx], lambda g: g.transpose(1, 0, 2)
 
     def vjp(g):
         acc = np.zeros_like(x.data)
-        acc[:, pos, :] = g
+        acc[:, idx, :] = scatter(g)
         return acc
 
-    return Tensor(x.data[:, pos, :], op="take_position", parents=(x,), vjps=(vjp,))
+    return Tensor(out, op="take_position", parents=(x,), vjps=(vjp,))
 
 
 def stack(parts: list[Tensor], axis: int = 1) -> Tensor:
@@ -321,10 +396,31 @@ def l2_normalize(x: Tensor) -> Tensor:
     return Tensor(y, op="l2_normalize", parents=(x,), vjps=(vjp,))
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    m = np.max(x.data, axis=axis, keepdims=True)
-    z = np.exp(x.data - m)
-    s = z.sum(axis=axis, keepdims=True)
+def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False, widths=None) -> Tensor:
+    """log(sum(exp(x))) along axis.
+
+    widths, for a rank-3 x reduced over its last axis, limits row k to
+    its first widths[k] entries; the rest take no part and get zero
+    gradient. Each row is summed over exactly its own width, because
+    numpy's pairwise summation order depends on the length.
+    """
+    if widths is None:
+        m = np.max(x.data, axis=axis, keepdims=True)
+        z = np.exp(x.data - m)
+        s = z.sum(axis=axis, keepdims=True)
+    else:
+        if x.data.ndim != 3 or axis not in (-1, 2):
+            raise ShapeError(
+                f"logsumexp: widths need rank 3 over the last axis, got {x.data.shape}"
+            )
+        widths = _check_widths("logsumexp", widths, x.data.shape[0], x.data.shape[2])
+        live = np.arange(x.data.shape[2]) < widths[:, None, None]
+        xm = np.where(live, x.data, -np.inf)
+        m = np.max(xm, axis=-1, keepdims=True)
+        z = np.exp(xm - m)
+        s = np.empty_like(m)
+        for k, w in enumerate(widths):
+            s[k] = z[k, :, :w].sum(axis=-1, keepdims=True)
     out = m + np.log(s)
     if not keepdims:
         out = np.squeeze(out, axis=axis)

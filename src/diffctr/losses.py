@@ -6,7 +6,10 @@ ground-truth tokens other batch instances carry in that field (cosine
 logits, softmax over the sampled candidate set), and each term is
 importance-weighted by the reciprocal of its mask probability. Logits
 cover only the U <= B distinct batch tokens of a field, never the whole
-vocabulary. The label field always uses its exhaustive two-way softmax. The fine-tune
+vocabulary. The label field always uses its exhaustive two-way softmax.
+All K loss-bearing fields run as one batched computation over
+(K, B, U_max) arrays, bit-identical to scoring each field alone (see
+masked_field_losses for the three rules that make it so). The fine-tune
 loss is the plain click logloss through the label-masked CTR head; for
 label-only masking the two coincide term by term, which
 verify_label_equivalence checks numerically.
@@ -21,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corruption import LABEL_MODES, CorruptedBatch, corrupt_batch, loss_positions
-from .errors import DataError
+from .errors import DataError, ShapeError
 from .model import Model, field_logits, full_vocab_logits, encode, label_logit_diff
 from .schedule import NoiseSchedule
 
@@ -69,10 +72,38 @@ def _candidate_mask(clean_col: np.ndarray, max_negatives: int) -> tuple[np.ndarr
     return columns, pos, mask
 
 
+def _field_candidates(
+    model: Model, k: int, clean: np.ndarray, max_negatives: int
+) -> tuple[np.ndarray, ...]:
+    """_candidate_mask's (columns, pos, mask) for field k; the label takes both classes.
+
+    Checks every clean token against the field's vocabulary: under tied
+    embeddings the target table has a mask row, which would otherwise let
+    the mask id through as a candidate.
+    """
+    f = model.schema[k]
+    if clean.min() < 0 or clean.max() >= f.vocab_size:
+        raise ShapeError(f"masked_field_losses: candidate out of range for field '{f.name}'")
+    if k == model.label_position:  # exhaustive two-way softmax
+        return np.arange(f.vocab_size), clean, np.ones((len(clean), f.vocab_size), dtype=bool)
+    return _candidate_mask(clean, max_negatives)
+
+
+# an overflow surfaces as the op's NumericError, not a RuntimeWarning first
+@np.errstate(over="ignore", invalid="ignore")
 def masked_field_losses(
     model: Model, corrupted: CorruptedBatch, cfg: PretrainLossConfig
 ) -> tuple[Tensor, np.ndarray]:
-    """Scalar pretraining loss and the detached (B, P) per-term matrix."""
+    """Scalar pretraining loss and the detached (B, P) per-term matrix.
+
+    The K loss-bearing fields share one tape of (K, B, U_max) arrays:
+    field k's U_k candidate columns come first and the padding is gated
+    by LOG_ZERO, takes no part in any sum and gets zero gradient. Three
+    rules keep the result bit-identical to scoring each field alone:
+    each field's cosine GEMM runs at its own width U_k, each logsumexp
+    row sums exactly its U_k columns, and the total sums each field over
+    B before adding the fields first to last.
+    """
     cfg.validate()
     B, P = corrupted.tokens.shape
     if B < 2:
@@ -86,29 +117,33 @@ def masked_field_losses(
         else 1.0,
         0.0,
     )
+    fields = np.flatnonzero(weights.any(axis=0))
+    if not fields.size:
+        raise DataError("masked_field_losses: no masked field earns a loss term")
 
-    total = None
+    sets = [_field_candidates(model, k, corrupted.clean_tokens[:, k], cfg.max_negatives)
+            for k in fields]
+    widths = np.array([len(columns) for columns, _, _ in sets])
+    U = int(widths.max())
+    gate = np.full((len(fields), B, U), ad.LOG_ZERO)
+    onehot = np.zeros((len(fields), B, U))
+    rows = []
+    for i, (k, (columns, pos, mask)) in enumerate(zip(fields, sets)):
+        gate[i, :, : len(columns)][mask] = 0.0
+        onehot[i, np.arange(B), pos] = 1.0
+        padded = np.concatenate([columns, np.full(U - len(columns), columns[0])])
+        rows.append(ad.gather_rows(model.target_table(k), padded))
+
+    ctx = ad.l2_normalize(ad.take_position(ctx_all, fields))  # (K, B, d)
+    targets = ad.transpose(ad.l2_normalize(ad.stack(rows, axis=0)))  # (K, d, U)
+    cosine = ad.clip_unit(ad.matmul(ctx, targets, widths=widths))
+    logits = ad.smul(cosine, 1.0 / model.cfg.temperature)
+    denom = ad.logsumexp(ad.add(logits, ad.const(gate)), widths=widths)
+    positive = ad.tsum(ad.mul(logits, ad.const(onehot)), axis=-1)
+    weighted = ad.mul(ad.sub(denom, positive), ad.const(weights[:, fields].T))  # (K, B)
     terms = np.zeros((B, P))
-    for k in range(P):
-        if not weights[:, k].any():
-            continue
-        clean = corrupted.clean_tokens[:, k]
-        if k == model.label_position:  # exhaustive two-way softmax
-            columns, pos = np.arange(model.schema[k].vocab_size), clean
-            mask = np.ones((B, len(columns)), dtype=bool)
-        else:
-            columns, pos, mask = _candidate_mask(clean, cfg.max_negatives)
-        logits = field_logits(model, k, ad.take_position(ctx_all, k), columns)
-        gate = np.where(mask, 0.0, ad.LOG_ZERO)
-        denom = ad.logsumexp(ad.add(logits, ad.const(gate)), axis=1)
-        onehot = np.zeros((B, len(columns)))
-        onehot[np.arange(B), pos] = 1.0
-        positive = ad.tsum(ad.mul(logits, ad.const(onehot)), axis=1)
-        ce = ad.sub(denom, positive)
-        terms[:, k] = ce.data * weights[:, k]
-        contrib = ad.tsum(ad.mul(ce, ad.const(weights[:, k])))
-        total = contrib if total is None else ad.add(total, contrib)
-    return ad.smul(total, 1.0 / B), terms
+    terms[:, fields] = weighted.data.T
+    return ad.smul(ad.tsum_rows(weighted), 1.0 / B), terms
 
 
 def pretrain_loss(

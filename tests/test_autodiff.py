@@ -76,7 +76,12 @@ def test_three_layer_composite_matches_central_differences():
         ("mean_axis", lambda p: ad.tmean(p["a"], axis=0)),
         ("gather", lambda p: ad.gather_rows(p["table"], np.array([0, 2, 2, 1]))),
         ("take_position", lambda p: ad.take_position(p["x3"], 1)),
+        ("take_positions", lambda p: ad.take_position(p["x3"], [2, 0])),
         ("stack", lambda p: ad.stack([p["a"], p["a2"]], axis=1)),
+        ("stack_axis0", lambda p: ad.stack([p["a"], p["a2"]], axis=0)),
+        ("matmul_widths", lambda p: ad.matmul(p["x3"], ad.transpose(p["y3"]), widths=[5, 2])),
+        ("logsumexp_widths", lambda p: ad.logsumexp(p["y3"], widths=[3, 1])),
+        ("tsum_rows", lambda p: ad.tsum_rows(p["a"])),
         ("l2_normalize", lambda p: ad.l2_normalize(p["a"])),
         ("logsumexp", lambda p: ad.logsumexp(p["a"], axis=1)),
         ("cosine_matrix", lambda p: ad.cosine_matrix(p["a"], p["b2"])),
@@ -95,6 +100,7 @@ def test_each_op_matches_finite_differences(name, builder):
             "row_b": rng.normal(size=(4,)),
             "table": rng.normal(size=(3, 4)),
             "x3": rng.normal(size=(2, 3, 4)),
+            "y3": rng.normal(size=(2, 5, 4)),
         }
     )
 
@@ -121,6 +127,49 @@ def test_logsumexp_ignores_log_zero_entries():
     got = ad.logsumexp(ad.const(x), axis=1).data
     expected = np.log(np.exp(1.0) + np.exp(2.0))
     np.testing.assert_allclose(got, [expected], atol=1e-12)
+
+
+def test_widths_match_the_unpadded_ops_bit_for_bit():
+    rng = stream(12, "widths")
+    a = ad.const(rng.normal(size=(3, 16, 32)))
+    b = ad.const(rng.normal(size=(3, 250, 32)))
+    x = ad.const(rng.normal(size=(3, 16, 250)))
+    widths = [250, 37, 2]
+    product = ad.matmul(a, ad.transpose(b), widths=widths).data
+    lse = ad.logsumexp(x, widths=widths).data
+    for k, w in enumerate(widths):
+        assert np.array_equal(product[k, :, :w], a.data[k] @ b.data[k, :w].T)
+        assert np.all(product[k, :, w:] == 0.0)
+        assert np.array_equal(lse[k], ad.logsumexp(ad.const(x.data[k, :, :w]), axis=1).data)
+    rows = rng.normal(size=(9, 96))
+    running = rows[0].sum()
+    for row in rows[1:]:
+        running = running + row.sum()
+    assert ad.tsum_rows(ad.const(rows)).item() == running
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x3: ad.take_position(x3, 3),
+        lambda x3: ad.take_position(x3, [0, 3]),
+        lambda x3: ad.take_position(x3, [-1]),
+        lambda x3: ad.take_position(x3, [1, 1]),
+        lambda x3: ad.take_position(x3, []),
+        lambda x3: ad.matmul(x3, ad.transpose(x3), widths=[3, 4]),
+        lambda x3: ad.matmul(x3, ad.transpose(x3), widths=[0, 3]),
+        lambda x3: ad.matmul(x3, ad.transpose(x3), widths=[3]),
+        lambda x3: ad.logsumexp(x3, widths=[5, 1]),
+        lambda x3: ad.logsumexp(x3, widths=[0, 1]),
+        lambda x3: ad.logsumexp(x3, axis=1, widths=[1, 1]),
+        lambda x3: ad.tsum_rows(x3),
+    ],
+    ids=["position", "positions", "negative", "repeated", "empty", "wide", "zero-width",
+         "widths-count", "lse-wide", "lse-zero", "lse-axis", "rows-rank"],
+)
+def test_out_of_range_position_or_width_raises_shape_error(call):
+    with pytest.raises(ShapeError):
+        call(ad.const(np.zeros((2, 3, 4))))
 
 
 def test_cosine_bounds():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,15 @@ from diffctr import corruption as fc
 from diffctr import losses as ls
 from diffctr import model as md
 from diffctr.data import feature_schema
-from diffctr.errors import DataError, NumericError
+from diffctr.errors import DataError, NumericError, ShapeError
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
 from conftest import permuted_model
 
 
-def make_model(blocks=0, d=6, vocabs=(2, 2), seed=0, temperature=0.1):
+def make_model(blocks=0, d=6, vocabs=(2, 2), seed=0, temperature=0.1, tied=False):
     cfg = md.ModelConfig(embed_dim=d, blocks=blocks, heads=2, ffn_width=8,
-                         temperature=temperature)
+                         temperature=temperature, tied_embeddings=tied)
     return md.Model.init(cfg, feature_schema(list(vocabs)), seed)
 
 
@@ -257,6 +259,143 @@ def test_losses_match_full_vocab_formula(V, B, blocks):
                                            atol=PARITY_ATOL, err_msg=name)
 
 
+def per_field_losses(model, corrupted, cfg):
+    """masked_field_losses written as one tape per field, field by field.
+
+    The batched route must equal it bit for bit: same loss, same term
+    matrix, same gradient for every parameter.
+    """
+    B, P = corrupted.tokens.shape
+    ctx_all = md.encode(model, corrupted.tokens)
+    eligible = fc.loss_positions(P, cfg.label_mode)
+    weights = np.where(
+        corrupted.masked & eligible[None, :],
+        1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor)
+        if cfg.weight_by_mask_prob and not cfg.no_diff
+        else 1.0,
+        0.0,
+    )
+    total = None
+    terms = np.zeros((B, P))
+    for k in range(P):
+        if not weights[:, k].any():
+            continue
+        clean = corrupted.clean_tokens[:, k]
+        if k == model.label_position:
+            columns, pos = np.arange(model.schema[k].vocab_size), clean
+            mask = np.ones((B, len(columns)), dtype=bool)
+        else:
+            columns, pos, mask = ls._candidate_mask(clean, cfg.max_negatives)
+        logits = md.field_logits(model, k, ad.take_position(ctx_all, k), columns)
+        gate = np.where(mask, 0.0, ad.LOG_ZERO)
+        denom = ad.logsumexp(ad.add(logits, ad.const(gate)), axis=1)
+        onehot = np.zeros((B, len(columns)))
+        onehot[np.arange(B), pos] = 1.0
+        ce = ad.sub(denom, ad.tsum(ad.mul(logits, ad.const(onehot)), axis=1))
+        terms[:, k] = ce.data * weights[:, k]
+        contrib = ad.tsum(ad.mul(ce, ad.const(weights[:, k])))
+        total = contrib if total is None else ad.add(total, contrib)
+    return ad.smul(total, 1.0 / B), terms
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("B", [8, 96, 256])
+@pytest.mark.parametrize("vocabs", [(3, 50, 2000), (50,) * 8], ids=["mixed", "eight"])
+def test_batched_losses_bit_identical_to_per_field_loop(vocabs, B, tied):
+    model = make_model(blocks=1, d=32, vocabs=vocabs, seed=B + len(vocabs), tied=tied)
+    tokens = skewed_tokens(model, stream(44, "bitwise", B, len(vocabs)), B)
+    distinct = [len(np.unique(tokens[:, k])) for k in range(len(vocabs))]
+    schedule = build_schedule(len(vocabs), lo=0.1, hi=0.9, horizon=50)
+    for label_mode in ("diffuse", "drop", "always-mask"):
+        corrupted = fc.corrupt_batch(tokens, schedule, stream(45, "c", B, tied), model.mask_ids,
+                                     label_mode=label_mode)
+        for max_negatives in (max(min(distinct) // 2, 1), max(distinct) + 5):
+            cfg = ls.PretrainLossConfig(max_negatives=max_negatives, label_mode=label_mode)
+            loss, terms, grads = loss_terms_grads(ls.masked_field_losses, model, corrupted, cfg)
+            ref_loss, ref_terms, ref_grads = loss_terms_grads(per_field_losses, model, corrupted, cfg)
+            assert loss == ref_loss
+            assert np.array_equal(terms, ref_terms)
+            for name in ref_grads:
+                assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def loss_tape(loss):
+    """Every node reachable from loss, each once."""
+    seen, work, nodes = {id(loss)}, [loss], []
+    while work:
+        node = work.pop()
+        nodes.append(node)
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                work.append(p)
+    return nodes
+
+
+@pytest.mark.parametrize("vocabs", [(40, 40), (40,) * 8], ids=["P3", "P9"])
+def test_one_loss_tape_for_every_field(vocabs):
+    B = 32
+    model = make_model(blocks=0, d=8, vocabs=vocabs, seed=len(vocabs))  # no attention softmax
+    tokens = skewed_tokens(model, stream(46, "tape", len(vocabs)), B)
+    corrupted = fc.corrupt_batch(tokens, build_schedule(len(vocabs)), stream(47, "c"),
+                                 model.mask_ids, fixed_probs=np.full(len(vocabs) + 1, 0.5))
+    fields = np.flatnonzero(corrupted.masked.any(axis=0))
+    widths = [2 if k == model.label_position else len(np.unique(tokens[:, k])) for k in fields]
+    U = max(widths)
+    assert min(widths) < U  # some field is padded
+
+    loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
+    ad.backward(loss)
+    nodes = loss_tape(loss)
+    ops = [n.op for n in nodes]
+    assert ops.count("logsumexp") == 1
+    # one target gather per field, and no other loss-side node grows with P
+    targets = {id(model.target_table(k)) for k in range(len(model.schema))}
+    loss_gathers = [n for n in nodes if n.op == "gather_rows" and id(n.parents[0]) in targets
+                    and n.shape[0] == U]
+    assert len(loss_gathers) == len(fields)
+    (stacked,) = [n for n in nodes if n.op == "stack" and n.shape == (len(fields), U, 8)]
+    (logits,) = [n.parents[0] for n in nodes if n.op == "logsumexp"]
+    for i, w in enumerate(widths):
+        assert np.all(stacked.grad[i, w:] == 0.0)
+        assert np.all(logits.grad[i, :, w:] == 0.0)
+        assert np.any(stacked.grad[i, :w] != 0.0)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_candidate_checks_hold_on_the_batched_route(tied):
+    model = make_model(blocks=1, vocabs=(4, 4), seed=16, tied=tied)
+    clean = make_tokens(model, stream(48, "checks"), 6)
+    masked = np.zeros(clean.shape, dtype=bool)
+    masked[:, 0] = True
+    probs = np.full(clean.shape, 0.5)
+
+    def losses(clean, masked):
+        tokens = np.where(masked, model.mask_ids[None, :], clean)
+        corrupted = fc.CorruptedBatch(tokens=tokens, masked=masked, mask_probs=probs,
+                                      clean_tokens=clean)
+        return ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
+
+    losses(clean, masked)
+    # the mask id as a clean token: a row of the tied table, but no candidate
+    bad = clean.copy()
+    bad[2, 0] = model.mask_ids[0]
+    with pytest.raises(ShapeError, match="out of range for field 'f0'"):
+        losses(bad, masked)
+    bad_label = clean.copy()
+    bad_label[2, -1] = 2
+    label_masked = masked.copy()
+    label_masked[:, -1] = True
+    with pytest.raises(ShapeError, match="out of range for field 'label'"):
+        losses(bad_label, label_masked)
+    with pytest.raises(DataError, match="no masked field"):
+        losses(clean, np.zeros_like(masked))
+    with pytest.raises(DataError, match="at least 2"):  # what empties a candidate set
+        tokens = np.where(masked, model.mask_ids[None, :], clean)[:1]
+        ls.masked_field_losses(model, fc.CorruptedBatch(tokens, masked[:1], probs[:1], clean[:1]),
+                               ls.PretrainLossConfig())
+
+
 def test_loss_tape_never_spans_the_vocabulary():
     # a regression to full-vocabulary logits shows up as a V-row gather
     V, B = 20000, 32
@@ -444,6 +583,18 @@ def test_pretrain_loss_deterministic():
     a = ls.pretrain_loss(model, tokens, schedule, stream(35, "c"), ls.PretrainLossConfig())
     b = ls.pretrain_loss(model, tokens, schedule, stream(35, "c"), ls.PretrainLossConfig())
     assert a.item() == b.item()
+
+
+def test_direct_loss_overflow_raises_numeric_error_without_warning():
+    # at 1e-308 the cosine logits reach 1e308, and their terms overflow
+    model = make_model(blocks=0, vocabs=(4, 4), temperature=1e-308)
+    tokens = make_tokens(model, stream(49, "overflow"), 8)
+    corrupted = fc.corrupt_batch(tokens, build_schedule(2), stream(50, "c"), model.mask_ids,
+                                 fixed_probs=np.full(3, 0.9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
 
 
 def overflowing_model():
