@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import _ALLOCATOR, __version__
 from . import autodiff as ad
 from .data import Dataset, batch_iter
 from .errors import DataError, NumericError
@@ -74,7 +74,7 @@ class RunReport:
 
 
 def _build_fingerprint() -> dict:  # perfbench records it with its machine fingerprint
-    return {"package": __version__, "numpy": np.__version__}
+    return {"package": __version__, "numpy": np.__version__, "allocator": _ALLOCATOR}
 
 
 def evaluate(model: Model, dataset: Dataset, split: str, batch: int = 4096) -> MetricReport:
