@@ -53,6 +53,11 @@ def no_grad():
         _no_grad_depth -= 1
 
 
+def recording() -> bool:
+    """Whether ops record a tape: false inside no_grad()."""
+    return not _no_grad_depth
+
+
 class Tensor:
     """One tape node: a float64 array plus how it was computed."""
 
@@ -61,7 +66,7 @@ class Tensor:
     def __init__(self, data, op="leaf", parents=(), vjps=(), tracked=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.op = op
-        if _no_grad_depth:
+        if not recording():
             parents, vjps = (), ()
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
@@ -345,13 +350,18 @@ def gather_rows(table: Tensor, idx) -> Tensor:
 def take_position(x: Tensor, pos) -> Tensor:
     """Select x[:, pos, :] from a rank-3 (B, P, d) tensor.
 
-    pos is one position, giving (B, d), or a sequence of K distinct
-    positions, giving (K, B, d) with one leading row per position.
+    pos is one position, giving (B, d), a slice lo:hi of positions,
+    giving (B, hi - lo, d), or a sequence of K distinct positions,
+    giving (K, B, d) with one leading row per position.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"take_position: rank 3 required, got {x.data.shape}")
     P = x.data.shape[1]
-    if np.ndim(pos) == 0:
+    if isinstance(pos, slice):
+        if pos.step is not None or not 0 <= pos.start < pos.stop <= P:
+            raise ShapeError(f"take_position: {pos} out of range for {x.data.shape}")
+        idx, out, scatter = pos, x.data[:, pos, :], lambda g: g
+    elif np.ndim(pos) == 0:
         if not 0 <= pos < P:
             raise ShapeError(f"take_position: position {pos} out of range for {x.data.shape}")
         idx, out, scatter = pos, x.data[:, pos, :], lambda g: g
@@ -473,7 +483,7 @@ def _topo(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into .grad over the tape."""
-    if _no_grad_depth:
+    if not recording():
         raise RuntimeError("backward: called inside no_grad(), which records no tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")

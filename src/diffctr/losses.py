@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corruption import LABEL_MODES, CorruptedBatch, corrupt_batch, loss_positions
 from .errors import DataError, ShapeError
-from .model import Model, field_logits, full_vocab_logits, encode, label_logit_diff
+from .model import Model, field_logits, encode, label_logit_diff
 from .schedule import NoiseSchedule
 
 
@@ -167,65 +167,6 @@ def pretrain_loss(
     )
     loss, _ = masked_field_losses(model, corrupted, cfg)
     return loss
-
-
-@dataclass
-class ScoreEntropyTerm:
-    field_index: int
-    outer_weight: float  # the leading corruption-rate slope
-    h3: float  # slope * survive / (1 - survive)
-    q_true: float  # full-vocabulary softmax mass on the clean token
-    cross_entropy: float  # -log q_true
-    total: float  # -outer * h3 * log(h3 * q_true), the integrand as written
-
-
-MAX_SCORE_ENTROPY_VOCAB = 64
-
-
-@ad.no_grad()
-def score_entropy_oracle(
-    model: Model,
-    row: np.ndarray,
-    masked_fields: tuple[int, ...],
-    rate_slopes: np.ndarray,
-    cum_rates: np.ndarray,
-) -> list[ScoreEntropyTerm]:
-    """Exact single-point evaluation of the rate-weighted entropy integrand.
-
-    Documentation-only oracle: training uses the mask-probability form.
-    row is one clean (P,) token row. Needs both the instantaneous rate
-    slope and the cumulative rate per field; full-vocabulary softmax
-    keeps it exact.
-    """
-    for f in model.schema:
-        if f.vocab_size > MAX_SCORE_ENTROPY_VOCAB:
-            raise DataError(
-                f"score_entropy_oracle limited to vocab <= {MAX_SCORE_ENTROPY_VOCAB}"
-            )
-    tokens = np.array([row], dtype=np.int64)
-    for k in masked_fields:
-        tokens[0, k] = model.mask_ids[k]
-    ctx_all = encode(model, tokens)
-    out = []
-    for k in masked_fields:
-        slope, rate = float(rate_slopes[k]), float(cum_rates[k])
-        survive = np.exp(-rate)
-        h3 = slope * survive / (1.0 - survive)
-        logits = full_vocab_logits(model, k, ad.take_position(ctx_all, k)).data[0]
-        probs = np.exp(logits - logits.max())
-        probs /= probs.sum()
-        q = float(probs[row[k]])
-        out.append(
-            ScoreEntropyTerm(
-                field_index=k,
-                outer_weight=slope,
-                h3=h3,
-                q_true=q,
-                cross_entropy=-float(np.log(q)),
-                total=-slope * h3 * float(np.log(h3 * q)),
-            )
-        )
-    return out
 
 
 def _click_losses(model: Model, tokens: np.ndarray) -> Tensor:

@@ -126,6 +126,23 @@ def rms_scale(x: Tensor, gain: Tensor, d: int) -> Tensor:
     return ad.mul(ad.smul(ad.l2_normalize(x), float(np.sqrt(d))), gain)
 
 
+def _distinct_pairs(model: Model, tokens: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Block 0's input rows embed/input[tok] + field_pos[k], once per distinct
+    (field, token) pair in tokens, and the (B, P) index of each entry's pair.
+
+    Pairs are numbered by per-field offsets into the concatenated input
+    tables, so there are at most min(B * P, sum(V_k + 1)) of them.
+    """
+    offsets = np.concatenate([[0], np.cumsum(model.mask_ids + 1)[:-1]])
+    pairs, index = np.unique(tokens + offsets, return_inverse=True)
+    field = np.searchsorted(offsets, pairs, side="right") - 1
+    per_field = np.split(pairs - offsets[field], np.searchsorted(field, np.arange(1, len(offsets))))
+    rows = np.concatenate([model.params[f"embed/input/{f.name}"].data[tok]
+                           for f, tok in zip(model.schema, per_field)])
+    x = ad.add(ad.const(rows), ad.gather_rows(model.params["embed/field_pos"], field))
+    return x, index.reshape(tokens.shape)
+
+
 # an overflow inside the network surfaces as the op's NumericError, not a RuntimeWarning
 @np.errstate(over="ignore", invalid="ignore")
 def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
@@ -135,6 +152,22 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
     position, returns only its (B, d) vectors: the last block still
     attends over every position, then runs its output projection,
     residual, FFN and the final projection on that one row.
+
+    While no tape is recorded (under no_grad) encode computes only what
+    its output needs. Its values equal the taped route's bit for bit
+    wherever BLAS sums a GEMM row alike at every row count, as OpenBLAS
+    does at the default shapes; at some head widths (4 wide at d = 16,
+    B * P above ~10^4) it does not, and values differ by ~1e-15:
+    - block 0's input row, rms_scale and Q/K/V run once per distinct
+      (field, token) pair of the batch, then are gathered to (B, P, .);
+    - when keep is the last position (the label's), the last block
+      projects the query, and runs scores, softmax and mixing, for the
+      last two positions alone. Two rows, not one: numpy sends a one-row
+      matmul to BLAS gemv, which sums in another order than the gemm of
+      the full block. The last two: BLAS may sum the leading rows of a
+      small batched gemm in another order than a two-row block's, while
+      the last row agrees.
+    The taped route runs every row, so its weight gradients sum as before.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     P = model.num_positions
@@ -149,29 +182,43 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
 
     cfg = model.cfg
     d, dh = cfg.embed_dim, cfg.embed_dim // cfg.heads
-    columns = [ad.gather_rows(model.params[f"embed/input/{f.name}"], tokens[:, f.index])
-               for f in model.schema]
-    x = ad.stack(columns, axis=1)  # (B, P, d)
-    x = ad.add(x, ad.gather_rows(model.params["embed/field_pos"], np.arange(P)))
+    pairs = None
+    if ad.recording() or cfg.blocks == 0 or P == 1:
+        columns = [ad.gather_rows(model.params[f"embed/input/{f.name}"], tokens[:, f.index])
+                   for f in model.schema]
+        x = ad.stack(columns, axis=1)  # (B, P, d)
+        x = ad.add(x, ad.gather_rows(model.params["embed/field_pos"], np.arange(P)))
+    else:  # P >= 2 gives at least two pairs, so no projection drops to gemv
+        x, pairs = _distinct_pairs(model, tokens)  # (U, d) and (B, P)
     # one row would run the tail through BLAS gemv, which sums in another
     # order than the gemm of the full route, so a single row keeps every row
     tail_block = cfg.blocks - 1 if keep is not None and len(tokens) > 1 else None
+    every = slice(0, P)
+    query = slice(P - 2, P) if pairs is not None and keep == P - 1 else every
 
     for b in range(cfg.blocks):
         tail = b == tail_block
+        spread = pairs if b == 0 else None  # x holds one row per distinct pair
+        rows = query if tail else every
         h = rms_scale(x, model.params[f"net/b{b}/attn_gain"], d)
+        hq = h if spread is not None or rows == every else ad.take_position(h, rows)
         attn_total = None
         for head in range(cfg.heads):
-            q = ad.matmul(h, model.params[f"net/b{b}/h{head}/wq"])
+            q = ad.matmul(hq, model.params[f"net/b{b}/h{head}/wq"])
             k = ad.matmul(h, model.params[f"net/b{b}/h{head}/wk"])
             v = ad.matmul(h, model.params[f"net/b{b}/h{head}/wv"])
+            if spread is not None:
+                q, k, v = (ad.gather_rows(q, spread[:, rows]), ad.gather_rows(k, spread),
+                           ad.gather_rows(v, spread))
             scores = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))
             mixed = ad.matmul(ad.softmax(scores, axis=-1), v)
             if tail:
-                mixed = ad.take_position(mixed, keep)
+                mixed = ad.take_position(mixed, keep - rows.start)
             out = ad.matmul(mixed, model.params[f"net/b{b}/h{head}/wo"])
             attn_total = out if attn_total is None else ad.add(attn_total, out)
-        if tail:
+        if spread is not None:
+            x = ad.gather_rows(x, spread[:, keep] if tail else spread)
+        elif tail:
             x = ad.take_position(x, keep)
         x = ad.add(x, attn_total)
         g = rms_scale(x, model.params[f"net/b{b}/ffn_gain"], d)

@@ -14,17 +14,12 @@ import pytest
 from diffctr import corruption as fc
 from diffctr import data as dd
 from diffctr import verify as vf
-from diffctr.experiments import Environment, transfer_suite, ablation_suite, headline_suite, two_stage_run
-from diffctr.losses import PretrainLossConfig
 from diffctr.model import Model, ModelConfig
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
 from diffctr.train import RunConfig, pretrain, sample_reverse_batch
 
 SEEDS = [0, 1, 2, 3, 4]
-
-# pinned once from the default config; regenerated bit-identically per run
-PINNED_BAYES_AUC = None  # set below after first computation in the fixture
 
 
 def announce(num, name, passed, detail, started):

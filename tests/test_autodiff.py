@@ -77,6 +77,7 @@ def test_three_layer_composite_matches_central_differences():
         ("gather", lambda p: ad.gather_rows(p["table"], np.array([0, 2, 2, 1]))),
         ("take_position", lambda p: ad.take_position(p["x3"], 1)),
         ("take_positions", lambda p: ad.take_position(p["x3"], [2, 0])),
+        ("take_position_slice", lambda p: ad.take_position(p["x3"], slice(1, 3))),
         ("stack", lambda p: ad.stack([p["a"], p["a2"]], axis=1)),
         ("stack_axis0", lambda p: ad.stack([p["a"], p["a2"]], axis=0)),
         ("matmul_widths", lambda p: ad.matmul(p["x3"], ad.transpose(p["y3"]), widths=[5, 2])),
@@ -156,6 +157,9 @@ def test_widths_match_the_unpadded_ops_bit_for_bit():
         lambda x3: ad.take_position(x3, [-1]),
         lambda x3: ad.take_position(x3, [1, 1]),
         lambda x3: ad.take_position(x3, []),
+        lambda x3: ad.take_position(x3, slice(2, 4)),
+        lambda x3: ad.take_position(x3, slice(1, 1)),
+        lambda x3: ad.take_position(x3, slice(0, 3, 2)),
         lambda x3: ad.matmul(x3, ad.transpose(x3), widths=[3, 4]),
         lambda x3: ad.matmul(x3, ad.transpose(x3), widths=[0, 3]),
         lambda x3: ad.matmul(x3, ad.transpose(x3), widths=[3]),
@@ -164,7 +168,8 @@ def test_widths_match_the_unpadded_ops_bit_for_bit():
         lambda x3: ad.logsumexp(x3, axis=1, widths=[1, 1]),
         lambda x3: ad.tsum_rows(x3),
     ],
-    ids=["position", "positions", "negative", "repeated", "empty", "wide", "zero-width",
+    ids=["position", "positions", "negative", "repeated", "empty", "slice-wide",
+         "slice-empty", "slice-step", "wide", "zero-width",
          "widths-count", "lse-wide", "lse-zero", "lse-axis", "rows-rank"],
 )
 def test_out_of_range_position_or_width_raises_shape_error(call):
@@ -266,7 +271,9 @@ def test_no_grad_nests_and_restores_on_error():
     w = make_store({"w": np.ones((2,))})["w"]
 
     def taped():
-        return bool(ad.smul(w, 2.0).parents)
+        recorded = bool(ad.smul(w, 2.0).parents)
+        assert recorded == ad.recording()
+        return recorded
 
     with ad.no_grad():
         with ad.no_grad():

@@ -448,44 +448,19 @@ def test_unmasked_field_target_table_gets_zero_gradient():
     assert np.any(grads["embed/target/f0"] != 0)
 
 
-class TestScoreEntropyOracle:
-    def test_perfect_prediction_zero_term(self):
-        model = make_model(blocks=0, vocabs=(2, 2), seed=5)
-        # force q(true) = 1 is impossible with cosines, so check the formula at h3=1, q=1
-        term = ls.ScoreEntropyTerm(0, outer_weight=1.0, h3=1.0, q_true=1.0,
-                                   cross_entropy=0.0, total=-1.0 * 1.0 * np.log(1.0))
-        assert term.total == 0.0
-
-    def test_outer_weight_linear_in_slope(self):
-        model = make_model(blocks=0, vocabs=(3, 3), seed=6)
-        row = np.array([1, 2, 0])
-        a = ls.score_entropy_oracle(model, row, (0,), np.array([0.5, 0, 0]), np.array([1.0, 1, 1]))
-        b = ls.score_entropy_oracle(model, row, (0,), np.array([1.0, 0, 0]), np.array([1.0, 1, 1]))
-        assert abs(b[0].outer_weight - 2 * a[0].outer_weight) < 1e-15
-        assert a[0].q_true == b[0].q_true  # cumulative rate unchanged
-
-    def test_cross_entropy_part_matches_pretrain_integrand(self):
-        model = make_model(blocks=0, vocabs=(2, 2), seed=7)
-        # batch of two complementary instances: in-batch candidates = full vocab
-        clean = np.array([(0, 1, 1), (1, 0, 0)])
-        masked = np.array([[True, False, False], [True, False, False]])
-        probs = np.full((2, 3), 0.5)
-        tokens = np.where(masked, model.mask_ids[None, :], clean)
-        corrupted = fc.CorruptedBatch(tokens=tokens, masked=masked, mask_probs=probs, clean_tokens=clean)
-        _, terms = ls.masked_field_losses(
-            model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False)
-        )
-        for i, row in enumerate(clean):
-            oracle = ls.score_entropy_oracle(
-                model, row, (0,), np.array([1.0, 1, 1]), np.array([np.log(2.0), 1, 1])
-            )
-            assert abs(oracle[0].cross_entropy - terms[i, 0]) < 1e-9
-
-    def test_vocab_limit(self):
-        model = make_model(blocks=0, vocabs=(100, 2), seed=8)
-        with pytest.raises(DataError):
-            ls.score_entropy_oracle(model, np.zeros(3, dtype=np.int64), (0,), np.ones(3),
-                                    np.ones(3))
+def test_cross_entropy_equals_loss_term_when_candidates_span_the_vocabulary():
+    """Two complementary rows make field 0's in-batch candidates its whole
+    vocabulary, so each unweighted term is the full-vocabulary cross-entropy."""
+    model = make_model(blocks=2, vocabs=(2, 2), seed=7)
+    clean = np.array([(0, 1, 1), (1, 0, 0)])
+    masked = np.array([[True, False, False], [True, False, False]])
+    tokens = np.where(masked, model.mask_ids[None, :], clean)
+    corrupted = fc.CorruptedBatch(tokens=tokens, masked=masked, mask_probs=np.full((2, 3), 0.5),
+                                  clean_tokens=clean)
+    _, terms = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False))
+    logits = md.full_vocab_logits(model, 0, ad.take_position(md.encode(model, tokens), 0)).data
+    log_q = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(terms[:, 0], -log_q[np.arange(2), clean[:, 0]], rtol=0, atol=1e-9)
 
 
 class TestSftLoss:

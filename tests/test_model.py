@@ -191,6 +191,35 @@ def test_sft_loss_within_bound_of_full_route(blocks, heads, tied):
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
 
 
+def every_pair_tokens(model):
+    """One row per token of the widest field, so every (field, token) pair occurs."""
+    width = max(f.vocab_size + 1 for f in model.schema)
+    return np.stack([np.arange(width) % (f.vocab_size + 1) for f in model.schema], axis=1)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+def test_forward_only_encode_equals_taped(blocks, heads, tied):
+    """Under no_grad, encode runs block 0 on distinct pairs and the last block's
+    query on two rows; every output stays bit-identical to the taped route."""
+    # nine positions and d = 32: there BLAS sums the leading rows of a small
+    # batched gemm in another order than a two-row block, but not the last row
+    model = make_model(blocks=blocks, heads=heads, d=32, vocabs=(4, 3, 5, 6, 2, 7, 3, 5),
+                       tied=tied, seed=blocks + 10 * heads)
+    tokens = random_tokens(model, stream(29, blocks, heads), n=4096)  # mask ids in every column
+    same = np.repeat(tokens[:1], 7, axis=0)  # one pair per field
+    batches = [tokens[:1], tokens[:2], tokens[:7], same, every_pair_tokens(model)]
+    cases = [(chunk, keep) for chunk in batches for keep in (None, model.label_position)]
+    cases.append((tokens, model.label_position))  # a scoring chunk
+    cases.append((tokens[:7], 0))  # a keep before the last position queries every row
+    for chunk, keep in cases:
+        taped = md.encode(model, chunk, keep=keep).data
+        with ad.no_grad():
+            bare = md.encode(model, chunk, keep=keep).data
+        assert np.array_equal(bare, taped), (len(chunk), keep)
+
+
 def constant_input_model():
     """One block whose FFN sees g = 1 on every row: input embeddings of
     ones, no position offsets and a zero attention output."""
@@ -237,10 +266,21 @@ def test_ctr_score_builds_no_tape(monkeypatch):
     assert created and all(t.parents == () and t.vjps == () for t in created)
     relu_shapes = [t.data.shape for t in created if t.op == "relu"]
     assert relu_shapes == [(9, 4, 16), (9, 16)]  # the last block's FFN sees the label row alone
+    # block 0 projects each distinct (field, token) pair once, the label masked in every row;
+    # the last block queries positions 2 and 3 only
+    pairs = len({(k, t) for row in tokens[:, :-1] for k, t in enumerate(row)}) + 1
+    first = [(pairs, 4)] * 3 + [(9, 4, 4), (9, 4, 4), (9, 4, 8)]
+    last = [(9, 2, 4), (9, 4, 4), (9, 4, 4), (9, 2, 4), (9, 2, 4), (9, 8)]
+    matmuls = [t.data.shape for t in created if t.op == "matmul"]
+    assert pairs < 9 * 4
+    assert matmuls == first * 2 + [(9, 4, 16), (9, 4, 8)] + last * 2 + [(9, 16), (9, 8), (9, 8), (9, 2)]
     created.clear()
     ls.sft_loss(model, tokens)  # training records its tape on the same label-row route
     assert any(t.parents for t in created)
     assert [t.data.shape for t in created if t.op == "relu"] == [(9, 4, 16), (9, 16)]
+    matmuls = [t.data.shape for t in created if t.op == "matmul"]
+    assert matmuls[:3] == matmuls[6:9] == [(9, 4, 4)] * 3  # block 0 keeps all B * P rows
+    assert matmuls[14] == matmuls[20] == (9, 4, 4)  # and the last block every query row
 
 
 def test_grad_check_through_the_kept_row():
