@@ -507,12 +507,12 @@ def backward(loss: Tensor) -> None:
 
 # an overflow surfaces as the op's NumericError, not a RuntimeWarning first
 @np.errstate(over="ignore", invalid="ignore")
-def forward_backward(graph_fn: Callable, params, inputs=None) -> tuple[float, dict[str, np.ndarray]]:
-    """Evaluate graph_fn(params, inputs) and return (loss, grads per parameter).
+def forward_backward(graph_fn: Callable, params) -> tuple[float, dict[str, np.ndarray]]:
+    """Evaluate graph_fn(params) and return (loss, grads per parameter).
 
     Parameters the loss does not depend on get zero gradients.
     """
-    loss = graph_fn(params, inputs)
+    loss = graph_fn(params)
     if not isinstance(loss, Tensor):
         raise ShapeError("forward_backward: graph_fn must return a Tensor")
     if loss.data.shape != ():
@@ -533,7 +533,7 @@ class GradCheckReport:
     passed: bool
 
 
-def grad_check(graph_fn, params, inputs=None, h: float = 1e-5, tol: float = 1e-5) -> list[GradCheckReport]:
+def grad_check(graph_fn, params, h: float = 1e-5, tol: float = 1e-5) -> list[GradCheckReport]:
     """Compare analytic gradients against central finite differences.
 
     Relative error per entry is |a - f| / max(|a|, |f|, 1e-8); each
@@ -541,7 +541,7 @@ def grad_check(graph_fn, params, inputs=None, h: float = 1e-5, tol: float = 1e-5
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"grad_check: h={h} outside [1e-7, 1e-3]")
-    _, grads = forward_backward(graph_fn, params, inputs)
+    _, grads = forward_backward(graph_fn, params)
     reports = []
     for name, tensor in params.items():
         analytic = grads[name]
@@ -551,9 +551,9 @@ def grad_check(graph_fn, params, inputs=None, h: float = 1e-5, tol: float = 1e-5
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + h
-            up = graph_fn(params, inputs).item()
+            up = graph_fn(params).item()
             flat[i] = keep - h
-            down = graph_fn(params, inputs).item()
+            down = graph_fn(params).item()
             flat[i] = keep
             fd = (up - down) / (2.0 * h)
             a = analytic.reshape(-1)[i]

@@ -192,7 +192,7 @@ def cmd_pretrain(args) -> int:
     make_output_dir(args.out)
     model, report = pretrain(model, train, schedule, run_cfg, loss_cfg, out_dir=args.out)
     save_checkpoint(model, os.path.join(args.out, "pretrained.dgct"),
-                    meta={"seed": run_cfg.seed, "epochs": run_cfg.pretrain_epochs})
+                    meta={"seed": run_cfg.seed, "epochs": len(report.epochs)})
     _write_run_rows(os.path.join(args.out, "pretrain_rows.csv"), "pretrain", run_cfg.seed, report)
     write_manifest(args.out)
     for log in report.epochs:

@@ -392,17 +392,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     return Dataset(schema=schema, samples=samples, split="train"), bayes
 
 
-def split_indices(n: int, seed: int, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic hash split: order rows by hash(seed, index), cut exactly."""
-    if abs(sum(fractions) - 1.0) > 1e-12:
-        raise DataError("split fractions must sum to 1")
+def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic 80/10/10 hash split: order rows by hash(seed, index), cut exactly."""
     digests = np.empty(n, dtype=np.uint64)
     for i in range(n):
         h = hashlib.blake2s(f"{seed}:{i}".encode(), digest_size=8).digest()
         digests[i] = int.from_bytes(h, "little")
     order = np.argsort(digests, kind="stable")
-    n_train = round(n * fractions[0])
-    n_val = round(n * fractions[1])
+    n_train = round(n * 0.8)
+    n_val = round(n * 0.1)
     return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
 
 

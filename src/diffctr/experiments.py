@@ -48,11 +48,11 @@ class SuiteReport:
             for metric, value in report.epochs[-1].validation.as_rows():
                 self.rows.append(SuiteRow(config_id, seed, "validation", metric, value))
 
-    def values(self, config_id: str, metric: str = "auc", split: str = "test") -> list[float]:
+    def values(self, config_id: str, metric: str = "auc") -> list[float]:
         return [
             r.value
             for r in self.rows
-            if r.config_id == config_id and r.metric == metric and r.split == split
+            if r.config_id == config_id and r.metric == metric and r.split == "test"
         ]
 
     def config_ids(self) -> list[str]:
@@ -72,13 +72,13 @@ class SuiteReport:
                     out.append((cid, metric, float(np.mean(vals)), float(np.std(vals))))
         return out
 
-    def pvalues(self, baseline: str = BASELINE, metric: str = "auc") -> list[tuple[str, float]]:
-        base = self.values(baseline, metric)
+    def pvalues(self) -> list[tuple[str, float]]:
+        base = self.values(BASELINE)
         out = []
         for cid in self.config_ids():
-            if cid == baseline or not base:
+            if cid == BASELINE or not base:
                 continue
-            other = self.values(cid, metric)
+            other = self.values(cid)
             if other:
                 out.append((cid, mann_whitney_p(base, other)))
         return out
@@ -113,12 +113,10 @@ class Environment:
     loss_cfg: PretrainLossConfig = field(default_factory=PretrainLossConfig)
 
 
-def _pretrained_checkpoint(
-    env: Environment, cfg: RunConfig, schedule: NoiseSchedule, tmp: str, out_dir: str | None = None
-) -> str:
+def _pretrained_checkpoint(env: Environment, cfg: RunConfig, schedule: NoiseSchedule, tmp: str) -> str:
     """Initialise a model for cfg.seed, pretrain it and save it under tmp; returns the path."""
     model = Model.init(env.model_cfg, env.train.schema, cfg.seed)
-    model, _ = pretrain(model, env.train, schedule, cfg, env.loss_cfg, out_dir=out_dir)
+    model, _ = pretrain(model, env.train, schedule, cfg, env.loss_cfg)
     ckpt = os.path.join(tmp, "pretrained.dgct")
     save_checkpoint(model, ckpt, meta={"seed": cfg.seed})
     return ckpt
@@ -129,7 +127,6 @@ def two_stage_run(
     seed: int,
     run_patch: dict | None = None,
     schedule: NoiseSchedule | None = None,
-    out_dir: str | None = None,
 ) -> tuple[Model, RunReport]:
     """Pretrain (unless transfer is none), transfer, fine-tune, evaluate.
 
@@ -143,9 +140,9 @@ def two_stage_run(
         model = Model.init(env.model_cfg, env.train.schema, seed)
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            ckpt = _pretrained_checkpoint(env, cfg, schedule or env.schedule, tmp, out_dir)
+            ckpt = _pretrained_checkpoint(env, cfg, schedule or env.schedule, tmp)
             model = load_checkpoint(ckpt, cfg.transfer, env.model_cfg, env.train.schema, seed)
-    return finetune(model, env.train, env.validation, env.test, cfg, out_dir=out_dir)
+    return finetune(model, env.train, env.validation, env.test, cfg)
 
 
 def transfer_suite(env: Environment, seeds: list[int]) -> SuiteReport:
@@ -219,7 +216,7 @@ SUITES = {
 # ---------------------------------------------------------------------------
 # report files: raw rows, mean/std summary, p-values vs the baseline
 
-def write_report_files(report: SuiteReport, out_dir: str, baseline: str = BASELINE) -> list[str]:
+def write_report_files(report: SuiteReport, out_dir: str) -> list[str]:
     make_output_dir(out_dir)
     files = [
         ("rows.csv", ["config_id", "seed", "split", "metric", "value"],
@@ -227,9 +224,9 @@ def write_report_files(report: SuiteReport, out_dir: str, baseline: str = BASELI
         ("summary.csv", ["config_id", "metric", "mean", "std"],
          [[cid, metric, repr(mean), repr(std)] for cid, metric, mean, std in report.summary()]),
     ]
-    if any(cid != baseline for cid in report.config_ids()):
-        files.append(("pvalues.csv", ["config_id", "metric", "p_value_vs_" + baseline],
-                      [[cid, "auc", repr(p)] for cid, p in report.pvalues(baseline)]))
+    if any(cid != BASELINE for cid in report.config_ids()):
+        files.append(("pvalues.csv", ["config_id", "metric", "p_value_vs_" + BASELINE],
+                      [[cid, "auc", repr(p)] for cid, p in report.pvalues()]))
     if report.failures:
         files.append(("failures.csv", ["config_id", "seed", "error"],
                       [list(f) for f in report.failures]))

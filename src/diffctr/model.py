@@ -157,7 +157,7 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
     its output needs. Its values equal the taped route's bit for bit
     wherever BLAS sums a GEMM row alike at every row count, as OpenBLAS
     does at the default shapes; at some head widths (4 wide at d = 16,
-    B * P above ~10^4) it does not, and values differ by ~1e-15:
+    B * P above ~10^4) it does not, and values differ by up to ~1e-14:
     - block 0's input row, rms_scale and Q/K/V run once per distinct
       (field, token) pair of the batch, then are gathered to (B, P, .);
     - when keep is the last position (the label's), the last block

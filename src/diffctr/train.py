@@ -25,6 +25,7 @@ from .rng import stream
 from .schedule import NoiseSchedule
 
 TRANSFERS = (*TRANSFER_MODES, "none")
+REVERSE_CHUNK = 4096  # rows sample_reverse_batch denoises at once
 
 
 @dataclass
@@ -88,6 +89,30 @@ def evaluate(model: Model, dataset: Dataset, split: str, batch: int = 4096) -> M
     return report_for(scores, dataset, split)
 
 
+def _epochs(model: Model, dataset: Dataset, cfg: RunConfig, report: RunReport, step_loss,
+            epochs: int, batch: int, seed: int, lr: float, min_rows: int = 1):
+    """One Adam step per shuffled batch of at least min_rows rows on step_loss(batch, epoch, step).
+
+    Appends each completed epoch's log to report, then yields it. A
+    non-finite loss ends the loop with report.diverged set.
+    """
+    for epoch in range(epochs):
+        losses = []
+        try:
+            for step, rows in enumerate(batch_iter(dataset, batch, seed, epoch)):
+                if len(rows) < min_rows:
+                    continue
+                loss, grads = ad.forward_backward(lambda _: step_loss(rows, epoch, step), model.params)
+                adam_step(model.params, grads,
+                          lr=lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+                losses.append(loss)
+        except NumericError:
+            report.diverged = True
+            return
+        report.epochs.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses))))
+        yield report.epochs[-1]
+
+
 def pretrain(
     model: Model,
     dataset: Dataset,
@@ -99,8 +124,9 @@ def pretrain(
     """Masked-reconstruction pretraining; saves a checkpoint per epoch.
 
     loss_cfg decides the objective, label mode and fixed-rate ablation
-    included. A non-finite loss aborts the run and returns the last
-    epoch-end parameters.
+    included. Returns the model it was given, trained in place; a
+    non-finite loss aborts the run and returns a copy of the last
+    epoch-end parameters instead.
     """
     cfg.validate()
     loss_cfg = loss_cfg or PretrainLossConfig()
@@ -110,33 +136,18 @@ def pretrain(
         raise DataError(f"pretraining needs at least 2 rows; split '{dataset.split}' has {rows}")
     report = RunReport()
     last_good = model.clone()
-    for epoch in range(cfg.pretrain_epochs):
-        losses = []
-        try:
-            for step, batch in enumerate(batch_iter(dataset, cfg.pretrain_batch, cfg.seed, epoch)):
-                if len(batch) < 2:
-                    continue
-                rng = stream(cfg.seed, "pretrain-corrupt", epoch, step)
 
-                def fn(params, _):
-                    return pretrain_loss(model, batch, schedule, rng, loss_cfg)
+    def step_loss(batch, epoch, step):
+        rng = stream(cfg.seed, "pretrain-corrupt", epoch, step)
+        return pretrain_loss(model, batch, schedule, rng, loss_cfg)
 
-                loss, grads = ad.forward_backward(fn, model.params)
-                adam_step(
-                    model.params, grads,
-                    lr=cfg.pretrain_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps,
-                )
-                losses.append(loss)
-        except NumericError:
-            report.diverged = True
-            model = last_good
-            break
-        report.epochs.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses))))
+    for log in _epochs(model, dataset, cfg, report, step_loss,
+                       cfg.pretrain_epochs, cfg.pretrain_batch, cfg.seed, cfg.pretrain_lr, min_rows=2):
         last_good = model.clone()
         if out_dir is not None:
-            save_checkpoint(model, f"{out_dir}/pretrain_epoch{epoch}.dgct",
-                            meta={"seed": cfg.seed, "epoch": epoch})
-    return model, report
+            save_checkpoint(model, f"{out_dir}/pretrain_epoch{log.epoch}.dgct",
+                            meta={"seed": cfg.seed, "epoch": log.epoch})
+    return (last_good if report.diverged else model), report
 
 
 def finetune(
@@ -151,33 +162,22 @@ def finetune(
 
     The initial parameters count as a candidate, so zero epochs return
     them untouched. Stops early after `patience` epochs without a
-    validation AUC improvement.
+    validation AUC improvement. A validation or test split without both
+    labels is rejected before the first step.
     """
     cfg.validate()
+    for split, data in (("validation", validation), ("test", test)):
+        if data is not None and len(np.unique(data.labels())) < 2:
+            raise DataError(f"{split} split needs at least one positive and one negative label")
     report = RunReport()
     best = model.clone()
     best_auc = evaluate(model, validation, "validation").auc
     since_best = 0
-    for epoch in range(cfg.finetune_epochs):
-        losses = []
-        try:
-            for step, batch in enumerate(batch_iter(train, cfg.finetune_batch, cfg.seed + 1000, epoch)):
-                def fn(params, _):
-                    return sft_loss(model, batch)
-
-                loss, grads = ad.forward_backward(fn, model.params)
-                adam_step(
-                    model.params, grads,
-                    lr=cfg.finetune_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps,
-                )
-                losses.append(loss)
-        except NumericError:
-            report.diverged = True
-            break
-        val = evaluate(model, validation, "validation")
-        report.epochs.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses)), validation=val))
-        if val.auc > best_auc + 1e-12:
-            best, best_auc, since_best = model.clone(), val.auc, 0
+    for log in _epochs(model, train, cfg, report, lambda batch, *_: sft_loss(model, batch),
+                       cfg.finetune_epochs, cfg.finetune_batch, cfg.seed + 1000, cfg.finetune_lr):
+        log.validation = evaluate(model, validation, "validation")
+        if log.validation.auc > best_auc + 1e-12:
+            best, best_auc, since_best = model.clone(), log.validation.auc, 0
         else:
             since_best += 1
             if since_best >= cfg.patience:
@@ -197,7 +197,6 @@ def sample_reverse_batch(
     rng: np.random.Generator,
     n: int,
     conditioning: dict[int, int] | None = None,
-    chunk: int = 4096,
 ) -> np.ndarray:
     """Ancestral denoising diagnostic: (n, P) generated token rows.
 
@@ -214,8 +213,8 @@ def sample_reverse_batch(
     curve = schedule.mask_probs(schedule.horizon * (1.0 - np.arange(steps + 1) / steps))
     now, later = curve[:-1], curve[1:]
     unmask_probs = np.where(now > 0, (now - later) / np.where(now > 0, now, 1.0), 1.0)
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
+    for start in range(0, n, REVERSE_CHUNK):
+        m = min(REVERSE_CHUNK, n - start)
         tokens = np.tile(model.mask_ids, (m, 1))
         for k, tok in conditioning.items():
             tokens[:, k] = tok

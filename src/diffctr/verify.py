@@ -130,11 +130,11 @@ def suite_gradcheck(negative_control: bool = False, seed: int = 2027) -> SuiteRe
     schedule = build_schedule(2, lo=0.1, hi=0.9)
     corrupted = fc.corrupt_batch(tokens, schedule, stream(seed, "corrupt"), model.mask_ids)
 
-    def pretrain_fn(params, _):
+    def pretrain_fn(params):
         loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
         return loss
 
-    def sft_fn(params, _):
+    def sft_fn(params):
         return ls.sft_loss(model, tokens)
 
     worst = 0.0

@@ -43,7 +43,7 @@ def test_finetune_step_at_b2048_reuses_freed_memory(default_model_and_rows):
     batch = tokens[:2048]
 
     def step():
-        _, grads = ad.forward_backward(lambda params, _: sft_loss(model, batch), model.params)
+        _, grads = ad.forward_backward(lambda params: sft_loss(model, batch), model.params)
         adam_step(model.params, grads)
 
     step()

@@ -17,7 +17,7 @@ def make_store(arrays):
 def test_quadratic_gradient():
     store = make_store({"w": np.array([3.0, 4.0]).reshape(1, 2)})
 
-    def fn(p, _):
+    def fn(p):
         w = p["w"]
         return ad.tsum(ad.mul(w, w))
 
@@ -29,7 +29,7 @@ def test_quadratic_gradient():
 def test_unused_parameter_gets_zero_gradient():
     store = make_store({"w": np.ones((2, 2)), "unused": np.ones((3,))})
 
-    def fn(p, _):
+    def fn(p):
         return ad.tsum(p["w"])
 
     _, grads = ad.forward_backward(fn, store)
@@ -50,7 +50,7 @@ def test_three_layer_composite_matches_central_differences():
     # +0.5 shift keeps ReLU inputs away from the kink
     x = ad.const(rng.normal(size=(7, 5)) + 0.5)
 
-    def fn(p, _):
+    def fn(p):
         h1 = ad.relu(ad.add(ad.matmul(x, p["w1"]), p["b1"]))
         h2 = ad.relu(ad.add(ad.matmul(h1, p["w2"]), p["b2"]))
         return ad.tmean(ad.sigmoid(ad.matmul(h2, p["w3"])))
@@ -108,7 +108,7 @@ def test_each_op_matches_finite_differences(name, builder):
     # random projection makes the scalar loss sensitive to every output entry
     weights = stream(8, "weights", name).normal(size=builder(store).data.shape)
 
-    def fn(p, _):
+    def fn(p):
         return ad.tmean(ad.mul(builder(p), ad.const(weights)))
 
     reports = ad.grad_check(fn, store, h=1e-5, tol=1e-5)
@@ -195,7 +195,7 @@ def test_forward_backward_bit_identical():
     def run():
         store = make_store({k: v.copy() for k, v in base.items()})
 
-        def fn(p, _):
+        def fn(p):
             return ad.tmean(ad.relu(ad.add(ad.matmul(ad.const(x), p["w"]), p["b"])))
 
         return ad.forward_backward(fn, store)
@@ -222,7 +222,7 @@ def test_non_finite_names_op():
     # an overflow inside forward_backward names the op, with no RuntimeWarning first
     store = make_store({"w": np.full((2,), 1e200)})
     with pytest.raises(NumericError, match="'mul'"):
-        ad.forward_backward(lambda p, _: ad.tsum(ad.mul(p["w"], p["w"])), store)
+        ad.forward_backward(lambda p: ad.tsum(ad.mul(p["w"], p["w"])), store)
 
 
 def test_gather_rows_range_check():
@@ -234,7 +234,7 @@ def test_gather_rows_range_check():
 def test_adjoint_fault_breaks_grad_check():
     store = make_store({"w": np.array([[1.0, 2.0], [3.0, 4.0]])})
 
-    def fn(p, _):
+    def fn(p):
         return ad.tsum(ad.relu(ad.add(p["w"], ad.const(0.5))))
 
     assert all(r.passed for r in ad.grad_check(fn, store))
@@ -246,7 +246,7 @@ def test_adjoint_fault_breaks_grad_check():
 def test_grad_check_h_range():
     store = make_store({"w": np.ones((1,))})
     with pytest.raises(ValueError):
-        ad.grad_check(lambda p, _: ad.tsum(p["w"]), store, h=1e-2)
+        ad.grad_check(lambda p: ad.tsum(p["w"]), store, h=1e-2)
 
 
 def test_no_grad_records_no_tape_but_keeps_values():
@@ -289,10 +289,10 @@ def test_no_grad_nests_and_restores_on_error():
 def test_backward_refuses_to_run_inside_no_grad():
     store = make_store({"w": np.array([1.0, 2.0])})
 
-    def fn(p, _):
+    def fn(p):
         return ad.tsum(ad.mul(p["w"], p["w"]))
 
-    loss = fn(store, None)
+    loss = fn(store)
     with ad.no_grad():
         with pytest.raises(RuntimeError, match="no_grad"):
             ad.backward(loss)

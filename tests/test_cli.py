@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -285,6 +286,46 @@ def test_overflowing_loss_exits_3_without_runtime_warning(tmp_path, tiny_data):
     )
     assert proc.returncode == 3
     assert proc.stderr == "aborted on non-finite loss; kept the best validation snapshot\n"
+
+
+def test_overflowing_pretrain_exits_3_and_keeps_the_initial_parameters(tmp_path, tiny_data):
+    _, data_dir = tiny_data
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT.replace("[model]", "[model]\ntemperature = 1e-308"))
+    src = os.path.dirname(os.path.dirname(md.__file__))
+    out = tmp_path / "pre"
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffctr.cli", "pretrain", "--config", str(cfg), "--data", data_dir,
+         "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "aborted on non-finite loss; kept last completed epoch\n"
+    header, arrays = md.read_checkpoint(str(out / "pretrained.dgct"))
+    assert header["meta"]["epochs"] == 0  # the first epoch diverged
+    train, _ = load_training_delimited(os.path.join(data_dir, "train.csv"))
+    init = md.Model.init(to_model_config(parse_config(cfg.read_text())), train.schema, 0)
+    assert sorted(arrays) == sorted(init.params.names())
+    for name in init.params.names():
+        np.testing.assert_array_equal(arrays[name], init.params.get_data(name))
+
+
+@pytest.mark.parametrize("split", ["validation", "test"])
+def test_single_label_split_exits_2_before_training(tmp_path, tiny_data, capsys, split):
+    cfg_path, data_dir = tiny_data
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    header, *rows = (data / f"{split}.csv").read_text().splitlines()
+    label = header.split(",").index("label")
+    cells = [row.split(",") for row in rows]
+    for c in cells:
+        c[label] = "1"
+    (data / f"{split}.csv").write_text("\n".join([header] + [",".join(c) for c in cells]) + "\n")
+    capsys.readouterr()
+    code = main(["finetune", "--config", cfg_path, "--data", str(data), "--transfer", "none",
+                 "--out", str(tmp_path / "ft")])
+    one_line_error(capsys, code, f"{split} split needs at least one positive and one negative label")
+    assert not os.path.exists(tmp_path / "ft" / "finetuned.dgct")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

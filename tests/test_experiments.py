@@ -92,7 +92,7 @@ def record_two_stage_runs(monkeypatch):
     """Replace two_stage_run by a recorder of (seed, run_patch, schedule, loss_cfg); no training."""
     calls = []
 
-    def fake(env, seed, run_patch=None, schedule=None, out_dir=None):
+    def fake(env, seed, run_patch=None, schedule=None):
         calls.append((seed, run_patch, schedule, env.loss_cfg))
         return None, RunReport()
 

@@ -228,7 +228,7 @@ PARITY_ATOL = 1e-12
 def loss_terms_grads(loss_fn, model, corrupted, cfg):
     terms = {}
 
-    def fn(params, _):
+    def fn(params):
         loss, terms["value"] = loss_fn(model, corrupted, cfg)
         return loss
 
@@ -439,7 +439,7 @@ def test_unmasked_field_target_table_gets_zero_gradient():
     )
     assert not corrupted.masked[:, 1].any()
 
-    def fn(params, _):
+    def fn(params):
         loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
         return loss
 
@@ -537,14 +537,14 @@ def test_grad_check_through_both_losses():
     schedule = build_schedule(2, lo=0.1, hi=0.9)
     corrupted = fc.corrupt_batch(tokens, schedule, stream(33, "c"), model.mask_ids)
 
-    def pretrain_fn(params, _):
+    def pretrain_fn(params):
         loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
         return loss
 
     reports = ad.grad_check(pretrain_fn, model.params, h=1e-5, tol=1e-5)
     assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports if not r.passed]
 
-    def sft_fn(params, _):
+    def sft_fn(params):
         return ls.sft_loss(model, tokens)
 
     reports = ad.grad_check(sft_fn, model.params, h=1e-5, tol=1e-5)
@@ -590,7 +590,7 @@ def test_overflow_raises_numeric_error_before_any_warning(route):
     tokens = make_tokens(model, stream(40, "overflow"), 8)
     schedule = build_schedule(2, lo=0.5, hi=0.9, label_lo=0.9, label_hi=0.99)
 
-    def fn(params, _):
+    def fn(params):
         if route == "sft":
             return ls.sft_loss(model, tokens)
         return ls.pretrain_loss(model, tokens, schedule, stream(41, "c"), ls.PretrainLossConfig())

@@ -181,11 +181,11 @@ def test_sft_loss_within_bound_of_full_route(blocks, heads, tied):
     tokens = random_tokens(model, stream(25, blocks, heads), n=256, allow_mask=False)
     signs = ad.const(2.0 * tokens[:, -1] - 1.0)
 
-    def full(params, _):
+    def full(params):
         return ad.tmean(ad.softplus(ad.smul(ad.mul(full_route_logit_diff(model, tokens), signs), -1.0)))
 
     want_loss, want = ad.forward_backward(full, model.params)
-    got_loss, got = ad.forward_backward(lambda params, _: ls.sft_loss(model, tokens), model.params)
+    got_loss, got = ad.forward_backward(lambda params: ls.sft_loss(model, tokens), model.params)
     assert got_loss == want_loss
     for name in want:
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
@@ -218,6 +218,21 @@ def test_forward_only_encode_equals_taped(blocks, heads, tied):
         with ad.no_grad():
             bare = md.encode(model, chunk, keep=keep).data
         assert np.array_equal(bare, taped), (len(chunk), keep)
+
+
+def test_forward_only_encode_within_bound_of_taped():
+    """At d = 16 with 4-wide heads and B * P = 18,432, OpenBLAS sums a GEMM row
+    differently at different row counts, so the forward-only route is not
+    bit-identical to the taped one (about 1e-14 apart); it stays within 1e-12."""
+    model = make_model(heads=4, d=16, vocabs=(50,) * 8)
+    tokens = random_tokens(model, stream(1, "t"), n=2048, allow_mask=False)
+    for keep in (None, model.label_position):
+        taped = md.encode(model, tokens, keep=keep).data
+        with ad.no_grad():
+            bare = md.encode(model, tokens, keep=keep).data
+        assert np.abs(bare - taped).max() <= 1e-12, keep
+    taped_scores = ad.sigmoid(full_route_logit_diff(model, tokens)).data
+    assert np.abs(md.ctr_score(model, tokens) - taped_scores).max() <= 1e-12
 
 
 def constant_input_model():
@@ -288,7 +303,7 @@ def test_grad_check_through_the_kept_row():
     tokens = random_tokens(model, stream(24, "t"), n=3)
     weights = ad.const(stream(24, "w").normal(size=(3, 4)))
 
-    def fn(params, _):
+    def fn(params):
         return ad.tsum(ad.mul(md.encode(model, tokens, keep=1), weights))
 
     full = ad.take_position(md.encode(model, tokens), 1).data
@@ -302,7 +317,7 @@ def test_mask_row_receives_gradient_when_masked():
     tokens = random_tokens(model, stream(8, "t"), n=4, allow_mask=False)
     tokens[:, 0] = model.schema[0].vocab_size  # mask field 0 everywhere
 
-    def fn(params, _):
+    def fn(params):
         ctx = ad.take_position(md.encode(model, tokens), 0)
         logits = md.full_vocab_logits(model, 0, ctx)
         return ad.tmean(ad.logsumexp(logits, axis=1))
@@ -317,7 +332,7 @@ def test_grad_check_through_encode_and_logits():
     rng = stream(9, "t")
     tokens = random_tokens(model, rng, n=3)
 
-    def fn(params, _):
+    def fn(params):
         ctx = ad.take_position(md.encode(model, tokens), 1)
         logits = md.full_vocab_logits(model, 1, ctx)
         # cross-entropy head against fixed target tokens
@@ -441,7 +456,7 @@ def test_training_updates_all_parameter_groups():
     tokens[:, 0] = model.schema[0].vocab_size
     before = {n: model.params.get_data(n).copy() for n in model.params.names()}
 
-    def fn(params, _):
+    def fn(params):
         ctx = ad.take_position(md.encode(model, tokens), 0)
         logits = md.full_vocab_logits(model, 0, ctx)
         onehot = np.zeros((8, model.schema[0].vocab_size))

@@ -70,7 +70,7 @@ def test_adam_hundred_steps_bit_identical():
         store.add("w", xavier_init((3, 3), seed=5))
         x = ad.const(xavier_init((4, 3), seed=6) + 0.5)
         for _ in range(100):
-            def fn(p, _):
+            def fn(p):
                 return ad.tmean(ad.relu(ad.matmul(x, p["w"])))
             _, grads = ad.forward_backward(fn, store)
             adam_step(store, grads, lr=1e-3)

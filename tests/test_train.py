@@ -95,6 +95,41 @@ def test_divergence_keeps_last_good_epoch(monkeypatch):
         np.testing.assert_array_equal(out.params.get_data(n), epoch0.params.get_data(n))
 
 
+def test_pretrain_skips_a_final_one_row_batch():
+    train, _, _ = tiny_env()
+    rows = len(train.token_matrix())
+    batch = next(b for b in range(2, rows) if rows % b == 1)
+    model = tiny_model(train, seed=3)
+    schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
+    out, report = tr.pretrain(model, train, schedule, tiny_run_cfg(pretrain_epochs=2, pretrain_batch=batch))
+    assert len(report.epochs) == 2 and not report.diverged
+    for n in out.params.names():
+        assert out.params.adam_state(n).step == 2 * (rows // batch), n
+
+
+def test_pretrain_returns_the_model_it_was_given():
+    train, _, _ = tiny_env()
+    model = tiny_model(train, seed=3)
+    schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
+    out, report = tr.pretrain(model, train, schedule, tiny_run_cfg(pretrain_epochs=2))
+    assert out is model and len(report.epochs) == 2
+
+
+@pytest.mark.parametrize("patience", [1, 2])
+def test_finetune_stops_after_patience_epochs_without_a_gain(monkeypatch, patience):
+    train, val, test = tiny_env()
+    model = tiny_model(train, seed=9)
+    before = {n: model.params.get_data(n).copy() for n in model.params.names()}
+    flat = tr.evaluate(model, val, "validation")
+    monkeypatch.setattr(tr, "evaluate", lambda *args, **kwargs: flat)  # validation AUC never improves
+    out, report = tr.finetune(model, train, val, test,
+                              tiny_run_cfg(finetune_epochs=patience + 2, patience=patience))
+    assert [e.epoch for e in report.epochs] == list(range(patience))
+    assert not report.diverged
+    for n, v in before.items():  # the initial parameters stay the best candidate
+        np.testing.assert_array_equal(out.params.get_data(n), v)
+
+
 def test_finetune_divergence_keeps_best_validation_snapshot(monkeypatch):
     train, val, test = tiny_env(samples=600)
     model = tiny_model(train, seed=11)
