@@ -344,7 +344,7 @@ def gather_rows(table: Tensor, idx) -> Tensor:
         np.add.at(acc, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
         return acc
 
-    return Tensor(table.data[idx], op="gather_rows", parents=(table,), vjps=(vjp,))
+    return Tensor(np.take(table.data, idx, axis=0), op="gather_rows", parents=(table,), vjps=(vjp,))
 
 
 def take_position(x: Tensor, pos) -> Tensor:

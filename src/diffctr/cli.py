@@ -40,7 +40,7 @@ from .data import (
 )
 from .errors import CheckpointError, ConfigError, DataError, DiffCtrError, NumericError, ShapeError
 from .experiments import SUITES as EXPERIMENT_SUITES
-from .experiments import Environment, write_report_files
+from .experiments import Environment, run_suite, write_report_files
 from .model import Model, load_checkpoint, save_checkpoint
 from .train import TRANSFERS, finetune, pretrain
 from .verify import SUITES as VERIFY_SUITES
@@ -265,7 +265,7 @@ def cmd_experiment(args) -> int:
     )
     seeds = list(range(args.seeds))
     make_output_dir(args.out)  # before the suite runs, not after
-    report = EXPERIMENT_SUITES[args.suite](env, seeds)
+    report = run_suite(EXPERIMENT_SUITES[args.suite](env), seeds)
     write_report_files(report, args.out)
     write_manifest(args.out)
     for cid, metric, mean, std in report.summary():

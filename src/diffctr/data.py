@@ -116,8 +116,16 @@ def feature_schema(vocab_sizes: list[int] | tuple[int, ...], names: list[str] | 
 # ---------------------------------------------------------------------------
 # delimited IO
 
-def build_vocabs(path: str) -> dict[str, dict[str, int]]:
-    """Per-field token vocabularies from a training file; id 0 is reserved OOV."""
+def load_delimited(path: str, vocabs: dict[str, dict[str, int]], split: str = "train") -> Dataset:
+    """Load a delimited file using previously built vocabularies.
+
+    Unseen tokens map to the OOV id 0. The label column must hold 0/1.
+    """
+    return _dataset(path, *_read_rows(path), vocabs, split)
+
+
+def load_training_delimited(path: str) -> tuple[Dataset, dict[str, dict[str, int]]]:
+    """Load a training file and the per-field vocabularies built from it; id 0 is reserved OOV."""
     header, rows = _read_rows(path)
     feature_cols = [c for c in header if c not in (LABEL_FIELD, SESSION_COLUMN)]
     vocabs: dict[str, dict[str, int]] = {c: {} for c in feature_cols}
@@ -127,15 +135,11 @@ def build_vocabs(path: str) -> dict[str, dict[str, int]]:
             tok = row[c]
             if tok not in vocab:
                 vocab[tok] = len(vocab) + 1  # first-appearance order, 0 kept for OOV
-    return vocabs
+    return _dataset(path, header, rows, vocabs, "train"), vocabs
 
 
-def load_delimited(path: str, vocabs: dict[str, dict[str, int]], split: str = "train") -> Dataset:
-    """Load a delimited file using previously built vocabularies.
-
-    Unseen tokens map to the OOV id 0. The label column must hold 0/1.
-    """
-    header, rows = _read_rows(path)
+def _dataset(path: str, header: list[str], rows: list[dict[str, str]],
+             vocabs: dict[str, dict[str, int]], split: str) -> Dataset:
     if LABEL_FIELD not in header:
         raise DataError(f"{path}: missing '{LABEL_FIELD}' column")
     feature_cols = [c for c in header if c not in (LABEL_FIELD, SESSION_COLUMN)]
@@ -159,11 +163,6 @@ def load_delimited(path: str, vocabs: dict[str, dict[str, int]], split: str = "t
             raise DataError(f"{path}: line {lineno}: empty {SESSION_COLUMN}")
         samples.append(Sample(tokens=toks, session_id=session))
     return Dataset(schema=schema, samples=samples, split=split)
-
-
-def load_training_delimited(path: str) -> tuple[Dataset, dict[str, dict[str, int]]]:
-    vocabs = build_vocabs(path)
-    return load_delimited(path, vocabs, split="train"), vocabs
 
 
 def make_output_dir(path: str) -> None:

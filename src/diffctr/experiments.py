@@ -1,9 +1,10 @@
 """Named experiment suites over multiple seeds, with consolidated reports.
 
-Each suite builds a dict of named run variants, executes every
-(variant, seed) cell independently (failures are recorded, the suite
-continues), and aggregates mean/std per metric plus two-sided
-Mann-Whitney p-values of every variant against the baseline variant.
+Each suite is a dict of named Environments, one per variant. run_suite
+executes every (variant, seed) cell independently (failures are
+recorded, the suite continues), and the report aggregates mean/std per
+metric plus two-sided Mann-Whitney p-values of every variant against
+the baseline variant.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -41,12 +41,9 @@ class SuiteReport:
     failures: list[tuple[str, int, str]] = field(default_factory=list)
 
     def add_report(self, config_id: str, seed: int, report: RunReport) -> None:
-        if report.test is not None:
-            for metric, value in report.test.as_rows():
-                self.rows.append(SuiteRow(config_id, seed, "test", metric, value))
-        if report.epochs and report.epochs[-1].validation is not None:
-            for metric, value in report.epochs[-1].validation.as_rows():
-                self.rows.append(SuiteRow(config_id, seed, "validation", metric, value))
+        for split, metrics in (("test", report.test), ("validation", report.validation)):
+            if metrics is not None:
+                self.rows.extend(SuiteRow(config_id, seed, split, m, v) for m, v in metrics.as_rows())
 
     def values(self, config_id: str, metric: str = "auc") -> list[float]:
         return [
@@ -56,11 +53,7 @@ class SuiteReport:
         ]
 
     def config_ids(self) -> list[str]:
-        seen: list[str] = []
-        for r in self.rows:
-            if r.config_id not in seen:
-                seen.append(r.config_id)
-        return seen
+        return list(dict.fromkeys(r.config_id for r in self.rows))
 
     def summary(self) -> list[tuple[str, str, float, float]]:
         out = []
@@ -84,22 +77,6 @@ class SuiteReport:
         return out
 
 
-def run_experiment_suite(
-    runners: dict[str, Callable[[int], RunReport]], seeds: list[int]
-) -> SuiteReport:
-    """Execute the cross-product of named runners over the seeds."""
-    if len(seeds) < 1:
-        raise DataError("need at least one seed")
-    report = SuiteReport()
-    for config_id, runner in runners.items():
-        for seed in seeds:
-            try:
-                report.add_report(config_id, seed, runner(seed))
-            except Exception as e:  # run failure must not sink the suite
-                report.failures.append((config_id, seed, f"{type(e).__name__}: {e}"))
-    return report
-
-
 @dataclass
 class Environment:
     """Everything a suite needs to run one variant end to end."""
@@ -113,96 +90,99 @@ class Environment:
     loss_cfg: PretrainLossConfig = field(default_factory=PretrainLossConfig)
 
 
-def _pretrained_checkpoint(env: Environment, cfg: RunConfig, schedule: NoiseSchedule, tmp: str) -> str:
-    """Initialise a model for cfg.seed, pretrain it and save it under tmp; returns the path."""
+def _pretrained_checkpoint(env: Environment, cfg: RunConfig, path: str) -> str:
+    """Initialise a model for cfg.seed, pretrain it and save it at path."""
     model = Model.init(env.model_cfg, env.train.schema, cfg.seed)
-    model, _ = pretrain(model, env.train, schedule, cfg, env.loss_cfg)
-    ckpt = os.path.join(tmp, "pretrained.dgct")
-    save_checkpoint(model, ckpt, meta={"seed": cfg.seed})
-    return ckpt
+    model, _ = pretrain(model, env.train, env.schedule, cfg, env.loss_cfg)
+    save_checkpoint(model, path, meta={"seed": cfg.seed})
+    return path
 
 
-def two_stage_run(
-    env: Environment,
-    seed: int,
-    run_patch: dict | None = None,
-    schedule: NoiseSchedule | None = None,
-) -> tuple[Model, RunReport]:
+def _two_stage(env: Environment, seed: int, tmp: str, pretrained: list) -> tuple[Model, RunReport]:
+    """two_stage_run, sharing pretrainings through pretrained, a list of
+    (key, checkpoint path under tmp or the exception that stopped it).
+
+    The key is all a pretraining reads: the train split, the model,
+    schedule and loss configs and the run config but its transfer mode.
+    """
+    cfg = replace(env.run_cfg, seed=seed)
+    cfg.validate()
+    if cfg.transfer == "none":
+        model = Model.init(env.model_cfg, env.train.schema, seed)
+    else:
+        key = (env.train, env.model_cfg, env.schedule, env.loss_cfg, replace(cfg, transfer="full"))
+        ckpt = next((out for seen, out in pretrained if seen == key), None)
+        if ckpt is None:
+            try:
+                ckpt = _pretrained_checkpoint(env, cfg, os.path.join(tmp, f"{len(pretrained)}.dgct"))
+            except Exception as e:  # kept without its traceback, which holds the model
+                ckpt = e.with_traceback(None)
+            pretrained.append((key, ckpt))
+        if isinstance(ckpt, Exception):
+            raise ckpt
+        model = load_checkpoint(ckpt, cfg.transfer, env.model_cfg, env.train.schema, seed)
+    return finetune(model, env.train, env.validation, env.test, cfg)
+
+
+def two_stage_run(env: Environment, seed: int) -> tuple[Model, RunReport]:
     """Pretrain (unless transfer is none), transfer, fine-tune, evaluate.
 
     Returns the fine-tuned model and its report (test metrics included).
     Transfer goes through the checkpoint file machinery, the same path
     the CLI takes.
     """
-    cfg = replace(env.run_cfg, seed=seed, **(run_patch or {}))
-    cfg.validate()
-    if cfg.transfer == "none":
-        model = Model.init(env.model_cfg, env.train.schema, seed)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            ckpt = _pretrained_checkpoint(env, cfg, schedule or env.schedule, tmp)
-            model = load_checkpoint(ckpt, cfg.transfer, env.model_cfg, env.train.schema, seed)
-    return finetune(model, env.train, env.validation, env.test, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        return _two_stage(env, seed, tmp, [])
 
 
-def transfer_suite(env: Environment, seeds: list[int]) -> SuiteReport:
-    """One pretraining per seed, fine-tuned under each transfer mode."""
-    report = SuiteReport()
-    for seed in seeds:
-        with tempfile.TemporaryDirectory() as tmp:
-            try:
-                ckpt = _pretrained_checkpoint(env, replace(env.run_cfg, seed=seed), env.schedule, tmp)
-            except Exception as e:
-                for mode in TRANSFER_MODES:
-                    report.failures.append((mode, seed, f"{type(e).__name__}: {e}"))
-                continue
-            for mode in TRANSFER_MODES:
+def run_suite(variants: dict[str, Environment], seeds: list[int]) -> SuiteReport:
+    """Run every (variant, seed) cell config by config, each as two_stage_run would.
+
+    A failed cell is recorded and the suite goes on. Variants that
+    differ only in their transfer mode share one pretraining per seed.
+    """
+    if len(seeds) < 1:
+        raise DataError("need at least one seed")
+    report, pretrained = SuiteReport(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        for config_id, env in variants.items():
+            for seed in seeds:
                 try:
-                    started = load_checkpoint(ckpt, mode, env.model_cfg, env.train.schema, seed)
-                    cfg = replace(env.run_cfg, seed=seed, transfer=mode)
-                    _, rep = finetune(started, env.train, env.validation, env.test, cfg)
-                    report.add_report(mode, seed, rep)
-                except Exception as e:
-                    report.failures.append((mode, seed, f"{type(e).__name__}: {e}"))
+                    report.add_report(config_id, seed, _two_stage(env, seed, tmp, pretrained)[1])
+                except Exception as e:  # run failure must not sink the suite
+                    report.failures.append((config_id, seed, f"{type(e).__name__}: {e}"))
     return report
 
 
-def ablation_suite(env: Environment, seeds: list[int]) -> SuiteReport:
+def transfer_suite(env: Environment) -> dict[str, Environment]:
+    """The pretrained model fine-tuned under each transfer mode."""
+    return {mode: replace(env, run_cfg=replace(env.run_cfg, transfer=mode)) for mode in TRANSFER_MODES}
+
+
+def ablation_suite(env: Environment) -> dict[str, Environment]:
     """Rows: full, without the label, without schedule draws, unified schedule."""
-    shared_schedule = replace(env.schedule, shared=True)
-    no_label = replace(env, loss_cfg=replace(env.loss_cfg, label_mode="drop"))
-    no_diff = replace(env, loss_cfg=replace(env.loss_cfg, no_diff=True))
-    variants: dict[str, Callable[[int], RunReport]] = {
-        "full": lambda seed: two_stage_run(env, seed)[1],
-        "w/o Label": lambda seed: two_stage_run(no_label, seed)[1],
-        "w/o Diff": lambda seed: two_stage_run(no_diff, seed)[1],
-        "w/o Fea": lambda seed: two_stage_run(env, seed, schedule=shared_schedule)[1],
+    return {
+        "full": env,
+        "w/o Label": replace(env, loss_cfg=replace(env.loss_cfg, label_mode="drop")),
+        "w/o Diff": replace(env, loss_cfg=replace(env.loss_cfg, no_diff=True)),
+        "w/o Fea": replace(env, schedule=replace(env.schedule, shared=True)),
     }
-    return run_experiment_suite(variants, seeds)
 
 
-def headline_suite(env: Environment, seeds: list[int]) -> SuiteReport:
+def headline_suite(env: Environment) -> dict[str, Environment]:
     """Two-stage training against fine-tuning the same architecture from scratch."""
-    variants: dict[str, Callable[[int], RunReport]] = {
-        "full": lambda seed: two_stage_run(env, seed)[1],
-        "sft-scratch": lambda seed: two_stage_run(env, seed, run_patch={"transfer": "none"})[1],
-    }
-    return run_experiment_suite(variants, seeds)
+    return {"full": env, "sft-scratch": replace(env, run_cfg=replace(env.run_cfg, transfer="none"))}
 
 
-def sweep_suite(env: Environment, seeds: list[int],
-                horizons: tuple[int, ...] = (10, 100, 500, 1000),
-                epoch_counts: tuple[int, ...] = (1, 2, 3, 4, 5)) -> SuiteReport:
+SWEEP_HORIZONS = (10, 100, 500, 1000)
+SWEEP_PRETRAIN_EPOCHS = (1, 2, 3, 4, 5)
+
+
+def sweep_suite(env: Environment) -> dict[str, Environment]:
     """Two one-dimensional sweeps: schedule horizon, then pretrain epochs."""
-    variants: dict[str, Callable[[int], RunReport]] = {}
-    for horizon in horizons:
-        sched = replace(env.schedule, horizon=horizon)
-        variants[f"T={horizon}"] = lambda seed, s=sched: two_stage_run(env, seed, schedule=s)[1]
-    for epochs in epoch_counts:
-        variants[f"epochs={epochs}"] = (
-            lambda seed, e=epochs: two_stage_run(env, seed, run_patch={"pretrain_epochs": e})[1]
-        )
-    return run_experiment_suite(variants, seeds)
+    horizons = {f"T={h}": replace(env, schedule=replace(env.schedule, horizon=h)) for h in SWEEP_HORIZONS}
+    return horizons | {f"epochs={e}": replace(env, run_cfg=replace(env.run_cfg, pretrain_epochs=e))
+                       for e in SWEEP_PRETRAIN_EPOCHS}
 
 
 SUITES = {

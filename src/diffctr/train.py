@@ -70,6 +70,7 @@ class EpochLog:
 @dataclass
 class RunReport:
     epochs: list[EpochLog] = field(default_factory=list)
+    validation: MetricReport | None = None  # of the returned snapshot
     test: MetricReport | None = None
     diverged: bool = False
 
@@ -162,22 +163,22 @@ def finetune(
 
     The initial parameters count as a candidate, so zero epochs return
     them untouched. Stops early after `patience` epochs without a
-    validation AUC improvement. A validation or test split without both
-    labels is rejected before the first step.
+    validation AUC improvement; report.validation holds the returned
+    snapshot's validation metrics. A validation or test split without
+    both labels is rejected before the first step.
     """
     cfg.validate()
     for split, data in (("validation", validation), ("test", test)):
         if data is not None and len(np.unique(data.labels())) < 2:
             raise DataError(f"{split} split needs at least one positive and one negative label")
-    report = RunReport()
+    report = RunReport(validation=evaluate(model, validation, "validation"))
     best = model.clone()
-    best_auc = evaluate(model, validation, "validation").auc
     since_best = 0
     for log in _epochs(model, train, cfg, report, lambda batch, *_: sft_loss(model, batch),
                        cfg.finetune_epochs, cfg.finetune_batch, cfg.seed + 1000, cfg.finetune_lr):
         log.validation = evaluate(model, validation, "validation")
-        if log.validation.auc > best_auc + 1e-12:
-            best, best_auc, since_best = model.clone(), log.validation.auc, 0
+        if log.validation.auc > report.validation.auc + 1e-12:
+            best, report.validation, since_best = model.clone(), log.validation, 0
         else:
             since_best += 1
             if since_best >= cfg.patience:

@@ -28,9 +28,21 @@ def test_load_builds_vocab_with_oov_slot(tmp_path):
 
 def test_bad_label_cites_line(tmp_path):
     path = write(tmp_path, "t.csv", "a,label\nu,1\nv,0\nw,1\nx,0\ny,2\n")
-    vocabs = dd.build_vocabs(path)
+    with pytest.raises(DataError, match="line 6"):
+        dd.load_training_delimited(path)
+    vocabs = {"a": {"u": 1}}
     with pytest.raises(DataError, match="line 6"):
         dd.load_delimited(path, vocabs)
+
+
+def test_training_file_is_read_once(tmp_path, monkeypatch):
+    path = write(tmp_path, "train.csv", "a,b,label\nred,x,1\nblue,y,0\n")
+    reads = []
+    read_rows = dd._read_rows
+    monkeypatch.setattr(dd, "_read_rows", lambda p: reads.append(p) or read_rows(p))
+    ds, vocabs = dd.load_training_delimited(path)
+    assert reads == [path]
+    assert vocabs == {"a": {"red": 1, "blue": 2}, "b": {"x": 1, "y": 2}} and len(ds.samples) == 2
 
 
 def test_unseen_token_maps_to_oov(tmp_path):
@@ -50,7 +62,7 @@ def test_missing_column_and_empty_file(tmp_path):
         dd.load_delimited(bad, vocabs)
     empty = write(tmp_path, "empty.csv", "")
     with pytest.raises(DataError, match="empty"):
-        dd.build_vocabs(empty)
+        dd.load_training_delimited(empty)
 
 
 def test_session_column_round_trip(tmp_path):
