@@ -20,6 +20,7 @@ from .config import (
     DEFAULTS,
     default_config_text,
     load_config,
+    to_data_files,
     to_loss_config,
     to_model_config,
     to_run_config,
@@ -149,7 +150,7 @@ def _write_run_rows(path: str, config_id: str, seed: int, report) -> None:
 
 
 def _load_splits(cfg: Config, data_dir: str) -> tuple[Dataset, Dataset, Dataset]:
-    d = cfg.values["data"]
+    d = to_data_files(cfg)
     train, vocabs = load_training_delimited(os.path.join(data_dir, d["train"]))
     validation = load_delimited(os.path.join(data_dir, d["validation"]), vocabs, split="validation")
     test = load_delimited(os.path.join(data_dir, d["test"]), vocabs, split="test")
@@ -169,9 +170,9 @@ def _synthetic_splits(cfg: Config) -> list[tuple[Dataset, np.ndarray]]:
 
 def cmd_generate_data(args) -> int:
     cfg = _load_conf(args.config)
+    d = to_data_files(cfg)
     splits = _synthetic_splits(cfg)
     make_output_dir(args.out)
-    d = cfg.values["data"]
     scores = []
     for piece, bayes in splits:
         save_delimited(piece, os.path.join(args.out, d[piece.split]))

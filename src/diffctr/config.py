@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import inspect
 import io
+import os
 from dataclasses import asdict
 
 from .data import SyntheticSpec, random_spec
@@ -22,7 +23,6 @@ from .train import RunConfig
 
 # config key -> keyword of the object the section builds, which owns the default
 _LOSS_KEYS = {
-    "lambda_weight": "weight_by_mask_prob",
     "lambda_clip": "mask_prob_floor",
     "max_negatives": "max_negatives",
     "label_mode": "label_mode",
@@ -30,7 +30,6 @@ _LOSS_KEYS = {
     "bert_mask_rate": "bert_mask_rate",
 }
 _SCHEDULE_KEYS = {
-    "kind": "kind",
     "lambda_min": "lo",
     "lambda_max": "hi",
     "label_lambda_min": "label_lo",
@@ -181,6 +180,19 @@ def to_loss_config(cfg: Config) -> PretrainLossConfig:
     out = PretrainLossConfig(**_keywords(cfg.values["loss"], _LOSS_KEYS))
     out.validate()
     return out
+
+
+def to_data_files(cfg: Config) -> dict[str, str]:
+    """Each split's [data] file name; the names must be non-empty and distinct."""
+    files = cfg.values["data"]
+    seen: dict[str, str] = {}
+    for split, name in files.items():
+        if not name:
+            raise ConfigError(f"[data] {split}: empty file name")
+        other = seen.setdefault(os.path.normpath(name), split)
+        if other != split:
+            raise ConfigError(f"[data] {other} and {split} both name {name!r}")
+    return files
 
 
 def to_synthetic_spec(cfg: Config) -> SyntheticSpec:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError, NumericError
 from .schedule import NoiseSchedule
 
-LABEL_MODES = ("diffuse", "always-mask", "never-mask", "drop")
+LABEL_MODES = ("diffuse", "drop")
 
 
 @dataclass
@@ -27,19 +27,6 @@ class CorruptedBatch:
     masked: np.ndarray  # (B, P) bool
     mask_probs: np.ndarray  # (B, P)
     clean_tokens: np.ndarray  # (B, P)
-
-
-def _eligibility(num_fields: int, label_mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """(may_mask, earns_loss) per position; label is the last position."""
-    if label_mode not in LABEL_MODES:
-        raise DataError(f"unknown label_mode '{label_mode}'")
-    may_mask = np.ones(num_fields, dtype=bool)
-    earns_loss = np.ones(num_fields, dtype=bool)
-    if label_mode in ("never-mask", "drop"):
-        # drop: the label enters the input permanently masked but never the loss
-        may_mask[-1] = False
-        earns_loss[-1] = False
-    return may_mask, earns_loss
 
 
 def corrupt_batch(
@@ -69,29 +56,31 @@ def corrupt_batch(
         probs = np.tile(fixed, (B, 1))
     else:
         probs = schedule.sample_mask_prob_matrix(rng, B)
-    may_mask, earns_loss = _eligibility(P, label_mode)
+    eligible = loss_positions(P, label_mode)
 
     draws = rng.random((B, P))  # always drawn in full so streams align across modes
-    masked = (draws < probs) & may_mask
-    if label_mode in ("always-mask", "drop"):
-        masked[:, -1] = True
-
-    lossable = masked & earns_loss
-    candidates = np.flatnonzero(may_mask & earns_loss)
-    for i in np.flatnonzero(~lossable.any(axis=1)):
+    masked = (draws < probs) & eligible
+    candidates = np.flatnonzero(eligible)
+    for i in np.flatnonzero(~masked.any(axis=1)):
         best = probs[i, candidates].max()
         top = candidates[probs[i, candidates] == best]
         pick = top[0] if len(top) == 1 else top[rng.integers(len(top))]
         masked[i, pick] = True
+    if label_mode == "drop":  # the label enters the input permanently masked
+        masked[:, -1] = True
 
     tokens = np.where(masked, mask_ids[None, :], clean)
     return CorruptedBatch(tokens=tokens, masked=masked, mask_probs=probs, clean_tokens=clean)
 
 
 def loss_positions(num_fields: int, label_mode: str) -> np.ndarray:
-    """Bool mask of positions whose masked tokens contribute loss terms."""
-    _, earns_loss = _eligibility(num_fields, label_mode)
-    return earns_loss
+    """Bool mask of the positions a draw may mask, the same positions whose
+    masked tokens contribute loss terms; drop excludes the label (last)."""
+    if label_mode not in LABEL_MODES:
+        raise DataError(f"unknown label_mode '{label_mode}'")
+    eligible = np.ones(num_fields, dtype=bool)
+    eligible[-1] = label_mode == "diffuse"
+    return eligible
 
 
 # ---------------------------------------------------------------------------

@@ -178,13 +178,21 @@ def atomic_write(path: str, mode: str = "w", **open_args):
     """Write to path + ".tmp", then rename it over path.
 
     A failed write removes the temporary file and leaves any previous
-    file at path untouched, so a crash never clobbers a good file.
+    file at path untouched, so a crash never clobbers a good file. A path
+    that cannot be opened or renamed into is a DataError.
     """
     tmp = path + ".tmp"
     try:
-        with open(tmp, mode, **open_args) as fh:
+        try:
+            fh = open(tmp, mode, **open_args)
+        except OSError as e:
+            raise DataError(f"cannot write {path}: {e.strerror}") from None
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            raise DataError(f"cannot write {path}: {e.strerror}") from None
     finally:
         if os.path.exists(tmp):  # only after a failed write
             os.remove(tmp)
@@ -198,11 +206,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]] | None = None) -> None:
-    """Write a dataset back out; with vocabs, ids turn back into their strings."""
-    inverse = None
-    if vocabs is not None:
-        inverse = {c: {i: tok for tok, i in v.items()} for c, v in vocabs.items()}
+def save_delimited(dataset: Dataset, path: str) -> None:
+    """Write a dataset out with its token ids as the cells."""
     feature_names = [f.name for f in dataset.schema[:-1]]
     has_session = any(s.session_id is not None for s in dataset.samples)
     if has_session and dataset.session_ids() is None:  # a blank cell would not load back
@@ -211,13 +216,7 @@ def save_delimited(dataset: Dataset, path: str, vocabs: dict[str, dict[str, int]
 
     def rows():
         for s in dataset.samples:
-            row = []
-            for name, tok in zip(feature_names, s.tokens[:-1]):
-                if inverse is not None:
-                    row.append(inverse[name].get(tok, f"<oov:{tok}>"))
-                else:
-                    row.append(str(tok))
-            row.append(str(s.tokens[-1]))
+            row = [str(tok) for tok in s.tokens]
             if has_session:
                 row.append(s.session_id)
             yield row
@@ -327,6 +326,21 @@ def random_spec(
     recoverable by an embedding model at this scale. cross_density is
     the fraction of field pairs carrying a nonzero table.
     """
+    for name, value, ok, want in (
+        ("fields", num_fields, num_fields >= 1, ">= 1"),
+        ("vocab", vocab, vocab >= 1, ">= 1"),
+        ("clusters", clusters, clusters >= 1, ">= 1"),
+        ("samples", samples, samples >= 1, ">= 1"),
+        ("cross_rank", cross_rank, cross_rank >= 0, ">= 0"),
+        ("main_scale", main_scale, 0 <= main_scale < np.inf, "finite and >= 0"),
+        ("cross_scale", cross_scale, 0 <= cross_scale < np.inf, "finite and >= 0"),
+        ("cross_noise", cross_noise, 0 <= cross_noise < np.inf, "finite and >= 0"),
+        ("concentration", concentration, 0 < concentration < np.inf, "finite and > 0"),
+        ("cross_density", cross_density, 0 <= cross_density <= 1, "in [0, 1]"),
+        ("intercept", intercept, -np.inf < intercept < np.inf, "finite"),
+    ):
+        if not ok:  # NaN fails every comparison
+            raise DataError(f"[synthetic] {name} must be {want}, got {value!r}")
     rng = stream(seed, "synthetic-spec")
     vocab_sizes = tuple([vocab] * num_fields)
     cluster_probs = [rng.dirichlet(np.full(vocab, concentration), size=clusters) for _ in range(num_fields)]

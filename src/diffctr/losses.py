@@ -32,8 +32,7 @@ from .schedule import NoiseSchedule
 @dataclass
 class PretrainLossConfig:
     max_negatives: int = 127  # cap on in-batch negatives per masked field
-    weight_by_mask_prob: bool = True  # 1/p importance weight per masked term
-    mask_prob_floor: float = 0.01  # weight clip keeping 1/p bounded
+    mask_prob_floor: float = 0.01  # clip keeping each term's 1/p importance weight bounded
     label_mode: str = "diffuse"
     no_diff: bool = False  # fixed-rate masking at bert_mask_rate, uniform term weights
     bert_mask_rate: float = 0.15
@@ -77,9 +76,8 @@ def _field_candidates(
 ) -> tuple[np.ndarray, ...]:
     """_candidate_mask's (columns, pos, mask) for field k; the label takes both classes.
 
-    Checks every clean token against the field's vocabulary: under tied
-    embeddings the target table has a mask row, which would otherwise let
-    the mask id through as a candidate.
+    Checks every clean token against the field's vocabulary, so a mask id
+    among the clean tokens fails with the field's name.
     """
     f = model.schema[k]
     if clean.min() < 0 or clean.max() >= f.vocab_size:
@@ -112,9 +110,7 @@ def masked_field_losses(
     eligible = loss_positions(P, cfg.label_mode)
     weights = np.where(
         corrupted.masked & eligible[None, :],
-        1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor)
-        if cfg.weight_by_mask_prob and not cfg.no_diff
-        else 1.0,
+        1.0 if cfg.no_diff else 1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor),
         0.0,
     )
     fields = np.flatnonzero(weights.any(axis=0))

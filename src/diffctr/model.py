@@ -36,7 +36,6 @@ class ModelConfig:
     heads: int = 2
     ffn_width: int = 64
     temperature: float = 0.1
-    tied_embeddings: bool = False
 
     def validate(self) -> None:
         if self.embed_dim < 1 or self.blocks < 0 or self.heads < 1 or self.ffn_width < 1:
@@ -74,8 +73,7 @@ class Model:
         params = ParamStore()
         for f in schema:
             params.add(f"embed/input/{f.name}", xavier_init((f.vocab_size + 1, d), seed, "in", f.name))
-            if not cfg.tied_embeddings:
-                params.add(f"embed/target/{f.name}", xavier_init((f.vocab_size, d), seed, "tg", f.name))
+            params.add(f"embed/target/{f.name}", xavier_init((f.vocab_size, d), seed, "tg", f.name))
         params.add("embed/field_pos", xavier_init((len(schema), d), seed, "pos"))
         for b in range(cfg.blocks):
             params.add(f"net/b{b}/attn_gain", np.ones(d))
@@ -93,21 +91,12 @@ class Model:
             params.add("net/out_proj", xavier_init((d, d), seed, "out"))
         model = cls(cfg, schema, params)
         for f in schema:
-            rows = model.target_table_data(f.index)
-            if np.any(np.linalg.norm(rows, axis=1) == 0.0):
+            if np.any(np.linalg.norm(model.target_table(f.index).data, axis=1) == 0.0):
                 raise DataError(f"field '{f.name}': zero target row after init")
         return model
 
     def target_table(self, field_index: int) -> Tensor:
-        f = self.schema[field_index]
-        if self.cfg.tied_embeddings:
-            return self.params[f"embed/input/{f.name}"]
-        return self.params[f"embed/target/{f.name}"]
-
-    def target_table_data(self, field_index: int) -> np.ndarray:
-        f = self.schema[field_index]
-        data = self.target_table(field_index).data
-        return data[: f.vocab_size]
+        return self.params[f"embed/target/{self.schema[field_index].name}"]
 
     def fingerprint(self) -> dict:
         return {
@@ -398,5 +387,8 @@ def load_checkpoint(
         extra = sorted(set(arrays) - set(model.params.names()))
         raise CheckpointError(f"checkpoint has unexpected parameters {extra}")
     for name in wanted:
+        have, need = arrays[name].shape, model.params.get_data(name).shape
+        if have != need:
+            raise CheckpointError(f"checkpoint parameter '{name}' has shape {have}, model needs {need}")
         model.params.set_data(name, arrays[name])
     return model

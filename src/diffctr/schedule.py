@@ -1,11 +1,11 @@
 """Per-field mask-probability schedules.
 
-Each field k has a mask probability curve m_k(t) on t in [0, T] with
-cumulative corruption rate c_k(t) = -log(1 - m_k(t)), so a field
-survives to time t with probability exp(-c_k(t)). Two curve kinds:
+Each field k has a linear mask probability curve on t in [0, T],
 
-  linear-mask:     m_k(t) = lo + (hi - lo) * t / T
-  geometric-rate:  c_k(t) = c_lo^(1 - t/T) * c_hi^(t/T), needs lo > 0
+  m_k(t) = lo + (hi - lo) * t / T,
+
+with cumulative corruption rate c_k(t) = -log(1 - m_k(t)), so a field
+survives to time t with probability exp(-c_k(t)).
 
 One t is drawn per training instance and shared by every field; with
 per-field (lo, hi) the resulting mask probabilities still differ.
@@ -21,21 +21,17 @@ from .errors import DataError
 
 MAX_MASK_PROB = 1.0 - 1e-4  # keeps 1/m and 1/(1 - exp(-c)) finite
 
-KINDS = ("linear-mask", "geometric-rate")
-
 
 @dataclass(frozen=True)
 class FieldCurve:
     lo: float  # mask probability at t = 0
     hi: float  # mask probability at t = T
 
-    def validate(self, kind: str) -> None:
+    def validate(self) -> None:
         if not 0.0 <= self.lo < self.hi <= MAX_MASK_PROB:
             raise DataError(
                 f"schedule bounds must satisfy 0 <= lo < hi <= {MAX_MASK_PROB}, got ({self.lo}, {self.hi})"
             )
-        if kind == "geometric-rate" and self.lo <= 0.0:
-            raise DataError("geometric-rate schedule requires lo > 0")
 
 
 @dataclass(frozen=True)
@@ -44,18 +40,15 @@ class NoiseSchedule:
 
     curves: tuple[FieldCurve, ...]  # one per field, label last
     horizon: int = 500
-    kind: str = "linear-mask"
     shared: bool = False  # one unified curve for every field
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown schedule kind '{self.kind}'")
         if self.horizon < 1:
             raise DataError("schedule horizon must be a positive integer")
         if not self.curves:
             raise DataError("schedule needs at least one field curve")
         for c in self.curves:
-            c.validate(self.kind)
+            c.validate()
 
     @property
     def num_fields(self) -> int:
@@ -70,11 +63,7 @@ class NoiseSchedule:
         curves = self.curves[:1] * self.num_fields if self.shared else self.curves
         lo = np.array([c.lo for c in curves])
         hi = np.array([c.hi for c in curves])
-        frac = t[..., None] / self.horizon
-        if self.kind == "linear-mask":
-            return lo + (hi - lo) * frac
-        rate_lo, rate_hi = -np.log1p(-lo), -np.log1p(-hi)
-        return -np.expm1(-(rate_lo ** (1.0 - frac) * rate_hi ** frac))
+        return lo + (hi - lo) * (t[..., None] / self.horizon)
 
     def sample_mask_prob_matrix(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """One t uniform in (0, T] per row, every field evaluated at it: (n, P)."""
@@ -88,7 +77,6 @@ def build_schedule(
     label_lo: float | None = None,
     label_hi: float | None = None,
     horizon: int = 500,
-    kind: str = "linear-mask",
     shared: bool = False,
 ) -> NoiseSchedule:
     """Schedule over num_fields features plus the label field (last).
@@ -101,6 +89,5 @@ def build_schedule(
     return NoiseSchedule(
         curves=tuple([feature] * num_fields + [label]),
         horizon=horizon,
-        kind=kind,
         shared=shared,
     )

@@ -26,6 +26,7 @@ from .schedule import NoiseSchedule
 
 TRANSFERS = (*TRANSFER_MODES, "none")
 REVERSE_CHUNK = 4096  # rows sample_reverse_batch denoises at once
+EVAL_CHUNK = 4096  # rows evaluate scores at once
 
 
 @dataclass
@@ -79,14 +80,12 @@ def _build_fingerprint() -> dict:  # perfbench records it with its machine finge
     return {"package": __version__, "numpy": np.__version__, "allocator": _ALLOCATOR}
 
 
-def evaluate(model: Model, dataset: Dataset, split: str, batch: int = 4096) -> MetricReport:
+def evaluate(model: Model, dataset: Dataset, split: str) -> MetricReport:
     """Chunked CTR scoring of a whole split."""
-    if batch < 1:
-        raise DataError(f"evaluate: batch must be >= 1, got {batch}")
     tokens = dataset.token_matrix()
     scores = np.empty(len(tokens))
-    for start in range(0, len(tokens), batch):
-        scores[start : start + batch] = ctr_score(model, tokens[start : start + batch])
+    for start in range(0, len(tokens), EVAL_CHUNK):
+        scores[start : start + EVAL_CHUNK] = ctr_score(model, tokens[start : start + EVAL_CHUNK])
     return report_for(scores, dataset, split)
 
 

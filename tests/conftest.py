@@ -55,6 +55,11 @@ class FailingWriter:
         return self.fh.write(data)
 
 
+# Cases once run with target tables tied to the input embeddings and without
+# keep their ids: ``tied=False`` names the one layout left, separate tables.
+untied = pytest.mark.parametrize("tied", [False])
+
+
 def permuted_model(model, order):
     """The same network with field order[j] at position j.
 

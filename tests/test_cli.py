@@ -357,6 +357,10 @@ def rejected_before_out(tmp_path, data_dir, capsys, config_text, fragment):
     ("[model]", "[loss]\nmax_negatives = 0\n[model]", "max_negatives must be >= 1"),
     ("[run]", "[run]\nlabel_mode = drop", "unknown config key [run] label_mode"),  # moved to [loss]
     ("T = 50", "T = 50\nlambda_max = 2.0", "schedule bounds must satisfy"),
+    # removed variants: a saved config that still sets them is rejected
+    ("[model]", "[model]\ntied_embeddings = true", "unknown config key [model] tied_embeddings"),
+    ("T = 50", "T = 50\nkind = geometric-rate", "unknown config key [schedule] kind"),
+    ("[model]", "[loss]\nlambda_weight = false\n[model]", "unknown config key [loss] lambda_weight"),
 ])
 def test_bad_pretrain_config_exits_2_before_out(tmp_path, tiny_data, capsys, anchor, insert, fragment):
     _, data_dir = tiny_data
@@ -365,6 +369,7 @@ def test_bad_pretrain_config_exits_2_before_out(tmp_path, tiny_data, capsys, anc
 
 @pytest.mark.parametrize("key,value,fragment", [
     ("label_mode", "bogus", "label_mode"),
+    ("label_mode", "always-mask", "label_mode"),  # removed with never-mask
     ("bert_mask_rate", "1.0", "bert_mask_rate"),
     ("bert_mask_rate", "-0.1", "bert_mask_rate"),
     ("patience", "0", "patience"),
@@ -381,6 +386,60 @@ def test_out_of_range_run_key_exits_2(tmp_path, tiny_data, capsys, key, value, f
     else:  # the pretraining objective's keys
         text = f"{TINY_CONFIG_TEXT}\n[loss]\n{key} = {value}\n"
     rejected_before_out(tmp_path, data_dir, capsys, text, fragment)
+
+
+@pytest.mark.parametrize("transfer", ["full", "scoring-network-only"])
+def test_checkpoint_with_other_parameter_shapes_exits_2(tmp_path, tiny_data, capsys, transfer):
+    cfg_path, data_dir = tiny_data
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--config", cfg_path, "--data", data_dir, "--out", str(pre)]) == 0
+    narrow = tmp_path / "narrow.cfg"  # the fingerprint leaves ffn_width out
+    narrow.write_text(TINY_CONFIG_TEXT.replace("ffn_width = 16", "ffn_width = 8"))
+    capsys.readouterr()
+    code = main(["finetune", "--config", str(narrow), "--data", data_dir, "--init",
+                 str(pre / "pretrained.dgct"), "--transfer", transfer, "--out", str(tmp_path / "ft")])
+    one_line_error(capsys, code, "'net/b0/ffn_w1' has shape (8, 16), model needs (8, 8)")
+    assert not os.path.exists(tmp_path / "ft")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("main_scale", "-1"),
+    ("main_scale", "inf"),
+    ("clusters", "-1"),
+    ("cross_rank", "-1"),
+    ("cross_scale", "nan"),
+    ("cross_noise", "nan"),
+    ("intercept", "inf"),
+    ("cross_density", "2"),
+])
+def test_bad_synthetic_key_exits_2_before_out(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[synthetic]\nsamples = 300\n{key} = {value}\n")
+    out = tmp_path / "data"
+    code = main(["generate-data", "--config", str(cfg), "--out", str(out)])
+    one_line_error(capsys, code, f"[synthetic] {key} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry,fragment", [
+    ("train = validation.csv", "[data] train and validation both name 'validation.csv'"),
+    ("test =", "[data] test: empty file name"),
+])
+def test_bad_data_file_name_exits_2_before_out(tmp_path, capsys, entry, fragment):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{TINY_CONFIG_TEXT}\n[data]\n{entry}\n")
+    out = tmp_path / "data"
+    code = main(["generate-data", "--config", str(cfg), "--out", str(out)])
+    one_line_error(capsys, code, fragment)
+    assert not out.exists()
+
+
+def test_unwritable_data_file_name_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{TINY_CONFIG_TEXT}\n[data]\ntrain = sub/train.csv\n")
+    out = tmp_path / "data"
+    code = main(["generate-data", "--config", str(cfg), "--out", str(out)])
+    one_line_error(capsys, code, f"cannot write {out / 'sub' / 'train.csv'}: No such file or directory")
 
 
 @pytest.mark.parametrize("suite", ["transfer", "ablation", "headline", "sweep"])

@@ -31,11 +31,11 @@ def test_overrides_round_trip():
     cfg = Config()
     cfg.set("run", "seed", 42)
     cfg.set("schedule", "lambda_max", "0.875")
-    cfg.set("model", "tied_embeddings", "true")
+    cfg.set("loss", "no_diff", "true")
     again = parse_config(render_config(cfg))
     assert again.get("run", "seed") == 42
     assert again.get("schedule", "lambda_max") == 0.875
-    assert again.get("model", "tied_embeddings") is True
+    assert again.get("loss", "no_diff") is True
 
 
 def test_unknown_key_rejected():

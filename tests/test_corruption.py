@@ -53,10 +53,6 @@ class TestCorrupt:
         ids = mask_ids_for(self.vocab)
         probs = np.array([0.5, 0.5, 0.5, 0.5])
         rng = stream(4, "modes")
-        always = corrupt_rows(s, probs, rng, ids, label_mode="always-mask")
-        assert always.masked[0, 3] and always.tokens[0, 3] == 2
-        never = corrupt_rows(s, probs, rng, ids, label_mode="never-mask")
-        assert not never.masked[0, 3] and never.tokens[0, 3] == 1
         drop = corrupt_rows(s, probs, rng, ids, label_mode="drop")
         assert drop.tokens[0, 3] == 2 and drop.masked[0, 3]
         assert not fc.loss_positions(4, "drop")[3]

@@ -95,10 +95,11 @@ def test_blank_session_cell_cites_line(tmp_path, blank):
 
 def test_save_load_round_trip(tmp_path):
     path = write(tmp_path, "train.csv", "a,b,label\nred,x,1\nblue,y,0\nred,z,1\n")
-    ds, vocabs = dd.load_training_delimited(path)
+    ds, _ = dd.load_training_delimited(path)
     out = str(tmp_path / "out.csv")
-    dd.save_delimited(ds, out, vocabs)
-    again = dd.load_delimited(out, vocabs)
+    dd.save_delimited(ds, out)
+    # ids are numbered by first appearance, so the written ids number themselves alike
+    again, _ = dd.load_training_delimited(out)
     np.testing.assert_array_equal(ds.token_matrix(), again.token_matrix())
 
 

@@ -149,7 +149,7 @@ def test_report_files_written(tmp_path, micro_env):
 
 def test_ablation_suite_variants(micro_env):
     s = micro_env.schedule
-    shared = NoiseSchedule(curves=s.curves, horizon=s.horizon, kind=s.kind, shared=True)
+    shared = NoiseSchedule(curves=s.curves, horizon=s.horizon, shared=True)
     assert not s.shared and micro_env.loss_cfg == PretrainLossConfig()
     assert ex.ablation_suite(micro_env) == {
         "full": micro_env,
@@ -164,7 +164,7 @@ def test_sweep_suite_variants(micro_env):
     variants = ex.sweep_suite(micro_env)
     assert list(variants) == ["T=10", "T=100", "T=500", "T=1000"] + [f"epochs={e}" for e in range(1, 6)]
     for horizon in (10, 100, 500, 1000):
-        schedule = NoiseSchedule(curves=s.curves, horizon=horizon, kind=s.kind, shared=s.shared)
+        schedule = NoiseSchedule(curves=s.curves, horizon=horizon, shared=s.shared)
         assert variants[f"T={horizon}"] == replace(micro_env, schedule=schedule)
     for epochs in range(1, 6):
         assert variants[f"epochs={epochs}"] == with_run(micro_env, pretrain_epochs=epochs)

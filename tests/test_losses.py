@@ -11,12 +11,11 @@ from diffctr.data import feature_schema
 from diffctr.errors import DataError, NumericError, ShapeError
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
-from conftest import permuted_model
+from conftest import permuted_model, untied
 
 
-def make_model(blocks=0, d=6, vocabs=(2, 2), seed=0, temperature=0.1, tied=False):
-    cfg = md.ModelConfig(embed_dim=d, blocks=blocks, heads=2, ffn_width=8,
-                         temperature=temperature, tied_embeddings=tied)
+def make_model(blocks=0, d=6, vocabs=(2, 2), seed=0, temperature=0.1):
+    cfg = md.ModelConfig(embed_dim=d, blocks=blocks, heads=2, ffn_width=8, temperature=temperature)
     return md.Model.init(cfg, feature_schema(list(vocabs)), seed)
 
 
@@ -60,7 +59,7 @@ def straight_line_loss(model, corrupted, cfg):
             exps = [np.exp(v) for v in logits]
             ce = -np.log(exps[cands.index(pos_tok)] / sum(exps))
             w = 1.0
-            if cfg.weight_by_mask_prob and not cfg.no_diff:
+            if not cfg.no_diff:
                 w = 1.0 / max(corrupted.mask_probs[i, k], cfg.mask_prob_floor)
             total += w * ce
     return total / B
@@ -87,11 +86,10 @@ def test_weighting_factor_two_at_half_probability():
     corrupted = fc.corrupt_batch(
         tokens, schedule, stream(23, "c"), model.mask_ids, fixed_probs=np.full(3, 0.5)
     )
-    on, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=True))
-    off, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False))
+    on, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
+    # the fixed-rate ablation weighs every term alike
+    off, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(no_diff=True))
     assert abs(on.item() - 2.0 * off.item()) < 1e-12
-    uniform, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(no_diff=True))
-    assert uniform.item() == off.item()  # the fixed-rate ablation weighs every term alike
 
 
 def test_duplicate_positive_collapses_candidates():
@@ -102,9 +100,7 @@ def test_duplicate_positive_collapses_candidates():
     corrupted = fc.corrupt_batch(
         tokens, schedule, stream(24, "c"), model.mask_ids, fixed_probs=np.array([0.8, 0.0, 0.0])
     )
-    _, terms = ls.masked_field_losses(
-        model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False)
-    )
+    _, terms = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(no_diff=True))
     masked_rows = corrupted.masked[:, 0]
     np.testing.assert_allclose(terms[masked_rows, 0], 0.0, atol=1e-12)  # log(1)
 
@@ -118,9 +114,7 @@ def test_constant_network_gives_log_candidate_count():
     corrupted = fc.corrupt_batch(
         tokens, schedule, stream(25, "c"), model.mask_ids, fixed_probs=np.array([0.9, 0.0, 0.0])
     )
-    _, terms = ls.masked_field_losses(
-        model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False)
-    )
+    _, terms = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(no_diff=True))
     masked_rows = corrupted.masked[:, 0]
     np.testing.assert_allclose(terms[masked_rows, 0], np.log(5.0), atol=1e-12)
 
@@ -179,9 +173,7 @@ def full_vocab_field_losses(model, corrupted, cfg):
     eligible = fc.loss_positions(P, cfg.label_mode)
     weights = np.where(
         corrupted.masked & eligible[None, :],
-        1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor)
-        if cfg.weight_by_mask_prob and not cfg.no_diff
-        else 1.0,
+        1.0 if cfg.no_diff else 1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor),
         0.0,
     )
     total = None
@@ -243,7 +235,7 @@ def test_losses_match_full_vocab_formula(V, B, blocks):
     tokens = skewed_tokens(model, stream(40, "parity", V, B, blocks), B)
     distinct = min(len(np.unique(tokens[:, k])) for k in range(2))
     schedule = build_schedule(2, lo=0.1, hi=0.9, horizon=50)
-    for label_mode in ("diffuse", "drop", "always-mask"):
+    for label_mode in ("diffuse", "drop"):
         corrupted = fc.corrupt_batch(tokens, schedule, stream(41, "c", V, B), model.mask_ids,
                                      label_mode=label_mode)
         for max_negatives in (max(distinct // 2, 1), distinct + 5):
@@ -270,9 +262,7 @@ def per_field_losses(model, corrupted, cfg):
     eligible = fc.loss_positions(P, cfg.label_mode)
     weights = np.where(
         corrupted.masked & eligible[None, :],
-        1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor)
-        if cfg.weight_by_mask_prob and not cfg.no_diff
-        else 1.0,
+        1.0 if cfg.no_diff else 1.0 / np.maximum(corrupted.mask_probs, cfg.mask_prob_floor),
         0.0,
     )
     total = None
@@ -298,15 +288,15 @@ def per_field_losses(model, corrupted, cfg):
     return ad.smul(total, 1.0 / B), terms
 
 
-@pytest.mark.parametrize("tied", [False, True])
+@untied
 @pytest.mark.parametrize("B", [8, 96, 256])
 @pytest.mark.parametrize("vocabs", [(3, 50, 2000), (50,) * 8], ids=["mixed", "eight"])
 def test_batched_losses_bit_identical_to_per_field_loop(vocabs, B, tied):
-    model = make_model(blocks=1, d=32, vocabs=vocabs, seed=B + len(vocabs), tied=tied)
+    model = make_model(blocks=1, d=32, vocabs=vocabs, seed=B + len(vocabs))
     tokens = skewed_tokens(model, stream(44, "bitwise", B, len(vocabs)), B)
     distinct = [len(np.unique(tokens[:, k])) for k in range(len(vocabs))]
     schedule = build_schedule(len(vocabs), lo=0.1, hi=0.9, horizon=50)
-    for label_mode in ("diffuse", "drop", "always-mask"):
+    for label_mode in ("diffuse", "drop"):
         corrupted = fc.corrupt_batch(tokens, schedule, stream(45, "c", B, tied), model.mask_ids,
                                      label_mode=label_mode)
         for max_negatives in (max(min(distinct) // 2, 1), max(distinct) + 5):
@@ -362,9 +352,9 @@ def test_one_loss_tape_for_every_field(vocabs):
         assert np.any(stacked.grad[i, :w] != 0.0)
 
 
-@pytest.mark.parametrize("tied", [False, True])
+@untied
 def test_candidate_checks_hold_on_the_batched_route(tied):
-    model = make_model(blocks=1, vocabs=(4, 4), seed=16, tied=tied)
+    model = make_model(blocks=1, vocabs=(4, 4), seed=16)
     clean = make_tokens(model, stream(48, "checks"), 6)
     masked = np.zeros(clean.shape, dtype=bool)
     masked[:, 0] = True
@@ -377,7 +367,7 @@ def test_candidate_checks_hold_on_the_batched_route(tied):
         return ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
 
     losses(clean, masked)
-    # the mask id as a clean token: a row of the tied table, but no candidate
+    # the mask id as a clean token: no candidate
     bad = clean.copy()
     bad[2, 0] = model.mask_ids[0]
     with pytest.raises(ShapeError, match="out of range for field 'f0'"):
@@ -457,7 +447,7 @@ def test_cross_entropy_equals_loss_term_when_candidates_span_the_vocabulary():
     tokens = np.where(masked, model.mask_ids[None, :], clean)
     corrupted = fc.CorruptedBatch(tokens=tokens, masked=masked, mask_probs=np.full((2, 3), 0.5),
                                   clean_tokens=clean)
-    _, terms = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(weight_by_mask_prob=False))
+    _, terms = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(no_diff=True))
     logits = md.full_vocab_logits(model, 0, ad.take_position(md.encode(model, tokens), 0)).data
     log_q = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(terms[:, 0], -log_q[np.arange(2), clean[:, 0]], rtol=0, atol=1e-9)

@@ -9,16 +9,15 @@ from diffctr.data import feature_schema
 from diffctr.errors import CheckpointError, DataError, NumericError, ShapeError
 from diffctr.optim import adam_step
 from diffctr.rng import stream
-from conftest import FailingWriter, permuted_model
+from conftest import FailingWriter, permuted_model, untied
 
 
 def tiny_schema(vocabs=(4, 3, 5)):
     return feature_schema(list(vocabs))
 
 
-def make_model(blocks=2, heads=2, d=8, seed=0, vocabs=(4, 3, 5), tied=False):
-    cfg = md.ModelConfig(embed_dim=d, blocks=blocks, heads=heads, ffn_width=16,
-                         temperature=0.1, tied_embeddings=tied)
+def make_model(blocks=2, heads=2, d=8, seed=0, vocabs=(4, 3, 5)):
+    cfg = md.ModelConfig(embed_dim=d, blocks=blocks, heads=heads, ffn_width=16, temperature=0.1)
     return md.Model.init(cfg, tiny_schema(vocabs), seed)
 
 
@@ -147,12 +146,12 @@ class TestCtrScore:
         assert np.all(s > 0) and np.all(s < 1)
 
 
-@pytest.mark.parametrize("tied", [False, True])
+@untied
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("blocks", [0, 1, 2, 3])
 def test_ctr_score_equals_tape_route(blocks, heads, tied):
     """Tape-free scoring and the taped label-row route both equal the taped full route."""
-    model = make_model(blocks=blocks, heads=heads, tied=tied, seed=blocks + 10 * heads)
+    model = make_model(blocks=blocks, heads=heads, seed=blocks + 10 * heads)
     tokens = random_tokens(model, stream(20, blocks, heads), n=4096, allow_mask=False)
     for rows in (1, 7, 4096):
         chunk = tokens[:rows]
@@ -171,13 +170,13 @@ def full_route_logit_diff(model, tokens):
     return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
 
 
-@pytest.mark.parametrize("tied", [False, True])
+@untied
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("blocks", [0, 1, 2, 3])
 def test_sft_loss_within_bound_of_full_route(blocks, heads, tied):
     """The label-row tail changes only gradient summation order: loss equal, grads within 1e-12."""
     # d = 32 and 256 rows are wide enough for BLAS to sum the two routes in different orders
-    model = make_model(blocks=blocks, heads=heads, d=32, tied=tied, seed=30 + blocks + 10 * heads)
+    model = make_model(blocks=blocks, heads=heads, d=32, seed=30 + blocks + 10 * heads)
     tokens = random_tokens(model, stream(25, blocks, heads), n=256, allow_mask=False)
     signs = ad.const(2.0 * tokens[:, -1] - 1.0)
 
@@ -197,7 +196,7 @@ def every_pair_tokens(model):
     return np.stack([np.arange(width) % (f.vocab_size + 1) for f in model.schema], axis=1)
 
 
-@pytest.mark.parametrize("tied", [False, True])
+@untied
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("blocks", [0, 1, 2, 3])
 def test_forward_only_encode_equals_taped(blocks, heads, tied):
@@ -206,7 +205,7 @@ def test_forward_only_encode_equals_taped(blocks, heads, tied):
     # nine positions and d = 32: there BLAS sums the leading rows of a small
     # batched gemm in another order than a two-row block, but not the last row
     model = make_model(blocks=blocks, heads=heads, d=32, vocabs=(4, 3, 5, 6, 2, 7, 3, 5),
-                       tied=tied, seed=blocks + 10 * heads)
+                       seed=blocks + 10 * heads)
     tokens = random_tokens(model, stream(29, blocks, heads), n=4096)  # mask ids in every column
     same = np.repeat(tokens[:1], 7, axis=0)  # one pair per field
     batches = [tokens[:1], tokens[:2], tokens[:7], same, every_pair_tokens(model)]
@@ -344,14 +343,6 @@ def test_grad_check_through_encode_and_logits():
 
     reports = ad.grad_check(fn, model.params, h=1e-5, tol=1e-5)
     assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports if not r.passed]
-
-
-def test_tied_embeddings_share_table():
-    model = make_model(tied=True)
-    assert "embed/target/f0" not in model.params.names()
-    ctx = ad.const(np.zeros((1, 8)) + 0.3)
-    logits = md.field_logits(model, 0, ctx, np.array([0, 1]))
-    assert logits.data.shape == (1, 2)
 
 
 class TestCheckpoint:

@@ -44,15 +44,14 @@ def test_rate_and_mask_prob_are_inverse():
     assert np.all(np.abs((1.0 - np.exp(-cumulative_rate(s, ts)[:, 1])) - m) < 1e-12)
 
 
-@pytest.mark.parametrize("kind", ["linear-mask", "geometric-rate"])
+@pytest.mark.parametrize("kind", ["linear-mask"])  # the one shape left keeps its case id
 def test_monotone_and_bounds(kind):
-    lo = 0.02 if kind == "geometric-rate" else 0.0
-    s = build_schedule(2, lo=lo, hi=0.97, horizon=300, kind=kind)
+    s = build_schedule(2, lo=0.0, hi=0.97, horizon=300)
     ts = np.linspace(0, 300, 50)
     vals = list(s.mask_probs(ts)[:, 0])
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-    assert abs(vals[0] - lo) < 1e-12 and abs(vals[-1] - 0.97) < 1e-12
-    assert all(lo - 1e-12 <= v <= 0.97 + 1e-12 for v in vals)
+    assert abs(vals[0]) < 1e-12 and abs(vals[-1] - 0.97) < 1e-12
+    assert all(-1e-12 <= v <= 0.97 + 1e-12 for v in vals)
 
 
 def test_shared_flag_unifies_fields():
@@ -96,7 +95,3 @@ def test_invalid_bounds_rejected():
         build_schedule(1, lo=0.5, hi=0.5)
     with pytest.raises(DataError):
         build_schedule(1, lo=0.0, hi=1.0)
-    with pytest.raises(DataError):
-        build_schedule(1, lo=0.0, hi=0.9, kind="geometric-rate")
-    with pytest.raises(DataError):
-        build_schedule(1, kind="nope")

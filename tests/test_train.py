@@ -7,9 +7,10 @@ import diffctr.train as tr
 from diffctr import data as dd
 from diffctr import losses as ls
 from diffctr import model as md
-from diffctr.errors import DataError, NumericError
+from diffctr.errors import NumericError
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
+from conftest import untied
 
 
 def tiny_env(samples=400, fields=3, vocab=6, seed=5):
@@ -24,9 +25,8 @@ def tiny_env(samples=400, fields=3, vocab=6, seed=5):
     )
 
 
-def tiny_model(train, d=8, blocks=1, seed=0, tied=False):
-    cfg = md.ModelConfig(embed_dim=d, blocks=blocks, heads=2, ffn_width=16, temperature=0.1,
-                         tied_embeddings=tied)
+def tiny_model(train, d=8, blocks=1, seed=0):
+    cfg = md.ModelConfig(embed_dim=d, blocks=blocks, heads=2, ffn_width=16, temperature=0.1)
     return md.Model.init(cfg, train.schema, seed)
 
 
@@ -178,19 +178,19 @@ def test_finetune_returns_best_validation_params():
 
 
 @pytest.mark.parametrize("no_diff", [False, True])
-@pytest.mark.parametrize("tied", [False, True])
+@untied
 def test_drop_mode_pretrain_leaves_label_head_at_init(tied, no_diff):
     """Dropping the label from pretraining hands fine-tuning an untrained label head."""
     train, _, _ = tiny_env()
-    model = tiny_model(train, seed=13, tied=tied)
+    model = tiny_model(train, seed=13)
     lbl = model.label_position
-    head = model.target_table_data(lbl).copy()
+    head = model.target_table(lbl).data.copy()
     schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
     for label_mode, untouched in (("drop", True), ("diffuse", False)):
         loss_cfg = ls.PretrainLossConfig(label_mode=label_mode, no_diff=no_diff)
         out, report = tr.pretrain(model.clone(), train, schedule, tiny_run_cfg(seed=13), loss_cfg)
         assert report.epochs and not report.diverged
-        assert np.array_equal(out.target_table_data(lbl), head) == untouched, label_mode
+        assert np.array_equal(out.target_table(lbl).data, head) == untouched, label_mode
 
 
 class TestSampleReverse:
@@ -229,22 +229,14 @@ class TestSampleReverse:
         assert np.all(out[:, 0] == 2)
 
 
-def test_evaluate_matches_direct_scoring():
+def test_evaluate_matches_direct_scoring(monkeypatch):
     train, val, _ = tiny_env()
     model = tiny_model(train, seed=19)
-    rep = tr.evaluate(model, val, "validation", batch=7)  # odd chunk on purpose
+    monkeypatch.setattr(tr, "EVAL_CHUNK", 7)  # odd chunk on purpose
+    rep = tr.evaluate(model, val, "validation")
     from diffctr.metrics import report_for
     from diffctr.model import ctr_score
 
     direct = report_for(ctr_score(model, val.token_matrix()), val, "validation")
     assert rep.auc == direct.auc and rep.logloss == direct.logloss
 
-
-def test_evaluate_rejects_a_chunk_below_one_row():
-    train, validation, _ = tiny_env()
-    model = tiny_model(train)
-    for batch in (0, -1):
-        with pytest.raises(DataError, match="batch must be >= 1"):
-            tr.evaluate(model, validation, "validation", batch=batch)
-    full = tr.evaluate(model, validation, "validation")
-    assert tr.evaluate(model, validation, "validation", batch=1).auc == full.auc
