@@ -253,13 +253,9 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return Tensor(
-        np.where(mask, a.data, 0.0),
-        op="relu",
-        parents=(a,),
-        vjps=(lambda g: g * mask,),
-    )
+    out = np.maximum(a.data, 0.0)
+    out += 0.0  # np.maximum may keep a -0.0; this makes every zero +0.0 (inputs are finite)
+    return Tensor(out, op="relu", parents=(a,), vjps=(lambda g: g * (a.data > 0),))
 
 
 def exp(a: Tensor) -> Tensor:

@@ -178,21 +178,17 @@ def atomic_write(path: str, mode: str = "w", **open_args):
     """Write to path + ".tmp", then rename it over path.
 
     A failed write removes the temporary file and leaves any previous
-    file at path untouched, so a crash never clobbers a good file. A path
-    that cannot be opened or renamed into is a DataError.
+    file at path untouched, so a crash never clobbers a good file. An
+    OSError from opening, writing (a full disk) or renaming is a
+    DataError.
     """
     tmp = path + ".tmp"
     try:
-        try:
-            fh = open(tmp, mode, **open_args)
-        except OSError as e:
-            raise DataError(f"cannot write {path}: {e.strerror}") from None
-        with fh:
+        with open(tmp, mode, **open_args) as fh:
             yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as e:
-            raise DataError(f"cannot write {path}: {e.strerror}") from None
+        os.replace(tmp, path)
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
     finally:
         if os.path.exists(tmp):  # only after a failed write
             os.remove(tmp)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import DataError
 
@@ -59,6 +58,21 @@ def _session_codes(sessions, n: int) -> np.ndarray:
     return renumber[inverse.reshape(-1)]
 
 
+def _tie_ranks(keys: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties given their group's mean rank (scipy's "average").
+
+    A tie group at sorted positions start..end-1 gets the mean of ranks
+    start+1..end, 0.5 * (start + end + 1): a half-integer, exact in float64.
+    """
+    order = np.argsort(keys, kind="mergesort")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    ends = np.r_[starts[1:], len(keys)]
+    ranks = np.empty(len(keys), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _rank_auc(pos_rank_sum, n_pos, n_neg):
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -70,7 +84,7 @@ def auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("auc needs at least one positive and one negative")
-    ranks = scipy.stats.rankdata(scores)
+    ranks = _tie_ranks(scores)
     return float(_rank_auc(ranks[labels == 1].sum(), n_pos, n_neg))
 
 
@@ -105,7 +119,7 @@ def gauc_pv(scores, labels, sessions) -> float:
     scores, labels = _split(scores, labels)
     codes = _session_codes(sessions, len(scores))
     _, dense = np.unique(scores, return_inverse=True)
-    ranks = scipy.stats.rankdata(codes * (int(dense.max()) + 1) + dense)
+    ranks = _tie_ranks(codes * (int(dense.max()) + 1) + dense)
     size = np.bincount(codes)
     earlier = np.cumsum(size) - size
     n_pos = np.bincount(codes[labels == 1], minlength=len(size))
@@ -144,6 +158,8 @@ def mann_whitney_p(a: list[float] | np.ndarray, b: list[float] | np.ndarray) -> 
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise DataError("mann_whitney_p needs nonempty samples")
+    import scipy.stats  # imported here: it loads slower than all of diffctr, and only p-values use it
+
     return float(scipy.stats.mannwhitneyu(a, b, alternative="two-sided").pvalue)
 
 

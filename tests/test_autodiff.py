@@ -243,6 +243,20 @@ def test_adjoint_fault_breaks_grad_check():
     assert not all(r.passed for r in reports)
 
 
+def test_relu_matches_the_where_form_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    x = np.array([[0.0, -0.0, tiny, -tiny, 1e-310, -1e-310],
+                  [-3.0, 2.5, -1e-300, 1e-300, 7.0, -0.5]])
+    weight = stream(8, "relu").normal(size=x.shape)
+    store = make_store({"a": x})
+    out = ad.relu(store["a"])
+    want = np.where(x > 0, x, 0.0)
+    assert out.data.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(np.signbit(out.data), np.signbit(want))
+    _, grads = ad.forward_backward(lambda p: ad.tsum(ad.mul(ad.relu(p["a"]), ad.const(weight))), store)
+    assert grads["a"].tobytes() == (weight * (x > 0)).tobytes()
+
+
 def test_grad_check_h_range():
     store = make_store({"w": np.ones((1,))})
     with pytest.raises(ValueError):

@@ -270,14 +270,21 @@ def generate_data(out, config_path):
 @pytest.mark.parametrize(
     "write", [write_dataset, write_suite_report, write_run_rows, write_manifest, generate_data]
 )
-def test_failed_write_keeps_previous_files(tmp_path, tiny_config_path, monkeypatch, write):
+def test_failed_write_keeps_previous_files(tmp_path, tiny_config_path, monkeypatch, capsys, write):
     out = tmp_path / "out"
     out.mkdir()
     write(str(out), tiny_config_path)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
     monkeypatch.setattr(dd, "open", FailingWriter, raising=False)
-    with pytest.raises(OSError, match="no space"):
-        write(str(out), tiny_config_path)
+    if write is generate_data:  # the CLI reports the DataError: exit 2, one line, no traceback
+        code = cli.main(["generate-data", "--config", tiny_config_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"error: cannot write {out}") and err.endswith(": no space left on device\n")
+    else:
+        with pytest.raises(DataError, match=r"^cannot write .*: no space left on device$"):
+            write(str(out), tiny_config_path)
     monkeypatch.undo()
     # every file as it was, and no temporary file left behind
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.stats
 
 from diffctr import metrics as mt
 from diffctr.errors import DataError
@@ -129,6 +134,73 @@ class TestGauc:
         except DataError:
             return
         assert abs(got - mt.gauc_pv_pairwise(*examples)) < 1e-12
+
+
+def rank_keys(case: str) -> np.ndarray:
+    rng = stream(6, "ranks", case)
+    if case == "one":
+        return np.array([0.3])
+    if case == "all-equal":
+        return np.full(50, 0.7)
+    if case == "heavy-ties":
+        return np.round(rng.random(400), 1)
+    if case == "untied":
+        return rng.random(300)
+    # gauc_pv's keys: session code * (distinct scores) + dense score rank
+    codes = rng.integers(0, 40, 400)
+    dense = rng.integers(0, 25, 400)
+    return codes * (int(dense.max()) + 1) + dense
+
+
+class TestRanks:
+    @pytest.mark.parametrize("case", ["one", "all-equal", "heavy-ties", "untied", "int64-keys"])
+    def test_tie_ranks_equal_scipy_rankdata(self, case):
+        keys = rank_keys(case)
+        got, want = mt._tie_ranks(keys), scipy.stats.rankdata(keys)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_auc_and_gauc_equal_the_rankdata_formulas(self, trial):
+        rng = stream(7, "ranks", trial)
+        n = 500
+        scores = np.round(rng.random(n), 1)
+        labels = (rng.random(n) < 0.4).astype(np.int64)
+        sessions = rng.integers(0, 60, n)
+
+        def rank_auc(s, y):
+            n_pos = y.sum()
+            ranks = scipy.stats.rankdata(s)
+            return (ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (len(y) - n_pos))
+
+        assert mt.auc(scores, labels) == float(rank_auc(scores, labels))
+        num = den = 0.0
+        for session in dict.fromkeys(sessions):  # first-appearance order
+            rows = sessions == session
+            if labels[rows].min() < labels[rows].max():
+                num += rows.sum() * rank_auc(scores[rows], labels[rows])
+                den += rows.sum()
+        assert mt.gauc_pv(scores, labels, sessions) == float(num / den)
+
+
+def test_importing_diffctr_leaves_scipy_stats_unloaded():
+    # only mann_whitney_p needs scipy.stats, and it imports it on first use
+    code = (
+        "import sys\n"
+        "import diffctr.cli, diffctr.train, diffctr.experiments, diffctr.verify\n"
+        "from diffctr import metrics\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "print(repr(metrics.mann_whitney_p([0.1, 0.4, 0.35, 0.8], [0.3, 0.9, 0.7, 0.75, 0.95])))\n"
+    )
+    src = os.path.dirname(os.path.dirname(mt.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, p_value = proc.stdout.splitlines()
+    assert loaded == "False"
+    want = scipy.stats.mannwhitneyu([0.1, 0.4, 0.35, 0.8], [0.3, 0.9, 0.7, 0.75, 0.95],
+                                    alternative="two-sided").pvalue
+    assert float(p_value) == want
 
 
 class TestInputs:
