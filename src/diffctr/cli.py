@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,32 +66,26 @@ def _config_key_epilog() -> str:
 
 
 def build_parser() -> CliParser:
+    with_keys = {"epilog": _config_key_epilog(), "formatter_class": argparse.RawDescriptionHelpFormatter}
     parser = CliParser(
         prog="diffctr",
         description="Generative pretraining plus fine-tuning for CTR models.",
-        epilog=_config_key_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **with_keys,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
 
-    p = sub.add_parser("generate-data", help="synthesize train/validation/test splits",
-                       epilog=_config_key_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = sub.add_parser("generate-data", help="synthesize train/validation/test splits", **with_keys)
     p.add_argument("--config", help="config file (defaults used when omitted)")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("print-config", help="print the full default config")
 
-    p = sub.add_parser("pretrain", help="masked-reconstruction pretraining",
-                       epilog=_config_key_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = sub.add_parser("pretrain", help="masked-reconstruction pretraining", **with_keys)
     p.add_argument("--config", help="config file")
     p.add_argument("--data", required=True, help="directory with the data files")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("finetune", help="click-logloss fine-tuning",
-                       epilog=_config_key_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = sub.add_parser("finetune", help="click-logloss fine-tuning", **with_keys)
     p.add_argument("--config", help="config file")
     p.add_argument("--data", required=True, help="directory with the data files")
     p.add_argument("--init", help="checkpoint to transfer from")
@@ -104,9 +99,7 @@ def build_parser() -> CliParser:
     p.add_argument("--negative-control", action="store_true",
                    help="corrupt one adjoint so the gradcheck suite must fail")
 
-    p = sub.add_parser("experiment", help="multi-seed comparison suites",
-                       epilog=_config_key_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = sub.add_parser("experiment", help="multi-seed comparison suites", **with_keys)
     p.add_argument("--suite", required=True, choices=sorted(EXPERIMENT_SUITES))
     p.add_argument("--config", help="config file")
     p.add_argument("--data", help="data directory (synthetic from config when omitted)")
@@ -149,14 +142,6 @@ def _write_run_rows(path: str, config_id: str, seed: int, report) -> None:
     write_csv(path, ["config_id", "seed", "split", "metric", "value"], rows)
 
 
-def _load_splits(cfg: Config, data_dir: str) -> tuple[Dataset, Dataset, Dataset]:
-    d = to_data_files(cfg)
-    train, vocabs = load_training_delimited(os.path.join(data_dir, d["train"]))
-    validation = load_delimited(os.path.join(data_dir, d["validation"]), vocabs, split="validation")
-    test = load_delimited(os.path.join(data_dir, d["test"]), vocabs, split="test")
-    return train, validation, test
-
-
 def _synthetic_splits(cfg: Config) -> list[tuple[Dataset, np.ndarray]]:
     """The train, validation and test splits, each with the Bayes scores of its rows."""
     spec = to_synthetic_spec(cfg)
@@ -183,15 +168,32 @@ def cmd_generate_data(args) -> int:
     return EXIT_OK
 
 
+def _environment(cfg: Config, data_dir: str | None) -> Environment:
+    """The splits in data_dir, or synthesized from cfg when it is None, and every config of a run."""
+    if data_dir is None:
+        train, validation, test = (piece for piece, _ in _synthetic_splits(cfg))
+    else:
+        d = to_data_files(cfg)
+        train, vocabs = load_training_delimited(os.path.join(data_dir, d["train"]))
+        validation = load_delimited(os.path.join(data_dir, d["validation"]), vocabs, split="validation")
+        test = load_delimited(os.path.join(data_dir, d["test"]), vocabs, split="test")
+    return Environment(
+        train=train,
+        validation=validation,
+        test=test,
+        model_cfg=to_model_config(cfg),
+        run_cfg=to_run_config(cfg),
+        schedule=to_schedule(cfg, train.num_fields),
+        loss_cfg=to_loss_config(cfg),
+    )
+
+
 def cmd_pretrain(args) -> int:
-    cfg = _load_conf(args.config)
-    run_cfg = to_run_config(cfg)
-    train, _, _ = _load_splits(cfg, args.data)
-    model = Model.init(to_model_config(cfg), train.schema, run_cfg.seed)
-    schedule = to_schedule(cfg, train.num_fields)
-    loss_cfg = to_loss_config(cfg)
+    env = _environment(_load_conf(args.config), args.data)
+    run_cfg = env.run_cfg
+    model = Model.init(env.model_cfg, env.train.schema, run_cfg.seed)
     make_output_dir(args.out)
-    model, report = pretrain(model, train, schedule, run_cfg, loss_cfg, out_dir=args.out)
+    model, report = pretrain(model, env.train, env.schedule, run_cfg, env.loss_cfg, out_dir=args.out)
     save_checkpoint(model, os.path.join(args.out, "pretrained.dgct"),
                     meta={"seed": run_cfg.seed, "epochs": len(report.epochs)})
     _write_run_rows(os.path.join(args.out, "pretrain_rows.csv"), "pretrain", run_cfg.seed, report)
@@ -206,23 +208,16 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = _load_conf(args.config)
-    run_cfg = to_run_config(cfg)
-    if args.transfer:
-        run_cfg.transfer = args.transfer
+    env = _environment(_load_conf(args.config), args.data)
+    run_cfg = replace(env.run_cfg, transfer=args.transfer) if args.transfer else env.run_cfg
     if run_cfg.transfer != "none" and not args.init:
         raise UsageError(f"--transfer {run_cfg.transfer} requires --init CHECKPOINT")
-    train, validation, test = _load_splits(cfg, args.data)
-    model_cfg = to_model_config(cfg)
-    # finetune uses neither, but rejects the configs pretrain rejects
-    to_schedule(cfg, train.num_fields)
-    to_loss_config(cfg)
     if run_cfg.transfer == "none":
-        model = Model.init(model_cfg, train.schema, run_cfg.seed)
+        model = Model.init(env.model_cfg, env.train.schema, run_cfg.seed)
     else:
-        model = load_checkpoint(args.init, run_cfg.transfer, model_cfg, train.schema, run_cfg.seed)
+        model = load_checkpoint(args.init, run_cfg.transfer, env.model_cfg, env.train.schema, run_cfg.seed)
     make_output_dir(args.out)
-    model, report = finetune(model, train, validation, test, run_cfg, out_dir=args.out)
+    model, report = finetune(model, env.train, env.validation, env.test, run_cfg, out_dir=args.out)
     _write_run_rows(os.path.join(args.out, "finetune_rows.csv"), "finetune", run_cfg.seed, report)
     write_manifest(args.out)
     for log in report.epochs:
@@ -250,20 +245,7 @@ def cmd_verify(args) -> int:
 def cmd_experiment(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
-    cfg = _load_conf(args.config)
-    if args.data:
-        train, validation, test = _load_splits(cfg, args.data)
-    else:
-        train, validation, test = (piece for piece, _ in _synthetic_splits(cfg))
-    env = Environment(
-        train=train,
-        validation=validation,
-        test=test,
-        model_cfg=to_model_config(cfg),
-        run_cfg=to_run_config(cfg),
-        schedule=to_schedule(cfg, train.num_fields),
-        loss_cfg=to_loss_config(cfg),
-    )
+    env = _environment(_load_conf(args.config), args.data)
     seeds = list(range(args.seeds))
     make_output_dir(args.out)  # before the suite runs, not after
     report = run_suite(EXPERIMENT_SUITES[args.suite](env), seeds)

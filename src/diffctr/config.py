@@ -156,16 +156,11 @@ def default_config_text() -> str:
 # object builders
 
 def to_run_config(cfg: Config) -> RunConfig:
-    r = cfg.values["run"]
-    run = RunConfig(**r)
-    run.validate()
-    return run
+    return RunConfig(**cfg.values["run"])
 
 
 def to_model_config(cfg: Config) -> ModelConfig:
-    m = ModelConfig(**cfg.values["model"])
-    m.validate()
-    return m
+    return ModelConfig(**cfg.values["model"])
 
 
 def _keywords(values: dict, keys: dict[str, str]) -> dict:
@@ -177,9 +172,7 @@ def to_schedule(cfg: Config, num_fields: int) -> NoiseSchedule:
 
 
 def to_loss_config(cfg: Config) -> PretrainLossConfig:
-    out = PretrainLossConfig(**_keywords(cfg.values["loss"], _LOSS_KEYS))
-    out.validate()
-    return out
+    return PretrainLossConfig(**_keywords(cfg.values["loss"], _LOSS_KEYS))
 
 
 def to_data_files(cfg: Config) -> dict[str, str]:

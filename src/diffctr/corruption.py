@@ -2,7 +2,10 @@
 
 Training only ever uses the one-shot analytic jump: each field keeps its
 token with probability exp(-rate) and otherwise becomes the mask token,
-independently per field. The rate-matrix formulation (matrix exponential
+independently per field, with one exception: a row whose draw masks no
+loss-bearing field has the eligible field with the largest mask
+probability masked anyway (ties broken by the rng), so every row earns a
+loss term. The rate-matrix formulation (matrix exponential
 of the absorbing generator), the factorized marginal over corrupted
 states, and the score-ratio identity exist here as enumeration oracles
 for tests and the verification CLI; they are never on the training path.

@@ -34,7 +34,7 @@ class FieldSchema:
     name: str
     vocab_size: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.vocab_size < 1:
             raise DataError(f"field '{self.name}': vocab_size must be >= 1")
 
@@ -66,16 +66,11 @@ class Dataset:
             raise DataError("sample tokens must be integer ids")
         tokens.flags.writeable = False
         self._tokens = tokens
-        self.validate()
-
-    def validate(self) -> None:
         names = [f.name for f in self.schema]
         if len(set(names)) != len(names):
             raise DataError("field names must be unique")
         if self.schema[-1].name != LABEL_FIELD or self.schema[-1].vocab_size != 2:
             raise DataError("last field must be the binary label")
-        for f in self.schema:
-            f.validate()
         vocab = np.array([f.vocab_size for f in self.schema])
         bad = (self._tokens < 0) | (self._tokens >= vocab)
         if bad.any():

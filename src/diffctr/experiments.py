@@ -106,7 +106,6 @@ def _two_stage(env: Environment, seed: int, tmp: str, pretrained: list) -> tuple
     schedule and loss configs and the run config but its transfer mode.
     """
     cfg = replace(env.run_cfg, seed=seed)
-    cfg.validate()
     if cfg.transfer == "none":
         model = Model.init(env.model_cfg, env.train.schema, seed)
     else:

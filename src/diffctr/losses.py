@@ -29,7 +29,7 @@ from .model import Model, field_logits, encode, label_logit_diff
 from .schedule import NoiseSchedule
 
 
-@dataclass
+@dataclass(frozen=True)
 class PretrainLossConfig:
     max_negatives: int = 127  # cap on in-batch negatives per masked field
     mask_prob_floor: float = 0.01  # clip keeping each term's 1/p importance weight bounded
@@ -37,7 +37,7 @@ class PretrainLossConfig:
     no_diff: bool = False  # fixed-rate masking at bert_mask_rate, uniform term weights
     bert_mask_rate: float = 0.15
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.max_negatives < 1:
             raise DataError("max_negatives must be >= 1")
         if not 0 < self.mask_prob_floor < 1:
@@ -102,7 +102,6 @@ def masked_field_losses(
     row sums exactly its U_k columns, and the total sums each field over
     B before adding the fields first to last.
     """
-    cfg.validate()
     B, P = corrupted.tokens.shape
     if B < 2:
         raise DataError("in-batch negatives need a batch of at least 2 instances")
@@ -155,8 +154,6 @@ def pretrain_loss(
     over mask levels; cfg.no_diff masks every field at bert_mask_rate.
     """
     cfg = cfg or PretrainLossConfig()
-    if len(tokens) < 2:
-        raise DataError("pretrain_loss needs a batch of at least 2 instances")
     fixed = np.full(model.num_positions, cfg.bert_mask_rate) if cfg.no_diff else None
     corrupted = corrupt_batch(
         tokens, schedule, rng, model.mask_ids, label_mode=cfg.label_mode, fixed_probs=fixed

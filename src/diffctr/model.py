@@ -37,7 +37,7 @@ class ModelConfig:
     ffn_width: int = 64
     temperature: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.embed_dim < 1 or self.blocks < 0 or self.heads < 1 or self.ffn_width < 1:
             raise DataError("model dimensions must be positive (blocks may be 0)")
         if self.embed_dim % self.heads != 0:
@@ -52,7 +52,6 @@ class Model:
     """Config, field schema, and the parameter store that realizes them."""
 
     def __init__(self, cfg: ModelConfig, schema: list[FieldSchema], params: ParamStore):
-        cfg.validate()
         self.cfg = cfg
         self.schema = schema
         self.params = params
@@ -68,7 +67,6 @@ class Model:
 
     @classmethod
     def init(cls, cfg: ModelConfig, schema: list[FieldSchema], seed: int) -> "Model":
-        cfg.validate()
         d, dh = cfg.embed_dim, cfg.embed_dim // cfg.heads
         params = ParamStore()
         for f in schema:

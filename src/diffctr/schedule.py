@@ -27,7 +27,7 @@ class FieldCurve:
     lo: float  # mask probability at t = 0
     hi: float  # mask probability at t = T
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.lo < self.hi <= MAX_MASK_PROB:
             raise DataError(
                 f"schedule bounds must satisfy 0 <= lo < hi <= {MAX_MASK_PROB}, got ({self.lo}, {self.hi})"
@@ -47,8 +47,6 @@ class NoiseSchedule:
             raise DataError("schedule horizon must be a positive integer")
         if not self.curves:
             raise DataError("schedule needs at least one field curve")
-        for c in self.curves:
-            c.validate()
 
     @property
     def num_fields(self) -> int:

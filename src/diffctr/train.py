@@ -29,7 +29,7 @@ REVERSE_CHUNK = 4096  # rows sample_reverse_batch denoises at once
 EVAL_CHUNK = 4096  # rows evaluate scores at once
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     pretrain_epochs: int = 3
@@ -44,7 +44,7 @@ class RunConfig:
     transfer: str = "full"
     patience: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.transfer not in TRANSFERS:
             raise DataError(f"unknown transfer mode '{self.transfer}'")
         if min(self.pretrain_epochs, self.finetune_epochs) < 0:
@@ -128,9 +128,7 @@ def pretrain(
     non-finite loss aborts the run and returns a copy of the last
     epoch-end parameters instead.
     """
-    cfg.validate()
     loss_cfg = loss_cfg or PretrainLossConfig()
-    loss_cfg.validate()
     rows = len(dataset.token_matrix())
     if rows < 2:
         raise DataError(f"pretraining needs at least 2 rows; split '{dataset.split}' has {rows}")
@@ -166,7 +164,6 @@ def finetune(
     snapshot's validation metrics. A validation or test split without
     both labels is rejected before the first step.
     """
-    cfg.validate()
     for split, data in (("validation", validation), ("test", test)):
         if data is not None and len(np.unique(data.labels())) < 2:
             raise DataError(f"{split} split needs at least one positive and one negative label")
@@ -209,6 +206,12 @@ def sample_reverse_batch(
         raise DataError("steps must be >= 1")
     conditioning = conditioning or {}
     P = model.num_positions
+    for k, tok in conditioning.items():
+        if not 0 <= k < P:
+            raise DataError(f"conditioning position {k} outside [0, {P})")
+        f = model.schema[k]
+        if not 0 <= tok < f.vocab_size:
+            raise DataError(f"conditioning token {tok} outside [0, {f.vocab_size}) for field '{f.name}'")
     out = np.empty((n, P), dtype=np.int64)
     curve = schedule.mask_probs(schedule.horizon * (1.0 - np.arange(steps + 1) / steps))
     now, later = curve[:-1], curve[1:]

@@ -115,6 +115,16 @@ def test_unknown_suite_is_usage_error(capsys):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["generate-data", "pretrain", "finetune", "experiment"])
+def test_help_lists_every_config_section(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    for section, entries in DEFAULTS.items():
+        assert f"  [{section}] " + ", ".join(f"{k}={v}" for k, v in entries.items()) in out.splitlines()
+
+
 def test_verify_suite_pass_and_negative_control(capsys):
     assert main(["verify", "--suite", "equivalence"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -341,10 +351,11 @@ def test_non_finite_temperature_exits_2(tmp_path, tiny_data, capsys, value):
 
 
 def rejected_before_out(tmp_path, data_dir, capsys, config_text, fragment):
-    """pretrain and finetune --transfer none each exit 2 with one line and create no --out."""
+    """pretrain, finetune --transfer none and experiment each exit 2 with one line and create no --out."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config_text)
-    for command in (["pretrain"], ["finetune", "--transfer", "none"]):
+    for command in (["pretrain"], ["finetune", "--transfer", "none"],
+                    ["experiment", "--suite", "headline", "--seeds", "1"]):
         out = tmp_path / command[0]
         capsys.readouterr()
         code = main(command + ["--config", str(cfg), "--data", data_dir, "--out", str(out)])

@@ -1,4 +1,5 @@
-from dataclasses import fields
+import re
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import pytest
 
@@ -13,10 +14,11 @@ from diffctr.config import (
     to_schedule,
     to_synthetic_spec,
 )
-from diffctr.errors import ConfigError
+from diffctr.data import FieldSchema
+from diffctr.errors import ConfigError, DataError
 from diffctr.losses import PretrainLossConfig
 from diffctr.model import ModelConfig
-from diffctr.schedule import build_schedule
+from diffctr.schedule import FieldCurve, build_schedule
 from diffctr.train import RunConfig
 
 
@@ -79,6 +81,33 @@ def test_each_setting_has_one_owner():
         for f in fields(owner):
             assert f.name not in seen, f"{f.name} is in both {seen[f.name]} and {owner.__name__}"
             seen[f.name] = owner.__name__
+
+
+@pytest.mark.parametrize("valid,patch,message", [
+    (RunConfig(), {"patience": 0}, "patience must be >= 1"),
+    (RunConfig(), {"transfer": "bogus"}, "unknown transfer mode 'bogus'"),
+    (PretrainLossConfig(), {"max_negatives": 0}, "max_negatives must be >= 1"),
+    (PretrainLossConfig(), {"label_mode": "always-mask"}, "unknown label_mode 'always-mask'"),
+    (ModelConfig(), {"heads": 3}, "embed_dim 32 not divisible by heads 3"),
+    (ModelConfig(), {"temperature": float("nan")}, "temperature must be finite and > 0, got nan"),
+    (FieldCurve(0.0, 0.5), {"lo": 0.5}, "schedule bounds must satisfy 0 <= lo < hi <= 0.9999, got (0.5, 0.5)"),
+    (FieldSchema(0, "f0", 3), {"vocab_size": 0}, "field 'f0': vocab_size must be >= 1"),
+], ids=["run-patience", "run-transfer", "loss-max_negatives", "loss-label_mode", "model-heads",
+        "model-temperature", "curve-lo", "schema-vocab_size"])
+def test_configs_check_themselves_when_built(valid, patch, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        type(valid)(**(asdict(valid) | patch))
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        replace(valid, **patch)
+
+
+@pytest.mark.parametrize("cfg,name,value", [
+    (RunConfig(), "transfer", "none"),
+    (PretrainLossConfig(), "label_mode", "drop"),
+])
+def test_run_and_loss_configs_are_frozen(cfg, name, value):
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, name, value)
 
 
 def test_default_schedule_is_build_schedules_own():

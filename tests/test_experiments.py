@@ -4,6 +4,7 @@ from dataclasses import replace
 from conftest import build_micro_env
 from diffctr import experiments as ex
 from diffctr import train as tr
+from diffctr.errors import DataError
 from diffctr.losses import PretrainLossConfig
 from diffctr.metrics import MetricReport
 from diffctr.model import TRANSFER_MODES
@@ -37,17 +38,20 @@ def count_pretrains(monkeypatch, error=None):
 
 def test_suite_executor_runs_cross_product_and_records_failures(monkeypatch, micro_env):
     calls = []
+    broken = with_run(micro_env, transfer="none", patience=99)
 
     def fake_finetune(model, train, validation, test, cfg):
+        if cfg.patience == broken.run_cfg.patience:
+            raise DataError("broken variant")
         calls.append((cfg.transfer, cfg.seed))
         return model, fake_report(0.8 + 0.01 * cfg.seed)
 
     monkeypatch.setattr(ex, "finetune", fake_finetune)
-    variants = {"full": with_run(micro_env, transfer="none"), "broken": with_run(micro_env, transfer="bogus")}
+    variants = {"full": with_run(micro_env, transfer="none"), "broken": broken}
     report = ex.run_suite(variants, seeds=[0, 1, 2])
     assert calls == [("none", 0), ("none", 1), ("none", 2)]
     assert len(report.values("full", "auc")) == 3
-    assert report.failures == [("broken", seed, "DataError: unknown transfer mode 'bogus'") for seed in (0, 1, 2)]
+    assert report.failures == [("broken", seed, "DataError: broken variant") for seed in (0, 1, 2)]
     summary = {(cid, metric): (mean, std) for cid, metric, mean, std in report.summary()}
     assert abs(summary[("full", "auc")][0] - 0.81) < 1e-12
 

@@ -7,7 +7,7 @@ import diffctr.train as tr
 from diffctr import data as dd
 from diffctr import losses as ls
 from diffctr import model as md
-from diffctr.errors import NumericError
+from diffctr.errors import DataError, NumericError
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
 from conftest import untied
@@ -227,6 +227,20 @@ class TestSampleReverse:
         out = tr.sample_reverse_batch(model, schedule, steps=8, rng=stream(3, "r"),
                                       n=40, conditioning={0: 2})
         assert np.all(out[:, 0] == 2)
+
+    @pytest.mark.parametrize("conditioning,fragment", [
+        (lambda P, V: {P: 0}, r"position \d+ outside \[0, \d+\)"),
+        (lambda P, V: {-1: 1}, r"position -1 outside"),
+        (lambda P, V: {0: V}, r"token \d+ outside \[0, \d+\) for field 'f0'"),  # f0's mask id
+        (lambda P, V: {0: -1}, r"token -1 outside"),
+    ], ids=["past-last-position", "negative-position", "mask-id", "negative-token"])
+    def test_conditioning_out_of_range_rejected(self, conditioning, fragment):
+        train, _, _ = tiny_env()
+        model = tiny_model(train, seed=18)
+        schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
+        with pytest.raises(DataError, match=fragment):
+            tr.sample_reverse_batch(model, schedule, steps=2, rng=stream(3, "r"), n=4,
+                                    conditioning=conditioning(model.num_positions, model.schema[0].vocab_size))
 
 
 def test_evaluate_matches_direct_scoring(monkeypatch):
