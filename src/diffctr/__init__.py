@@ -16,13 +16,16 @@ __version__ = "0.1.0"
 # arrays in again. 32 MiB is glibc's 64-bit ceiling for the mmap threshold
 # and covers the largest array at the default sizes (18.9 MB); fixing
 # either value also stops glibc's history-dependent threshold adjustment.
+# One arena: ctr_score's worker threads then reuse the heap that
+# fine-tuning freed instead of each growing an arena of its own.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30))
+_M_ARENA_MAX = -8
+_MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30), (_M_ARENA_MAX, 1))
 
 
 def _fix_malloc_thresholds() -> bool:
-    """Fix glibc's mmap and trim thresholds; True if both were set.
+    """Fix glibc's mmap and trim thresholds and its arena count; True if all were set.
 
     Returns False, raising nothing, on other C libraries or where mallopt
     refuses a value. Once set, freed memory stays in the process for

@@ -6,12 +6,14 @@ in reverse topological order with a fixed left-to-right accumulation,
 so repeated runs are bit-identical. Values are checked finite at
 creation time, which names the op that produced a NaN/Inf instead of
 letting it surface three modules later. Inside no_grad() ops record no
-parents and no closures, so forward-only callers keep no tape alive;
-the finiteness check still runs on every value.
+parents and no closures in the thread that entered it, so forward-only
+callers keep no tape alive; the finiteness check still runs on every
+value.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +27,15 @@ from .errors import NumericError, ShapeError
 LOG_ZERO = -1e30
 
 _adjoint_faults: dict[str, float] = {}
-_no_grad_depth = 0
+
+
+class _NoGradDepth(threading.local):
+    """How many no_grad() bodies the current thread is inside."""
+
+    depth = 0
+
+
+_no_grad = _NoGradDepth()
 
 
 @contextmanager
@@ -43,19 +53,19 @@ def no_grad():
     """Record no tape while active, as `with no_grad():` or `@no_grad()`.
 
     Nests, and restores the previous state when its body raises;
-    backward() refuses to run inside it.
+    backward() refuses to run inside it. The state is per thread: a
+    no_grad in one thread leaves taping in every other thread alone.
     """
-    global _no_grad_depth
-    _no_grad_depth += 1
+    _no_grad.depth += 1
     try:
         yield
     finally:
-        _no_grad_depth -= 1
+        _no_grad.depth -= 1
 
 
 def recording() -> bool:
-    """Whether ops record a tape: false inside no_grad()."""
-    return not _no_grad_depth
+    """Whether ops record a tape in this thread: false inside no_grad()."""
+    return not _no_grad.depth
 
 
 class Tensor:

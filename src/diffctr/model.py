@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,6 +29,7 @@ CHECKPOINT_MAGIC = b"DGCT"
 CHECKPOINT_VERSION = 1
 
 TRANSFER_MODES = ("full", "embeddings-only", "scoring-network-only")
+SCORE_PART = 1024  # fewest rows ctr_score scores as one part
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,32 @@ def _distinct_pairs(model: Model, tokens: np.ndarray) -> tuple[Tensor, np.ndarra
     return x, index.reshape(tokens.shape)
 
 
+def _check_tokens(model: Model, tokens: np.ndarray) -> None:
+    """encode's input check: (B, P) tokens, each in [0, vocab] (vocab is the mask id)."""
+    P = model.num_positions
+    if tokens.ndim != 2 or tokens.shape[1] != P:
+        raise ShapeError(f"encode: tokens must be (B, {P}), got {tokens.shape}")
+    for f in model.schema:
+        col = tokens[:, f.index]
+        if col.min() < 0 or col.max() > f.vocab_size:
+            raise ShapeError(
+                f"encode: token out of range for field '{f.name}' (vocab {f.vocab_size})"
+            )
+
+
+def _check_unmasked(model: Model, tokens: np.ndarray) -> None:
+    """label_logit_diff's input check: no feature holds its mask id."""
+    for f in model.schema[:-1]:
+        if np.any(tokens[:, f.index] >= f.vocab_size):
+            raise DataError(f"ctr scoring requires unmasked field '{f.name}'")
+
+
+def _label_masked(model: Model, tokens: np.ndarray) -> np.ndarray:
+    masked = tokens.copy()
+    masked[:, model.label_position] = model.mask_ids[model.label_position]
+    return masked
+
+
 # an overflow inside the network surfaces as the op's NumericError, not a RuntimeWarning
 @np.errstate(over="ignore", invalid="ignore")
 def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
@@ -155,18 +184,12 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
       small batched gemm in another order than a two-row block's, while
       the last row agrees.
     The taped route runs every row, so its weight gradients sum as before.
+    ctr_score's parts rest on the same property: a row's value does not
+    depend on the rows encoded beside it.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
+    _check_tokens(model, tokens)
     P = model.num_positions
-    if tokens.ndim != 2 or tokens.shape[1] != P:
-        raise ShapeError(f"encode: tokens must be (B, {P}), got {tokens.shape}")
-    for f in model.schema:
-        col = tokens[:, f.index]
-        if col.min() < 0 or col.max() > f.vocab_size:
-            raise ShapeError(
-                f"encode: token out of range for field '{f.name}' (vocab {f.vocab_size})"
-            )
-
     cfg = model.cfg
     d, dh = cfg.embed_dim, cfg.embed_dim // cfg.heads
     pairs = None
@@ -244,21 +267,72 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lbl = model.label_position
-    for f in model.schema[:-1]:
-        if np.any(tokens[:, f.index] >= f.vocab_size):
-            raise DataError(f"ctr scoring requires unmasked field '{f.name}'")
-    masked = tokens.copy()
-    masked[:, lbl] = model.mask_ids[lbl]
-    ctx = encode(model, masked, keep=lbl)
+    _check_unmasked(model, tokens)
+    ctx = encode(model, _label_masked(model, tokens), keep=lbl)
     logits = field_logits(model, lbl, ctx, np.array([0, 1]))
     return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
 
 
-@ad.no_grad()
-@np.errstate(over="ignore", invalid="ignore")
+def score_workers() -> int:
+    """Most threads ctr_score runs at once: the CPUs this process may use.
+
+    Read from the affinity mask, so a cgroup CPU quota is not seen.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
-    """P(click | features) per row; the input label token is ignored. Records no tape."""
-    return ad.sigmoid(label_logit_diff(model, tokens)).data
+    """P(click | features) per row; the input label token is ignored. Records no tape.
+
+    The rows are cut into floor(n / SCORE_PART) parts of SCORE_PART to
+    2 * SCORE_PART - 1 rows (one part below that), at points that depend
+    on n alone, and the parts are scored on min(parts, score_workers())
+    threads: the calling thread takes the first part and every
+    workers-th part after it. Every thread is joined before the call
+    returns. BLAS stays at one thread per call, so each part runs the
+    arithmetic it would run alone; at the default shapes its scores
+    equal the unsplit route's bit for bit (encode's docstring names the
+    shapes where they do not).
+
+    The whole chunk is checked before it is cut, so a malformed chunk
+    raises the same error whichever part holds the bad row; an error
+    raised while scoring is re-raised from the first part that failed.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    _check_unmasked(model, tokens)
+    _check_tokens(model, _label_masked(model, tokens))
+    cuts = np.linspace(0, len(tokens), max(len(tokens) // SCORE_PART, 1) + 1).astype(np.int64)
+    parts = list(zip(cuts[:-1], cuts[1:]))
+    workers = min(len(parts), score_workers())
+    scores = np.empty(len(tokens))
+    errors: dict[int, BaseException] = {}
+
+    # numpy's error state is per thread, so each thread sets its own
+    @ad.no_grad()
+    @np.errstate(over="ignore", invalid="ignore")
+    def score(first: int) -> None:
+        for start, end in parts[first::workers]:
+            try:
+                scores[start:end] = ad.sigmoid(label_logit_diff(model, tokens[start:end])).data
+            except BaseException as e:  # re-raised below on the calling thread
+                errors[start] = e
+                return
+
+    helpers = []
+    try:
+        for w in range(1, workers):
+            helper = threading.Thread(target=score, args=(w,))
+            helper.start()
+            helpers.append(helper)
+        score(0)
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return scores
 
 
 # ---------------------------------------------------------------------------

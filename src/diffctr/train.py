@@ -19,7 +19,8 @@ from .data import Dataset, batch_iter
 from .errors import DataError, NumericError
 from .losses import PretrainLossConfig, pretrain_loss, sft_loss
 from .metrics import MetricReport, report_for
-from .model import TRANSFER_MODES, Model, ctr_score, encode, full_vocab_logits, save_checkpoint
+from .model import (TRANSFER_MODES, Model, ctr_score, encode, full_vocab_logits, save_checkpoint,
+                    score_workers)
 from .optim import adam_step
 from .rng import stream
 from .schedule import NoiseSchedule
@@ -77,7 +78,8 @@ class RunReport:
 
 
 def _build_fingerprint() -> dict:  # perfbench records it with its machine fingerprint
-    return {"package": __version__, "numpy": np.__version__, "allocator": _ALLOCATOR}
+    return {"package": __version__, "numpy": np.__version__, "allocator": _ALLOCATOR,
+            "score_workers": score_workers()}
 
 
 def evaluate(model: Model, dataset: Dataset, split: str) -> MetricReport:

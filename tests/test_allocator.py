@@ -1,7 +1,10 @@
-"""The malloc thresholds fixed at import: page faults per big step, fallbacks, fingerprint."""
+"""The malloc settings fixed at import: page faults per big step, one arena, fallbacks, fingerprint."""
 
 import ctypes
+import os
 import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -63,6 +66,42 @@ def test_4096_row_scoring_chunk_reuses_freed_memory(default_model_and_rows):
     assert _minor_faults(score) < 250
 
 
+# One B=2048 fine-tune step, then 12 scoring chunks of 4096 rows on two
+# threads; prints how far ru_maxrss (KiB on Linux) rose while scoring.
+_SCORE_AFTER_FINETUNE = """
+import resource
+import diffctr.autodiff as ad
+from diffctr import data as dd
+from diffctr import model as md
+from diffctr.losses import sft_loss
+from diffctr.optim import adam_step
+
+md.score_workers = lambda: 2
+spec = dd.random_spec(num_fields=8, vocab=50, samples=4096, seed=3)
+ds, _ = dd.generate_synthetic(spec)
+model, tokens = md.Model.init(md.ModelConfig(), ds.schema, 0), ds.token_matrix()
+_, grads = ad.forward_backward(lambda params: sft_loss(model, tokens[:2048]), model.params)
+adam_step(model.params, grads)
+del grads
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for _ in range(12):
+    md.ctr_score(model, tokens)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@glibc_only
+def test_scoring_threads_reuse_the_heap_fine_tuning_freed():
+    """With one malloc arena the scoring helper thread allocates from the
+    main heap; with an arena of its own, peak RSS grew by about 26 MB."""
+    src = os.path.dirname(os.path.dirname(md.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _SCORE_AFTER_FINETUNE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10 * 1024
+
+
 class _FakeLib:
     def __init__(self, results):
         self.calls = []
@@ -88,7 +127,7 @@ def test_libc_without_mallopt_is_a_silent_no_op(monkeypatch):
     assert diffctr._fix_malloc_thresholds() is False
 
 
-@pytest.mark.parametrize("results, calls", [((0,), 1), ((1, 0), 2)])
+@pytest.mark.parametrize("results, calls", [((0,), 1), ((1, 0), 2), ((1, 1, 0), 3)])
 def test_refused_threshold_reports_default(monkeypatch, results, calls):
     lib = _FakeLib(results)
     monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
@@ -97,10 +136,10 @@ def test_refused_threshold_reports_default(monkeypatch, results, calls):
 
 
 def test_both_thresholds_are_set_to_fixed_values(monkeypatch):
-    lib = _FakeLib((1, 1))
+    lib = _FakeLib((1, 1, 1))
     monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
     assert diffctr._fix_malloc_thresholds() is True
-    assert lib.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+    assert lib.calls == [(-3, 32 << 20), (-1, 1 << 30), (-8, 1)]
 
 
 def test_second_call_is_harmless():

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -298,6 +302,43 @@ def test_no_grad_nests_and_restores_on_error():
         with ad.no_grad():
             raise KeyError("body fails")
     assert taped()
+
+
+def test_no_grad_state_is_per_thread_under_contention():
+    """Eight threads, more than the cores, enter and leave no_grad on a
+    1 us switch interval; a depth shared between threads would make one
+    thread see another's state, or lose an update and stay off."""
+    w = make_store({"w": np.ones((2,))})["w"]
+    failures = []
+    interval = sys.getswitchinterval()
+
+    def churn(rounds: int) -> None:
+        try:
+            for _ in range(rounds):
+                if not ad.recording() or not ad.smul(w, 2.0).parents:
+                    failures.append("off outside no_grad")
+                with ad.no_grad():
+                    if ad.recording() or ad.smul(w, 2.0).parents:
+                        failures.append("on inside no_grad")
+        except Exception as e:  # a thread's exception would otherwise only be printed
+            failures.append(repr(e))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn, args=(2000,)) for _ in range(8)]
+        with ad.no_grad():  # the main thread's own no_grad reaches no other thread
+            for t in threads:
+                t.start()
+            time.sleep(0.01)
+            assert not ad.recording()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert ad.recording() and ad.smul(w, 2.0).parents
 
 
 def test_backward_refuses_to_run_inside_no_grad():

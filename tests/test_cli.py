@@ -75,6 +75,26 @@ def test_pretrain_then_finetune_smoke(tmp_path, tiny_config_path, capsys):
     assert os.path.exists(os.path.join(ft_dir, "finetune_rows.csv"))
 
 
+def test_pretraining_for_fewer_epochs_is_a_prefix_of_a_longer_run(tmp_path):
+    """e epochs give the parameters of a 3-epoch run's epoch-(e-1) checkpoint, bit for bit."""
+    data_dir = str(tmp_path / "data")
+    configs = {}
+    for epochs in (1, 2, 3):
+        path = tmp_path / f"pre{epochs}.cfg"
+        path.write_text(TINY_CONFIG_TEXT.replace("pretrain_epochs = 1", f"pretrain_epochs = {epochs}"))
+        configs[epochs] = str(path)
+    assert main(["generate-data", "--config", configs[3], "--out", data_dir]) == 0
+    for epochs, path in configs.items():
+        assert main(["pretrain", "--config", path, "--data", data_dir,
+                     "--out", str(tmp_path / f"pre{epochs}")]) == 0
+    for epochs in (1, 2):
+        _, short = md.read_checkpoint(str(tmp_path / f"pre{epochs}" / "pretrained.dgct"))
+        _, prefix = md.read_checkpoint(str(tmp_path / "pre3" / f"pretrain_epoch{epochs - 1}.dgct"))
+        assert short.keys() == prefix.keys()
+        for name in short:
+            assert np.array_equal(short[name], prefix[name]), (epochs, name)
+
+
 def test_zero_epoch_finetune_reports_checkpoint_metrics(tmp_path, tiny_config_path, capsys):
     data_dir = str(tmp_path / "data")
     main(["generate-data", "--config", tiny_config_path, "--out", data_dir])

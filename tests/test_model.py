@@ -1,3 +1,6 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -295,6 +298,100 @@ def test_ctr_score_builds_no_tape(monkeypatch):
     matmuls = [t.data.shape for t in created if t.op == "matmul"]
     assert matmuls[:3] == matmuls[6:9] == [(9, 4, 4)] * 3  # block 0 keeps all B * P rows
     assert matmuls[14] == matmuls[20] == (9, 4, 4)  # and the last block every query row
+
+
+@pytest.fixture(scope="module")
+def default_scoring_rows():
+    spec = dd.random_spec(num_fields=8, vocab=50, samples=4096, seed=3)
+    ds, _ = dd.generate_synthetic(spec)
+    return ds.schema, ds.token_matrix()
+
+
+def unsplit_scores(model, tokens):
+    with ad.no_grad():
+        return ad.sigmoid(md.label_logit_diff(model, tokens)).data
+
+
+@pytest.mark.parametrize("cfg", [md.ModelConfig(), md.ModelConfig(heads=4, blocks=3)],
+                         ids=["default", "heads4-blocks3"])
+def test_scoring_in_parts_is_bit_identical_to_one_call(cfg, default_scoring_rows):
+    """Parts of 1024-2047 rows score each row as the whole chunk does, at
+    every row count the cuts treat differently."""
+    schema, tokens = default_scoring_rows
+    model = md.Model.init(cfg, schema, 0)
+    for n in (2048, 2500, 3000, 3071, 4095, 4096):
+        assert np.array_equal(md.ctr_score(model, tokens[:n]), unsplit_scores(model, tokens[:n])), n
+
+
+def test_cuts_and_scores_do_not_depend_on_the_cpu_count(monkeypatch, default_scoring_rows):
+    schema, tokens = default_scoring_rows
+    model = md.Model.init(md.ModelConfig(), schema, 0)
+    want = unsplit_scores(model, tokens[:3071])
+    part_rows, threads, error_states = [], set(), set()
+    real = md.label_logit_diff
+
+    def spy(model, tokens):
+        part_rows.append(len(tokens))
+        threads.add(threading.get_ident())
+        error_states.add((np.geterr()["over"], np.geterr()["invalid"], ad.recording()))
+        return real(model, tokens)
+
+    monkeypatch.setattr(md, "label_logit_diff", spy)
+    for cpus in (1, 2):
+        monkeypatch.setattr(md, "score_workers", lambda: cpus)
+        part_rows.clear()
+        threads.clear()
+        assert np.array_equal(md.ctr_score(model, tokens[:3071]), want), cpus
+        assert sorted(part_rows) == [1535, 1536]
+        assert len(threads) == cpus
+        # numpy's error state starts at its defaults on a new thread, so
+        # every part must set ctr_score's own, as it must enter no_grad
+        assert error_states == {("ignore", "ignore", False)}
+
+
+def test_a_malformed_chunk_raises_alike_whichever_part_holds_the_bad_row():
+    """Field 3 masked in the first part and field 0 in the last: the whole
+    chunk is checked field by field, so the error names field 0."""
+    model = make_model(blocks=1, vocabs=(4, 3, 5, 6, 4))
+    tokens = random_tokens(model, stream(24, "t"), n=4096, allow_mask=False)
+    tokens[0, 3] = model.schema[3].vocab_size
+    tokens[-1, 0] = model.schema[0].vocab_size
+    with pytest.raises(DataError, match="unmasked field 'f0'"):
+        md.ctr_score(model, tokens)
+    tokens[-1, 0] = -1  # out of range: reported only after the masked-field check
+    with pytest.raises(DataError, match="unmasked field 'f3'"):
+        md.ctr_score(model, tokens)
+    tokens[0, 3] = 0
+    with pytest.raises(ShapeError, match="field 'f0'"):
+        md.ctr_score(model, tokens)
+
+
+def test_overflow_in_the_last_part_raises_on_the_caller_without_a_warning():
+    """Two blocks whose first FFN overflows only on rows holding field 0's
+    token 3, which only the chunk's last row holds."""
+    model = make_model(blocks=2, heads=2, d=8)
+    for name in model.params.names():
+        if name.startswith("embed/input/"):
+            model.params.set_data(name, np.ones_like(model.params.get_data(name)))
+        elif name == "embed/field_pos" or name.endswith("/wo") or name == "net/b0/ffn_w2":
+            model.params.set_data(name, np.zeros_like(model.params.get_data(name)))
+    table = model.params.get_data("embed/input/f0").copy()
+    table[3] = np.eye(8)[0]  # rms_scale: sqrt(8) on axis 0, where a row of ones gives 1
+    model.params.set_data("embed/input/f0", table)
+    w1 = np.zeros((8, 16))
+    w1[0] = 1e308
+    model.params.set_data("net/b0/ffn_w1", w1)
+    tokens = random_tokens(model, stream(26, "t"), n=4096, allow_mask=False)
+    tokens[:, 0] %= 3
+    ok = md.ctr_score(model, tokens)
+    assert np.all(np.isfinite(ok))
+    tokens[-1, 0] = 3
+    threads_before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match="matmul"):
+            md.ctr_score(model, tokens)
+    assert threading.active_count() == threads_before
 
 
 def test_grad_check_through_the_kept_row():
