@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,6 +22,7 @@ from .autodiff import Tensor
 from .data import FieldSchema, atomic_write
 from .errors import CheckpointError, DataError, ShapeError
 from .optim import ParamStore, xavier_init
+from .parallel import deal
 
 CHECKPOINT_MAGIC = b"DGCT"
 CHECKPOINT_VERSION = 1
@@ -71,26 +70,26 @@ class Model:
     @classmethod
     def init(cls, cfg: ModelConfig, schema: list[FieldSchema], seed: int) -> "Model":
         d, dh = cfg.embed_dim, cfg.embed_dim // cfg.heads
-        params = ParamStore()
+        arrays = {}
         for f in schema:
-            params.add(f"embed/input/{f.name}", xavier_init((f.vocab_size + 1, d), seed, "in", f.name))
-            params.add(f"embed/target/{f.name}", xavier_init((f.vocab_size, d), seed, "tg", f.name))
-        params.add("embed/field_pos", xavier_init((len(schema), d), seed, "pos"))
+            arrays[f"embed/input/{f.name}"] = xavier_init((f.vocab_size + 1, d), seed, "in", f.name)
+            arrays[f"embed/target/{f.name}"] = xavier_init((f.vocab_size, d), seed, "tg", f.name)
+        arrays["embed/field_pos"] = xavier_init((len(schema), d), seed, "pos")
         for b in range(cfg.blocks):
-            params.add(f"net/b{b}/attn_gain", np.ones(d))
+            arrays[f"net/b{b}/attn_gain"] = np.ones(d)
             for h in range(cfg.heads):
                 for w in ("wq", "wk", "wv"):
-                    params.add(f"net/b{b}/h{h}/{w}", xavier_init((d, dh), seed, b, h, w))
-                params.add(f"net/b{b}/h{h}/wo", xavier_init((dh, d), seed, b, h, "wo"))
-            params.add(f"net/b{b}/ffn_gain", np.ones(d))
-            params.add(f"net/b{b}/ffn_w1", xavier_init((d, cfg.ffn_width), seed, b, "w1"))
-            params.add(f"net/b{b}/ffn_b1", np.zeros(cfg.ffn_width))
-            params.add(f"net/b{b}/ffn_w2", xavier_init((cfg.ffn_width, d), seed, b, "w2"))
-            params.add(f"net/b{b}/ffn_b2", np.zeros(d))
+                    arrays[f"net/b{b}/h{h}/{w}"] = xavier_init((d, dh), seed, b, h, w)
+                arrays[f"net/b{b}/h{h}/wo"] = xavier_init((dh, d), seed, b, h, "wo")
+            arrays[f"net/b{b}/ffn_gain"] = np.ones(d)
+            arrays[f"net/b{b}/ffn_w1"] = xavier_init((d, cfg.ffn_width), seed, b, "w1")
+            arrays[f"net/b{b}/ffn_b1"] = np.zeros(cfg.ffn_width)
+            arrays[f"net/b{b}/ffn_w2"] = xavier_init((cfg.ffn_width, d), seed, b, "w2")
+            arrays[f"net/b{b}/ffn_b2"] = np.zeros(d)
         if cfg.blocks > 0:
-            params.add("net/out_gain", np.ones(d))
-            params.add("net/out_proj", xavier_init((d, d), seed, "out"))
-        model = cls(cfg, schema, params)
+            arrays["net/out_gain"] = np.ones(d)
+            arrays["net/out_proj"] = xavier_init((d, d), seed, "out")
+        model = cls(cfg, schema, ParamStore(arrays))
         for f in schema:
             if np.any(np.linalg.norm(model.target_table(f.index).data, axis=1) == 0.0):
                 raise DataError(f"field '{f.name}': zero target row after init")
@@ -273,24 +272,14 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
     return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
 
 
-def score_workers() -> int:
-    """Most threads ctr_score runs at once: the CPUs this process may use.
-
-    Read from the affinity mask, so a cgroup CPU quota is not seen.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
     """P(click | features) per row; the input label token is ignored. Records no tape.
 
     The rows are cut into floor(n / SCORE_PART) parts of SCORE_PART to
     2 * SCORE_PART - 1 rows (one part below that), at points that depend
-    on n alone, and the parts are scored on min(parts, score_workers())
-    threads: the calling thread takes the first part and every
-    workers-th part after it. Every thread is joined before the call
+    on n alone, and the parts are dealt to one thread per CPU by
+    parallel.deal: the calling thread takes the first part and every
+    workers-th part after it, and every thread is joined before the call
     returns. BLAS stays at one thread per call, so each part runs the
     arithmetic it would run alone; at the default shapes its scores
     equal the unsplit route's bit for bit (encode's docstring names the
@@ -305,33 +294,15 @@ def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
     _check_tokens(model, _label_masked(model, tokens))
     cuts = np.linspace(0, len(tokens), max(len(tokens) // SCORE_PART, 1) + 1).astype(np.int64)
     parts = list(zip(cuts[:-1], cuts[1:]))
-    workers = min(len(parts), score_workers())
     scores = np.empty(len(tokens))
-    errors: dict[int, BaseException] = {}
 
-    # numpy's error state is per thread, so each thread sets its own
     @ad.no_grad()
     @np.errstate(over="ignore", invalid="ignore")
-    def score(first: int) -> None:
-        for start, end in parts[first::workers]:
-            try:
-                scores[start:end] = ad.sigmoid(label_logit_diff(model, tokens[start:end])).data
-            except BaseException as e:  # re-raised below on the calling thread
-                errors[start] = e
-                return
+    def score(part: tuple[int, int], _worker: int) -> None:
+        start, end = part
+        scores[start:end] = ad.sigmoid(label_logit_diff(model, tokens[start:end])).data
 
-    helpers = []
-    try:
-        for w in range(1, workers):
-            helper = threading.Thread(target=score, args=(w,))
-            helper.start()
-            helpers.append(helper)
-        score(0)
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
+    deal(parts, score)
     return scores
 
 

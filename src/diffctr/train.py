@@ -19,9 +19,9 @@ from .data import Dataset, batch_iter
 from .errors import DataError, NumericError
 from .losses import PretrainLossConfig, pretrain_loss, sft_loss
 from .metrics import MetricReport, report_for
-from .model import (TRANSFER_MODES, Model, ctr_score, encode, full_vocab_logits, save_checkpoint,
-                    score_workers)
+from .model import TRANSFER_MODES, Model, ctr_score, encode, full_vocab_logits, save_checkpoint
 from .optim import adam_step
+from .parallel import cpu_workers
 from .rng import stream
 from .schedule import NoiseSchedule
 
@@ -79,7 +79,7 @@ class RunReport:
 
 def _build_fingerprint() -> dict:  # perfbench records it with its machine fingerprint
     return {"package": __version__, "numpy": np.__version__, "allocator": _ALLOCATOR,
-            "score_workers": score_workers()}
+            "score_workers": cpu_workers()}
 
 
 def evaluate(model: Model, dataset: Dataset, split: str) -> MetricReport:
@@ -143,7 +143,8 @@ def pretrain(
 
     for log in _epochs(model, dataset, cfg, report, step_loss,
                        cfg.pretrain_epochs, cfg.pretrain_batch, cfg.seed, cfg.pretrain_lr, min_rows=2):
-        last_good = model.clone()
+        if log.epoch + 1 < cfg.pretrain_epochs:  # no later epoch can diverge after the last
+            last_good = model.clone()
         if out_dir is not None:
             save_checkpoint(model, f"{out_dir}/pretrain_epoch{log.epoch}.dgct",
                             meta={"seed": cfg.seed, "epoch": log.epoch})

@@ -66,31 +66,42 @@ def test_4096_row_scoring_chunk_reuses_freed_memory(default_model_and_rows):
     assert _minor_faults(score) < 250
 
 
+# The fresh processes below report how far their peak RSS rose. The peak
+# is VmHWM, which exec resets: ru_maxrss keeps the spawning process's peak
+# across exec, so after a large test it reads no growth at all.
+_PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+has_vmhwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+
 # One B=2048 fine-tune step, then 12 scoring chunks of 4096 rows on two
-# threads; prints how far ru_maxrss (KiB on Linux) rose while scoring.
-_SCORE_AFTER_FINETUNE = """
-import resource
+# threads; prints how far the peak RSS (KiB) rose while scoring.
+_SCORE_AFTER_FINETUNE = _PEAK_KIB + """
 import diffctr.autodiff as ad
 from diffctr import data as dd
 from diffctr import model as md
+from diffctr import parallel
 from diffctr.losses import sft_loss
 from diffctr.optim import adam_step
 
-md.score_workers = lambda: 2
+parallel.cpu_workers = lambda: 2
 spec = dd.random_spec(num_fields=8, vocab=50, samples=4096, seed=3)
 ds, _ = dd.generate_synthetic(spec)
 model, tokens = md.Model.init(md.ModelConfig(), ds.schema, 0), ds.token_matrix()
 _, grads = ad.forward_backward(lambda params: sft_loss(model, tokens[:2048]), model.params)
 adam_step(model.params, grads)
 del grads
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 for _ in range(12):
     md.ctr_score(model, tokens)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak_kib() - before)
 """
 
 
 @glibc_only
+@has_vmhwm
 def test_scoring_threads_reuse_the_heap_fine_tuning_freed():
     """With one malloc arena the scoring helper thread allocates from the
     main heap; with an arena of its own, peak RSS grew by about 26 MB."""
@@ -100,6 +111,44 @@ def test_scoring_threads_reuse_the_heap_fine_tuning_freed():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 10 * 1024
+
+
+# 20 Adam steps on two threads on the wide-vocab store (8 fields, V=2000,
+# the default model: 1.04M floats); prints the store's size in floats and
+# how far the peak RSS (KiB) rose over the steps, first step included.
+_ADAM_AT_WIDE_VOCAB = _PEAK_KIB + """
+import numpy as np
+from diffctr import data as dd
+from diffctr import model as md
+from diffctr import parallel
+from diffctr.optim import adam_step
+
+parallel.cpu_workers = lambda: 2
+store = md.Model.init(md.ModelConfig(), dd.feature_schema([2000] * 8), 0).params
+rng = np.random.default_rng(0)
+grads = {n: rng.normal(size=t.data.shape) for n, t in store.items()}
+before = peak_kib()
+for _ in range(20):
+    adam_step(store, grads)
+print(sum(t.data.size for _, t in store.items()), peak_kib() - before)
+"""
+
+
+@glibc_only
+@has_vmhwm
+def test_adam_steps_at_wide_vocab_make_no_full_size_copy():
+    """Adam's moments are written for the first time in the first step, so
+    the peak may grow by their 2 x 8 bytes per float. Beyond that the
+    steps need only the two threads' block scratch (2 x 1.5 MB), so the bound
+    allows 4 MiB: one full-size copy of the gradients (8 MB) exceeds it."""
+    src = os.path.dirname(os.path.dirname(md.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _ADAM_AT_WIDE_VOCAB], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    floats, grown_kib = (int(x) for x in proc.stdout.split())
+    assert floats > 1_000_000
+    assert grown_kib < 2 * 8 * floats / 1024 + 4 * 1024
 
 
 class _FakeLib:

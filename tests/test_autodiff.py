@@ -11,15 +11,8 @@ from diffctr.optim import ParamStore
 from diffctr.rng import stream
 
 
-def make_store(arrays):
-    store = ParamStore()
-    for name, arr in arrays.items():
-        store.add(name, arr)
-    return store
-
-
 def test_quadratic_gradient():
-    store = make_store({"w": np.array([3.0, 4.0]).reshape(1, 2)})
+    store = ParamStore({"w": np.array([3.0, 4.0]).reshape(1, 2)})
 
     def fn(p):
         w = p["w"]
@@ -31,7 +24,7 @@ def test_quadratic_gradient():
 
 
 def test_unused_parameter_gets_zero_gradient():
-    store = make_store({"w": np.ones((2, 2)), "unused": np.ones((3,))})
+    store = ParamStore({"w": np.ones((2, 2)), "unused": np.ones((3,))})
 
     def fn(p):
         return ad.tsum(p["w"])
@@ -42,7 +35,7 @@ def test_unused_parameter_gets_zero_gradient():
 
 def test_three_layer_composite_matches_central_differences():
     rng = stream(11, "composite")
-    store = make_store(
+    store = ParamStore(
         {
             "w1": rng.normal(size=(5, 6)) * 0.4,
             "b1": rng.normal(size=(6,)) * 0.1,
@@ -96,7 +89,7 @@ def test_three_layer_composite_matches_central_differences():
 )
 def test_each_op_matches_finite_differences(name, builder):
     rng = stream(7, "ops", name)
-    store = make_store(
+    store = ParamStore(
         {
             "a": rng.normal(size=(3, 4)),
             "a2": rng.normal(size=(3, 4)) + 0.1,
@@ -197,7 +190,7 @@ def test_forward_backward_bit_identical():
     x = rng.normal(size=(6, 4)) + 0.5
 
     def run():
-        store = make_store({k: v.copy() for k, v in base.items()})
+        store = ParamStore({k: v.copy() for k, v in base.items()})
 
         def fn(p):
             return ad.tmean(ad.relu(ad.add(ad.matmul(ad.const(x), p["w"]), p["b"])))
@@ -224,7 +217,7 @@ def test_non_finite_names_op():
     with pytest.raises(NumericError, match="exp"):
         ad.exp(ad.const(np.array([1000.0])))
     # an overflow inside forward_backward names the op, with no RuntimeWarning first
-    store = make_store({"w": np.full((2,), 1e200)})
+    store = ParamStore({"w": np.full((2,), 1e200)})
     with pytest.raises(NumericError, match="'mul'"):
         ad.forward_backward(lambda p: ad.tsum(ad.mul(p["w"], p["w"])), store)
 
@@ -236,7 +229,7 @@ def test_gather_rows_range_check():
 
 
 def test_adjoint_fault_breaks_grad_check():
-    store = make_store({"w": np.array([[1.0, 2.0], [3.0, 4.0]])})
+    store = ParamStore({"w": np.array([[1.0, 2.0], [3.0, 4.0]])})
 
     def fn(p):
         return ad.tsum(ad.relu(ad.add(p["w"], ad.const(0.5))))
@@ -252,7 +245,7 @@ def test_relu_matches_the_where_form_bit_for_bit():
     x = np.array([[0.0, -0.0, tiny, -tiny, 1e-310, -1e-310],
                   [-3.0, 2.5, -1e-300, 1e-300, 7.0, -0.5]])
     weight = stream(8, "relu").normal(size=x.shape)
-    store = make_store({"a": x})
+    store = ParamStore({"a": x})
     out = ad.relu(store["a"])
     want = np.where(x > 0, x, 0.0)
     assert out.data.tobytes() == want.tobytes()
@@ -262,13 +255,13 @@ def test_relu_matches_the_where_form_bit_for_bit():
 
 
 def test_grad_check_h_range():
-    store = make_store({"w": np.ones((1,))})
+    store = ParamStore({"w": np.ones((1,))})
     with pytest.raises(ValueError):
         ad.grad_check(lambda p: ad.tsum(p["w"]), store, h=1e-2)
 
 
 def test_no_grad_records_no_tape_but_keeps_values():
-    store = make_store({"w": np.array([[1.0, -2.0], [3.0, 4.0]])})
+    store = ParamStore({"w": np.array([[1.0, -2.0], [3.0, 4.0]])})
     taped = ad.relu(ad.matmul(store["w"], store["w"]))
     with ad.no_grad():
         bare = ad.relu(ad.matmul(store["w"], store["w"]))
@@ -286,7 +279,7 @@ def test_no_grad_keeps_the_finiteness_check():
 
 
 def test_no_grad_nests_and_restores_on_error():
-    w = make_store({"w": np.ones((2,))})["w"]
+    w = ParamStore({"w": np.ones((2,))})["w"]
 
     def taped():
         recorded = bool(ad.smul(w, 2.0).parents)
@@ -308,7 +301,7 @@ def test_no_grad_state_is_per_thread_under_contention():
     """Eight threads, more than the cores, enter and leave no_grad on a
     1 us switch interval; a depth shared between threads would make one
     thread see another's state, or lose an update and stay off."""
-    w = make_store({"w": np.ones((2,))})["w"]
+    w = ParamStore({"w": np.ones((2,))})["w"]
     failures = []
     interval = sys.getswitchinterval()
 
@@ -342,7 +335,7 @@ def test_no_grad_state_is_per_thread_under_contention():
 
 
 def test_backward_refuses_to_run_inside_no_grad():
-    store = make_store({"w": np.array([1.0, 2.0])})
+    store = ParamStore({"w": np.array([1.0, 2.0])})
 
     def fn(p):
         return ad.tsum(ad.mul(p["w"], p["w"]))

@@ -8,6 +8,7 @@ from diffctr import autodiff as ad
 from diffctr import data as dd
 from diffctr import losses as ls
 from diffctr import model as md
+from diffctr import parallel
 from diffctr.data import feature_schema
 from diffctr.errors import CheckpointError, DataError, NumericError, ShapeError
 from diffctr.optim import adam_step
@@ -338,7 +339,7 @@ def test_cuts_and_scores_do_not_depend_on_the_cpu_count(monkeypatch, default_sco
 
     monkeypatch.setattr(md, "label_logit_diff", spy)
     for cpus in (1, 2):
-        monkeypatch.setattr(md, "score_workers", lambda: cpus)
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: cpus)
         part_rows.clear()
         threads.clear()
         assert np.array_equal(md.ctr_score(model, tokens[:3071]), want), cpus

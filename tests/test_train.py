@@ -95,6 +95,31 @@ def test_divergence_keeps_last_good_epoch(monkeypatch):
         np.testing.assert_array_equal(out.params.get_data(n), epoch0.params.get_data(n))
 
 
+def test_an_overflowing_second_moment_ends_the_run_as_diverged(monkeypatch):
+    """A 1e200 gradient entry squares to inf in Adam's v: that entry would
+    then never move again, so the step raises and the run keeps epoch 0."""
+    train, _, _ = tiny_env()
+    model = tiny_model(train, seed=7)
+    schedule = build_schedule(train.num_fields)
+    real = tr.ad.forward_backward
+    state = {"calls": 0}
+    steps_per_epoch = (len(train.samples) + 15) // 16
+
+    def overflowing(*args, **kwargs):
+        state["calls"] += 1
+        loss, grads = real(*args, **kwargs)
+        if state["calls"] > steps_per_epoch + 2:  # partway through epoch 1
+            grads["net/out_proj"][0, 0] = 1e200
+        return loss, grads
+
+    epoch0, _ = tr.pretrain(model.clone(), train, schedule, tiny_run_cfg(pretrain_epochs=1, seed=8))
+    monkeypatch.setattr(tr.ad, "forward_backward", overflowing)
+    out, report = tr.pretrain(model, train, schedule, tiny_run_cfg(pretrain_epochs=3, seed=8))
+    assert report.diverged and len(report.epochs) == 1
+    for n in epoch0.params.names():
+        np.testing.assert_array_equal(out.params.get_data(n), epoch0.params.get_data(n))
+
+
 def test_pretrain_skips_a_final_one_row_batch():
     train, _, _ = tiny_env()
     rows = len(train.token_matrix())
