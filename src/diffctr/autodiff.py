@@ -3,7 +3,12 @@
 Every operation returns a fresh Tensor recording its parents and one
 vector-Jacobian closure per parent; backward() walks the recorded tape
 in reverse topological order with a fixed left-to-right accumulation,
-so repeated runs are bit-identical. Values are checked finite at
+so repeated runs are bit-identical. An adjoint that sums over rows (a
+weight's, a broadcast operand's, a gathered table's) returns its
+row-wise operands as a _Rows, reduced where it is applied; join_rows
+uses this to run the rows of one batch in parts, each on its own tape
+and thread, and to reduce each such adjoint once over all the rows.
+Values are checked finite at
 creation time, which names the op that produced a NaN/Inf instead of
 letting it surface three modules later. Inside no_grad() ops record no
 parents and no closures in the thread that entered it, so forward-only
@@ -16,11 +21,13 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
+from .parallel import deal
 
 # Finite stand-in for log(0) in additive logsumexp masks. Small enough to
 # vanish under exp, large enough to stay finite through any sum.
@@ -101,7 +108,21 @@ def const(data) -> Tensor:
     return Tensor(data, op="const", tracked=False)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+class _Rows:
+    """An adjoint that sums over rows, held as its row-wise operands.
+
+    reduce(*operands) is the adjoint. Every operand holds one entry per
+    row on axis 0, so the operands of several parts of a batch, joined in
+    row order, reduce to the whole batch's adjoint bit for bit.
+    """
+
+    __slots__ = ("reduce", "operands")
+
+    def __init__(self, reduce: Callable, *operands: np.ndarray):
+        self.reduce, self.operands = reduce, operands
+
+
+def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum grad over broadcast axes so it matches `shape`."""
     extra = grad.ndim - len(shape)
     if extra > 0:
@@ -110,6 +131,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return np.reshape(grad, shape)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]):
+    """grad summed to `shape`: grad itself when the shapes agree, else a _Rows."""
+    return grad if grad.shape == shape else _Rows(partial(_sum_to, shape=shape), grad)
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
@@ -209,7 +235,7 @@ def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
             parents=(a, b),
             vjps=(
                 lambda g: (g.reshape(-1, b.data.shape[-1]) @ b.data.T).reshape(a.data.shape),
-                lambda g: flat.T @ g.reshape(-1, b.data.shape[-1]),
+                lambda g: _Rows(_weight_adjoint, flat, g.reshape(-1, b.data.shape[-1])),
             ),
         )
 
@@ -219,9 +245,15 @@ def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
         parents=(a, b),
         vjps=(
             lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-            lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
+            lambda g: _Rows(partial(_weight_adjoint, shape=b.data.shape), a.data, g),
         ),
     )
+
+
+def _weight_adjoint(a: np.ndarray, g: np.ndarray, shape: tuple[int, ...] | None = None):
+    """matmul's adjoint toward b, a^T g over the last two axes, summed to shape when given."""
+    ga = np.swapaxes(a, -1, -2) @ g
+    return ga if shape is None else _sum_to(ga, shape)
 
 
 def _matmul_widths(a: Tensor, b: Tensor, widths) -> Tensor:
@@ -345,12 +377,17 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ShapeError(f"gather_rows: index out of range for table with {rows} rows")
 
-    def vjp(g):
+    def scatter(flat_idx, rows):
         acc = np.zeros_like(table.data)
-        np.add.at(acc, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        np.add.at(acc, flat_idx, rows)
         return acc
 
-    return Tensor(np.take(table.data, idx, axis=0), op="gather_rows", parents=(table,), vjps=(vjp,))
+    return Tensor(
+        np.take(table.data, idx, axis=0),
+        op="gather_rows",
+        parents=(table,),
+        vjps=(lambda g: _Rows(scatter, idx.reshape(-1), g.reshape(-1, table.data.shape[1])),),
+    )
 
 
 def take_position(x: Tensor, pos) -> Tensor:
@@ -465,10 +502,21 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
     """All-pairs cosine: (m, d) x (n, d) -> (m, n)."""
-    return clip_unit(matmul(l2_normalize(a), transpose(l2_normalize(b))))
+    return cosine_columns(a, transpose(l2_normalize(b)))
 
 
-def _topo(root: Tensor) -> list[Tensor]:
+def cosine_columns(a: Tensor, columns: Tensor) -> Tensor:
+    """Cosine of a's rows (m, d) with unit columns (d, n), normalised once for many a."""
+    return clip_unit(matmul(l2_normalize(a), columns))
+
+
+def _topo(root: Tensor, shared: set[int] | None = None) -> list[Tensor]:
+    """The tracked nodes root depends on, each after its parents.
+
+    With shared, a set of node ids, the walk stops at those nodes and at
+    parameters (tracked leaves), and lists neither: what is left is the
+    tape of one join_rows part.
+    """
     order: list[Tensor] = []
     seen: set[int] = set()
     work: list[tuple[Tensor, bool]] = [(root, False)]
@@ -482,13 +530,51 @@ def _topo(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         work.append((node, True))
         for p in node.parents:
-            if p.tracked and id(p) not in seen:
+            if p.tracked and id(p) not in seen and (
+                    shared is None or (p.parents and id(p) not in shared)):
                 work.append((p, False))
     return order
 
 
+def _walk(order: list[Tensor], owned: set[int] | None = None) -> list:
+    """Pass each node's .grad to its parents, from order's last node to its first.
+
+    A node drops its .grad once it has passed it on, so only leaves keep
+    theirs. With owned, a set of node ids, an adjoint toward a node
+    outside it is not applied: it is returned, in walk order, as
+    (node, fault scale or None, _Rows).
+    """
+    outside = []
+    for node in reversed(order):
+        g = node.grad
+        if g is None or not node.parents:
+            continue
+        node.grad = None
+        fault = _adjoint_faults.get(node.op)
+        for parent, vjp in zip(node.parents, node.vjps):
+            if not parent.tracked:
+                continue
+            pg = vjp(g)
+            if owned is not None and id(parent) not in owned:
+                if not isinstance(pg, _Rows):
+                    raise ShapeError(f"join_rows: op '{node.op}' reaches a node outside "
+                                     "its part by an adjoint that does not sum over rows")
+                outside.append((parent, fault, pg))
+                continue
+            if isinstance(pg, _Rows):
+                pg = pg.reduce(*pg.operands)
+            if fault is not None:
+                pg = pg * fault
+            parent.grad = pg if parent.grad is None else parent.grad + pg
+    return outside
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of a scalar loss into .grad over the tape."""
+    """Accumulate gradients of a scalar loss into the leaves' .grad.
+
+    Every other node on the tape drops its gradient once it has passed it
+    to its parents, so the pass holds only the gradients still in flight.
+    """
     if not recording():
         raise RuntimeError("backward: called inside no_grad(), which records no tape")
     if loss.data.shape != ():
@@ -497,18 +583,77 @@ def backward(loss: Tensor) -> None:
     for node in order:
         node.grad = None
     loss.grad = np.ones(())
-    for node in reversed(order):
-        g = node.grad
-        if g is None:
-            continue
-        fault = _adjoint_faults.get(node.op)
-        for parent, vjp in zip(node.parents, node.vjps):
-            if not parent.tracked:
-                continue
-            pg = vjp(g)
+    _walk(order)
+
+
+def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
+    """The parts' rows one after another on axis 0; each part's tape stays its own.
+
+    Each part is computed from parameters and the shared nodes, which are
+    built once outside every part. The joined node's parents are the
+    parameters and shared nodes the parts reach. Its adjoint runs each
+    part's tape backward on a thread per CPU (parallel.deal), where every
+    adjoint toward one of those parents must be a _Rows and is kept
+    unreduced. Once all parts are done, each such adjoint reduces once
+    over its operands joined in row order, in the order one tape would
+    apply them; the parents are dealt to the threads one per item, those
+    with the most operand entries first. So the gradients equal one tape
+    over all rows bit for bit wherever each row's values and adjoints do
+    not depend on the rows beside it, whatever the number of threads.
+    """
+    data = np.concatenate([p.data for p in parts])
+    if not recording():
+        return Tensor(data, op="join_rows")
+    stop = {id(s) for s in shared}
+    first = _topo(parts[0], stop)
+    owned = {id(n) for n in first}
+    targets = list({id(p): p for n in reversed(first) for p in n.parents
+                    if p.tracked and id(p) not in owned}.values())
+    bounds = np.cumsum([0] + [len(p.data) for p in parts]).tolist()
+    state: dict = {}
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def run(k: int, _worker: int) -> None:
+        tape = first if k == 0 else _topo(parts[k], stop)
+        for node in tape:
+            node.grad = None
+        parts[k].grad = state["g"][bounds[k] : bounds[k + 1]]
+        state["rows"][k] = _walk(tape, owned if k == 0 else {id(n) for n in tape})
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def reduce(i: int, _worker: int) -> None:
+        total = None
+        for j in state["of"][i]:
+            _, fault, rows = state["rows"][0][j]
+            operands = rows.operands if len(parts) == 1 else [
+                np.concatenate(column) for column in zip(*(by_part[j][2].operands
+                                                           for by_part in state["rows"]))]
+            pg = rows.reduce(*operands)
             if fault is not None:
                 pg = pg * fault
-            parent.grad = pg if parent.grad is None else parent.grad + pg
+            total = pg if total is None else total + pg
+        state["grads"][i] = total
+
+    def adjoint(i: int, g: np.ndarray) -> np.ndarray:
+        if state.get("g") is not g:  # the first parent's call runs every part
+            state.update(g=g, rows=[None] * len(parts), grads=[None] * len(targets))
+            deal(range(len(parts)), run)
+            reached = [[id(t) for t, _, _ in rows] for rows in state["rows"]]
+            if any(r != reached[0] for r in reached):
+                raise ShapeError("join_rows: the parts' tapes differ in shape")
+            index = {id(t): n for n, t in enumerate(targets)}
+            state["of"] = [[] for _ in targets]
+            size = [0] * len(targets)
+            for j, (t, _, rows) in enumerate(state["rows"][0]):
+                state["of"][index[id(t)]].append(j)
+                size[index[id(t)]] += sum(o.size for o in rows.operands)
+            # the largest first, so that the threads' shares come out even
+            deal(sorted(range(len(targets)), key=lambda n: -size[n]), reduce)
+            del state["rows"]  # the operands, whose reductions are done
+        return state["grads"][i]
+
+    return Tensor(data, op="join_rows", parents=targets,
+                  vjps=[partial(adjoint, i) for i in range(len(targets))])
 
 
 # an overflow surfaces as the op's NumericError, not a RuntimeWarning first

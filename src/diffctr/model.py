@@ -22,13 +22,12 @@ from .autodiff import Tensor
 from .data import FieldSchema, atomic_write
 from .errors import CheckpointError, DataError, ShapeError
 from .optim import ParamStore, xavier_init
-from .parallel import deal
+from .parallel import deal, parts
 
 CHECKPOINT_MAGIC = b"DGCT"
 CHECKPOINT_VERSION = 1
 
 TRANSFER_MODES = ("full", "embeddings-only", "scoring-network-only")
-SCORE_PART = 1024  # fewest rows ctr_score scores as one part
 
 
 @dataclass(frozen=True)
@@ -158,15 +157,25 @@ def _label_masked(model: Model, tokens: np.ndarray) -> np.ndarray:
     return masked
 
 
+def check_label_rows(model: Model, tokens: np.ndarray) -> None:
+    """label_logit_diff's input checks over a whole batch, before it is cut into parts,
+    so a malformed batch raises the same error whichever part holds the bad row."""
+    _check_unmasked(model, tokens)
+    _check_tokens(model, _label_masked(model, tokens))
+
+
 # an overflow inside the network surfaces as the op's NumericError, not a RuntimeWarning
 @np.errstate(over="ignore", invalid="ignore")
-def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
+def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
+           pos_rows: Tensor | None = None) -> Tensor:
     """Contextual vectors, one per field position: (B, P, d).
 
     tokens is (B, P) in field order; mask ids are allowed. keep, a
     position, returns only its (B, d) vectors: the last block still
     attends over every position, then runs its output projection,
-    residual, FFN and the final projection on that one row.
+    residual, FFN and the final projection on that one row. pos_rows,
+    the field-position rows (P, d) built once for several calls, stand
+    in for the ones the taped route would gather itself.
 
     While no tape is recorded (under no_grad) encode computes only what
     its output needs. Its values equal the taped route's bit for bit
@@ -196,7 +205,9 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
         columns = [ad.gather_rows(model.params[f"embed/input/{f.name}"], tokens[:, f.index])
                    for f in model.schema]
         x = ad.stack(columns, axis=1)  # (B, P, d)
-        x = ad.add(x, ad.gather_rows(model.params["embed/field_pos"], np.arange(P)))
+        if pos_rows is None:
+            pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(P))
+        x = ad.add(x, pos_rows)
     else:  # P >= 2 gives at least two pairs, so no projection drops to gemv
         x, pairs = _distinct_pairs(model, tokens)  # (U, d) and (B, P)
     # one row would run the tail through BLAS gemv, which sums in another
@@ -241,43 +252,61 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
     return x
 
 
-def field_logits(model: Model, field_index: int, context: Tensor, candidates: np.ndarray) -> Tensor:
-    """Cosine logits of candidate tokens against a context batch: (B, m)."""
+def _target_columns(model: Model, field_index: int, candidates: np.ndarray) -> Tensor:
+    """The candidate tokens' target rows, unit-normalised and transposed: (d, m)."""
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
         raise DataError("field_logits: empty candidate set")
     f = model.schema[field_index]
     if candidates.min() < 0 or candidates.max() >= f.vocab_size:
         raise ShapeError(f"field_logits: candidate out of range for field '{f.name}'")
-    rows = ad.gather_rows(model.target_table(field_index), candidates)
-    return ad.smul(ad.cosine_matrix(context, rows), 1.0 / model.cfg.temperature)
+    return ad.transpose(ad.l2_normalize(ad.gather_rows(model.target_table(field_index), candidates)))
+
+
+def _cosine_logits(model: Model, context: Tensor, columns: Tensor) -> Tensor:
+    return ad.smul(ad.cosine_columns(context, columns), 1.0 / model.cfg.temperature)
+
+
+def field_logits(model: Model, field_index: int, context: Tensor, candidates: np.ndarray) -> Tensor:
+    """Cosine logits of candidate tokens against a context batch: (B, m)."""
+    return _cosine_logits(model, context, _target_columns(model, field_index, candidates))
 
 
 def full_vocab_logits(model: Model, field_index: int, context: Tensor) -> Tensor:
     return field_logits(model, field_index, context, np.arange(model.schema[field_index].vocab_size))
 
 
-def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
+def label_prologue(model: Model) -> tuple[Tensor, Tensor]:
+    """The nodes of label_logit_diff that no row changes, built once for many
+    row parts: the field-position rows (P, d) and the label's two target
+    rows, unit-normalised and transposed (d, 2)."""
+    pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(model.num_positions))
+    return pos_rows, _target_columns(model, model.label_position, np.array([0, 1]))
+
+
+def label_logit_diff(model: Model, tokens: np.ndarray,
+                     prologue: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """Differentiable click-vs-no-click logit gap, label masked internally.
 
     The last block's tail runs on the label row alone (encode's keep),
     for training and scoring alike: values equal the full route's, and
-    gradients differ from it only in summation order.
+    gradients differ from it only in summation order. prologue, from
+    label_prologue, is built here when not given.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lbl = model.label_position
     _check_unmasked(model, tokens)
-    ctx = encode(model, _label_masked(model, tokens), keep=lbl)
-    logits = field_logits(model, lbl, ctx, np.array([0, 1]))
+    pos_rows, columns = prologue or label_prologue(model)
+    ctx = encode(model, _label_masked(model, tokens), keep=lbl, pos_rows=pos_rows)
+    logits = _cosine_logits(model, ctx, columns)
     return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
 
 
 def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
     """P(click | features) per row; the input label token is ignored. Records no tape.
 
-    The rows are cut into floor(n / SCORE_PART) parts of SCORE_PART to
-    2 * SCORE_PART - 1 rows (one part below that), at points that depend
-    on n alone, and the parts are dealt to one thread per CPU by
+    The rows are cut by parallel.parts, at points that depend on n alone,
+    and the parts are dealt to one thread per CPU by
     parallel.deal: the calling thread takes the first part and every
     workers-th part after it, and every thread is joined before the call
     returns. BLAS stays at one thread per call, so each part runs the
@@ -290,10 +319,7 @@ def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
     raised while scoring is re-raised from the first part that failed.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    _check_unmasked(model, tokens)
-    _check_tokens(model, _label_masked(model, tokens))
-    cuts = np.linspace(0, len(tokens), max(len(tokens) // SCORE_PART, 1) + 1).astype(np.int64)
-    parts = list(zip(cuts[:-1], cuts[1:]))
+    check_label_rows(model, tokens)
     scores = np.empty(len(tokens))
 
     @ad.no_grad()
@@ -302,7 +328,7 @@ def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
         start, end = part
         scores[start:end] = ad.sigmoid(label_logit_diff(model, tokens[start:end])).data
 
-    deal(parts, score)
+    deal(parts(len(tokens)), score)
     return scores
 
 

@@ -11,6 +11,10 @@ import os
 import threading
 from typing import Callable, Sequence
 
+import numpy as np
+
+PART_ROWS = 1024  # fewest rows a part of a batch holds
+
 
 def cpu_workers() -> int:
     """The CPUs this process may use, read from the affinity mask.
@@ -25,6 +29,17 @@ def cpu_workers() -> int:
 def threads(items: Sequence) -> int:
     """How many threads deal(items, ...) runs: min(len(items), cpu_workers()), at least one."""
     return max(min(len(items), cpu_workers()), 1)
+
+
+def parts(n: int) -> list[tuple[int, int]]:
+    """(start, end) of each part of n rows, in row order.
+
+    floor(n / PART_ROWS) parts of PART_ROWS to 2 * PART_ROWS - 1 rows (one
+    part below that), cut at points that depend on n alone, so the parts,
+    and every result computed from them, do not depend on the CPU count.
+    """
+    cuts = np.linspace(0, n, max(n // PART_ROWS, 1) + 1).astype(np.int64).tolist()
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def deal(items: Sequence, work: Callable) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diffctr import autodiff as ad
+from diffctr import parallel
 from diffctr.errors import NumericError, ShapeError
 from diffctr.optim import ParamStore
 from diffctr.rng import stream
@@ -348,3 +349,58 @@ def test_backward_refuses_to_run_inside_no_grad():
             ad.forward_backward(fn, store)
     _, grads = ad.forward_backward(fn, store)
     np.testing.assert_array_equal(grads["w"], [2.0, 4.0])
+
+
+def test_backward_leaves_gradients_on_the_leaves_only():
+    store = ParamStore({"w": stream(12, "w").normal(size=(3, 2)), "b": np.zeros(2)})
+    x = ad.const(stream(12, "x").normal(size=(5, 3)))
+    hidden = ad.relu(ad.add(ad.matmul(x, store["w"]), store["b"]))
+    loss = ad.tsum(ad.mul(hidden, hidden))
+    ad.backward(loss)
+    assert store["w"].grad is not None and store["b"].grad is not None
+    assert hidden.grad is None and loss.grad is None and hidden.parents[0].grad is None
+
+
+def linear_rows(store, x, shared):
+    """Per-row losses of x: relu(x w + b) summed with the shared row, then squared."""
+    hidden = ad.relu(ad.add(ad.add(ad.matmul(x, store["w"]), store["b"]), shared))
+    return ad.tsum(ad.mul(hidden, hidden), axis=1)
+
+
+def test_join_rows_equals_one_tape_bit_for_bit(monkeypatch):
+    """Five parts on four threads, more than this host has cores, switching often."""
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 4)
+    store = ParamStore({"w": stream(13, "w").normal(size=(4, 3)), "b": np.zeros(3),
+                        "s": stream(13, "s").normal(size=(1, 3))})
+    x = stream(13, "x").normal(size=(70, 4))
+    cuts = [(0, 17), (17, 30), (30, 40), (40, 52), (52, 70)]
+
+    def one_tape(p):
+        return ad.tmean(linear_rows(p, ad.const(x), ad.smul(p["s"], 2.0)))
+
+    def in_parts(p):
+        shared = ad.smul(p["s"], 2.0)
+        parts = [linear_rows(p, ad.const(x[a:b]), shared) for a, b in cuts]
+        return ad.tmean(ad.join_rows(parts, [shared]))
+
+    want_loss, want = ad.forward_backward(one_tape, store)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            threads_before = threading.active_count()
+            loss, got = ad.forward_backward(in_parts, store)
+            assert threading.active_count() == threads_before
+            assert loss == want_loss
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+    finally:
+        sys.setswitchinterval(interval)
+
+    def not_by_rows(p):
+        shared = ad.smul(p["s"], 2.0)
+        parts = [ad.tsum(ad.mul(ad.const(x[a:b, :3]), ad.exp(shared)), axis=1) for a, b in cuts]
+        return ad.tmean(ad.join_rows(parts, [shared]))
+
+    with pytest.raises(ShapeError, match="does not sum over rows"):
+        ad.forward_backward(not_by_rows, store)

@@ -335,7 +335,6 @@ def test_one_loss_tape_for_every_field(vocabs):
     assert min(widths) < U  # some field is padded
 
     loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
-    ad.backward(loss)
     nodes = loss_tape(loss)
     ops = [n.op for n in nodes]
     assert ops.count("logsumexp") == 1
@@ -345,11 +344,29 @@ def test_one_loss_tape_for_every_field(vocabs):
                     and n.shape[0] == U]
     assert len(loss_gathers) == len(fields)
     (stacked,) = [n for n in nodes if n.op == "stack" and n.shape == (len(fields), U, 8)]
-    (logits,) = [n.parents[0] for n in nodes if n.op == "logsumexp"]
+    (lse,) = [n for n in nodes if n.op == "logsumexp"]
+    # backward frees interior gradients, so the adjoints record what they are
+    # given (the stack's: the stacked target rows' gradient) and what they
+    # return (logsumexp's: the gradient of its padded logits)
+    seen = {"stack": [], "logsumexp": []}
+
+    def recorded(op, vjp):
+        def call(g):
+            out = vjp(g)
+            seen[op].append(g if op == "stack" else out)
+            return out
+        return call
+
+    for node in (stacked, lse):
+        node.vjps = tuple(recorded(node.op, v) for v in node.vjps)
+    ad.backward(loss)
+    assert len(seen["stack"]) == len(fields) and len(seen["logsumexp"]) == 1
+    assert all(g is seen["stack"][0] for g in seen["stack"])  # one gradient, sliced per field
+    stacked_grad, logits_grad = seen["stack"][0], seen["logsumexp"][0]
     for i, w in enumerate(widths):
-        assert np.all(stacked.grad[i, w:] == 0.0)
-        assert np.all(logits.grad[i, :, w:] == 0.0)
-        assert np.any(stacked.grad[i, :w] != 0.0)
+        assert np.all(stacked_grad[i, w:] == 0.0)
+        assert np.all(logits_grad[i, :, w:] == 0.0)
+        assert np.any(stacked_grad[i, :w] != 0.0)
 
 
 @untied

@@ -367,9 +367,8 @@ def test_a_malformed_chunk_raises_alike_whichever_part_holds_the_bad_row():
         md.ctr_score(model, tokens)
 
 
-def test_overflow_in_the_last_part_raises_on_the_caller_without_a_warning():
-    """Two blocks whose first FFN overflows only on rows holding field 0's
-    token 3, which only the chunk's last row holds."""
+def overflowing_model():
+    """Two blocks whose first FFN overflows only on rows holding field 0's token 3."""
     model = make_model(blocks=2, heads=2, d=8)
     for name in model.params.names():
         if name.startswith("embed/input/"):
@@ -384,6 +383,26 @@ def test_overflow_in_the_last_part_raises_on_the_caller_without_a_warning():
     model.params.set_data("net/b0/ffn_w1", w1)
     tokens = random_tokens(model, stream(26, "t"), n=4096, allow_mask=False)
     tokens[:, 0] %= 3
+    return model, tokens
+
+
+def test_a_malformed_fine_tune_batch_raises_alike_whichever_part_holds_the_bad_row():
+    """The sft_loss twin of the chunk check above: field 3 masked in the first
+    part and field 0 in the last, and then a label out of range in the last."""
+    model = make_model(blocks=1, vocabs=(4, 3, 5, 6, 4))
+    tokens = random_tokens(model, stream(24, "t"), n=4096, allow_mask=False)
+    tokens[0, 3] = model.schema[3].vocab_size
+    tokens[-1, 0] = model.schema[0].vocab_size
+    with pytest.raises(DataError, match="unmasked field 'f0'"):
+        ls.sft_loss(model, tokens)
+    tokens[-1, -1] = 2
+    with pytest.raises(DataError, match="labels must be 0 or 1"):
+        ls.sft_loss(model, tokens)
+
+
+def test_overflow_in_the_last_part_raises_on_the_caller_without_a_warning():
+    """Only the chunk's last row holds the overflowing token."""
+    model, tokens = overflowing_model()
     ok = md.ctr_score(model, tokens)
     assert np.all(np.isfinite(ok))
     tokens[-1, 0] = 3
@@ -393,6 +412,89 @@ def test_overflow_in_the_last_part_raises_on_the_caller_without_a_warning():
         with pytest.raises(NumericError, match="matmul"):
             md.ctr_score(model, tokens)
     assert threading.active_count() == threads_before
+
+
+def one_tape_step(model, tokens):
+    """A fine-tune step's loss and gradients from one tape over every row."""
+    return ad.forward_backward(lambda params: ad.tmean(ls._click_losses(model, tokens)),
+                               model.params)
+
+
+@pytest.mark.parametrize("rows", [896, 2048, 3071, 4096])
+def test_fine_tune_step_in_parts_is_bit_identical_to_one_tape(monkeypatch, rows,
+                                                              default_scoring_rows):
+    """sft_loss runs 1024-2047-row parts on a thread each, records a tape and
+    sets numpy's error state in each, joins every thread, and its loss and
+    gradients equal one tape's at every CPU count."""
+    schema, tokens = default_scoring_rows
+    model = md.Model.init(md.ModelConfig(), schema, 0)
+    batch = tokens[:rows]
+    want_loss, want = one_tape_step(model, batch)
+    part_rows, threads, error_states = [], set(), set()
+    real = ls._click_losses
+
+    def spy(model, tokens, prologue=None):
+        part_rows.append(len(tokens))
+        threads.add(threading.get_ident())
+        error_states.add((np.geterr()["over"], np.geterr()["invalid"], ad.recording()))
+        return real(model, tokens, prologue)
+
+    monkeypatch.setattr(ls, "_click_losses", spy)
+    cuts = parallel.parts(rows)
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: cpus)
+        part_rows.clear()
+        threads.clear()
+        threads_before = threading.active_count()
+        loss, grads = ad.forward_backward(lambda params: ls.sft_loss(model, batch), model.params)
+        assert threading.active_count() == threads_before
+        assert loss == want_loss
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), (cpus, name)
+        assert sorted(part_rows) == sorted(end - start for start, end in cuts)
+        assert len(threads) == min(cpus, len(cuts))
+        assert error_states == {("ignore", "ignore", True)}
+
+
+def test_fine_tune_step_at_4_wide_heads_within_bound(default_scoring_rows):
+    """At d = 16 with 4-wide heads BLAS sums a part's rows unlike the whole
+    batch's (encode's docstring), so parts hold only a bound."""
+    schema, tokens = default_scoring_rows
+    model = md.Model.init(md.ModelConfig(embed_dim=16, heads=4), schema, 0)
+    want_loss, want = one_tape_step(model, tokens[:2048])
+    loss, grads = ad.forward_backward(lambda params: ls.sft_loss(model, tokens[:2048]),
+                                      model.params)
+    assert abs(loss - want_loss) <= 1e-12
+    for name in want:
+        np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_overflow_in_a_helper_threads_fine_tune_part_raises_on_the_caller(monkeypatch):
+    """The last of four parts runs on the helper thread and alone overflows."""
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
+    model, tokens = overflowing_model()
+    assert np.isfinite(ls.sft_loss(model, tokens).item())
+    tokens[-1, 0] = 3
+    threads_before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match="matmul"):
+            ad.forward_backward(lambda params: ls.sft_loss(model, tokens), model.params)
+    assert threading.active_count() == threads_before
+
+
+def test_a_faulted_matmul_adjoint_scales_the_joined_weight_adjoints(monkeypatch):
+    """adjoint_fault reaches the weight adjoints, which parts reduce only once joined."""
+    monkeypatch.setattr(parallel, "PART_ROWS", 16)
+    model = make_model(blocks=2, heads=2, d=8)
+    tokens = random_tokens(model, stream(27, "t"), n=70, allow_mask=False)
+    _, clean = ad.forward_backward(lambda params: ls.sft_loss(model, tokens), model.params)
+    with ad.adjoint_fault("matmul", 2.0):
+        _, want = one_tape_step(model, tokens)
+        _, got = ad.forward_backward(lambda params: ls.sft_loss(model, tokens), model.params)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+    assert not np.array_equal(got["net/b1/ffn_w2"], clean["net/b1/ffn_w2"])
 
 
 def test_grad_check_through_the_kept_row():

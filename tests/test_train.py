@@ -7,6 +7,7 @@ import diffctr.train as tr
 from diffctr import data as dd
 from diffctr import losses as ls
 from diffctr import model as md
+from diffctr import parallel
 from diffctr.errors import DataError, NumericError
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
@@ -156,6 +157,8 @@ def test_finetune_stops_after_patience_epochs_without_a_gain(monkeypatch, patien
 
 
 def test_finetune_divergence_keeps_best_validation_snapshot(monkeypatch):
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
+    monkeypatch.setattr(parallel, "PART_ROWS", 16)  # each 64-row step in four parts
     train, val, test = tiny_env(samples=600)
     model = tiny_model(train, seed=11)
     run = tiny_run_cfg(finetune_epochs=3, seed=12, patience=10)
@@ -179,6 +182,23 @@ def test_finetune_divergence_keeps_best_validation_snapshot(monkeypatch):
     for n in best.params.names():
         np.testing.assert_array_equal(out.params.get_data(n), best.params.get_data(n))
     assert report.test == best_report.test == tr.evaluate(out, test, "test")
+
+
+def test_finetune_is_bit_identical_on_one_and_two_cpus(monkeypatch):
+    monkeypatch.setattr(parallel, "PART_ROWS", 16)  # each 64-row step in four parts
+    train, val, test = tiny_env(samples=600)
+    model = tiny_model(train, seed=11)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: cpus)
+        runs.append(tr.finetune(model.clone(), train, val, test,
+                                tiny_run_cfg(finetune_epochs=1, seed=12)))
+    (one, one_report), (two, two_report) = runs
+    assert one_report == two_report and len(one_report.epochs) == 1
+    for n in one.params.names():
+        assert np.array_equal(one.params.get_data(n), two.params.get_data(n)), n
+    assert not np.array_equal(one.params.get_data("net/b0/ffn_w1"),
+                              model.params.get_data("net/b0/ffn_w1"))
 
 
 def test_finetune_zero_epochs_is_identity_and_evaluates():
