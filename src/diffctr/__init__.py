@@ -7,6 +7,9 @@ oracles for every closed-form identity the pipeline relies on.
 """
 
 import ctypes
+import os
+
+import numpy as np
 
 __version__ = "0.1.0"
 
@@ -41,3 +44,36 @@ def _fix_malloc_thresholds() -> bool:
 
 
 _ALLOCATOR = "glibc-fixed" if _fix_malloc_thresholds() else "default"
+
+
+# numpy's wheels bundle OpenBLAS as scipy-openblas in the numpy.libs
+# directory beside the package. By default it runs each call on every CPU;
+# ctr_score, sft_loss and adam_step already run a thread per CPU, each
+# driving its own BLAS calls, so those threads would contend for the
+# CPUs. An explicit OPENBLAS_NUM_THREADS is overridden too: the parallel
+# paths are built for one BLAS thread per call, and results do not
+# depend on it.
+
+
+def _pin_blas_threads():
+    """Set numpy's bundled OpenBLAS to one thread; return its thread count read back.
+
+    Returns None, raising nothing and changing nothing, where numpy
+    bundles no scipy-openblas library or the library lacks the calls.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = min(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
+        blas = ctypes.CDLL(os.path.join(libs, name))
+        set_threads = blas.scipy_openblas_set_num_threads64_
+        get_threads = blas.scipy_openblas_get_num_threads64_
+    except (OSError, ValueError, AttributeError):  # no directory, no library, no symbol
+        return None
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = None
+    get_threads.restype = ctypes.c_int
+    set_threads(1)
+    return get_threads()
+
+
+_BLAS_THREADS = _pin_blas_threads()

@@ -8,12 +8,26 @@ weight's, a broadcast operand's, a gathered table's) returns its
 row-wise operands as a _Rows, reduced where it is applied; join_rows
 uses this to run the rows of one batch in parts, each on its own tape
 and thread, and to reduce each such adjoint once over all the rows.
-Values are checked finite at
-creation time, which names the op that produced a NaN/Inf instead of
-letting it surface three modules later. Inside no_grad() ops record no
-parents and no closures in the thread that entered it, so forward-only
-callers keep no tape alive; the finiteness check still runs on every
-value.
+
+A NaN/Inf raises NumericError naming the op that produced it, instead
+of letting it surface three modules later. Outside any scope every node
+checks its value when it is created; so do leaves and consts always.
+Inside a check-once scope (scoped: forward_backward's graph_fn, each
+sft_loss part, each ctr_score part) an op's node skips that check, and
+two kinds of check stay: the scope checks the tensor it returns, and an
+op whose output can be finite where its input is not (relu, exp,
+logsumexp, clip_unit, sigmoid, softplus, take_position, gather_rows,
+matmul with widths) checks that input unless it was checked already.
+Every non-finite value then reaches one of them. On a failure the scope
+runs the same call again with every node checked, on every thread the
+call deals to, and that replay raises the first op's NumericError, as a
+call outside any scope would. Values do not depend on the checks.
+
+Numpy reports no overflow as a RuntimeWarning first: a scope sets its
+error state once, and an arithmetic op called outside any scope sets it
+around itself. Inside no_grad() ops record no parents and no closures
+in the thread that entered it, so forward-only callers keep no tape
+alive; the finiteness checks are the same with or without a tape.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +57,22 @@ class _NoGradDepth(threading.local):
 
 
 _no_grad = _NoGradDepth()
+
+_ONCE, _STRICT = "once", "strict"
+
+
+class _CheckMode(threading.local):
+    """The check-once scope the current thread is in: None, _ONCE or _STRICT (the replay)."""
+
+    mode = None
+
+
+_checks = _CheckMode()
+
+
+class _Deferred(NumericError):
+    """A non-finite value found inside a check-once scope, whose nodes skipped
+    their own checks; the scope that owns the call replays it to name the op."""
 
 
 @contextmanager
@@ -78,18 +108,20 @@ def recording() -> bool:
 class Tensor:
     """One tape node: a float64 array plus how it was computed."""
 
-    __slots__ = ("data", "op", "parents", "vjps", "tracked", "grad")
+    __slots__ = ("data", "op", "parents", "vjps", "tracked", "grad", "checked")
 
     def __init__(self, data, op="leaf", parents=(), vjps=(), tracked=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.op = op
+        # inside a check-once scope an op's node defers its check; a leaf never does
+        self.checked = not parents or _checks.mode is not _ONCE
         if not recording():
             parents, vjps = (), ()
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
         self.tracked = any(p.tracked for p in self.parents) if tracked is None else tracked
         self.grad = None
-        if not np.all(np.isfinite(self.data)):
+        if self.checked and not np.all(np.isfinite(self.data)):
             raise NumericError(f"op '{op}' produced non-finite values")
 
     @property
@@ -106,6 +138,69 @@ class Tensor:
 def const(data) -> Tensor:
     """Untracked constant node."""
     return Tensor(data, op="const", tracked=False)
+
+
+def _finite(x: Tensor) -> None:
+    """Check x if its node deferred its check: an op whose output can be
+    finite where its input is not calls this on that input."""
+    if not x.checked:
+        if not np.all(np.isfinite(x.data)):
+            raise _Deferred(f"op '{x.op}' produced non-finite values")
+        x.checked = True
+
+
+def scoped(fn: Callable) -> Callable:
+    """fn, to run in a check-once scope on whichever thread calls it.
+
+    In the scope a node skips its own finiteness check (see the module
+    docstring), and the Tensor fn returns is checked. The scope belongs
+    to the thread that made this wrapper: made outside any scope, each
+    call owns its scope, and on a failure it runs fn again with every
+    node checked, which raises the first op's NumericError. Made inside
+    a scope, a call runs in that scope's mode on any thread, so a part
+    dealt to a helper thread reports a failure to the scope that owns
+    the call, and runs strict when that scope replays. Numpy's error
+    state is set to ignore while fn runs: a non-finite value is raised
+    as NumericError, never as a warning.
+    """
+    made_in = _checks.mode
+
+    def run(*args, **kwargs):
+        here = _checks.mode
+        inherited = here or made_in
+        _checks.mode = inherited or _ONCE
+        try:
+            with np.errstate(all="ignore"):
+                out = fn(*args, **kwargs)
+                if isinstance(out, Tensor):
+                    _finite(out)
+            return out
+        except _Deferred as e:
+            if inherited is not None:  # the scope that owns the call replays it
+                raise
+            _checks.mode = _STRICT
+            with np.errstate(all="ignore"):
+                fn(*args, **kwargs)
+            raise NumericError(str(e)) from None  # the replay computed other values
+        finally:
+            _checks.mode = here
+
+    return run
+
+
+def _quiet(op: Callable) -> Callable:
+    """op under numpy's ignore error state when no scope has set it, so an
+    overflow outside any scope raises the op's NumericError with no
+    RuntimeWarning first. Inside a scope it costs one attribute read."""
+
+    @wraps(op)
+    def run(*args, **kwargs):
+        if _checks.mode is not None:
+            return op(*args, **kwargs)
+        with np.errstate(all="ignore"):
+            return op(*args, **kwargs)
+
+    return run
 
 
 class _Rows:
@@ -147,6 +242,7 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
         ) from None
 
 
+@_quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
     return Tensor(
@@ -160,6 +256,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+@_quiet
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
     return Tensor(
@@ -173,6 +270,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+@_quiet
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
     return Tensor(
@@ -186,6 +284,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+@_quiet
 def smul(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return Tensor(a.data * c, op="smul", parents=(a,), vjps=(lambda g: g * c,))
@@ -199,6 +298,7 @@ def _check_widths(op: str, widths, rows: int, size: int) -> np.ndarray:
     return widths
 
 
+@_quiet
 def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
     """a @ b. widths, for rank-3 a (K, m, n) and b (K, n, N), limits product k
     to the first widths[k] columns of b and leaves the rest of its output zero.
@@ -263,6 +363,7 @@ def _matmul_widths(a: Tensor, b: Tensor, widths) -> Tensor:
             f"matmul: widths need (K, m, n) @ (K, n, N), got {a.data.shape} @ {b.data.shape}"
         )
     widths = _check_widths("matmul", widths, b.data.shape[0], b.data.shape[2])
+    _finite(b)  # its columns past each width take no part
     out = np.zeros(a.data.shape[:2] + b.data.shape[2:])
     for k, w in enumerate(widths):
         out[k, :, :w] = a.data[k] @ b.data[k, :, :w]
@@ -295,14 +396,16 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    _finite(a)
     out = np.maximum(a.data, 0.0)
     out += 0.0  # np.maximum may keep a -0.0; this makes every zero +0.0 (inputs are finite)
     return Tensor(out, op="relu", parents=(a,), vjps=(lambda g: g * (a.data > 0),))
 
 
+@_quiet
 def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow becomes the finite-check error
-        out = np.exp(a.data)
+    _finite(a)
+    out = np.exp(a.data)
     return Tensor(out, op="exp", parents=(a,), vjps=(lambda g: g * out,))
 
 
@@ -313,12 +416,14 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    _finite(a)
     out = _logistic(a.data)
     return Tensor(out, op="sigmoid", parents=(a,), vjps=(lambda g: g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow; its slope is the logistic."""
+    _finite(a)
     sig = _logistic(a.data)
     return Tensor(np.logaddexp(0.0, a.data), op="softplus", parents=(a,), vjps=(lambda g: g * sig,))
 
@@ -331,6 +436,7 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool)
     return np.broadcast_to(g, shape)
 
 
+@_quiet
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return Tensor(
         a.data.sum(axis=axis, keepdims=keepdims),
@@ -340,6 +446,7 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     )
 
 
+@_quiet
 def tsum_rows(a: Tensor) -> Tensor:
     """Scalar sum of a rank-2 tensor: each row summed on its own, then the
     row sums added first to last.
@@ -358,6 +465,7 @@ def tsum_rows(a: Tensor) -> Tensor:
     )
 
 
+@_quiet
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
     return Tensor(
@@ -376,18 +484,27 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     rows = table.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ShapeError(f"gather_rows: index out of range for table with {rows} rows")
-
-    def scatter(flat_idx, rows):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, flat_idx, rows)
-        return acc
-
+    _finite(table)
+    scatter = partial(_scatter_rows, shape=table.data.shape)
     return Tensor(
         np.take(table.data, idx, axis=0),
         op="gather_rows",
         parents=(table,),
         vjps=(lambda g: _Rows(scatter, idx.reshape(-1), g.reshape(-1, table.data.shape[1])),),
     )
+
+
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A zero array of shape with each rows[j] added into its row idx[j], j first to last.
+
+    np.bincount over flat entry indices adds each entry's weights in
+    input order onto +0.0, as np.add.at(zeros, idx, rows) does, so the
+    sums equal its bit for bit; it runs several times faster.
+    """
+    d = shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).reshape(-1)
+    acc = np.bincount(flat, weights=rows.reshape(-1), minlength=shape[0] * d)
+    return acc.astype(np.float64, copy=False).reshape(shape)  # no rows: int zeros
 
 
 def take_position(x: Tensor, pos) -> Tensor:
@@ -415,6 +532,7 @@ def take_position(x: Tensor, pos) -> Tensor:
             raise ShapeError(f"take_position: positions {idx.tolist()} must be distinct "
                              f"and in range for {x.data.shape}")
         out, scatter = x.data.transpose(1, 0, 2)[idx], lambda g: g.transpose(1, 0, 2)
+    _finite(x)
 
     def vjp(g):
         acc = np.zeros_like(x.data)
@@ -436,6 +554,7 @@ def stack(parts: list[Tensor], axis: int = 1) -> Tensor:
     )
 
 
+@_quiet
 def l2_normalize(x: Tensor) -> Tensor:
     """Normalize along the last axis to unit L2 norm."""
     norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
@@ -449,6 +568,7 @@ def l2_normalize(x: Tensor) -> Tensor:
     return Tensor(y, op="l2_normalize", parents=(x,), vjps=(vjp,))
 
 
+@_quiet
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False, widths=None) -> Tensor:
     """log(sum(exp(x))) along axis.
 
@@ -457,6 +577,7 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False, widths=None) ->
     gradient. Each row is summed over exactly its own width, because
     numpy's pairwise summation order depends on the length.
     """
+    _finite(x)
     if widths is None:
         m = np.max(x.data, axis=axis, keepdims=True)
         z = np.exp(x.data - m)
@@ -489,6 +610,7 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False, widths=None) ->
 
 def clip_unit(x: Tensor) -> Tensor:
     # Rounding guard: dots of float-normalized rows can exceed 1 by an ulp.
+    _finite(x)
     return Tensor(np.clip(x.data, -1.0, 1.0), op="clip_unit", parents=(x,), vjps=(lambda g: g,))
 
 
@@ -656,14 +778,18 @@ def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
                   vjps=[partial(adjoint, i) for i in range(len(targets))])
 
 
-# an overflow surfaces as the op's NumericError, not a RuntimeWarning first
+# an overflow in an adjoint leaves a non-finite gradient, not a RuntimeWarning
 @np.errstate(over="ignore", invalid="ignore")
 def forward_backward(graph_fn: Callable, params) -> tuple[float, dict[str, np.ndarray]]:
     """Evaluate graph_fn(params) and return (loss, grads per parameter).
 
-    Parameters the loss does not depend on get zero gradients.
+    Parameters the loss does not depend on get zero gradients. graph_fn
+    runs in a check-once scope (scoped), which checks the loss. On a
+    non-finite value graph_fn runs a second time with every node
+    checked, to raise the NumericError of the first op that produced
+    one, so it must compute the same values each time it is called.
     """
-    loss = graph_fn(params)
+    loss = scoped(graph_fn)(params)
     if not isinstance(loss, Tensor):
         raise ShapeError("forward_backward: graph_fn must return a Tensor")
     if loss.data.shape != ():

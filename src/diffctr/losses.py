@@ -88,8 +88,6 @@ def _field_candidates(
     return _candidate_mask(clean, max_negatives)
 
 
-# an overflow surfaces as the op's NumericError, not a RuntimeWarning first
-@np.errstate(over="ignore", invalid="ignore")
 def masked_field_losses(
     model: Model, corrupted: CorruptedBatch, cfg: PretrainLossConfig
 ) -> tuple[Tensor, np.ndarray]:
@@ -193,7 +191,8 @@ def sft_loss(model: Model, tokens: np.ndarray) -> Tensor:
     of CPUs; where BLAS sums a part's rows unlike the whole batch's
     (encode's docstring names the shapes) they stay within 1e-12 of it.
     The whole batch is checked before it is cut, so a malformed batch
-    raises alike whichever part holds the bad row.
+    raises alike whichever part holds the bad row. Each part runs in the
+    caller's check-once scope, or in one of its own (autodiff.scoped).
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     _check_labels(tokens)
@@ -201,11 +200,11 @@ def sft_loss(model: Model, tokens: np.ndarray) -> Tensor:
     prologue = label_prologue(model)
     cuts = parts(len(tokens))
     losses = [None] * len(cuts)
+    click_losses = ad.scoped(_click_losses)
 
-    @np.errstate(over="ignore", invalid="ignore")  # an overflow is the op's NumericError
     def run(k: int, _worker: int) -> None:
         start, end = cuts[k]
-        losses[k] = _click_losses(model, tokens[start:end], prologue)
+        losses[k] = click_losses(model, tokens[start:end], prologue)
 
     deal(range(len(cuts)), run)
     return ad.tmean(ad.join_rows(losses, prologue))

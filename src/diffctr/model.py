@@ -164,8 +164,6 @@ def check_label_rows(model: Model, tokens: np.ndarray) -> None:
     _check_tokens(model, _label_masked(model, tokens))
 
 
-# an overflow inside the network surfaces as the op's NumericError, not a RuntimeWarning
-@np.errstate(over="ignore", invalid="ignore")
 def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
            pos_rows: Tensor | None = None) -> Tensor:
     """Contextual vectors, one per field position: (B, P, d).
@@ -291,12 +289,13 @@ def label_logit_diff(model: Model, tokens: np.ndarray,
     The last block's tail runs on the label row alone (encode's keep),
     for training and scoring alike: values equal the full route's, and
     gradients differ from it only in summation order. prologue, from
-    label_prologue, is built here when not given.
+    label_prologue, is shared by several calls; without it encode
+    gathers its own field-position rows, where its route needs them.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lbl = model.label_position
     _check_unmasked(model, tokens)
-    pos_rows, columns = prologue or label_prologue(model)
+    pos_rows, columns = prologue or (None, _target_columns(model, lbl, np.array([0, 1])))
     ctx = encode(model, _label_masked(model, tokens), keep=lbl, pos_rows=pos_rows)
     logits = _cosine_logits(model, ctx, columns)
     return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
@@ -317,16 +316,19 @@ def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
     The whole chunk is checked before it is cut, so a malformed chunk
     raises the same error whichever part holds the bad row; an error
     raised while scoring is re-raised from the first part that failed.
+    Each part is a check-once scope (autodiff.scoped): sigmoid checks the
+    logit gap, and a failing part is scored again, on its thread, with
+    every node checked to name the op.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     check_label_rows(model, tokens)
     scores = np.empty(len(tokens))
+    click = ad.scoped(lambda rows: ad.sigmoid(label_logit_diff(model, rows)))
 
     @ad.no_grad()
-    @np.errstate(over="ignore", invalid="ignore")
     def score(part: tuple[int, int], _worker: int) -> None:
         start, end = part
-        scores[start:end] = ad.sigmoid(label_logit_diff(model, tokens[start:end])).data
+        scores[start:end] = click(tokens[start:end]).data
 
     deal(parts(len(tokens)), score)
     return scores

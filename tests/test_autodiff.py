@@ -223,6 +223,58 @@ def test_non_finite_names_op():
         ad.forward_backward(lambda p: ad.tsum(ad.mul(p["w"], p["w"])), store)
 
 
+BIG = np.full((2, 2), 1e200)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("add", lambda: ad.add(ad.const(BIG * 1e108), ad.const(BIG * 1e108))),
+    ("sub", lambda: ad.sub(ad.const(BIG * 1e108), ad.const(-BIG * 1e108))),
+    ("mul", lambda: ad.mul(ad.const(BIG), ad.const(BIG))),
+    ("smul", lambda: ad.smul(ad.const(BIG), 1e200)),
+    ("matmul", lambda: ad.matmul(ad.const(BIG), ad.const(BIG))),
+    ("matmul", lambda: ad.matmul(ad.const(BIG[None]), ad.const(BIG[None]), widths=[1])),
+    ("exp", lambda: ad.exp(ad.const(np.array([1000.0])))),
+    ("sum", lambda: ad.tsum(ad.const(BIG * 1e108))),
+    ("sum", lambda: ad.tsum_rows(ad.const(BIG * 1e108))),
+    ("mean", lambda: ad.tmean(ad.const(BIG * 1e108))),
+])
+def test_a_bare_op_raises_on_overflow_without_a_warning(name, call):
+    """Outside any scope each arithmetic op sets numpy's error state itself;
+    pytest turns a RuntimeWarning into an error, so one would fail this test."""
+    with pytest.raises(NumericError, match=f"^op '{name}' produced non-finite values$"):
+        call()
+    assert np.geterr()["over"] == "warn"
+
+
+def scatter_add_at(idx, rows, shape):
+    acc = np.zeros(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(acc, idx, rows)
+    return acc
+
+
+@pytest.mark.parametrize("idx, rows", [
+    (np.array([2, 0, 2, 2, 1, 0]), stream(5, "scatter").normal(size=(6, 3)) * 1e3),
+    (np.array([1, 1, 0, 1]), np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0],
+                                       [-0.0, 5e-324, -5e-324], [0.1, -0.0, 0.2]])),
+    (np.array([0, 0, 0]), np.array([[1e308, 1.0, 0.1], [1e308, -1.0, 0.2], [-1e308, 3.0, 0.3]])),
+    (np.array([3, 3]), np.array([[np.nan, np.inf, -np.inf], [1.0, -np.inf, -np.inf]])),
+    (np.array([], dtype=np.int64), np.zeros((0, 3))),
+])
+def test_gather_adjoint_scatters_bit_for_bit_as_add_at(idx, rows):
+    got = ad._scatter_rows(idx, rows, (4, 3))
+    want = scatter_add_at(idx, rows, (4, 3))
+    assert got.dtype == np.float64 and got.shape == (4, 3)
+    assert got.tobytes() == want.tobytes()  # also tells +0.0 from -0.0
+
+
+def test_gather_adjoint_of_many_repeated_rows_is_bit_for_bit_as_add_at():
+    rng = stream(6, "scatter")
+    idx, rows = rng.integers(0, 451, size=18432), rng.normal(size=(18432, 32))
+    assert ad._scatter_rows(idx, rows, (451, 32)).tobytes() == \
+        scatter_add_at(idx, rows, (451, 32)).tobytes()
+
+
 def test_gather_rows_range_check():
     table = ad.const(np.zeros((3, 2)))
     with pytest.raises(ShapeError, match="3 rows"):
