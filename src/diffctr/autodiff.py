@@ -3,7 +3,13 @@
 Every operation returns a fresh Tensor recording its parents and one
 vector-Jacobian closure per parent; backward() walks the recorded tape
 in reverse topological order with a fixed left-to-right accumulation,
-so repeated runs are bit-identical. An adjoint that sums over rows (a
+so repeated runs are bit-identical. The walk frees the tape as it goes:
+once a node has passed its gradient on, it drops its gradient, its
+closures and, unless it is the root, its value, so after backward()
+only the root and the leaves hold values. rms_scale and softmax are one
+node each, equal bit for bit to the chains of ops they stand for, and
+their adjoints recompute what they need from the input instead of
+keeping it. An adjoint that sums over rows (a
 weight's, a broadcast operand's, a gathered table's) returns its
 row-wise operands as a _Rows, reduced where it is applied; join_rows
 uses this to run the rows of one batch in parts, each on its own tape
@@ -16,8 +22,9 @@ Inside a check-once scope (scoped: forward_backward's graph_fn, each
 sft_loss part, each ctr_score part) an op's node skips that check, and
 two kinds of check stay: the scope checks the tensor it returns, and an
 op whose output can be finite where its input is not (relu, exp,
-logsumexp, clip_unit, sigmoid, softplus, take_position, gather_rows,
-matmul with widths) checks that input unless it was checked already.
+logsumexp, softmax, rms_scale, clip_unit, sigmoid, softplus,
+take_position, gather_rows, matmul with widths) checks that input
+unless it was checked already.
 Every non-finite value then reaches one of them. On a failure the scope
 runs the same call again with every node checked, on every thread the
 call deals to, and that replay raises the first op's NumericError, as a
@@ -554,11 +561,28 @@ def stack(parts: list[Tensor], axis: int = 1) -> Tensor:
     )
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row along the last axis (kept as an axis), at least 1e-30.
+
+    A row whose sum of squares overflows is first scaled by 2**-e, e the
+    exponent of its largest |x|. The scaling is exact, so its norm is
+    what an unbounded exponent range would give; every other row keeps
+    the plain square root of its sum of squares.
+    """
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    over = np.isinf(norm[..., 0])
+    if over.any():
+        big = x[over]
+        _, e = np.frexp(np.abs(big).max(axis=-1, keepdims=True))
+        small = np.ldexp(big, -e)
+        norm[over] = np.ldexp(np.sqrt((small * small).sum(axis=-1, keepdims=True)), e)
+    return np.maximum(norm, 1e-30)
+
+
 @_quiet
 def l2_normalize(x: Tensor) -> Tensor:
     """Normalize along the last axis to unit L2 norm."""
-    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-    norm = np.maximum(norm, 1e-30)
+    norm = _norms(x.data)
     y = x.data / norm
 
     def vjp(g):
@@ -566,6 +590,46 @@ def l2_normalize(x: Tensor) -> Tensor:
         return (g - y * dot) / norm
 
     return Tensor(y, op="l2_normalize", parents=(x,), vjps=(vjp,))
+
+
+@_quiet
+def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
+    """x over its root mean square along the last axis, times gain (d,): one node.
+
+    Equal bit for bit, value and adjoints, to l2_normalize, smul by
+    sqrt(d) and mul by gain; the adjoints recompute the unit rows from x
+    instead of keeping them.
+    """
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,):
+        raise ShapeError(f"rms_scale: gain must be ({d},), got {gain.data.shape}")
+    _finite(x)  # a row's rescale (_norms) reads the exponent of an inf, which C leaves open
+    c = float(np.sqrt(d))
+    norm = _norms(x.data)
+    out = x.data / norm
+    out *= c
+    out *= gain.data
+
+    unit = []  # the walk calls vjp_x, then vjp_gain: they compute the unit rows once
+
+    def vjp_x(g):
+        y = x.data / norm
+        unit.append(y)
+        gy = g * gain.data
+        gy *= c
+        dot = (y * gy).sum(axis=-1, keepdims=True)
+        gx = y * dot
+        np.subtract(gy, gx, out=gx)
+        gx /= norm
+        return gx
+
+    def vjp_gain(g):
+        s = unit.pop() if unit else x.data / norm
+        s *= c
+        s *= g  # s * g is g * s, bit for bit
+        return _Rows(partial(_sum_to, shape=(d,)), s)
+
+    return Tensor(out, op="rms_scale", parents=(x, gain), vjps=(vjp_x, vjp_gain))
 
 
 @_quiet
@@ -614,8 +678,35 @@ def clip_unit(x: Tensor) -> Tensor:
     return Tensor(np.clip(x.data, -1.0, 1.0), op="clip_unit", parents=(x,), vjps=(lambda g: g,))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return exp(sub(x, logsumexp(x, axis=axis, keepdims=True)))
+@_quiet
+def softmax(x: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
+    """The softmax of x * scale along axis, as one node.
+
+    Equal bit for bit, value and adjoint, to exp(sub(s, logsumexp(s)))
+    of s = smul(x, scale). The adjoint recomputes the weights from x and
+    keeps only the per-row max and sum, so a forward-only call computes
+    no weights at all.
+    """
+    _finite(x)  # exp(-inf) is 0
+    scale = float(scale)
+    s = x.data * scale
+    m = np.max(s, axis=axis, keepdims=True)
+    total = np.exp(s - m).sum(axis=axis, keepdims=True)
+    out = np.exp(s - (m + np.log(total)))
+
+    def vjp(g):
+        gs = g * out
+        glse = (-gs).sum(axis=axis, keepdims=True)
+        weights = x.data * scale
+        weights -= m
+        np.exp(weights, out=weights)
+        weights /= total
+        weights *= glse
+        gs += weights
+        gs *= scale
+        return gs
+
+    return Tensor(out, op="softmax", parents=(x,), vjps=(vjp,))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -659,14 +750,18 @@ def _topo(root: Tensor, shared: set[int] | None = None) -> list[Tensor]:
 
 
 def _walk(order: list[Tensor], owned: set[int] | None = None) -> list:
-    """Pass each node's .grad to its parents, from order's last node to its first.
+    """Pass each node's .grad to its parents, from order's last node (the root) to its first.
 
-    A node drops its .grad once it has passed it on, so only leaves keep
-    theirs. With owned, a set of node ids, an adjoint toward a node
-    outside it is not applied: it is returned, in walk order, as
-    (node, fault scale or None, _Rows).
+    A node drops its .grad and its adjoint closures once it has passed the
+    gradient on, and every node but the root its value too, so only the
+    root and the leaves keep values. Each node's children come before it
+    in the walk, so no adjoint still to run reads a dropped value; a node
+    keeps op and parents, so the tape can still be counted. With owned, a
+    set of node ids, an adjoint toward a node outside it is not applied:
+    it is returned, in walk order, as (node, fault scale or None, _Rows).
     """
     outside = []
+    root = order[-1]
     for node in reversed(order):
         g = node.grad
         if g is None or not node.parents:
@@ -688,19 +783,28 @@ def _walk(order: list[Tensor], owned: set[int] | None = None) -> list:
             if fault is not None:
                 pg = pg * fault
             parent.grad = pg if parent.grad is None else parent.grad + pg
+        node.vjps = ()
+        if node is not root:
+            node.data = None
     return outside
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into the leaves' .grad.
 
-    Every other node on the tape drops its gradient once it has passed it
-    to its parents, so the pass holds only the gradients still in flight.
+    Every other node on the tape drops its gradient and its adjoint
+    closures once it has passed the gradient to its parents, and every
+    node but loss its value too: the pass holds only the gradients in
+    flight and the values still to be read, and afterwards only loss and
+    the leaves keep values. The nodes keep op and parents, so the tape
+    can still be counted, but not walked again: a second call raises.
     """
     if not recording():
         raise RuntimeError("backward: called inside no_grad(), which records no tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    if loss.parents and not loss.vjps:
+        raise RuntimeError("backward: this tape was walked already and keeps no values")
     order = _topo(loss)
     for node in order:
         node.grad = None

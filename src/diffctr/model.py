@@ -109,11 +109,6 @@ class Model:
         return Model(self.cfg, self.schema, self.params.clone())
 
 
-def rms_scale(x: Tensor, gain: Tensor, d: int) -> Tensor:
-    """Unit-normalize the last axis, restore scale sqrt(d), apply gain."""
-    return ad.mul(ad.smul(ad.l2_normalize(x), float(np.sqrt(d))), gain)
-
-
 def _distinct_pairs(model: Model, tokens: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Block 0's input rows embed/input[tok] + field_pos[k], once per distinct
     (field, token) pair in tokens, and the (B, P) index of each entry's pair.
@@ -197,7 +192,7 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     _check_tokens(model, tokens)
     P = model.num_positions
     cfg = model.cfg
-    d, dh = cfg.embed_dim, cfg.embed_dim // cfg.heads
+    dh = cfg.embed_dim // cfg.heads
     pairs = None
     if ad.recording() or cfg.blocks == 0 or P == 1:
         columns = [ad.gather_rows(model.params[f"embed/input/{f.name}"], tokens[:, f.index])
@@ -218,7 +213,7 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
         tail = b == tail_block
         spread = pairs if b == 0 else None  # x holds one row per distinct pair
         rows = query if tail else every
-        h = rms_scale(x, model.params[f"net/b{b}/attn_gain"], d)
+        h = ad.rms_scale(x, model.params[f"net/b{b}/attn_gain"])
         hq = h if spread is not None or rows == every else ad.take_position(h, rows)
         attn_total = None
         for head in range(cfg.heads):
@@ -228,8 +223,8 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
             if spread is not None:
                 q, k, v = (ad.gather_rows(q, spread[:, rows]), ad.gather_rows(k, spread),
                            ad.gather_rows(v, spread))
-            scores = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))
-            mixed = ad.matmul(ad.softmax(scores, axis=-1), v)
+            scores = ad.matmul(q, ad.transpose(k))
+            mixed = ad.matmul(ad.softmax(scores, axis=-1, scale=1.0 / np.sqrt(dh)), v)
             if tail:
                 mixed = ad.take_position(mixed, keep - rows.start)
             out = ad.matmul(mixed, model.params[f"net/b{b}/h{head}/wo"])
@@ -239,12 +234,12 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
         elif tail:
             x = ad.take_position(x, keep)
         x = ad.add(x, attn_total)
-        g = rms_scale(x, model.params[f"net/b{b}/ffn_gain"], d)
+        g = ad.rms_scale(x, model.params[f"net/b{b}/ffn_gain"])
         inner = ad.relu(ad.add(ad.matmul(g, model.params[f"net/b{b}/ffn_w1"]), model.params[f"net/b{b}/ffn_b1"]))
         x = ad.add(x, ad.add(ad.matmul(inner, model.params[f"net/b{b}/ffn_w2"]), model.params[f"net/b{b}/ffn_b2"]))
 
     if cfg.blocks > 0:
-        x = ad.matmul(rms_scale(x, model.params["net/out_gain"], d), model.params["net/out_proj"])
+        x = ad.matmul(ad.rms_scale(x, model.params["net/out_gain"]), model.params["net/out_proj"])
     if keep is not None and x.data.ndim == 3:  # no blocks, or a single row
         x = ad.take_position(x, keep)
     return x

@@ -104,3 +104,14 @@ def build_micro_env(samples=240, fields=3, vocab=6, seed=5, **run_kw):
 @pytest.fixture
 def micro_env():
     return build_micro_env()
+
+
+def reached(root):
+    """Every node root reaches through .parents, root first."""
+    seen, work = {id(root): root}, [root]
+    while work:
+        for p in work.pop().parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                work.append(p)
+    return list(seen.values())

@@ -1,15 +1,21 @@
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diffctr import autodiff as ad
 from diffctr import parallel
+from diffctr import verify as vf
 from diffctr.errors import NumericError, ShapeError
 from diffctr.optim import ParamStore
 from diffctr.rng import stream
+from conftest import reached
 
 
 def test_quadratic_gradient():
@@ -85,6 +91,8 @@ def test_three_layer_composite_matches_central_differences():
         ("logsumexp", lambda p: ad.logsumexp(p["a"], axis=1)),
         ("cosine_matrix", lambda p: ad.cosine_matrix(p["a"], p["b2"])),
         ("softmax", lambda p: ad.softmax(p["a"], axis=1)),
+        ("softmax_scaled", lambda p: ad.softmax(p["x3"], axis=1, scale=0.7)),
+        ("rms_scale", lambda p: ad.rms_scale(p["x3"], p["row_b"])),
         ("log_softmax", lambda p: ad.log_softmax(p["a"], axis=1)),
     ],
 )
@@ -456,3 +464,119 @@ def test_join_rows_equals_one_tape_bit_for_bit(monkeypatch):
 
     with pytest.raises(ShapeError, match="does not sum over rows"):
         ad.forward_backward(not_by_rows, store)
+
+
+def test_backward_frees_the_tape_and_keeps_the_root_and_the_leaves():
+    store = ParamStore({"w": stream(14, "w").normal(size=(3, 2)), "b": np.zeros(2)})
+    x = ad.const(stream(14, "x").normal(size=(5, 3)))
+    loss = ad.tsum(ad.mul(*[ad.relu(ad.add(ad.matmul(x, store["w"]), store["b"]))] * 2))
+    counts = Counter(n.op for n in reached(loss))
+    nodes = [n for n in reached(loss)[1:] if n.parents]
+    assert len(nodes) == 4
+    ad.backward(loss)
+    assert all(n.data is None and n.vjps == () for n in nodes)
+    assert loss.data.shape == () and loss.vjps == ()
+    assert x.data.shape == (5, 3) and store["w"].data.shape == (3, 2)
+    assert store["w"].grad is not None and store["b"].grad is not None
+    assert Counter(n.op for n in reached(loss)) == counts
+    with pytest.raises(RuntimeError, match="walked already"):
+        ad.backward(loss)
+
+
+def composite_softmax(x, axis, scale):
+    """The chain ad.softmax replaces."""
+    s = ad.smul(x, scale)
+    return ad.exp(ad.sub(s, ad.logsumexp(s, axis=axis, keepdims=True)))
+
+
+def composite_rms_scale(x, gain):
+    """The chain ad.rms_scale replaces."""
+    return ad.mul(ad.smul(ad.l2_normalize(x), float(np.sqrt(x.data.shape[-1]))), gain)
+
+
+def fused_and_composite(fused, composite, arrays, weight):
+    """(value, loss, gradients) of fused and of composite over the same
+    parameters, and the forward-only values of both."""
+    out = []
+    for op in (fused, composite):
+        store = ParamStore({k: v.copy() for k, v in arrays.items()})
+        taped = []
+
+        def fn(p):
+            taped.append(op(*(p[k] for k in arrays)))
+            return ad.tsum(ad.mul(taped[-1], ad.const(weight)))
+
+        loss, grads = ad.forward_backward(fn, store)
+        with ad.no_grad():
+            bare = op(*(store[k] for k in arrays)).data
+        out.append((bare, loss, grads))
+    return out
+
+
+values = st.floats(-30, 30, allow_nan=False, allow_subnormal=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=7), data=st.data(),
+       scale=st.sampled_from([1.0, 0.25, 1 / np.sqrt(16), 1 / np.sqrt(3), 2.5]))
+def test_fused_softmax_equals_the_chain_it_replaces_bit_for_bit(shape, data, scale):
+    x = data.draw(hnp.arrays(np.float64, shape, elements=values), label="x")
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    weight = stream(15, "w", *shape).normal(size=shape)
+    (bare, loss, grads), (want_bare, want_loss, want) = fused_and_composite(
+        lambda x: ad.softmax(x, axis=axis, scale=scale),
+        lambda x: composite_softmax(x, axis, scale), {"x": x}, weight)
+    assert bare.tobytes() == want_bare.tobytes()
+    assert loss == want_loss
+    assert grads["x"].tobytes() == want["x"].tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=7), data=st.data(),
+       exponent=st.sampled_from([0, 0, 0, 520, 600]))
+def test_fused_rms_scale_equals_the_chain_it_replaces_bit_for_bit(shape, data, exponent):
+    """Also where a row's squares overflow (2**520 and up)."""
+    x = data.draw(hnp.arrays(np.float64, shape, elements=values), label="x") * 2.0**exponent
+    gain = data.draw(hnp.arrays(np.float64, shape[-1:], elements=values), label="gain")
+    weight = stream(16, "w", *shape).normal(size=shape)
+    (bare, loss, grads), (want_bare, want_loss, want) = fused_and_composite(
+        ad.rms_scale, composite_rms_scale, {"x": x, "gain": gain}, weight)
+    assert bare.tobytes() == want_bare.tobytes()
+    assert loss == want_loss
+    for name in ("x", "gain"):
+        assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+def test_rms_scale_takes_one_gain_per_column():
+    with pytest.raises(ShapeError, match=r"gain must be \(3,\)"):
+        ad.rms_scale(ad.const(np.ones((2, 3))), ad.const(np.ones((2, 3))))
+
+
+def test_l2_normalize_rescales_a_row_whose_squares_overflow():
+    got = ad.l2_normalize(ad.const([[1e200, 1.0], [3.0, 4.0]])).data
+    assert got.tobytes() == np.array([[1.0, 1e-200], [0.6, 0.8]]).tobytes()
+
+
+@pytest.mark.parametrize("k", [10, 520, 600, 1000])
+def test_l2_normalize_of_a_row_scaled_by_a_power_of_two_is_exact(k):
+    """Its value stays and its adjoint scales by the inverse, bit for bit,
+    whether the row's squares overflow (k >= 512 here) or not."""
+    rows = np.array([[3.0, -4.0, 0.5], [1.25, 0.0, -2.0], [0.1, 0.2, 0.3]])
+    weight = stream(17, "w").normal(size=rows.shape)
+
+    def run(x):
+        store = ParamStore({"x": x})
+        _, grads = ad.forward_backward(
+            lambda p: ad.tsum(ad.mul(ad.l2_normalize(p["x"]), ad.const(weight))), store)
+        return ad.l2_normalize(ad.const(x)).data, grads["x"]
+
+    want_y, want_g = run(rows)
+    y, g = run(rows * 2.0**k)
+    assert y.tobytes() == want_y.tobytes()
+    assert g.tobytes() == (want_g * 2.0**-k).tobytes()
+
+
+@pytest.mark.parametrize("op", ["softmax", "rms_scale"])
+def test_the_gradcheck_suite_fails_when_a_fused_adjoint_is_scaled(op):
+    with ad.adjoint_fault(op, 2.0):
+        assert not vf.suite_gradcheck().passed

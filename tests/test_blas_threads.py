@@ -80,3 +80,28 @@ def test_a_library_without_the_calls_is_a_silent_no_op(monkeypatch):
 def test_fingerprint_reports_the_blas_threads():
     expected = "unpinned" if diffctr._BLAS_THREADS is None else diffctr._BLAS_THREADS
     assert _build_fingerprint()["blas_threads"] == expected
+
+
+# One B=2048 fine-tune step of the default model; prints a hash of its loss
+# and gradients.
+_FINE_TUNE_STEP_HASH = """
+import hashlib
+import numpy as np
+from diffctr import autodiff as ad, data as dd, model as md
+from diffctr.losses import sft_loss
+spec = dd.random_spec(num_fields=8, vocab=50, samples=2048, seed=3)
+ds, _ = dd.generate_synthetic(spec)
+model = md.Model.init(md.ModelConfig(), ds.schema, 0)
+loss, grads = ad.forward_backward(lambda p: sft_loss(model, ds.token_matrix()), model.params)
+h = hashlib.sha256(np.float64(loss).tobytes())
+for name in sorted(grads):
+    h.update(grads[name].tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_a_fine_tune_step_is_bit_identical_whatever_the_environment_asks():
+    """Import pins OpenBLAS to one thread, so a B=2048 step with the variable
+    unset (a thread per CPU) and set to 2 hash the same loss and gradients."""
+    unset = run_python(_FINE_TUNE_STEP_HASH)
+    assert run_python(_FINE_TUNE_STEP_HASH, OPENBLAS_NUM_THREADS="2") == unset

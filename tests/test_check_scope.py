@@ -26,7 +26,7 @@ from diffctr.schedule import build_schedule
 # the composites (softmax, cosine_columns, ...) reach the wrappers too
 OPS = ["const", "add", "sub", "mul", "smul", "matmul", "transpose", "relu", "exp", "sigmoid",
        "softplus", "tsum", "tsum_rows", "tmean", "gather_rows", "take_position", "stack",
-       "l2_normalize", "logsumexp", "clip_unit", "join_rows"]
+       "l2_normalize", "logsumexp", "clip_unit", "join_rows", "softmax", "rms_scale"]
 
 DATA, _ = dd.generate_synthetic(dd.random_spec(num_fields=3, vocab=6, clusters=2, samples=64,
                                                 seed=5))
@@ -158,8 +158,8 @@ CALLS = {route: route_calls(route) for route in ROUTES}
 def test_every_route_reaches_the_ops_that_can_hide_a_value():
     for route in ROUTES:
         names = {name for _, name, _ in CALLS[route]}
-        assert {"relu", "exp", "logsumexp", "clip_unit", "gather_rows"} <= names
-    assert {"take_position", "matmul"} <= {name for _, name, _ in CALLS["pretrain"]}
+        assert {"relu", "softmax", "rms_scale", "clip_unit", "gather_rows"} <= names
+    assert {"take_position", "matmul", "logsumexp"} <= {name for _, name, _ in CALLS["pretrain"]}
     assert {"sigmoid"} <= {name for _, name, _ in CALLS["score"]}
     assert {"softplus", "join_rows"} <= {name for _, name, _ in CALLS["sft"]}
     assert {site for site, _, _ in CALLS["sft"]} == {"call", 0, 8, 16, 24, 32}

@@ -1,8 +1,11 @@
 import threading
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffctr import autodiff as ad
 from diffctr import data as dd
@@ -13,7 +16,8 @@ from diffctr.data import feature_schema
 from diffctr.errors import CheckpointError, DataError, NumericError, ShapeError
 from diffctr.optim import adam_step
 from diffctr.rng import stream
-from conftest import FailingWriter, permuted_model, untied
+from diffctr.schedule import build_schedule
+from conftest import FailingWriter, permuted_model, reached, untied
 
 
 def tiny_schema(vocabs=(4, 3, 5)):
@@ -467,6 +471,71 @@ def test_fine_tune_step_at_4_wide_heads_within_bound(default_scoring_rows):
     assert abs(loss - want_loss) <= 1e-12
     for name in want:
         np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(rows=st.integers(2, 150), part_rows=st.integers(1, 40), cpus=st.integers(1, 4))
+@example(rows=2, part_rows=1, cpus=1)  # two one-row parts
+def test_parts_joined_stay_within_bound_of_one_tape_for_drawn_cuts(default_scoring_rows, rows,
+                                                                   part_rows, cpus):
+    """At the default head width, whatever the cuts and the threads, and with
+    every part's tape freed by the walk: only its root keeps a value.
+
+    Parts this small are not bit-identical to one tape: OpenBLAS sums a
+    row of a small product (the (B, d) @ (d, 2) label logits among them)
+    in an order that depends on the row count, so they hold the 1e-12
+    bound; at the default PART_ROWS the parts are bit-identical
+    (test_fine_tune_step_in_parts_is_bit_identical_to_one_tape)."""
+    schema, tokens = default_scoring_rows
+    model = md.Model.init(md.ModelConfig(), schema, 0)
+    batch = tokens[:rows]
+    want_loss, want = one_tape_step(model, batch)
+    roots = []
+    real, saved = ls._click_losses, (parallel.PART_ROWS, parallel.cpu_workers)
+
+    def spy(model, tokens, prologue=None):
+        roots.append(real(model, tokens, prologue))
+        return roots[-1]
+
+    ls._click_losses, parallel.PART_ROWS, parallel.cpu_workers = spy, part_rows, lambda: cpus
+    try:
+        cuts = parallel.parts(rows)
+        loss, grads = ad.forward_backward(lambda params: ls.sft_loss(model, batch), model.params)
+    finally:
+        ls._click_losses, (parallel.PART_ROWS, parallel.cpu_workers) = real, saved
+    assert len(roots) == len(cuts)
+    assert abs(loss - want_loss) <= 1e-12
+    for name in want:
+        np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+    for root in roots:
+        assert root.data is not None and root.vjps == ()
+        for node in reached(root)[1:]:
+            if node.parents:
+                assert node.data is None and node.vjps == (), node.op
+            else:
+                assert node.data is not None
+
+
+def test_a_pretraining_step_frees_its_tape_and_keeps_the_loss_and_the_parameters():
+    model = make_model(blocks=2)
+    tokens = random_tokens(model, stream(28, "t"), n=12, allow_mask=False)
+    schedule = build_schedule(model.num_positions - 1, lo=0.2, hi=0.9)
+    taped = []
+
+    def graph(params):
+        taped.append(ls.pretrain_loss(model, tokens, schedule, stream(28, "c")))
+        taped.append(Counter(n.op for n in reached(taped[-1])))
+        return taped[0]
+
+    ad.forward_backward(graph, model.params)
+    loss, counts = taped
+    nodes = reached(loss)
+    assert Counter(n.op for n in nodes) == counts
+    assert counts["rms_scale"] == 5 and counts["softmax"] == 4
+    assert loss.data.shape == () and loss.vjps == ()
+    interior = [n for n in nodes[1:] if n.parents]
+    assert interior and all(n.data is None and n.vjps == () for n in interior)
+    assert all(param.data is not None for _, param in model.params.items())
 
 
 def test_overflow_in_a_helper_threads_fine_tune_part_raises_on_the_caller(monkeypatch):
