@@ -1,19 +1,23 @@
 """Reverse-mode differentiation over dense float64 arrays.
 
-Every operation returns a fresh Tensor recording its parents and one
-vector-Jacobian closure per parent; backward() walks the recorded tape
-in reverse topological order with a fixed left-to-right accumulation,
-so repeated runs are bit-identical. The walk frees the tape as it goes:
-once a node has passed its gradient on, it drops its gradient, its
-closures and, unless it is the root, its value, so after backward()
-only the root and the leaves hold values. rms_scale and softmax are one
-node each, equal bit for bit to the chains of ops they stand for, and
-their adjoints recompute what they need from the input instead of
-keeping it. An adjoint that sums over rows (a
-weight's, a broadcast operand's, a gathered table's) returns its
-row-wise operands as a _Rows, reduced where it is applied; join_rows
-uses this to run the rows of one batch in parts, each on its own tape
-and thread, and to reduce each such adjoint once over all the rows.
+Every operation returns a fresh Tensor: a value (.data) and a tape node
+(.node) recording its parents' nodes and one vector-Jacobian closure
+per parent. The tape holds nodes, never values. Each closure keeps only
+the arrays its adjoint reads, and a shape where a shape is all it needs,
+so a value lives while a name or an adjoint refers to it: one that no
+adjoint reads (a sum's operands, a bias add's input) dies during the
+forward. backward() walks the recorded tape in reverse topological
+order with a fixed left-to-right accumulation, so repeated runs are
+bit-identical; once a node has passed its gradient on it drops its
+gradient and its closures, and with them the values only they read.
+rms_scale and softmax are one node each, equal bit for bit to the
+chains of ops they stand for, and their adjoints recompute what they
+need from the input instead of keeping it. An adjoint that sums over
+rows (a weight's, a broadcast operand's, a gathered table's) returns
+its row-wise operands as a _Rows, reduced where it is applied;
+join_rows uses this to run the rows of one batch in parts, each on its
+own tape and thread, and to reduce each such adjoint once over all the
+rows, joining each distinct operand once.
 
 A NaN/Inf raises NumericError naming the op that produced it, instead
 of letting it surface three modules later. Outside any scope every node
@@ -40,6 +44,7 @@ alive; the finiteness checks are the same with or without a tape.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial, wraps
@@ -112,24 +117,70 @@ def recording() -> bool:
     return not _no_grad.depth
 
 
-class Tensor:
-    """One tape node: a float64 array plus how it was computed."""
+class Node:
+    """A value's entry on the tape, without the value: its op, the nodes it
+    was computed from, one adjoint closure per parent (None toward a parent
+    that is not tracked, which the walk never calls), its gradient while
+    the walk passes it on, and the value's shape."""
 
-    __slots__ = ("data", "op", "parents", "vjps", "tracked", "grad", "checked")
+    __slots__ = ("op", "parents", "vjps", "grad", "tracked", "shape")
+
+    def __init__(self, op, parents, vjps, tracked, shape):
+        self.op = op
+        self.parents = parents
+        self.tracked = any(p.tracked for p in parents) if tracked is None else tracked
+        self.vjps = tuple(v if p.tracked else None for p, v in zip(parents, vjps))
+        self.grad = None
+        self.shape = shape
+
+
+class Tensor:
+    """A float64 array and its tape node.
+
+    parents are the nodes (Tensor.node) the value was computed from. The
+    tape holds nodes only, so a value lives while a name or an adjoint
+    closure refers to its array, not while a node computed from it does.
+    """
+
+    __slots__ = ("data", "node", "checked")
 
     def __init__(self, data, op="leaf", parents=(), vjps=(), tracked=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.op = op
         # inside a check-once scope an op's node defers its check; a leaf never does
         self.checked = not parents or _checks.mode is not _ONCE
         if not recording():
             parents, vjps = (), ()
-        self.parents = tuple(parents)
-        self.vjps = tuple(vjps)
-        self.tracked = any(p.tracked for p in self.parents) if tracked is None else tracked
-        self.grad = None
+        self.node = Node(op, tuple(parents), vjps, tracked, self.data.shape)
         if self.checked and not np.all(np.isfinite(self.data)):
             raise NumericError(f"op '{op}' produced non-finite values")
+
+    @property
+    def op(self) -> str:
+        return self.node.op
+
+    @property
+    def parents(self) -> tuple:
+        return self.node.parents
+
+    @property
+    def vjps(self) -> tuple:
+        return self.node.vjps
+
+    @vjps.setter
+    def vjps(self, vjps) -> None:
+        self.node.vjps = tuple(vjps)
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, grad) -> None:
+        self.node.grad = grad
+
+    @property
+    def tracked(self) -> bool:
+        return self.node.tracked
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -252,49 +303,44 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 @_quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
+    sa, sb = a.data.shape, b.data.shape
     return Tensor(
         a.data + b.data,
         op="add",
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g, a.data.shape),
-            lambda g: _unbroadcast(g, b.data.shape),
-        ),
+        parents=(a.node, b.node),
+        vjps=(lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)),
     )
 
 
 @_quiet
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
+    sa, sb = a.data.shape, b.data.shape
     return Tensor(
         a.data - b.data,
         op="sub",
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g, a.data.shape),
-            lambda g: _unbroadcast(-g, b.data.shape),
-        ),
+        parents=(a.node, b.node),
+        vjps=(lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)),
     )
 
 
 @_quiet
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
+    x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
     return Tensor(
-        a.data * b.data,
+        x * y,
         op="mul",
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g * b.data, a.data.shape),
-            lambda g: _unbroadcast(g * a.data, b.data.shape),
-        ),
+        parents=(a.node, b.node),
+        vjps=(lambda g: _unbroadcast(g * y, sa), lambda g: _unbroadcast(g * x, sb)),
     )
 
 
 @_quiet
 def smul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return Tensor(a.data * c, op="smul", parents=(a,), vjps=(lambda g: g * c,))
+    return Tensor(a.data * c, op="smul", parents=(a.node,), vjps=(lambda g: g * c,))
 
 
 def _check_widths(op: str, widths, rows: int, size: int) -> np.ndarray:
@@ -329,30 +375,31 @@ def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
             f"matmul: batch dimensions differ, {a.data.shape} @ {b.data.shape}"
         ) from None
 
-    if a.data.ndim > 2 and b.data.ndim == 2:
+    x, w = a.data, b.data
+    if x.ndim > 2 and w.ndim == 2:
         # collapse the batch into one GEMM; numpy's strided batched matmul
         # is far slower than a single large multiply
-        lead = a.data.shape[:-1]
-        k = a.data.shape[-1]
-        flat = a.data.reshape(-1, k)
-        out = (flat @ b.data).reshape(lead + (b.data.shape[-1],))
+        lead, n = x.shape, w.shape[-1]
+        flat = x.reshape(-1, x.shape[-1])
+        out = (flat @ w).reshape(lead[:-1] + (n,))
         return Tensor(
             out,
             op="matmul",
-            parents=(a, b),
+            parents=(a.node, b.node),
             vjps=(
-                lambda g: (g.reshape(-1, b.data.shape[-1]) @ b.data.T).reshape(a.data.shape),
-                lambda g: _Rows(_weight_adjoint, flat, g.reshape(-1, b.data.shape[-1])),
+                lambda g: (g.reshape(-1, n) @ w.T).reshape(lead),
+                lambda g: _Rows(_weight_adjoint, flat, g.reshape(-1, n)),
             ),
         )
 
+    sa, sb = x.shape, w.shape
     return Tensor(
-        a.data @ b.data,
+        x @ w,
         op="matmul",
-        parents=(a, b),
+        parents=(a.node, b.node),
         vjps=(
-            lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-            lambda g: _Rows(partial(_weight_adjoint, shape=b.data.shape), a.data, g),
+            lambda g: _unbroadcast(g @ np.swapaxes(w, -1, -2), sa),
+            lambda g: _Rows(partial(_weight_adjoint, shape=sb), x, g),
         ),
     )
 
@@ -364,30 +411,28 @@ def _weight_adjoint(a: np.ndarray, g: np.ndarray, shape: tuple[int, ...] | None 
 
 
 def _matmul_widths(a: Tensor, b: Tensor, widths) -> Tensor:
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[0] != b.data.shape[0] \
-            or a.data.shape[2] != b.data.shape[1]:
-        raise ShapeError(
-            f"matmul: widths need (K, m, n) @ (K, n, N), got {a.data.shape} @ {b.data.shape}"
-        )
-    widths = _check_widths("matmul", widths, b.data.shape[0], b.data.shape[2])
+    x, w = a.data, b.data
+    if x.ndim != 3 or w.ndim != 3 or x.shape[0] != w.shape[0] or x.shape[2] != w.shape[1]:
+        raise ShapeError(f"matmul: widths need (K, m, n) @ (K, n, N), got {x.shape} @ {w.shape}")
+    widths = _check_widths("matmul", widths, w.shape[0], w.shape[2])
     _finite(b)  # its columns past each width take no part
-    out = np.zeros(a.data.shape[:2] + b.data.shape[2:])
-    for k, w in enumerate(widths):
-        out[k, :, :w] = a.data[k] @ b.data[k, :, :w]
+    out = np.zeros(x.shape[:2] + w.shape[2:])
+    for k, n in enumerate(widths):
+        out[k, :, :n] = x[k] @ w[k, :, :n]
 
     def vjp_a(g):
-        ga = np.empty_like(a.data)
-        for k, w in enumerate(widths):
-            ga[k] = g[k, :, :w] @ b.data[k, :, :w].T
+        ga = np.empty_like(x)
+        for k, n in enumerate(widths):
+            ga[k] = g[k, :, :n] @ w[k, :, :n].T
         return ga
 
     def vjp_b(g):
-        gb = np.zeros(b.data.shape)
-        for k, w in enumerate(widths):
-            gb[k, :, :w] = a.data[k].T @ g[k, :, :w]
+        gb = np.zeros(w.shape)
+        for k, n in enumerate(widths):
+            gb[k, :, :n] = x[k].T @ g[k, :, :n]
         return gb
 
-    return Tensor(out, op="matmul", parents=(a, b), vjps=(vjp_a, vjp_b))
+    return Tensor(out, op="matmul", parents=(a.node, b.node), vjps=(vjp_a, vjp_b))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -397,7 +442,7 @@ def transpose(a: Tensor) -> Tensor:
     return Tensor(
         np.swapaxes(a.data, -1, -2),
         op="transpose",
-        parents=(a,),
+        parents=(a.node,),
         vjps=(lambda g: np.swapaxes(g, -1, -2),),
     )
 
@@ -406,14 +451,15 @@ def relu(a: Tensor) -> Tensor:
     _finite(a)
     out = np.maximum(a.data, 0.0)
     out += 0.0  # np.maximum may keep a -0.0; this makes every zero +0.0 (inputs are finite)
-    return Tensor(out, op="relu", parents=(a,), vjps=(lambda g: g * (a.data > 0),))
+    # out > 0 where a > 0 and nowhere else, so the adjoint keeps no array but out
+    return Tensor(out, op="relu", parents=(a.node,), vjps=(lambda g: g * (out > 0),))
 
 
 @_quiet
 def exp(a: Tensor) -> Tensor:
     _finite(a)
     out = np.exp(a.data)
-    return Tensor(out, op="exp", parents=(a,), vjps=(lambda g: g * out,))
+    return Tensor(out, op="exp", parents=(a.node,), vjps=(lambda g: g * out,))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -425,14 +471,15 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     _finite(a)
     out = _logistic(a.data)
-    return Tensor(out, op="sigmoid", parents=(a,), vjps=(lambda g: g * out * (1.0 - out),))
+    return Tensor(out, op="sigmoid", parents=(a.node,), vjps=(lambda g: g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow; its slope is the logistic."""
     _finite(a)
     sig = _logistic(a.data)
-    return Tensor(np.logaddexp(0.0, a.data), op="softplus", parents=(a,), vjps=(lambda g: g * sig,))
+    return Tensor(np.logaddexp(0.0, a.data), op="softplus", parents=(a.node,),
+                  vjps=(lambda g: g * sig,))
 
 
 def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
@@ -445,11 +492,12 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool)
 
 @_quiet
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    shape = a.data.shape
     return Tensor(
         a.data.sum(axis=axis, keepdims=keepdims),
         op="sum",
-        parents=(a,),
-        vjps=(lambda g: _expand_reduced(g, a.data.shape, axis, keepdims),),
+        parents=(a.node,),
+        vjps=(lambda g: _expand_reduced(g, shape, axis, keepdims),),
     )
 
 
@@ -461,43 +509,45 @@ def tsum_rows(a: Tensor) -> Tensor:
     The fixed grouping equals a running total of per-row sums bit for bit,
     which a plain sum over every entry does not.
     """
-    if a.data.ndim != 2 or a.data.shape[0] == 0:
-        raise ShapeError(f"tsum_rows: non-empty rank 2 required, got {a.data.shape}")
+    shape = a.data.shape
+    if len(shape) != 2 or shape[0] == 0:
+        raise ShapeError(f"tsum_rows: non-empty rank 2 required, got {shape}")
     rows = np.ascontiguousarray(a.data).sum(axis=1)
     return Tensor(
         np.add.accumulate(rows)[-1],  # accumulate adds strictly left to right
         op="sum",
-        parents=(a,),
-        vjps=(lambda g: np.broadcast_to(g, a.data.shape),),
+        parents=(a.node,),
+        vjps=(lambda g: np.broadcast_to(g, shape),),
     )
 
 
 @_quiet
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
+    shape = a.data.shape
+    count = a.data.size if axis is None else shape[axis]
     return Tensor(
         a.data.mean(axis=axis, keepdims=keepdims),
         op="mean",
-        parents=(a,),
-        vjps=(lambda g: _expand_reduced(g, a.data.shape, axis, keepdims) / count,),
+        parents=(a.node,),
+        vjps=(lambda g: _expand_reduced(g, shape, axis, keepdims) / count,),
     )
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:
     """Row lookup table[idx]; the adjoint scatter-adds back into the table."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"gather_rows: table must be rank 2, got {table.data.shape}")
+    shape = table.data.shape
+    if len(shape) != 2:
+        raise ShapeError(f"gather_rows: table must be rank 2, got {shape}")
     idx = np.asarray(idx, dtype=np.int64)
-    rows = table.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ShapeError(f"gather_rows: index out of range for table with {rows} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
+        raise ShapeError(f"gather_rows: index out of range for table with {shape[0]} rows")
     _finite(table)
-    scatter = partial(_scatter_rows, shape=table.data.shape)
+    scatter = partial(_scatter_rows, shape=shape)
     return Tensor(
         np.take(table.data, idx, axis=0),
         op="gather_rows",
-        parents=(table,),
-        vjps=(lambda g: _Rows(scatter, idx.reshape(-1), g.reshape(-1, table.data.shape[1])),),
+        parents=(table.node,),
+        vjps=(lambda g: _Rows(scatter, idx.reshape(-1), g.reshape(-1, shape[1])),),
     )
 
 
@@ -515,7 +565,8 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape: tuple[int, int]) -> 
 
 
 def take_position(x: Tensor, pos) -> Tensor:
-    """Select x[:, pos, :] from a rank-3 (B, P, d) tensor.
+    """Select x[:, pos, :] from a rank-3 (B, P, d) tensor, as a copy, so the
+    output does not keep x alive.
 
     pos is one position, giving (B, d), a slice lo:hi of positions,
     giving (B, hi - lo, d), or a sequence of K distinct positions,
@@ -527,11 +578,11 @@ def take_position(x: Tensor, pos) -> Tensor:
     if isinstance(pos, slice):
         if pos.step is not None or not 0 <= pos.start < pos.stop <= P:
             raise ShapeError(f"take_position: {pos} out of range for {x.data.shape}")
-        idx, out, scatter = pos, x.data[:, pos, :], lambda g: g
+        idx, out, scatter = pos, x.data[:, pos, :].copy(), lambda g: g
     elif np.ndim(pos) == 0:
         if not 0 <= pos < P:
             raise ShapeError(f"take_position: position {pos} out of range for {x.data.shape}")
-        idx, out, scatter = pos, x.data[:, pos, :], lambda g: g
+        idx, out, scatter = pos, x.data[:, pos, :].copy(), lambda g: g
     else:
         idx = np.asarray(pos, dtype=np.int64)
         if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= P \
@@ -540,24 +591,28 @@ def take_position(x: Tensor, pos) -> Tensor:
                              f"and in range for {x.data.shape}")
         out, scatter = x.data.transpose(1, 0, 2)[idx], lambda g: g.transpose(1, 0, 2)
     _finite(x)
+    shape = x.data.shape
 
     def vjp(g):
-        acc = np.zeros_like(x.data)
+        acc = np.zeros(shape)
         acc[:, idx, :] = scatter(g)
         return acc
 
-    return Tensor(out, op="take_position", parents=(x,), vjps=(vjp,))
+    return Tensor(out, op="take_position", parents=(x.node,), vjps=(vjp,))
 
 
 def stack(parts: list[Tensor], axis: int = 1) -> Tensor:
     shapes = {p.data.shape for p in parts}
     if len(shapes) != 1:
         raise ShapeError(f"stack: mismatched shapes {sorted(shapes)}")
+    out = np.stack([p.data for p in parts], axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
     return Tensor(
-        np.stack([p.data for p in parts], axis=axis),
+        out,
         op="stack",
-        parents=tuple(parts),
-        vjps=tuple((lambda g, i=i: np.take(g, i, axis=axis)) for i in range(len(parts))),
+        parents=tuple(p.node for p in parts),
+        # each part's gradient is a view of the stacked one, not a copy
+        vjps=tuple((lambda g, i=i: g[lead + (i,)]) for i in range(len(parts))),
     )
 
 
@@ -589,7 +644,7 @@ def l2_normalize(x: Tensor) -> Tensor:
         dot = (y * g).sum(axis=-1, keepdims=True)
         return (g - y * dot) / norm
 
-    return Tensor(y, op="l2_normalize", parents=(x,), vjps=(vjp,))
+    return Tensor(y, op="l2_normalize", parents=(x.node,), vjps=(vjp,))
 
 
 @_quiet
@@ -600,22 +655,23 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
     sqrt(d) and mul by gain; the adjoints recompute the unit rows from x
     instead of keeping them.
     """
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,):
-        raise ShapeError(f"rms_scale: gain must be ({d},), got {gain.data.shape}")
+    xd, gd = x.data, gain.data
+    d = xd.shape[-1]
+    if gd.shape != (d,):
+        raise ShapeError(f"rms_scale: gain must be ({d},), got {gd.shape}")
     _finite(x)  # a row's rescale (_norms) reads the exponent of an inf, which C leaves open
     c = float(np.sqrt(d))
-    norm = _norms(x.data)
-    out = x.data / norm
+    norm = _norms(xd)
+    out = xd / norm
     out *= c
-    out *= gain.data
+    out *= gd
 
     unit = []  # the walk calls vjp_x, then vjp_gain: they compute the unit rows once
 
     def vjp_x(g):
-        y = x.data / norm
+        y = xd / norm
         unit.append(y)
-        gy = g * gain.data
+        gy = g * gd
         gy *= c
         dot = (y * gy).sum(axis=-1, keepdims=True)
         gx = y * dot
@@ -624,12 +680,12 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
         return gx
 
     def vjp_gain(g):
-        s = unit.pop() if unit else x.data / norm
+        s = unit.pop() if unit else xd / norm
         s *= c
         s *= g  # s * g is g * s, bit for bit
         return _Rows(partial(_sum_to, shape=(d,)), s)
 
-    return Tensor(out, op="rms_scale", parents=(x, gain), vjps=(vjp_x, vjp_gain))
+    return Tensor(out, op="rms_scale", parents=(x.node, gain.node), vjps=(vjp_x, vjp_gain))
 
 
 @_quiet
@@ -669,13 +725,14 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False, widths=None) ->
             g = np.expand_dims(g, axis)
         return soft * g
 
-    return Tensor(out, op="logsumexp", parents=(x,), vjps=(vjp,))
+    return Tensor(out, op="logsumexp", parents=(x.node,), vjps=(vjp,))
 
 
 def clip_unit(x: Tensor) -> Tensor:
     # Rounding guard: dots of float-normalized rows can exceed 1 by an ulp.
     _finite(x)
-    return Tensor(np.clip(x.data, -1.0, 1.0), op="clip_unit", parents=(x,), vjps=(lambda g: g,))
+    return Tensor(np.clip(x.data, -1.0, 1.0), op="clip_unit", parents=(x.node,),
+                  vjps=(lambda g: g,))
 
 
 @_quiet
@@ -689,7 +746,8 @@ def softmax(x: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     """
     _finite(x)  # exp(-inf) is 0
     scale = float(scale)
-    s = x.data * scale
+    xd = x.data
+    s = xd * scale
     m = np.max(s, axis=axis, keepdims=True)
     total = np.exp(s - m).sum(axis=axis, keepdims=True)
     out = np.exp(s - (m + np.log(total)))
@@ -697,7 +755,7 @@ def softmax(x: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     def vjp(g):
         gs = g * out
         glse = (-gs).sum(axis=axis, keepdims=True)
-        weights = x.data * scale
+        weights = xd * scale
         weights -= m
         np.exp(weights, out=weights)
         weights /= total
@@ -706,7 +764,7 @@ def softmax(x: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
         gs *= scale
         return gs
 
-    return Tensor(out, op="softmax", parents=(x,), vjps=(vjp,))
+    return Tensor(out, op="softmax", parents=(x.node,), vjps=(vjp,))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -723,16 +781,16 @@ def cosine_columns(a: Tensor, columns: Tensor) -> Tensor:
     return clip_unit(matmul(l2_normalize(a), columns))
 
 
-def _topo(root: Tensor, shared: set[int] | None = None) -> list[Tensor]:
+def _topo(root: Node, shared: set[int] | None = None) -> list[Node]:
     """The tracked nodes root depends on, each after its parents.
 
     With shared, a set of node ids, the walk stops at those nodes and at
     parameters (tracked leaves), and lists neither: what is left is the
     tape of one join_rows part.
     """
-    order: list[Tensor] = []
+    order: list[Node] = []
     seen: set[int] = set()
-    work: list[tuple[Tensor, bool]] = [(root, False)]
+    work: list[tuple[Node, bool]] = [(root, False)]
     while work:
         node, expanded = work.pop()
         if expanded:
@@ -749,19 +807,18 @@ def _topo(root: Tensor, shared: set[int] | None = None) -> list[Tensor]:
     return order
 
 
-def _walk(order: list[Tensor], owned: set[int] | None = None) -> list:
+def _walk(order: list[Node], owned: set[int] | None = None) -> list:
     """Pass each node's .grad to its parents, from order's last node (the root) to its first.
 
     A node drops its .grad and its adjoint closures once it has passed the
-    gradient on, and every node but the root its value too, so only the
-    root and the leaves keep values. Each node's children come before it
-    in the walk, so no adjoint still to run reads a dropped value; a node
-    keeps op and parents, so the tape can still be counted. With owned, a
-    set of node ids, an adjoint toward a node outside it is not applied:
-    it is returned, in walk order, as (node, fault scale or None, _Rows).
+    gradient on, and with the closures the arrays that only they read.
+    Each node's children come before it in the walk, so no adjoint still
+    to run needs a dropped closure; a node keeps op and parents, so the
+    tape can still be counted. With owned, a set of node ids, an adjoint
+    toward a node outside it is not applied: it is returned, in walk
+    order, as (node, fault scale or None, _Rows).
     """
     outside = []
-    root = order[-1]
     for node in reversed(order):
         g = node.grad
         if g is None or not node.parents:
@@ -783,9 +840,8 @@ def _walk(order: list[Tensor], owned: set[int] | None = None) -> list:
             if fault is not None:
                 pg = pg * fault
             parent.grad = pg if parent.grad is None else parent.grad + pg
+            pg = None  # the next adjoint runs without it
         node.vjps = ()
-        if node is not root:
-            node.data = None
     return outside
 
 
@@ -793,23 +849,119 @@ def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into the leaves' .grad.
 
     Every other node on the tape drops its gradient and its adjoint
-    closures once it has passed the gradient to its parents, and every
-    node but loss its value too: the pass holds only the gradients in
-    flight and the values still to be read, and afterwards only loss and
-    the leaves keep values. The nodes keep op and parents, so the tape
-    can still be counted, but not walked again: a second call raises.
+    closures once it has passed the gradient to its parents. The tape
+    holds no values, only what its closures read, so the pass frees each
+    value once the last adjoint reading it has run (a value no adjoint
+    reads died during the forward), and holds only the gradients in
+    flight and the values still to be read. The nodes keep op and
+    parents, so the tape can still be counted, but not walked again: a
+    second call raises.
     """
     if not recording():
         raise RuntimeError("backward: called inside no_grad(), which records no tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if loss.parents and not loss.vjps:
+    root = loss.node
+    if root.parents and not root.vjps:
         raise RuntimeError("backward: this tape was walked already and keeps no values")
-    order = _topo(loss)
+    order = _topo(root)
     for node in order:
         node.grad = None
-    loss.grad = np.ones(())
+    root.grad = np.ones(())
     _walk(order)
+
+
+def _key(a: np.ndarray) -> tuple:
+    """What makes two arrays hold the same values on the same rows: their
+    memory, and unless they are C-contiguous and not empty, their shape and
+    strides (two C-contiguous arrays on the same bytes differ only in how
+    those bytes are cut into rows)."""
+    if a.flags.c_contiguous and a.size:
+        return a.__array_interface__["data"][0], a.nbytes, a.dtype.str
+    return a.__array_interface__["data"][0], a.shape, a.strides, a.dtype.str
+
+
+def _columns(by_part: list[list], index: dict[int, int]) -> tuple[dict, list]:
+    """The parts' outside adjoints as distinct operand columns and the entries that read them.
+
+    by_part holds each part's _walk output, in the same order in every
+    part. Returns (columns, entries): columns maps a key to one operand's
+    arrays, one per part, and lists them once however many adjoints read
+    the same memory; each entry is (target index, fault, reduce, reads),
+    in walk order, and reads holds (key, shape after the rows) per operand.
+    """
+    columns, entries = {}, []
+    for outside in zip(*by_part):
+        target, fault, rows = outside[0]
+        reads = []
+        for column in zip(*(r.operands for _, _, r in outside)):
+            key = tuple(_key(a) for a in column)
+            columns.setdefault(key, column)
+            reads.append((key, column[0].shape[1:]))
+        entries.append((index[id(target)], fault, rows.reduce, reads))
+    return columns, entries
+
+
+def _join(column: tuple) -> np.ndarray:
+    """The parts' arrays of one operand joined in row order."""
+    return column[0] if len(column) == 1 else np.concatenate(column)
+
+
+def _rows_as(joint: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
+    """joint's rows cut to shape (-1, *tail): a view of the same bytes."""
+    return joint if joint.shape[1:] == tail else joint.reshape((-1,) + tail)
+
+
+def _reduce_joined(columns: dict, entries: list, targets: int) -> list:
+    """Each target's adjoint: its entries' reductions, summed in entry order,
+    over the operand columns joined in row order (see _columns).
+
+    Targets that read a common column form one group, and the groups are
+    dealt to the threads, those with the most operand entries first. A
+    thread joins each column of its group when a reduction first reads
+    it, letting the parts' arrays go, and lets the joined array go after
+    the last reduction that reads it. So each distinct operand is joined
+    once, and only the groups in progress hold joined arrays.
+    """
+    group = list(range(targets))  # linked through the columns they read
+
+    def root(t: int) -> int:
+        while group[t] != t:
+            t = group[t]
+        return t
+
+    first = {}
+    for t, _, _, reads in entries:
+        for key, _ in reads:
+            group[root(t)] = root(first.setdefault(key, t))
+    members: dict[int, list[int]] = {}
+    for n, (t, _, _, _) in enumerate(entries):
+        members.setdefault(root(t), []).append(n)
+    size = {g: sum(sum(a.size for a in columns[key])
+                   for key in {key for n in ns for key, _ in entries[n][3]})
+            for g, ns in members.items()}
+    grads = [None] * targets
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def reduce(g: int, _worker: int) -> None:
+        readers = Counter(key for n in members[g] for key, _ in entries[n][3])
+        joint = {}
+        for n in members[g]:
+            t, fault, reduce_rows, reads = entries[n]
+            for key, _ in reads:
+                if key not in joint:
+                    joint[key] = _join(columns.pop(key))
+            pg = reduce_rows(*[_rows_as(joint[key], tail) for key, tail in reads])
+            for key, _ in reads:
+                readers[key] -= 1
+                if not readers[key]:
+                    del joint[key]
+            if fault is not None:
+                pg = pg * fault
+            grads[t] = pg if grads[t] is None else grads[t] + pg
+
+    deal(sorted(members, key=lambda g: -size[g]), reduce)
+    return grads
 
 
 def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
@@ -820,18 +972,20 @@ def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
     parameters and shared nodes the parts reach. Its adjoint runs each
     part's tape backward on a thread per CPU (parallel.deal), where every
     adjoint toward one of those parents must be a _Rows and is kept
-    unreduced. Once all parts are done, each such adjoint reduces once
-    over its operands joined in row order, in the order one tape would
-    apply them; the parents are dealt to the threads one per item, those
-    with the most operand entries first. So the gradients equal one tape
-    over all rows bit for bit wherever each row's values and adjoints do
-    not depend on the rows beside it, whatever the number of threads.
+    unreduced. Once all parts are done, each distinct operand (the same
+    memory in every part, however many adjoints read it) is joined once
+    in row order, and each such adjoint reduces once over the joined
+    operands, in the order one tape would apply them (_reduce_joined).
+    So the gradients equal one tape over all rows bit for bit wherever
+    each row's values and adjoints do not depend on the rows beside it,
+    whatever the number of threads.
     """
     data = np.concatenate([p.data for p in parts])
     if not recording():
         return Tensor(data, op="join_rows")
-    stop = {id(s) for s in shared}
-    first = _topo(parts[0], stop)
+    roots = [p.node for p in parts]
+    stop = {id(s.node) for s in shared}
+    first = _topo(roots[0], stop)
     owned = {id(n) for n in first}
     targets = list({id(p): p for n in reversed(first) for p in n.parents
                     if p.tracked and id(p) not in owned}.values())
@@ -840,42 +994,21 @@ def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
 
     @np.errstate(over="ignore", invalid="ignore")
     def run(k: int, _worker: int) -> None:
-        tape = first if k == 0 else _topo(parts[k], stop)
+        tape = first if k == 0 else _topo(roots[k], stop)
         for node in tape:
             node.grad = None
-        parts[k].grad = state["g"][bounds[k] : bounds[k + 1]]
+        roots[k].grad = state["g"][bounds[k] : bounds[k + 1]]
         state["rows"][k] = _walk(tape, owned if k == 0 else {id(n) for n in tape})
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def reduce(i: int, _worker: int) -> None:
-        total = None
-        for j in state["of"][i]:
-            _, fault, rows = state["rows"][0][j]
-            operands = rows.operands if len(parts) == 1 else [
-                np.concatenate(column) for column in zip(*(by_part[j][2].operands
-                                                           for by_part in state["rows"]))]
-            pg = rows.reduce(*operands)
-            if fault is not None:
-                pg = pg * fault
-            total = pg if total is None else total + pg
-        state["grads"][i] = total
 
     def adjoint(i: int, g: np.ndarray) -> np.ndarray:
         if state.get("g") is not g:  # the first parent's call runs every part
-            state.update(g=g, rows=[None] * len(parts), grads=[None] * len(targets))
+            state.update(g=g, rows=[None] * len(parts))
             deal(range(len(parts)), run)
             reached = [[id(t) for t, _, _ in rows] for rows in state["rows"]]
             if any(r != reached[0] for r in reached):
                 raise ShapeError("join_rows: the parts' tapes differ in shape")
             index = {id(t): n for n, t in enumerate(targets)}
-            state["of"] = [[] for _ in targets]
-            size = [0] * len(targets)
-            for j, (t, _, rows) in enumerate(state["rows"][0]):
-                state["of"][index[id(t)]].append(j)
-                size[index[id(t)]] += sum(o.size for o in rows.operands)
-            # the largest first, so that the threads' shares come out even
-            deal(sorted(range(len(targets)), key=lambda n: -size[n]), reduce)
-            del state["rows"]  # the operands, whose reductions are done
+            state["grads"] = _reduce_joined(*_columns(state.pop("rows"), index), len(targets))
         return state["grads"][i]
 
     return Tensor(data, op="join_rows", parents=targets,

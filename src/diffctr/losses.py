@@ -130,8 +130,9 @@ def masked_field_losses(
 
     ctx = ad.l2_normalize(ad.take_position(ctx_all, fields))  # (K, B, d)
     targets = ad.transpose(ad.l2_normalize(ad.stack(rows, axis=0)))  # (K, d, U)
-    cosine = ad.clip_unit(ad.matmul(ctx, targets, widths=widths))
-    logits = ad.smul(cosine, 1.0 / model.cfg.temperature)
+    del ctx_all, rows  # no adjoint reads them
+    logits = ad.smul(ad.clip_unit(ad.matmul(ctx, targets, widths=widths)),
+                     1.0 / model.cfg.temperature)
     denom = ad.logsumexp(ad.add(logits, ad.const(gate)), widths=widths)
     positive = ad.tsum(ad.mul(logits, ad.const(onehot)), axis=-1)
     weighted = ad.mul(ad.sub(denom, positive), ad.const(weights[:, fields].T))  # (K, B)

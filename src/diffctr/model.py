@@ -195,9 +195,8 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     dh = cfg.embed_dim // cfg.heads
     pairs = None
     if ad.recording() or cfg.blocks == 0 or P == 1:
-        columns = [ad.gather_rows(model.params[f"embed/input/{f.name}"], tokens[:, f.index])
-                   for f in model.schema]
-        x = ad.stack(columns, axis=1)  # (B, P, d)
+        x = ad.stack([ad.gather_rows(model.params[f"embed/input/{f.name}"], tokens[:, f.index])
+                      for f in model.schema], axis=1)  # (B, P, d)
         if pos_rows is None:
             pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(P))
         x = ad.add(x, pos_rows)
@@ -234,6 +233,7 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
         elif tail:
             x = ad.take_position(x, keep)
         x = ad.add(x, attn_total)
+        del out, attn_total  # no adjoint reads them: they die here, not with the next block
         g = ad.rms_scale(x, model.params[f"net/b{b}/ffn_gain"])
         inner = ad.relu(ad.add(ad.matmul(g, model.params[f"net/b{b}/ffn_w1"]), model.params[f"net/b{b}/ffn_b1"]))
         x = ad.add(x, ad.add(ad.matmul(inner, model.params[f"net/b{b}/ffn_w2"]), model.params[f"net/b{b}/ffn_b2"]))

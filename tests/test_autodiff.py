@@ -474,7 +474,7 @@ def test_backward_frees_the_tape_and_keeps_the_root_and_the_leaves():
     nodes = [n for n in reached(loss)[1:] if n.parents]
     assert len(nodes) == 4
     ad.backward(loss)
-    assert all(n.data is None and n.vjps == () for n in nodes)
+    assert all(n.vjps == () and n.grad is None for n in nodes)
     assert loss.data.shape == () and loss.vjps == ()
     assert x.data.shape == (5, 3) and store["w"].data.shape == (3, 2)
     assert store["w"].grad is not None and store["b"].grad is not None

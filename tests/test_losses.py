@@ -339,7 +339,7 @@ def test_one_loss_tape_for_every_field(vocabs):
     ops = [n.op for n in nodes]
     assert ops.count("logsumexp") == 1
     # one target gather per field, and no other loss-side node grows with P
-    targets = {id(model.target_table(k)) for k in range(len(model.schema))}
+    targets = {id(model.target_table(k).node) for k in range(len(model.schema))}
     loss_gathers = [n for n in nodes if n.op == "gather_rows" and id(n.parents[0]) in targets
                     and n.shape[0] == U]
     assert len(loss_gathers) == len(fields)
@@ -411,7 +411,7 @@ def test_loss_tape_never_spans_the_vocabulary():
     corrupted = fc.corrupt_batch(tokens, build_schedule(2), stream(43, "c"), model.mask_ids,
                                  fixed_probs=np.array([0.9, 0.9, 0.5]))
     loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
-    targets = {id(model.params[f"embed/target/{f.name}"]): f.name for f in model.schema[:-1]}
+    targets = {id(model.params[f"embed/target/{f.name}"].node): f.name for f in model.schema[:-1]}
     gathered, seen, work = [], {id(loss)}, [loss]
     while work:
         node = work.pop()

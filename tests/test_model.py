@@ -1,5 +1,6 @@
 import threading
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -479,7 +480,7 @@ def test_fine_tune_step_at_4_wide_heads_within_bound(default_scoring_rows):
 def test_parts_joined_stay_within_bound_of_one_tape_for_drawn_cuts(default_scoring_rows, rows,
                                                                    part_rows, cpus):
     """At the default head width, whatever the cuts and the threads, and with
-    every part's tape freed by the walk: only its root keeps a value.
+    every part's tape freed by the walk: its nodes keep no closures.
 
     Parts this small are not bit-identical to one tape: OpenBLAS sums a
     row of a small product (the (B, d) @ (d, 2) label logits among them)
@@ -511,9 +512,8 @@ def test_parts_joined_stay_within_bound_of_one_tape_for_drawn_cuts(default_scori
         assert root.data is not None and root.vjps == ()
         for node in reached(root)[1:]:
             if node.parents:
-                assert node.data is None and node.vjps == (), node.op
-            else:
-                assert node.data is not None
+                assert node.vjps == () and node.grad is None, node.op
+    assert all(param.data is not None for _, param in model.params.items())
 
 
 def test_a_pretraining_step_frees_its_tape_and_keeps_the_loss_and_the_parameters():
@@ -534,8 +534,40 @@ def test_a_pretraining_step_frees_its_tape_and_keeps_the_loss_and_the_parameters
     assert counts["rms_scale"] == 5 and counts["softmax"] == 4
     assert loss.data.shape == () and loss.vjps == ()
     interior = [n for n in nodes[1:] if n.parents]
-    assert interior and all(n.data is None and n.vjps == () for n in interior)
+    assert interior and all(n.vjps == () and n.grad is None for n in interior)
     assert all(param.data is not None for _, param in model.params.items())
+
+
+def test_a_value_lives_while_an_adjoint_reads_it(monkeypatch):
+    """The tape holds nodes, not values: the heads' wo outputs and the FFN's
+    w1 output, which no adjoint reads, die during the forward, while the q
+    projection and the normalised rows h, which adjoints read, live until
+    backward has run them."""
+    model = make_model(blocks=2)
+    tokens = random_tokens(model, stream(29, "t"), n=12, allow_mask=False)
+    watch = {id(model.params[f"net/b0/{name}"]): name for name in ("h0/wq", "h1/wo", "ffn_w1")}
+    values = {}
+    matmul = ad.matmul
+
+    def memory(a: np.ndarray) -> np.ndarray:
+        return a if a.base is None else a.base
+
+    def watched(a, b, widths=None):
+        out = matmul(a, b, widths)
+        name = watch.get(id(b))
+        if name is not None:
+            values[name] = weakref.ref(memory(out.data))
+            if name == "h0/wq":
+                values["h"] = weakref.ref(memory(a.data))
+        return out
+
+    monkeypatch.setattr(ad, "matmul", watched)
+    loss = ls.sft_loss(model, tokens)
+    assert sorted(values) == ["ffn_w1", "h", "h0/wq", "h1/wo"]
+    assert values["h1/wo"]() is None and values["ffn_w1"]() is None
+    assert values["h0/wq"]() is not None and values["h"]() is not None
+    ad.backward(loss)
+    assert values["h0/wq"]() is None and values["h"]() is None
 
 
 def test_overflow_in_a_helper_threads_fine_tune_part_raises_on_the_caller(monkeypatch):
