@@ -22,30 +22,33 @@ rows, joining each distinct operand once.
 A NaN/Inf raises NumericError naming the op that produced it, instead
 of letting it surface three modules later. Outside any scope every node
 checks its value when it is created; so do leaves and consts always.
-Inside a check-once scope (scoped: forward_backward's graph_fn, each
-sft_loss part, each ctr_score part) an op's node skips that check, and
-two kinds of check stay: the scope checks the tensor it returns, and an
-op whose output can be finite where its input is not (relu, exp,
-logsumexp, softmax, rms_scale, clip_unit, sigmoid, softplus,
-take_position, gather_rows, matmul with widths) checks that input
-unless it was checked already.
-Every non-finite value then reaches one of them. On a failure the scope
-runs the same call again with every node checked, on every thread the
-call deals to, and that replay raises the first op's NumericError, as a
-call outside any scope would. Values do not depend on the checks.
+Inside a check-once scope (scoped: forward_backward's graph_fn,
+ctr_score's call, each part of label_logit_diff) an op's node skips
+that check, and two kinds of check stay: the scope checks the tensor it
+returns, and an op whose output can be finite where its input is not
+(relu, exp, logsumexp, softmax, rms_scale, clip_unit, sigmoid,
+softplus, take_position, gather_rows, matmul with widths) checks that
+input unless it was checked already.
+Every non-finite value then reaches one of them. On a failure the
+outermost scope runs the same call again with every node checked, on
+every thread the call deals to, and that replay raises the first op's
+NumericError, as a call outside any scope would. Values do not depend
+on the checks.
 
 Numpy reports no overflow as a RuntimeWarning first: a scope sets its
 error state once, and an arithmetic op called outside any scope sets it
-around itself. Inside no_grad() ops record no parents and no closures
-in the thread that entered it, so forward-only callers keep no tape
-alive; the finiteness checks are the same with or without a tape.
+around itself. Inside no_grad() ops record no parents and no closures,
+so forward-only callers keep no tape alive; the finiteness checks are
+the same with or without a tape. The no_grad flag, the check mode and
+numpy's error state are context variables, which every helper thread
+that parallel.deal starts inherits from its caller.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial, wraps
 from typing import Callable, Sequence
@@ -62,24 +65,12 @@ LOG_ZERO = -1e30
 _adjoint_faults: dict[str, float] = {}
 
 
-class _NoGradDepth(threading.local):
-    """How many no_grad() bodies the current thread is inside."""
-
-    depth = 0
-
-
-_no_grad = _NoGradDepth()
+_recording: ContextVar[bool] = ContextVar("recording", default=True)  # false inside no_grad()
 
 _ONCE, _STRICT = "once", "strict"
 
-
-class _CheckMode(threading.local):
-    """The check-once scope the current thread is in: None, _ONCE or _STRICT (the replay)."""
-
-    mode = None
-
-
-_checks = _CheckMode()
+# the check-once scope the current context is in: None, _ONCE or _STRICT (the replay)
+_checks: ContextVar[str | None] = ContextVar("checks", default=None)
 
 
 class _Deferred(NumericError):
@@ -102,19 +93,20 @@ def no_grad():
     """Record no tape while active, as `with no_grad():` or `@no_grad()`.
 
     Nests, and restores the previous state when its body raises;
-    backward() refuses to run inside it. The state is per thread: a
-    no_grad in one thread leaves taping in every other thread alone.
+    backward() refuses to run inside it. The state is a context
+    variable: a no_grad in one thread leaves taping in every other
+    thread alone, and a helper started by parallel.deal inherits it.
     """
-    _no_grad.depth += 1
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _no_grad.depth -= 1
+        _recording.reset(token)
 
 
 def recording() -> bool:
-    """Whether ops record a tape in this thread: false inside no_grad()."""
-    return not _no_grad.depth
+    """Whether ops record a tape in this context: false inside no_grad()."""
+    return _recording.get()
 
 
 class Node:
@@ -147,7 +139,7 @@ class Tensor:
     def __init__(self, data, op="leaf", parents=(), vjps=(), tracked=None):
         self.data = np.asarray(data, dtype=np.float64)
         # inside a check-once scope an op's node defers its check; a leaf never does
-        self.checked = not parents or _checks.mode is not _ONCE
+        self.checked = not parents or _checks.get() is not _ONCE
         if not recording():
             parents, vjps = (), ()
         self.node = Node(op, tuple(parents), vjps, tracked, self.data.shape)
@@ -208,25 +200,22 @@ def _finite(x: Tensor) -> None:
 
 
 def scoped(fn: Callable) -> Callable:
-    """fn, to run in a check-once scope on whichever thread calls it.
+    """fn, to run in a check-once scope.
 
     In the scope a node skips its own finiteness check (see the module
-    docstring), and the Tensor fn returns is checked. The scope belongs
-    to the thread that made this wrapper: made outside any scope, each
-    call owns its scope, and on a failure it runs fn again with every
-    node checked, which raises the first op's NumericError. Made inside
-    a scope, a call runs in that scope's mode on any thread, so a part
-    dealt to a helper thread reports a failure to the scope that owns
-    the call, and runs strict when that scope replays. Numpy's error
-    state is set to ignore while fn runs: a non-finite value is raised
-    as NumericError, never as a warning.
+    docstring), and the Tensor fn returns is checked. A call made
+    outside any scope owns its scope: on a failure it runs fn again with
+    every node checked, which raises the first op's NumericError. A call
+    made inside a scope, on the scope's thread or on a helper that
+    parallel.deal started from it, runs in that scope's mode, reports a
+    failure to the scope that owns the call, and runs strict when that
+    scope replays. Numpy's error state is set to ignore while fn runs: a
+    non-finite value is raised as NumericError, never as a warning.
     """
-    made_in = _checks.mode
 
     def run(*args, **kwargs):
-        here = _checks.mode
-        inherited = here or made_in
-        _checks.mode = inherited or _ONCE
+        inherited = _checks.get()
+        token = _checks.set(inherited or _ONCE)
         try:
             with np.errstate(all="ignore"):
                 out = fn(*args, **kwargs)
@@ -236,12 +225,12 @@ def scoped(fn: Callable) -> Callable:
         except _Deferred as e:
             if inherited is not None:  # the scope that owns the call replays it
                 raise
-            _checks.mode = _STRICT
+            _checks.set(_STRICT)
             with np.errstate(all="ignore"):
                 fn(*args, **kwargs)
             raise NumericError(str(e)) from None  # the replay computed other values
         finally:
-            _checks.mode = here
+            _checks.reset(token)
 
     return run
 
@@ -253,7 +242,7 @@ def _quiet(op: Callable) -> Callable:
 
     @wraps(op)
     def run(*args, **kwargs):
-        if _checks.mode is not None:
+        if _checks.get() is not None:
             return op(*args, **kwargs)
         with np.errstate(all="ignore"):
             return op(*args, **kwargs)
@@ -376,8 +365,8 @@ def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
         ) from None
 
     x, w = a.data, b.data
-    if x.ndim > 2 and w.ndim == 2:
-        # collapse the batch into one GEMM; numpy's strided batched matmul
+    if w.ndim == 2:
+        # collapse any batch into one GEMM; numpy's strided batched matmul
         # is far slower than a single large multiply
         lead, n = x.shape, w.shape[-1]
         flat = x.reshape(-1, x.shape[-1])
@@ -482,22 +471,18 @@ def softplus(a: Tensor) -> Tensor:
                   vjps=(lambda g: g * sig,))
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
+def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
 
 @_quiet
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     shape = a.data.shape
     return Tensor(
-        a.data.sum(axis=axis, keepdims=keepdims),
+        a.data.sum(axis=axis),
         op="sum",
         parents=(a.node,),
-        vjps=(lambda g: _expand_reduced(g, shape, axis, keepdims),),
+        vjps=(lambda g: _expand_reduced(g, shape, axis),),
     )
 
 
@@ -522,14 +507,14 @@ def tsum_rows(a: Tensor) -> Tensor:
 
 
 @_quiet
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     shape = a.data.shape
     count = a.data.size if axis is None else shape[axis]
     return Tensor(
-        a.data.mean(axis=axis, keepdims=keepdims),
+        a.data.mean(axis=axis),
         op="mean",
         parents=(a.node,),
-        vjps=(lambda g: _expand_reduced(g, shape, axis, keepdims) / count,),
+        vjps=(lambda g: _expand_reduced(g, shape, axis) / count,),
     )
 
 
@@ -771,11 +756,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return sub(x, logsumexp(x, axis=axis, keepdims=True))
 
 
-def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs cosine: (m, d) x (n, d) -> (m, n)."""
-    return cosine_columns(a, transpose(l2_normalize(b)))
-
-
 def cosine_columns(a: Tensor, columns: Tensor) -> Tensor:
     """Cosine of a's rows (m, d) with unit columns (d, n), normalised once for many a."""
     return clip_unit(matmul(l2_normalize(a), columns))
@@ -845,6 +825,8 @@ def _walk(order: list[Node], owned: set[int] | None = None) -> list:
     return outside
 
 
+# an overflow in an adjoint (on any thread join_rows deals to) leaves a non-finite gradient
+@np.errstate(over="ignore", invalid="ignore")
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into the leaves' .grad.
 
@@ -942,7 +924,6 @@ def _reduce_joined(columns: dict, entries: list, targets: int) -> list:
             for g, ns in members.items()}
     grads = [None] * targets
 
-    @np.errstate(over="ignore", invalid="ignore")
     def reduce(g: int, _worker: int) -> None:
         readers = Counter(key for n in members[g] for key, _ in entries[n][3])
         joint = {}
@@ -992,7 +973,6 @@ def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
     bounds = np.cumsum([0] + [len(p.data) for p in parts]).tolist()
     state: dict = {}
 
-    @np.errstate(over="ignore", invalid="ignore")
     def run(k: int, _worker: int) -> None:
         tape = first if k == 0 else _topo(roots[k], stop)
         for node in tape:
@@ -1015,8 +995,6 @@ def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
                   vjps=[partial(adjoint, i) for i in range(len(targets))])
 
 
-# an overflow in an adjoint leaves a non-finite gradient, not a RuntimeWarning
-@np.errstate(over="ignore", invalid="ignore")
 def forward_backward(graph_fn: Callable, params) -> tuple[float, dict[str, np.ndarray]]:
     """Evaluate graph_fn(params) and return (loss, grads per parameter).
 

@@ -10,9 +10,10 @@ vocabulary. The label field always uses its exhaustive two-way softmax.
 All K loss-bearing fields run as one batched computation over
 (K, B, U_max) arrays, bit-identical to scoring each field alone (see
 masked_field_losses for the three rules that make it so). The fine-tune
-loss is the plain click logloss through the label-masked CTR head, its
-rows run in parts on a thread per CPU; for label-only masking the two
-coincide term by term, which verify_label_equivalence checks numerically.
+loss is the plain click logloss through the label-masked CTR head
+(label_logit_diff, which runs the rows in parts on a thread per CPU);
+for label-only masking the two coincide term by term, which
+verify_label_equivalence checks numerically.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corruption import LABEL_MODES, CorruptedBatch, corrupt_batch, loss_positions
 from .errors import DataError, ShapeError
-from .model import Model, check_label_rows, field_logits, encode, label_logit_diff, label_prologue
-from .parallel import deal, parts
+from .model import Model, field_logits, encode, label_logit_diff
 from .schedule import NoiseSchedule
 
 
@@ -162,53 +162,30 @@ def pretrain_loss(
     return loss
 
 
-def _check_labels(tokens: np.ndarray) -> None:
-    labels = tokens[:, -1]
+def _labels(tokens: np.ndarray) -> np.ndarray:
+    """The label column of a (B, P) token batch, each 0 or 1."""
+    labels = np.asarray(tokens)[:, -1]
     if np.any((labels != 0) & (labels != 1)):
         raise DataError("sft_loss: labels must be 0 or 1")
+    return labels
 
 
-def _click_losses(model: Model, tokens: np.ndarray, prologue=None) -> Tensor:
-    """Per-instance click logloss softplus(-(2y - 1) * logit) as a (B,) tensor, on one tape.
-
-    prologue is label_logit_diff's.
-    """
-    _check_labels(tokens)
-    diff = label_logit_diff(model, tokens, prologue)
-    signed = ad.mul(diff, ad.const(2.0 * tokens[:, -1] - 1.0))
+def _click_losses(model: Model, tokens: np.ndarray) -> Tensor:
+    """Per-instance click logloss softplus(-(2y - 1) * logit) as a (B,) tensor."""
+    signs = ad.const(2.0 * _labels(tokens) - 1.0)
+    signed = ad.mul(label_logit_diff(model, tokens), signs)
     return ad.softplus(ad.smul(signed, -1.0))
 
 
 def sft_loss(model: Model, tokens: np.ndarray) -> Tensor:
     """Mean click logloss of a (B, P) token batch through the label-masked scoring head.
 
-    The rows are cut by parallel.parts and dealt to a thread per CPU; a
-    batch below 2 * PART_ROWS rows is one part, run on the calling thread.
-    Each part records its own tape over the parameters and one
-    label_prologue built here, and ad.join_rows joins the parts' per-row
-    losses, so backward also runs each part on its thread and reduces
-    every sum over rows once, in row order. Loss and gradients equal one
-    tape over all rows bit for bit at the default shapes, on any number
-    of CPUs; where BLAS sums a part's rows unlike the whole batch's
-    (encode's docstring names the shapes) they stay within 1e-12 of it.
-    The whole batch is checked before it is cut, so a malformed batch
-    raises alike whichever part holds the bad row. Each part runs in the
-    caller's check-once scope, or in one of its own (autodiff.scoped).
+    label_logit_diff runs the rows in parts on a thread per CPU and joins
+    them, so loss and gradients equal one tape over all rows bit for bit
+    at the default shapes, on any number of CPUs (its docstring names
+    the bound elsewhere). The labels are checked before the features.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    _check_labels(tokens)
-    check_label_rows(model, tokens)
-    prologue = label_prologue(model)
-    cuts = parts(len(tokens))
-    losses = [None] * len(cuts)
-    click_losses = ad.scoped(_click_losses)
-
-    def run(k: int, _worker: int) -> None:
-        start, end = cuts[k]
-        losses[k] = click_losses(model, tokens[start:end], prologue)
-
-    deal(range(len(cuts)), run)
-    return ad.tmean(ad.join_rows(losses, prologue))
+    return ad.tmean(_click_losses(model, tokens))
 
 
 @ad.no_grad()

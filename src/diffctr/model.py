@@ -109,8 +109,8 @@ class Model:
         return Model(self.cfg, self.schema, self.params.clone())
 
 
-def _distinct_pairs(model: Model, tokens: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Block 0's input rows embed/input[tok] + field_pos[k], once per distinct
+def _distinct_pairs(model: Model, tokens: np.ndarray, pos_rows: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Block 0's input rows embed/input[tok] + pos_rows[k], once per distinct
     (field, token) pair in tokens, and the (B, P) index of each entry's pair.
 
     Pairs are numbered by per-field offsets into the concatenated input
@@ -122,7 +122,7 @@ def _distinct_pairs(model: Model, tokens: np.ndarray) -> tuple[Tensor, np.ndarra
     per_field = np.split(pairs - offsets[field], np.searchsorted(field, np.arange(1, len(offsets))))
     rows = np.concatenate([model.params[f"embed/input/{f.name}"].data[tok]
                            for f, tok in zip(model.schema, per_field)])
-    x = ad.add(ad.const(rows), ad.gather_rows(model.params["embed/field_pos"], field))
+    x = ad.add(ad.const(rows), ad.gather_rows(pos_rows, field))
     return x, index.reshape(tokens.shape)
 
 
@@ -146,19 +146,6 @@ def _check_unmasked(model: Model, tokens: np.ndarray) -> None:
             raise DataError(f"ctr scoring requires unmasked field '{f.name}'")
 
 
-def _label_masked(model: Model, tokens: np.ndarray) -> np.ndarray:
-    masked = tokens.copy()
-    masked[:, model.label_position] = model.mask_ids[model.label_position]
-    return masked
-
-
-def check_label_rows(model: Model, tokens: np.ndarray) -> None:
-    """label_logit_diff's input checks over a whole batch, before it is cut into parts,
-    so a malformed batch raises the same error whichever part holds the bad row."""
-    _check_unmasked(model, tokens)
-    _check_tokens(model, _label_masked(model, tokens))
-
-
 def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
            pos_rows: Tensor | None = None) -> Tensor:
     """Contextual vectors, one per field position: (B, P, d).
@@ -168,7 +155,7 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     attends over every position, then runs its output projection,
     residual, FFN and the final projection on that one row. pos_rows,
     the field-position rows (P, d) built once for several calls, stand
-    in for the ones the taped route would gather itself.
+    in for the ones encode would gather itself; every route reads them.
 
     While no tape is recorded (under no_grad) encode computes only what
     its output needs. Its values equal the taped route's bit for bit
@@ -185,8 +172,8 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
       small batched gemm in another order than a two-row block's, while
       the last row agrees.
     The taped route runs every row, so its weight gradients sum as before.
-    ctr_score's parts rest on the same property: a row's value does not
-    depend on the rows encoded beside it.
+    label_logit_diff's parts rest on the same property: a row's value does
+    not depend on the rows encoded beside it.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     _check_tokens(model, tokens)
@@ -194,14 +181,14 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     cfg = model.cfg
     dh = cfg.embed_dim // cfg.heads
     pairs = None
+    if pos_rows is None:
+        pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(P))
     if ad.recording() or cfg.blocks == 0 or P == 1:
         x = ad.stack([ad.gather_rows(model.params[f"embed/input/{f.name}"], tokens[:, f.index])
                       for f in model.schema], axis=1)  # (B, P, d)
-        if pos_rows is None:
-            pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(P))
         x = ad.add(x, pos_rows)
     else:  # P >= 2 gives at least two pairs, so no projection drops to gemv
-        x, pairs = _distinct_pairs(model, tokens)  # (U, d) and (B, P)
+        x, pairs = _distinct_pairs(model, tokens, pos_rows)  # (U, d) and (B, P)
     # one row would run the tail through BLAS gemv, which sums in another
     # order than the gemm of the full route, so a single row keeps every row
     tail_block = cfg.blocks - 1 if keep is not None and len(tokens) > 1 else None
@@ -269,29 +256,47 @@ def full_vocab_logits(model: Model, field_index: int, context: Tensor) -> Tensor
     return field_logits(model, field_index, context, np.arange(model.schema[field_index].vocab_size))
 
 
-def label_prologue(model: Model) -> tuple[Tensor, Tensor]:
-    """The nodes of label_logit_diff that no row changes, built once for many
-    row parts: the field-position rows (P, d) and the label's two target
-    rows, unit-normalised and transposed (d, 2)."""
-    pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(model.num_positions))
-    return pos_rows, _target_columns(model, model.label_position, np.array([0, 1]))
+def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
+    """Differentiable click-vs-no-click logit gap (B,), label masked internally.
 
-
-def label_logit_diff(model: Model, tokens: np.ndarray,
-                     prologue: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """Differentiable click-vs-no-click logit gap, label masked internally.
-
-    The last block's tail runs on the label row alone (encode's keep),
-    for training and scoring alike: values equal the full route's, and
-    gradients differ from it only in summation order. prologue, from
-    label_prologue, is shared by several calls; without it encode
-    gathers its own field-position rows, where its route needs them.
+    The one owner of row parts. It checks the whole batch (unmasked
+    features, token ranges), so a bad row raises alike in any part, and
+    builds the nodes no row changes once: the field-position rows and the
+    label's two target columns. parallel.parts cuts the rows at points
+    that depend on the row count alone, and each part runs
+    _part_logit_diff in a check-once scope (autodiff.scoped) on a thread
+    per CPU (parallel.deal). ad.join_rows joins the gaps and, on a tape,
+    reduces every sum over rows once, in row order: values, and at the
+    default shapes gradients, equal one call on every row bit for bit on
+    any CPU count; elsewhere (encode's docstring) gradients stay within 1e-12.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lbl = model.label_position
     _check_unmasked(model, tokens)
-    pos_rows, columns = prologue or (None, _target_columns(model, lbl, np.array([0, 1])))
-    ctx = encode(model, _label_masked(model, tokens), keep=lbl, pos_rows=pos_rows)
+    masked = tokens.copy()
+    masked[:, lbl] = model.mask_ids[lbl]
+    _check_tokens(model, masked)
+    shared = (ad.gather_rows(model.params["embed/field_pos"], np.arange(model.num_positions)),
+              _target_columns(model, lbl, np.array([0, 1])))
+    cuts = parts(len(tokens))
+    gaps = [None] * len(cuts)
+    part_gap = ad.scoped(_part_logit_diff)
+
+    def run(k: int, _worker: int) -> None:
+        gaps[k] = part_gap(model, masked[slice(*cuts[k])], *shared)
+
+    deal(range(len(cuts)), run)
+    return ad.join_rows(gaps, shared)
+
+
+def _part_logit_diff(model: Model, masked: np.ndarray, pos_rows: Tensor, columns: Tensor) -> Tensor:
+    """label_logit_diff of label-masked rows, from its shared nodes.
+
+    The last block's tail runs on the label row alone (encode's keep):
+    values equal the full route's, and gradients differ from it only in
+    summation order.
+    """
+    ctx = encode(model, masked, keep=model.label_position, pos_rows=pos_rows)
     logits = _cosine_logits(model, ctx, columns)
     return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
 
@@ -299,34 +304,16 @@ def label_logit_diff(model: Model, tokens: np.ndarray,
 def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
     """P(click | features) per row; the input label token is ignored. Records no tape.
 
-    The rows are cut by parallel.parts, at points that depend on n alone,
-    and the parts are dealt to one thread per CPU by
-    parallel.deal: the calling thread takes the first part and every
-    workers-th part after it, and every thread is joined before the call
-    returns. BLAS stays at one thread per call, so each part runs the
-    arithmetic it would run alone; at the default shapes its scores
-    equal the unsplit route's bit for bit (encode's docstring names the
-    shapes where they do not).
-
-    The whole chunk is checked before it is cut, so a malformed chunk
-    raises the same error whichever part holds the bad row; an error
-    raised while scoring is re-raised from the first part that failed.
-    Each part is a check-once scope (autodiff.scoped): sigmoid checks the
-    logit gap, and a failing part is scored again, on its thread, with
-    every node checked to name the op.
+    The sigmoid of label_logit_diff, whose parts run on a thread per CPU,
+    each BLAS call on one thread, so at the default shapes the scores
+    equal one unsplit call's bit for bit (encode's docstring names the
+    shapes where they do not). The call is one check-once scope
+    (autodiff.scoped), which the parts' threads inherit: sigmoid checks
+    the gap, and a failing call is scored again, whole, with every node
+    checked to name the op.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    check_label_rows(model, tokens)
-    scores = np.empty(len(tokens))
-    click = ad.scoped(lambda rows: ad.sigmoid(label_logit_diff(model, rows)))
-
-    @ad.no_grad()
-    def score(part: tuple[int, int], _worker: int) -> None:
-        start, end = part
-        scores[start:end] = click(tokens[start:end]).data
-
-    deal(parts(len(tokens)), score)
-    return scores
+    with ad.no_grad():
+        return ad.scoped(lambda: ad.sigmoid(label_logit_diff(model, tokens)))().data
 
 
 # ---------------------------------------------------------------------------

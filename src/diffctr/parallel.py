@@ -7,6 +7,7 @@ the arithmetic it would do alone.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from typing import Callable, Sequence
@@ -50,8 +51,9 @@ def deal(items: Sequence, work: Callable) -> None:
     helper that takes items[w::workers], so a caller can give each thread
     scratch space of its own. A thread stops at its first exception.
     Every helper is joined before the call returns, then the exception of
-    the earliest item that raised is re-raised here. numpy's error state
-    is per thread, so work sets its own.
+    the earliest item that raised is re-raised here. Each helper runs in
+    a copy of the caller's context (contextvars), so work sees numpy's
+    error state, no_grad and the check-once scope as its caller does.
     """
     workers = threads(items)
     errors: dict[int, BaseException] = {}
@@ -67,7 +69,7 @@ def deal(items: Sequence, work: Callable) -> None:
     helpers = []
     try:
         for w in range(1, workers):
-            helper = threading.Thread(target=run, args=(w,))
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(run, w))
             helper.start()
             helpers.append(helper)
         run(0)

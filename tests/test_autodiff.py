@@ -89,7 +89,7 @@ def test_three_layer_composite_matches_central_differences():
         ("tsum_rows", lambda p: ad.tsum_rows(p["a"])),
         ("l2_normalize", lambda p: ad.l2_normalize(p["a"])),
         ("logsumexp", lambda p: ad.logsumexp(p["a"], axis=1)),
-        ("cosine_matrix", lambda p: ad.cosine_matrix(p["a"], p["b2"])),
+        ("cosine_matrix", lambda p: cosine_matrix(p["a"], p["b2"])),
         ("softmax", lambda p: ad.softmax(p["a"], axis=1)),
         ("softmax_scaled", lambda p: ad.softmax(p["x3"], axis=1, scale=0.7)),
         ("rms_scale", lambda p: ad.rms_scale(p["x3"], p["row_b"])),
@@ -183,13 +183,18 @@ def test_out_of_range_position_or_width_raises_shape_error(call):
         call(ad.const(np.zeros((2, 3, 4))))
 
 
+def cosine_matrix(a, b):
+    """All-pairs cosine of a's rows (m, d) with b's rows (n, d): (m, n)."""
+    return ad.cosine_columns(a, ad.transpose(ad.l2_normalize(b)))
+
+
 def test_cosine_bounds():
     rng = stream(5, "cos")
     a = ad.const(rng.normal(size=(50, 8)) * 10)
     b = ad.const(rng.normal(size=(50, 8)) * 10)
-    m = ad.cosine_matrix(a, b).data
+    m = cosine_matrix(a, b).data
     assert np.all(m >= -1.0) and np.all(m <= 1.0)
-    same = np.diag(ad.cosine_matrix(a, a).data)
+    same = np.diag(cosine_matrix(a, a).data)
     np.testing.assert_allclose(same, 1.0, atol=1e-12)
 
 
@@ -393,6 +398,33 @@ def test_no_grad_state_is_per_thread_under_contention():
         sys.setswitchinterval(interval)
     assert failures == []
     assert ad.recording() and ad.smul(w, 2.0).parents
+
+
+def test_work_dealt_to_a_helper_runs_in_its_callers_context(monkeypatch):
+    """parallel.deal starts each helper in a copy of the caller's context, so
+    the helper sees the caller's numpy error state, no_grad and check-once
+    scope; a plain thread starts from the defaults."""
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
+    seen = {}
+
+    def state(key, _worker=None):
+        seen[key] = (np.geterr()["over"], np.geterr()["divide"], ad.recording(),
+                     ad._checks.get(), threading.get_ident())
+
+    with np.errstate(over="ignore", divide="raise"), ad.no_grad():
+        token = ad._checks.set(ad._ONCE)
+        try:
+            parallel.deal(["caller", "helper"], state)
+            plain = threading.Thread(target=state, args=("plain",))
+            plain.start()
+            plain.join(timeout=60)
+            assert not plain.is_alive()
+        finally:
+            ad._checks.reset(token)
+    assert seen["caller"][-1] != seen["helper"][-1]
+    assert seen["caller"][:-1] == seen["helper"][:-1] == ("ignore", "raise", False, ad._ONCE)
+    assert seen["plain"][:-1] == ("warn", "warn", True, None)
+    assert np.geterr()["over"] == "warn" and ad.recording() and ad._checks.get() is None
 
 
 def test_backward_refuses_to_run_inside_no_grad():

@@ -54,11 +54,12 @@ ROUTES = {"pretrain": pretrain_route, "sft": sft_route, "score": score_route}
 class Planter:
     """Counts each op's calls per site and plants a value in one call's output.
 
-    A thread's site is "call" from the start of graph_fn, then the row part
-    it last entered (keyed by the part's first row); each part runs on one
-    thread, and a thread runs its parts in a fixed order. Entering a site
-    restarts its counts, so a replay of the route, or of one part, meets
-    the same planted call again.
+    A thread's site is "call" from the start of graph_fn or of the
+    label_logit_diff call in ctr_score's scope, then the row part it last
+    entered (keyed by the part's first row in the label-masked batch);
+    each part runs on one thread, and a thread runs its parts in a fixed
+    order. Entering a site restarts its counts, so a replay of the route,
+    or of a part inside it, meets the same planted call again.
     """
 
     def __init__(self, target=None, value=None, where=0, workers=2):
@@ -94,21 +95,18 @@ class Planter:
     @contextmanager
     def installed(self):
         saved = {name: getattr(ad, name) for name in OPS}
-        click, logit = ls._click_losses, md.label_logit_diff
+        part, logit = md._part_logit_diff, md.label_logit_diff
         part_rows, workers = parallel.PART_ROWS, parallel.cpu_workers
         fb = ad.forward_backward
 
-        def first_row(rows):
-            return (rows.__array_interface__["data"][0] - TOKENS.__array_interface__["data"][0]) \
-                // TOKENS.strides[0]
+        def part_spy(model, rows, *shared):  # every part of either route
+            self.enter((rows.__array_interface__["data"][0]
+                        - rows.base.__array_interface__["data"][0]) // rows.strides[0])
+            return part(model, rows, *shared)
 
-        def click_part(model, rows, prologue=None):
-            self.enter(first_row(rows))
-            return click(model, rows, prologue)
-
-        def score_part(model, rows, prologue=None):
-            self.enter(first_row(rows))
-            return logit(model, rows, prologue)
+        def score_call(model, tokens):  # ctr_score's scope calls it again when it replays
+            self.enter("call")
+            return logit(model, tokens)
 
         def forward_backward(graph_fn, params):
             def graph(p):
@@ -120,14 +118,14 @@ class Planter:
         try:
             for name, real in saved.items():
                 setattr(ad, name, self.wrap(name, real))
-            ls._click_losses, md.label_logit_diff = click_part, score_part
+            md._part_logit_diff, md.label_logit_diff = part_spy, score_call
             ad.forward_backward = forward_backward
             parallel.PART_ROWS, parallel.cpu_workers = 8, lambda: self.workers  # 5 parts
             yield self
         finally:
             for name, real in saved.items():
                 setattr(ad, name, real)
-            ls._click_losses, md.label_logit_diff = click, logit
+            md._part_logit_diff, md.label_logit_diff = part, logit
             ad.forward_backward = fb
             parallel.PART_ROWS, parallel.cpu_workers = part_rows, workers
 
@@ -135,13 +133,13 @@ class Planter:
 def outcome(route, planter, strict):
     """(exception type, message) of one run of route, or None if it returns."""
     with planter.installed():
-        ad._checks.mode = ad._STRICT if strict else None
+        ad._checks.set(ad._STRICT if strict else None)
         try:
             ROUTES[route]()
         except Exception as e:
             return type(e), str(e)
         finally:
-            ad._checks.mode = None
+            ad._checks.set(None)
     return None
 
 
@@ -162,7 +160,8 @@ def test_every_route_reaches_the_ops_that_can_hide_a_value():
     assert {"take_position", "matmul", "logsumexp"} <= {name for _, name, _ in CALLS["pretrain"]}
     assert {"sigmoid"} <= {name for _, name, _ in CALLS["score"]}
     assert {"softplus", "join_rows"} <= {name for _, name, _ in CALLS["sft"]}
-    assert {site for site, _, _ in CALLS["sft"]} == {"call", 0, 8, 16, 24, 32}
+    for route in ("sft", "score"):
+        assert {site for site, _, _ in CALLS[route]} == {"call", 0, 8, 16, 24, 32}
 
 
 OP_NAME = {"tsum": "sum", "tsum_rows": "sum", "tmean": "mean"}  # Tensor.op where it differs
@@ -187,14 +186,12 @@ def test_a_planted_value_raises_as_checking_every_node_would(route, data, value,
 
 def test_parts_on_more_threads_than_cpus_raise_alike_under_thread_switches():
     """Five parts on four threads switching every microsecond: the parts share
-    the prologue's nodes, whose deferred checks any of them may run first."""
+    label_logit_diff's shared nodes, whose deferred checks any of them may run first."""
     threads_before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for target in [("call", "l2_normalize", 0), (24, "matmul", 3), (32, "relu", 0)]:
             for route in ("sft", "score"):
-                if route == "score" and target[0] == "call":
-                    continue
                 want = outcome(route, Planter(target, -np.inf, 5, workers=4), strict=True)
                 for _ in range(5):
                     assert outcome(route, Planter(target, -np.inf, 5, workers=4),
@@ -210,14 +207,14 @@ def test_a_failing_call_runs_again_with_every_node_checked():
     modes = []
 
     def graph(p):
-        modes.append(ad._checks.mode)
+        modes.append(ad._checks.get())
         return ad.tsum(ad.clip_unit(ad.smul(p["w"], 1e300)))  # clip_unit maps the inf to 1
 
     with pytest.raises(NumericError, match="^op 'smul' produced non-finite values$") as caught:
         ad.forward_backward(graph, store)
     assert type(caught.value) is NumericError
     assert modes == [ad._ONCE, ad._STRICT]
-    assert ad._checks.mode is None
+    assert ad._checks.get() is None
     modes.clear()
     store.set_data("w", np.array([1.0, 2.0]))
     ad.forward_backward(graph, store)
@@ -247,7 +244,7 @@ def test_a_replay_that_finds_only_finite_values_keeps_the_first_error():
     runs = []
 
     def fn():
-        runs.append(ad._checks.mode)
+        runs.append(ad._checks.get())
         x = np.array([-np.inf, 1.0]) if len(runs) == 1 else np.zeros(2)
         return ad.relu(ad.Tensor(x, op="made-up", parents=(ad.const(0.0),)))
 

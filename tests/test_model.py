@@ -313,9 +313,18 @@ def default_scoring_rows():
     return ds.schema, ds.token_matrix()
 
 
+def one_call_logit_diff(model, tokens):
+    """label_logit_diff's per-part function called once on every row: no parts, one tape."""
+    masked = tokens.copy()
+    masked[:, -1] = model.mask_ids[-1]
+    pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(model.num_positions))
+    columns = md._target_columns(model, model.label_position, np.array([0, 1]))
+    return md._part_logit_diff(model, masked, pos_rows, columns)
+
+
 def unsplit_scores(model, tokens):
     with ad.no_grad():
-        return ad.sigmoid(md.label_logit_diff(model, tokens)).data
+        return ad.sigmoid(one_call_logit_diff(model, tokens)).data
 
 
 @pytest.mark.parametrize("cfg", [md.ModelConfig(), md.ModelConfig(heads=4, blocks=3)],
@@ -334,15 +343,15 @@ def test_cuts_and_scores_do_not_depend_on_the_cpu_count(monkeypatch, default_sco
     model = md.Model.init(md.ModelConfig(), schema, 0)
     want = unsplit_scores(model, tokens[:3071])
     part_rows, threads, error_states = [], set(), set()
-    real = md.label_logit_diff
+    real = md._part_logit_diff
 
-    def spy(model, tokens):
-        part_rows.append(len(tokens))
+    def spy(model, rows, *shared):
+        part_rows.append(len(rows))
         threads.add(threading.get_ident())
         error_states.add((np.geterr()["over"], np.geterr()["invalid"], ad.recording()))
-        return real(model, tokens)
+        return real(model, rows, *shared)
 
-    monkeypatch.setattr(md, "label_logit_diff", spy)
+    monkeypatch.setattr(md, "_part_logit_diff", spy)
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "cpu_workers", lambda: cpus)
         part_rows.clear()
@@ -350,8 +359,8 @@ def test_cuts_and_scores_do_not_depend_on_the_cpu_count(monkeypatch, default_sco
         assert np.array_equal(md.ctr_score(model, tokens[:3071]), want), cpus
         assert sorted(part_rows) == [1535, 1536]
         assert len(threads) == cpus
-        # numpy's error state starts at its defaults on a new thread, so
-        # every part must set ctr_score's own, as it must enter no_grad
+        # numpy's error state starts at its defaults on a plain new thread;
+        # every part runs in ctr_score's own, and under its no_grad
         assert error_states == {("ignore", "ignore", False)}
 
 
@@ -421,30 +430,35 @@ def test_overflow_in_the_last_part_raises_on_the_caller_without_a_warning():
 
 def one_tape_step(model, tokens):
     """A fine-tune step's loss and gradients from one tape over every row."""
-    return ad.forward_backward(lambda params: ad.tmean(ls._click_losses(model, tokens)),
-                               model.params)
+    signs = ad.const(2.0 * tokens[:, -1] - 1.0)
+
+    def loss(params):
+        signed = ad.mul(one_call_logit_diff(model, tokens), signs)
+        return ad.tmean(ad.softplus(ad.smul(signed, -1.0)))
+
+    return ad.forward_backward(loss, model.params)
 
 
 @pytest.mark.parametrize("rows", [896, 2048, 3071, 4096])
 def test_fine_tune_step_in_parts_is_bit_identical_to_one_tape(monkeypatch, rows,
                                                               default_scoring_rows):
     """sft_loss runs 1024-2047-row parts on a thread each, records a tape and
-    sets numpy's error state in each, joins every thread, and its loss and
+    runs each in its caller's error state, joins every thread, and its loss and
     gradients equal one tape's at every CPU count."""
     schema, tokens = default_scoring_rows
     model = md.Model.init(md.ModelConfig(), schema, 0)
     batch = tokens[:rows]
     want_loss, want = one_tape_step(model, batch)
     part_rows, threads, error_states = [], set(), set()
-    real = ls._click_losses
+    real = md._part_logit_diff
 
-    def spy(model, tokens, prologue=None):
-        part_rows.append(len(tokens))
+    def spy(model, rows, *shared):
+        part_rows.append(len(rows))
         threads.add(threading.get_ident())
         error_states.add((np.geterr()["over"], np.geterr()["invalid"], ad.recording()))
-        return real(model, tokens, prologue)
+        return real(model, rows, *shared)
 
-    monkeypatch.setattr(ls, "_click_losses", spy)
+    monkeypatch.setattr(md, "_part_logit_diff", spy)
     cuts = parallel.parts(rows)
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "cpu_workers", lambda: cpus)
@@ -492,18 +506,18 @@ def test_parts_joined_stay_within_bound_of_one_tape_for_drawn_cuts(default_scori
     batch = tokens[:rows]
     want_loss, want = one_tape_step(model, batch)
     roots = []
-    real, saved = ls._click_losses, (parallel.PART_ROWS, parallel.cpu_workers)
+    real, saved = md._part_logit_diff, (parallel.PART_ROWS, parallel.cpu_workers)
 
-    def spy(model, tokens, prologue=None):
-        roots.append(real(model, tokens, prologue))
+    def spy(model, rows, *shared):
+        roots.append(real(model, rows, *shared))
         return roots[-1]
 
-    ls._click_losses, parallel.PART_ROWS, parallel.cpu_workers = spy, part_rows, lambda: cpus
+    md._part_logit_diff, parallel.PART_ROWS, parallel.cpu_workers = spy, part_rows, lambda: cpus
     try:
         cuts = parallel.parts(rows)
         loss, grads = ad.forward_backward(lambda params: ls.sft_loss(model, batch), model.params)
     finally:
-        ls._click_losses, (parallel.PART_ROWS, parallel.cpu_workers) = real, saved
+        md._part_logit_diff, (parallel.PART_ROWS, parallel.cpu_workers) = real, saved
     assert len(roots) == len(cuts)
     assert abs(loss - want_loss) <= 1e-12
     for name in want:
