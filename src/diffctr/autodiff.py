@@ -10,14 +10,16 @@ forward. backward() walks the recorded tape in reverse topological
 order with a fixed left-to-right accumulation, so repeated runs are
 bit-identical; once a node has passed its gradient on it drops its
 gradient and its closures, and with them the values only they read.
-rms_scale and softmax are one node each, equal bit for bit to the
-chains of ops they stand for, and their adjoints recompute what they
-need from the input instead of keeping it. An adjoint that sums over
-rows (a weight's, a broadcast operand's, a gathered table's) returns
-its row-wise operands as a _Rows, reduced where it is applied;
-join_rows uses this to run the rows of one batch in parts, each on its
-own tape and thread, and to reduce each such adjoint once over all the
-rows, joining each distinct operand once.
+rms_scale, softmax, attention_out and ffn are one node each, equal bit
+for bit to the chains of ops they stand for. The adjoints of the first
+two recompute what they need from the input instead of keeping it; the
+last two recompute nothing, and add their biases, heads and residual
+and apply their relu in place, in the buffer a GEMM just made. An
+adjoint that sums over rows (a weight's, a broadcast operand's, a
+gathered table's) returns its row-wise operands as a _Rows, reduced
+where it is applied; join_rows uses this to run the rows of one batch
+in parts, each on its own tape and thread, and to reduce each such
+adjoint once over all the rows, joining each distinct operand once.
 
 A NaN/Inf raises NumericError naming the op that produced it, instead
 of letting it surface three modules later. Outside any scope every node
@@ -28,12 +30,14 @@ that check, and two kinds of check stay: the scope checks the tensor it
 returns, and an op whose output can be finite where its input is not
 (relu, exp, logsumexp, softmax, rms_scale, clip_unit, sigmoid,
 softplus, take_position, gather_rows, matmul with widths) checks that
-input unless it was checked already.
-Every non-finite value then reaches one of them. On a failure the
-outermost scope runs the same call again with every node checked, on
-every thread the call deals to, and that replay raises the first op's
-NumericError, as a call outside any scope would. Values do not depend
-on the checks.
+input unless it was checked already; ffn, whose relu maps a -inf
+pre-activation to 0, checks its pre-activations. Outside a scope
+attention_out and ffn check each value of their chains in the chains'
+order and name the chain's op. Every non-finite value then reaches one
+of them. On a failure the outermost scope runs the same call again with
+every node checked, on every thread the call deals to, and that replay
+raises the first op's NumericError, as a call outside any scope would.
+Values do not depend on the checks.
 
 Numpy reports no overflow as a RuntimeWarning first: a scope sets its
 error state once, and an arithmetic op called outside any scope sets it
@@ -62,7 +66,7 @@ from .parallel import deal
 # vanish under exp, large enough to stay finite through any sum.
 LOG_ZERO = -1e30
 
-_adjoint_faults: dict[str, float] = {}
+_adjoint_faults: dict[str, "Fault"] = {}
 
 
 _recording: ContextVar[bool] = ContextVar("recording", default=True)  # false inside no_grad()
@@ -78,12 +82,24 @@ class _Deferred(NumericError):
     their own checks; the scope that owns the call replays it to name the op."""
 
 
+@dataclass
+class Fault:
+    """An adjoint_fault: the scale, and whether it has scaled any node's adjoint."""
+
+    scale: float
+    ran: bool = False
+
+
 @contextmanager
 def adjoint_fault(op: str, scale: float):
-    """Scale one op's adjoint while active. Negative control for grad checks."""
-    _adjoint_faults[op] = scale
+    """Scale one op's adjoint while active. Negative control for grad checks.
+
+    Yields the Fault, whose ran tells a control that never met the op
+    from one that did.
+    """
+    fault = _adjoint_faults[op] = Fault(scale)
     try:
-        yield
+        yield fault
     finally:
         _adjoint_faults.pop(op, None)
 
@@ -197,6 +213,18 @@ def _finite(x: Tensor) -> None:
         if not np.all(np.isfinite(x.data)):
             raise _Deferred(f"op '{x.op}' produced non-finite values")
         x.checked = True
+
+
+def _stage(op: str, value: np.ndarray, hides: bool = False) -> None:
+    """A fused node's check of one value of the chain it stands for, named
+    after the chain op that computed it. Outside a check-once scope each
+    value is checked, in the chain's order, as the chain's own nodes would
+    be; inside one only a value whose next step can hide a non-finite
+    entry (hides) is."""
+    mode = _checks.get()
+    if (hides or mode is not _ONCE) and not np.all(np.isfinite(value)):
+        error = _Deferred if mode is _ONCE else NumericError
+        raise error(f"op '{op}' produced non-finite values")
 
 
 def scoped(fn: Callable) -> Callable:
@@ -368,18 +396,9 @@ def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
     if w.ndim == 2:
         # collapse any batch into one GEMM; numpy's strided batched matmul
         # is far slower than a single large multiply
-        lead, n = x.shape, w.shape[-1]
         flat = x.reshape(-1, x.shape[-1])
-        out = (flat @ w).reshape(lead[:-1] + (n,))
-        return Tensor(
-            out,
-            op="matmul",
-            parents=(a.node, b.node),
-            vjps=(
-                lambda g: (g.reshape(-1, n) @ w.T).reshape(lead),
-                lambda g: _Rows(_weight_adjoint, flat, g.reshape(-1, n)),
-            ),
-        )
+        out = (flat @ w).reshape(x.shape[:-1] + w.shape[-1:])
+        return Tensor(out, op="matmul", parents=(a.node, b.node), vjps=_gemm_vjps(x.shape, flat, w))
 
     sa, sb = x.shape, w.shape
     return Tensor(
@@ -391,6 +410,13 @@ def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
             lambda g: _Rows(partial(_weight_adjoint, shape=sb), x, g),
         ),
     )
+
+
+def _gemm_vjps(lead: tuple[int, ...], flat: np.ndarray, w: np.ndarray) -> tuple:
+    """The adjoints of flat @ w toward flat, reshaped to lead, and toward w (a _Rows)."""
+    n = w.shape[-1]
+    return (lambda g: (g.reshape(-1, n) @ w.T).reshape(lead),
+            lambda g: _Rows(_weight_adjoint, flat, g.reshape(-1, n)))
 
 
 def _weight_adjoint(a: np.ndarray, g: np.ndarray, shape: tuple[int, ...] | None = None):
@@ -601,15 +627,16 @@ def stack(parts: list[Tensor], axis: int = 1) -> Tensor:
     )
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
+def _norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """The L2 norm of each row along the last axis (kept as an axis), at least 1e-30.
 
-    A row whose sum of squares overflows is first scaled by 2**-e, e the
-    exponent of its largest |x|. The scaling is exact, so its norm is
-    what an unbounded exponent range would give; every other row keeps
-    the plain square root of its sum of squares.
+    squares, when given, holds x * x already. A row whose sum of squares
+    overflows is first scaled by 2**-e, e the exponent of its largest
+    |x|. The scaling is exact, so its norm is what an unbounded exponent
+    range would give; every other row keeps the plain square root of its
+    sum of squares.
     """
-    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    norm = np.sqrt((x * x if squares is None else squares).sum(axis=-1, keepdims=True))
     over = np.isinf(norm[..., 0])
     if over.any():
         big = x[over]
@@ -646,8 +673,9 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
         raise ShapeError(f"rms_scale: gain must be ({d},), got {gd.shape}")
     _finite(x)  # a row's rescale (_norms) reads the exponent of an inf, which C leaves open
     c = float(np.sqrt(d))
-    norm = _norms(xd)
-    out = xd / norm
+    out = xd * xd
+    norm = _norms(xd, out)
+    np.divide(xd, norm, out=out)  # the squares' buffer becomes the output
     out *= c
     out *= gd
 
@@ -734,8 +762,11 @@ def softmax(x: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     xd = x.data
     s = xd * scale
     m = np.max(s, axis=axis, keepdims=True)
-    total = np.exp(s - m).sum(axis=axis, keepdims=True)
-    out = np.exp(s - (m + np.log(total)))
+    out = np.subtract(s, m)
+    np.exp(out, out=out)
+    total = out.sum(axis=axis, keepdims=True)
+    np.subtract(s, m + np.log(total), out=out)  # exp(s - m) and the weights share one buffer
+    np.exp(out, out=out)
 
     def vjp(g):
         gs = g * out
@@ -750,6 +781,97 @@ def softmax(x: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
         return gs
 
     return Tensor(out, op="softmax", parents=(x.node,), vjps=(vjp,))
+
+
+@_quiet
+def attention_out(x: Tensor, mixed: Sequence[Tensor], wo: Sequence[Tensor]) -> Tensor:
+    """x + Σ_h mixed[h] @ wo[h], the heads summed first to last: one node.
+
+    Equal bit for bit, value and adjoints, to add(x, add(...add(matmul(
+    mixed[0], wo[0]), matmul(mixed[1], wo[1]))...)): each head's product
+    runs as matmul's one GEMM, and the sum and the residual are added in
+    place, in the first head's product.
+    """
+    xd = x.data
+    if len(mixed) != len(wo) or not mixed:
+        raise ShapeError(f"attention_out: {len(mixed)} heads and {len(wo)} output weights")
+    out, vjps = None, []
+    for m, w in zip(mixed, wo):
+        rows, wd = m.data, w.data
+        if wd.ndim != 2 or rows.shape[-1:] != wd.shape[:1] \
+                or rows.shape[:-1] + wd.shape[1:] != xd.shape:
+            raise ShapeError(f"attention_out: {xd.shape} + {rows.shape} @ {wd.shape}")
+        flat = rows.reshape(-1, rows.shape[-1])
+        product = flat @ wd
+        _stage("matmul", product)
+        if out is None:
+            out = product
+        else:
+            out += product
+            _stage("add", out)
+        vjps += _gemm_vjps(rows.shape, flat, wd)
+    np.add(xd.reshape(out.shape), out, out=out)
+    _stage("add", out)
+    return Tensor(out.reshape(xd.shape), op="attention_out",
+                  parents=[x.node] + [t.node for pair in zip(mixed, wo) for t in pair],
+                  vjps=[lambda g: g] + vjps)
+
+
+@_quiet
+def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """x + (relu(h @ w1 + b1) @ w2 + b2), a feed-forward sublayer and its residual: one node.
+
+    Equal bit for bit, value and adjoints, to add(x, add(matmul(relu(add(
+    matmul(h, w1), b1)), w2), b2)). The forward runs the chain's two
+    GEMMs; the bias, the relu and the residual go in place into the
+    buffer each GEMM made. The adjoints run the chain's GEMMs and _sum_to
+    calls on its shapes, with the relu mask applied in place; h's, w1's
+    and b1's share the hidden gradient, computed once.
+    """
+    xd, hd, w1d, b1d, w2d, b2d = x.data, h.data, w1.data, b1.data, w2.data, b2.data
+    if (w1d.ndim != 2 or w2d.ndim != 2 or hd.shape[-1:] != w1d.shape[:1]
+            or b1d.shape != w1d.shape[1:] or w2d.shape[:1] != b1d.shape
+            or b2d.shape != w2d.shape[1:] or hd.shape[:-1] + b2d.shape != xd.shape):
+        raise ShapeError(f"ffn: {xd.shape} + relu({hd.shape} @ {w1d.shape} + {b1d.shape}) "
+                         f"@ {w2d.shape} + {b2d.shape}")
+    flat = hd.reshape(-1, hd.shape[-1])
+    inner = flat @ w1d
+    _stage("matmul", inner)
+    inner += b1d
+    _stage("add", inner, hides=True)  # relu maps -inf to 0
+    np.maximum(inner, 0.0, out=inner)
+    inner += 0.0  # as relu: every zero +0.0
+    out = inner @ w2d
+    _stage("matmul", out)
+    out += b2d
+    _stage("add", out)
+    np.add(xd.reshape(out.shape), out, out=out)
+    _stage("add", out)
+
+    vjp_h, vjp_w1 = _gemm_vjps(hd.shape, flat, w1d)
+    vjp_inner, vjp_w2 = _gemm_vjps(hd.shape[:-1] + b1d.shape, inner, w2d)
+    hidden = []  # relu's adjoint, for the three parents that read it
+
+    def hidden_grad(g):
+        if not hidden:
+            gi = vjp_inner(g)
+            gi *= inner.reshape(gi.shape) > 0
+            hidden.append(gi)
+        return hidden[0]
+
+    return Tensor(
+        out.reshape(xd.shape),
+        op="ffn",
+        parents=(x.node, h.node, w1.node, b1.node, w2.node, b2.node),
+        vjps=(
+            lambda g: g,
+            lambda g: vjp_h(hidden_grad(g)),
+            lambda g: vjp_w1(hidden_grad(g)),
+            lambda g: _unbroadcast(hidden_grad(g), b1d.shape),
+            vjp_w2,
+            lambda g: _unbroadcast(g, b2d.shape),
+        ),
+    )
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -805,6 +927,9 @@ def _walk(order: list[Node], owned: set[int] | None = None) -> list:
             continue
         node.grad = None
         fault = _adjoint_faults.get(node.op)
+        if fault is not None:
+            fault.ran = True
+            fault = fault.scale
         for parent, vjp in zip(node.parents, node.vjps):
             if not parent.tracked:
                 continue
@@ -853,14 +978,18 @@ def backward(loss: Tensor) -> None:
     _walk(order)
 
 
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
 def _key(a: np.ndarray) -> tuple:
     """What makes two arrays hold the same values on the same rows: their
     memory, and unless they are C-contiguous and not empty, their shape and
     strides (two C-contiguous arrays on the same bytes differ only in how
     those bytes are cut into rows)."""
     if a.flags.c_contiguous and a.size:
-        return a.__array_interface__["data"][0], a.nbytes, a.dtype.str
-    return a.__array_interface__["data"][0], a.shape, a.strides, a.dtype.str
+        return _address(a), a.nbytes, a.dtype.str
+    return _address(a), a.shape, a.strides, a.dtype.str
 
 
 def _columns(by_part: list[list], index: dict[int, int]) -> tuple[dict, list]:
@@ -870,18 +999,55 @@ def _columns(by_part: list[list], index: dict[int, int]) -> tuple[dict, list]:
     part. Returns (columns, entries): columns maps a key to one operand's
     arrays, one per part, and lists them once however many adjoints read
     the same memory; each entry is (target index, fault, reduce, reads),
-    in walk order, and reads holds (key, shape after the rows) per operand.
+    in walk order, and reads holds (key, cut) per operand, cut giving the
+    operand from its column's joined array. An operand whose arrays each
+    view a contiguous column's array of the same part, with one offset
+    and strides, is no column of its own: it is cut as a strided view of
+    that column's joined array (_cut).
     """
-    columns, entries = {}, []
+    operands = []
     for outside in zip(*by_part):
         target, fault, rows = outside[0]
-        reads = []
-        for column in zip(*(r.operands for _, _, r in outside)):
-            key = tuple(_key(a) for a in column)
-            columns.setdefault(key, column)
-            reads.append((key, column[0].shape[1:]))
-        entries.append((index[id(target)], fault, rows.reduce, reads))
+        operands.append((index[id(target)], fault, rows.reduce,
+                         list(zip(*(r.operands for _, _, r in outside)))))
+    columns, entries = {}, []
+    every = [column for _, _, _, read in operands for column in read]
+    for column in sorted(every, key=lambda c: not c[0].flags.c_contiguous):  # views last
+        if _cut(column, columns) is None:
+            columns.setdefault(tuple(_key(a) for a in column), column)
+    for t, fault, reduce, read in operands:
+        reads = [_cut(column, columns)
+                 or (tuple(_key(a) for a in column), partial(_rows_as, tail=column[0].shape[1:]))
+                 for column in read]
+        entries.append((t, fault, reduce, reads))
     return columns, entries
+
+
+def _cut(column: tuple, columns: dict) -> tuple | None:
+    """(key, cut) when each of column's arrays is a strided view of the part's
+    array of the contiguous column key, at one offset and with one set of
+    strides, and its rows tile that array: then the joined column, cut
+    alike, views the parts' rows in row order. None otherwise."""
+    first = column[0]
+    if first.base is None or first.flags.c_contiguous or min(first.strides, default=0) < 0:
+        return None
+    key = tuple(_key(a.base) for a in column)
+    offset = _address(first) - _address(first.base)
+    end = offset + sum((n - 1) * s for n, s in zip(first.shape[1:], first.strides[1:]))
+    if key not in columns or end + first.itemsize > first.strides[0]:  # a row past its stride
+        return None
+    for a in column:
+        if (a.shape[1:] != first.shape[1:] or a.strides != first.strides or a.dtype != a.base.dtype
+                or _address(a) - _address(a.base) != offset or not a.base.flags.c_contiguous
+                or a.strides[0] * len(a) != a.base.nbytes):
+            return None
+    return key, partial(_strided, tail=first.shape[1:], strides=first.strides, offset=offset)
+
+
+def _strided(joint: np.ndarray, tail: tuple, strides: tuple, offset: int) -> np.ndarray:
+    """The view of joint's bytes with rows strides[0] apart from offset on."""
+    rows = joint.nbytes // strides[0]
+    return np.ndarray((rows,) + tail, joint.dtype, joint, offset, strides)
 
 
 def _join(column: tuple) -> np.ndarray:
@@ -932,7 +1098,7 @@ def _reduce_joined(columns: dict, entries: list, targets: int) -> list:
             for key, _ in reads:
                 if key not in joint:
                     joint[key] = _join(columns.pop(key))
-            pg = reduce_rows(*[_rows_as(joint[key], tail) for key, tail in reads])
+            pg = reduce_rows(*[cut(joint[key]) for key, cut in reads])
             for key, _ in reads:
                 readers[key] -= 1
                 if not readers[key]:

@@ -201,7 +201,7 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
         rows = query if tail else every
         h = ad.rms_scale(x, model.params[f"net/b{b}/attn_gain"])
         hq = h if spread is not None or rows == every else ad.take_position(h, rows)
-        attn_total = None
+        heads = []
         for head in range(cfg.heads):
             q = ad.matmul(hq, model.params[f"net/b{b}/h{head}/wq"])
             k = ad.matmul(h, model.params[f"net/b{b}/h{head}/wk"])
@@ -211,19 +211,16 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
                            ad.gather_rows(v, spread))
             scores = ad.matmul(q, ad.transpose(k))
             mixed = ad.matmul(ad.softmax(scores, axis=-1, scale=1.0 / np.sqrt(dh)), v)
-            if tail:
-                mixed = ad.take_position(mixed, keep - rows.start)
-            out = ad.matmul(mixed, model.params[f"net/b{b}/h{head}/wo"])
-            attn_total = out if attn_total is None else ad.add(attn_total, out)
+            heads.append(ad.take_position(mixed, keep - rows.start) if tail else mixed)
         if spread is not None:
             x = ad.gather_rows(x, spread[:, keep] if tail else spread)
         elif tail:
             x = ad.take_position(x, keep)
-        x = ad.add(x, attn_total)
-        del out, attn_total  # no adjoint reads them: they die here, not with the next block
-        g = ad.rms_scale(x, model.params[f"net/b{b}/ffn_gain"])
-        inner = ad.relu(ad.add(ad.matmul(g, model.params[f"net/b{b}/ffn_w1"]), model.params[f"net/b{b}/ffn_b1"]))
-        x = ad.add(x, ad.add(ad.matmul(inner, model.params[f"net/b{b}/ffn_w2"]), model.params[f"net/b{b}/ffn_b2"]))
+        x = ad.attention_out(x, heads, [model.params[f"net/b{b}/h{head}/wo"]
+                                        for head in range(cfg.heads)])
+        del heads, mixed  # only wo's adjoint reads them: without a tape they die here
+        x = ad.ffn(x, ad.rms_scale(x, model.params[f"net/b{b}/ffn_gain"]),
+                   *(model.params[f"net/b{b}/ffn_{w}"] for w in ("w1", "b1", "w2", "b2")))
 
     if cfg.blocks > 0:
         x = ad.matmul(ad.rms_scale(x, model.params["net/out_gain"]), model.params["net/out_proj"])

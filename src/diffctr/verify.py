@@ -8,6 +8,7 @@ vs sigmoid logloss) and reports the worst deviation seen.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ from .errors import DataError
 from .model import Model, ModelConfig
 from .rng import stream
 from .schedule import build_schedule
+
+
+# the op whose adjoint --negative-control scales; every route's FFN is one such node
+CONTROL_OP = "ffn"
 
 
 @dataclass
@@ -139,14 +144,14 @@ def suite_gradcheck(negative_control: bool = False, seed: int = 2027) -> SuiteRe
 
     worst = 0.0
     details = []
-    for fn in (pretrain_fn, sft_fn):
-        if negative_control:
-            with ad.adjoint_fault("relu", 2.0):
-                reports = ad.grad_check(fn, model.params, h=1e-5, tol=1e-5)
-        else:
+    with ad.adjoint_fault(CONTROL_OP, 2.0) if negative_control else nullcontext() as fault:
+        for fn in (pretrain_fn, sft_fn):
             reports = ad.grad_check(fn, model.params, h=1e-5, tol=1e-5)
-        worst = max(worst, max(r.max_rel_error for r in reports))
-        details.append(f"{len(reports)} parameters")
+            worst = max(worst, max(r.max_rel_error for r in reports))
+            details.append(f"{len(reports)} parameters")
+    if fault is not None and not fault.ran:  # a control that never ran would pass silently
+        worst = float("inf")
+        details.append(f"the faulted op '{CONTROL_OP}' never ran")
     return SuiteResult("gradcheck", worst <= 1e-5, worst, 1e-5, detail="; ".join(details))
 
 

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -94,6 +95,10 @@ def test_three_layer_composite_matches_central_differences():
         ("softmax_scaled", lambda p: ad.softmax(p["x3"], axis=1, scale=0.7)),
         ("rms_scale", lambda p: ad.rms_scale(p["x3"], p["row_b"])),
         ("log_softmax", lambda p: ad.log_softmax(p["a"], axis=1)),
+        ("ffn", lambda p: ad.ffn(p["a2"], p["a"], p["b"], p["b1"], p["w2"], p["row_b"])),
+        ("ffn_rank3", lambda p: ad.ffn(p["x3"], p["x3"], p["b"], p["b1"], p["w2"], p["row_b"])),
+        ("attention_out", lambda p: ad.attention_out(p["a"], [p["a"], p["a2"]], [p["w4"], p["w4"]])),
+        ("attention_out_rank3", lambda p: ad.attention_out(p["x3"], [p["x3"]], [p["w4"]])),
     ],
 )
 def test_each_op_matches_finite_differences(name, builder):
@@ -108,6 +113,9 @@ def test_each_op_matches_finite_differences(name, builder):
             "table": rng.normal(size=(3, 4)),
             "x3": rng.normal(size=(2, 3, 4)),
             "y3": rng.normal(size=(2, 5, 4)),
+            "b1": rng.normal(size=(2,)),
+            "w2": rng.normal(size=(2, 4)),
+            "w4": rng.normal(size=(4, 4)),
         }
     )
 
@@ -498,6 +506,45 @@ def test_join_rows_equals_one_tape_bit_for_bit(monkeypatch):
         ad.forward_backward(not_by_rows, store)
 
 
+def test_join_rows_cuts_strided_operands_from_the_joined_array_they_view(monkeypatch):
+    """As encode's input rows: stack hands each gathered column a strided view
+    of the stacked gradient, which the shared add also reads whole. The
+    columns are cut from that one joined array instead of being joined
+    again, and the gradients equal one tape's."""
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
+    store = ParamStore({"t0": stream(15, "t0").normal(size=(5, 3)),
+                        "t1": stream(15, "t1").normal(size=(4, 3)),
+                        "pos": stream(15, "pos").normal(size=(2, 3))})
+    idx = [stream(15, "i", k).integers(0, n, size=40) for k, n in enumerate((5, 4))]
+    cuts = [(0, 13), (13, 30), (30, 40)]
+
+    def rows(p, a, b, shared):
+        x = ad.add(ad.stack([ad.gather_rows(p[f"t{k}"], idx[k][a:b]) for k in (0, 1)]), shared)
+        return ad.tsum(ad.tsum(ad.mul(x, x), axis=2), axis=1)
+
+    def in_parts(p):
+        shared = ad.smul(p["pos"], 1.5)
+        return ad.tmean(ad.join_rows([rows(p, a, b, shared) for a, b in cuts], [shared]))
+
+    want_loss, want = ad.forward_backward(lambda p: ad.tmean(rows(p, 0, 40, ad.smul(p["pos"], 1.5))),
+                                          store)
+    real, columns = ad._columns, []
+
+    def spy(by_part, index):
+        out = real(by_part, index)
+        columns.extend(out[0].values())
+        return out
+
+    monkeypatch.setattr(ad, "_columns", spy)
+    loss, got = ad.forward_backward(in_parts, store)
+    assert loss == want_loss
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    # the stacked gradient and the two index columns; no column of strided views
+    assert sorted(column[0].shape for column in columns) == [(13,), (13,), (13, 2, 3)]
+    assert all(a.flags.c_contiguous for column in columns for a in column)
+
+
 def test_backward_frees_the_tape_and_keeps_the_root_and_the_leaves():
     store = ParamStore({"w": stream(14, "w").normal(size=(3, 2)), "b": np.zeros(2)})
     x = ad.const(stream(14, "x").normal(size=(5, 3)))
@@ -527,8 +574,8 @@ def composite_rms_scale(x, gain):
 
 
 def fused_and_composite(fused, composite, arrays, weight):
-    """(value, loss, gradients) of fused and of composite over the same
-    parameters, and the forward-only values of both."""
+    """(forward-only value, taped value, loss, gradients) of fused and of
+    composite over the same parameters."""
     out = []
     for op in (fused, composite):
         store = ParamStore({k: v.copy() for k, v in arrays.items()})
@@ -541,8 +588,19 @@ def fused_and_composite(fused, composite, arrays, weight):
         loss, grads = ad.forward_backward(fn, store)
         with ad.no_grad():
             bare = op(*(store[k] for k in arrays)).data
-        out.append((bare, loss, grads))
+        out.append((bare, taped[-1].data, loss, grads))
     return out
+
+
+def assert_bit_for_bit(fused, composite):
+    """fused_and_composite's two results agree in every bit (+0.0 and -0.0 apart)."""
+    (bare, taped, loss, grads), (want_bare, want_taped, want_loss, want) = fused, composite
+    assert bare.tobytes() == want_bare.tobytes()
+    assert taped.tobytes() == want_taped.tobytes()
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert sorted(grads) == sorted(want)
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 values = st.floats(-30, 30, allow_nan=False, allow_subnormal=False)
@@ -555,12 +613,9 @@ def test_fused_softmax_equals_the_chain_it_replaces_bit_for_bit(shape, data, sca
     x = data.draw(hnp.arrays(np.float64, shape, elements=values), label="x")
     axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
     weight = stream(15, "w", *shape).normal(size=shape)
-    (bare, loss, grads), (want_bare, want_loss, want) = fused_and_composite(
+    assert_bit_for_bit(*fused_and_composite(
         lambda x: ad.softmax(x, axis=axis, scale=scale),
-        lambda x: composite_softmax(x, axis, scale), {"x": x}, weight)
-    assert bare.tobytes() == want_bare.tobytes()
-    assert loss == want_loss
-    assert grads["x"].tobytes() == want["x"].tobytes()
+        lambda x: composite_softmax(x, axis, scale), {"x": x}, weight))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -571,12 +626,85 @@ def test_fused_rms_scale_equals_the_chain_it_replaces_bit_for_bit(shape, data, e
     x = data.draw(hnp.arrays(np.float64, shape, elements=values), label="x") * 2.0**exponent
     gain = data.draw(hnp.arrays(np.float64, shape[-1:], elements=values), label="gain")
     weight = stream(16, "w", *shape).normal(size=shape)
-    (bare, loss, grads), (want_bare, want_loss, want) = fused_and_composite(
-        ad.rms_scale, composite_rms_scale, {"x": x, "gain": gain}, weight)
-    assert bare.tobytes() == want_bare.tobytes()
-    assert loss == want_loss
-    for name in ("x", "gain"):
-        assert grads[name].tobytes() == want[name].tobytes(), name
+    assert_bit_for_bit(*fused_and_composite(
+        ad.rms_scale, composite_rms_scale, {"x": x, "gain": gain}, weight))
+
+
+def composite_ffn(x, h, w1, b1, w2, b2):
+    """The chain ad.ffn replaces."""
+    inner = ad.relu(ad.add(ad.matmul(h, w1), b1))
+    return ad.add(x, ad.add(ad.matmul(inner, w2), b2))
+
+
+def composite_attention_out(x, mixed, wo):
+    """The chain ad.attention_out replaces: the heads summed first to last, then x added."""
+    total = None
+    for m, w in zip(mixed, wo):
+        out = ad.matmul(m, w)
+        total = out if total is None else ad.add(total, out)
+    return ad.add(x, total)
+
+
+# finite values with many zeros of either sign, so pre-activations are
+# often negative, +0.0 or -0.0
+signed = st.one_of(values, st.sampled_from([0.0, -0.0]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(lead=hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+       dims=st.tuples(*[st.integers(1, 6)] * 3), data=st.data())
+def test_fused_ffn_equals_the_chain_it_replaces_bit_for_bit(lead, dims, data):
+    """On (B, d) label rows and (B, P, d) blocks alike."""
+    d_in, width, d = dims
+    shapes = {"x": lead + (d,), "h": lead + (d_in,), "w1": (d_in, width), "b1": (width,),
+              "w2": (width, d), "b2": (d,)}
+    arrays = {k: data.draw(hnp.arrays(np.float64, shape, elements=signed), label=k)
+              for k, shape in shapes.items()}
+    weight = stream(18, "w", *lead, d).normal(size=lead + (d,))
+    assert_bit_for_bit(*fused_and_composite(ad.ffn, composite_ffn, arrays, weight))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(lead=hnp.array_shapes(min_dims=1, max_dims=2, max_side=6), heads=st.integers(1, 3),
+       dims=st.tuples(st.integers(1, 5), st.integers(1, 6)), data=st.data())
+def test_fused_attention_out_equals_the_chain_it_replaces_bit_for_bit(lead, heads, dims, data):
+    dh, d = dims
+    shapes = {"x": lead + (d,)}
+    for h in range(heads):
+        shapes[f"m{h}"], shapes[f"w{h}"] = lead + (dh,), (dh, d)
+    arrays = {k: data.draw(hnp.arrays(np.float64, shape, elements=signed), label=k)
+              for k, shape in shapes.items()}
+    weight = stream(19, "w", *lead, d).normal(size=lead + (d,))
+
+    def split(op):
+        return lambda x, *pairs: op(x, list(pairs[0::2]), list(pairs[1::2]))
+
+    assert_bit_for_bit(*fused_and_composite(split(ad.attention_out),
+                                            split(composite_attention_out), arrays, weight))
+
+
+@pytest.mark.parametrize("h,w1,b1,op", [
+    ([[-1e200], [1.0]], [[1e200, 1.0]], [0.0, 0.0], "matmul"),  # the product overflows
+    ([[-1.0], [1.0]], [[1e308, 1.0]], [-1e308, 0.0], "add"),  # the bias add does
+])
+def test_a_minus_inf_before_the_fused_relu_raises_inside_and_outside_a_scope(h, w1, b1, op):
+    """relu maps -inf to 0, after which the FFN's output is finite: the
+    fused node names the chain op that made the -inf, as the chain does,
+    whether every node is checked or only the ops that can hide a value."""
+    store = ParamStore({"w1": np.array(w1), "b1": np.array(b1), "w2": np.ones((2, 1)),
+                        "b2": np.zeros(1)})
+    x, h = ad.const(np.zeros((2, 1))), ad.const(np.array(h))
+    names = ("w1", "b1", "w2", "b2")
+    message = f"^op '{op}' produced non-finite values$"
+    for ffn in (ad.ffn, composite_ffn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match=message):
+                ffn(x, h, *(store[k] for k in names))
+            with pytest.raises(NumericError, match=message):
+                ad.scoped(lambda: ad.tsum(ffn(x, h, *(store[k] for k in names))))()
+            with pytest.raises(NumericError, match=message):
+                ad.forward_backward(lambda p: ad.tsum(ffn(x, h, *(p[k] for k in names))), store)
 
 
 def test_rms_scale_takes_one_gain_per_column():
@@ -608,7 +736,17 @@ def test_l2_normalize_of_a_row_scaled_by_a_power_of_two_is_exact(k):
     assert g.tobytes() == (want_g * 2.0**-k).tobytes()
 
 
-@pytest.mark.parametrize("op", ["softmax", "rms_scale"])
+@pytest.mark.parametrize("op", ["softmax", "rms_scale", "ffn", "attention_out"])
 def test_the_gradcheck_suite_fails_when_a_fused_adjoint_is_scaled(op):
-    with ad.adjoint_fault(op, 2.0):
+    with ad.adjoint_fault(op, 2.0) as fault:
         assert not vf.suite_gradcheck().passed
+    assert fault.ran
+
+
+def test_a_negative_control_that_never_runs_fails_the_gradcheck_suite(monkeypatch):
+    assert vf.suite_gradcheck().passed
+    control = vf.suite_gradcheck(negative_control=True)
+    assert not control.passed and "never ran" not in control.detail
+    monkeypatch.setattr(vf, "CONTROL_OP", "relu")  # no route calls relu
+    control = vf.suite_gradcheck(negative_control=True)
+    assert not control.passed and "the faulted op 'relu' never ran" in control.detail

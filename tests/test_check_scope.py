@@ -26,7 +26,8 @@ from diffctr.schedule import build_schedule
 # the composites (softmax, cosine_columns, ...) reach the wrappers too
 OPS = ["const", "add", "sub", "mul", "smul", "matmul", "transpose", "relu", "exp", "sigmoid",
        "softplus", "tsum", "tsum_rows", "tmean", "gather_rows", "take_position", "stack",
-       "l2_normalize", "logsumexp", "clip_unit", "join_rows", "softmax", "rms_scale"]
+       "l2_normalize", "logsumexp", "clip_unit", "join_rows", "softmax", "rms_scale",
+       "attention_out", "ffn"]
 
 DATA, _ = dd.generate_synthetic(dd.random_spec(num_fields=3, vocab=6, clusters=2, samples=64,
                                                 seed=5))
@@ -156,7 +157,8 @@ CALLS = {route: route_calls(route) for route in ROUTES}
 def test_every_route_reaches_the_ops_that_can_hide_a_value():
     for route in ROUTES:
         names = {name for _, name, _ in CALLS[route]}
-        assert {"relu", "softmax", "rms_scale", "clip_unit", "gather_rows"} <= names
+        assert {"ffn", "softmax", "rms_scale", "clip_unit", "gather_rows"} <= names
+        assert {"attention_out"} <= names and "relu" not in names  # the FFN's relu is in ffn
     assert {"take_position", "matmul", "logsumexp"} <= {name for _, name, _ in CALLS["pretrain"]}
     assert {"sigmoid"} <= {name for _, name, _ in CALLS["score"]}
     assert {"softplus", "join_rows"} <= {name for _, name, _ in CALLS["sft"]}
@@ -190,7 +192,7 @@ def test_parts_on_more_threads_than_cpus_raise_alike_under_thread_switches():
     threads_before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for target in [("call", "l2_normalize", 0), (24, "matmul", 3), (32, "relu", 0)]:
+        for target in [("call", "l2_normalize", 0), (24, "matmul", 3), (32, "ffn", 0)]:
             for route in ("sft", "score"):
                 want = outcome(route, Planter(target, -np.inf, 5, workers=4), strict=True)
                 for _ in range(5):

@@ -287,23 +287,24 @@ def test_ctr_score_builds_no_tape(monkeypatch):
     monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
     md.ctr_score(model, tokens)
     assert created and all(t.parents == () and t.vjps == () for t in created)
-    relu_shapes = [t.data.shape for t in created if t.op == "relu"]
-    assert relu_shapes == [(9, 4, 16), (9, 16)]  # the last block's FFN sees the label row alone
+    # the last block's attention output and FFN see the label row alone
+    sublayers = [(9, 4, 8), (9, 4, 8), (9, 8), (9, 8)]
+    assert [t.data.shape for t in created if t.op in ("attention_out", "ffn")] == sublayers
     # block 0 projects each distinct (field, token) pair once, the label masked in every row;
     # the last block queries positions 2 and 3 only
     pairs = len({(k, t) for row in tokens[:, :-1] for k, t in enumerate(row)}) + 1
-    first = [(pairs, 4)] * 3 + [(9, 4, 4), (9, 4, 4), (9, 4, 8)]
-    last = [(9, 2, 4), (9, 4, 4), (9, 4, 4), (9, 2, 4), (9, 2, 4), (9, 8)]
+    first = [(pairs, 4)] * 3 + [(9, 4, 4), (9, 4, 4)]
+    last = [(9, 2, 4), (9, 4, 4), (9, 4, 4), (9, 2, 4), (9, 2, 4)]
     matmuls = [t.data.shape for t in created if t.op == "matmul"]
     assert pairs < 9 * 4
-    assert matmuls == first * 2 + [(9, 4, 16), (9, 4, 8)] + last * 2 + [(9, 16), (9, 8), (9, 8), (9, 2)]
+    assert matmuls == first * 2 + last * 2 + [(9, 8), (9, 2)]
     created.clear()
     ls.sft_loss(model, tokens)  # training records its tape on the same label-row route
     assert any(t.parents for t in created)
-    assert [t.data.shape for t in created if t.op == "relu"] == [(9, 4, 16), (9, 16)]
+    assert [t.data.shape for t in created if t.op in ("attention_out", "ffn")] == sublayers
     matmuls = [t.data.shape for t in created if t.op == "matmul"]
-    assert matmuls[:3] == matmuls[6:9] == [(9, 4, 4)] * 3  # block 0 keeps all B * P rows
-    assert matmuls[14] == matmuls[20] == (9, 4, 4)  # and the last block every query row
+    assert matmuls[:3] == matmuls[5:8] == [(9, 4, 4)] * 3  # block 0 keeps all B * P rows
+    assert matmuls[10] == matmuls[15] == (9, 4, 4)  # and the last block every query row
 
 
 @pytest.fixture(scope="module")
@@ -553,35 +554,42 @@ def test_a_pretraining_step_frees_its_tape_and_keeps_the_loss_and_the_parameters
 
 
 def test_a_value_lives_while_an_adjoint_reads_it(monkeypatch):
-    """The tape holds nodes, not values: the heads' wo outputs and the FFN's
-    w1 output, which no adjoint reads, die during the forward, while the q
-    projection and the normalised rows h, which adjoints read, live until
-    backward has run them."""
+    """The tape holds nodes, not values: the stacked input embeddings, which
+    no adjoint reads, die during the forward, while the q projection, the
+    normalised rows h and block 0's output (read by the last block's
+    rms_scale adjoint), live until backward has run them."""
     model = make_model(blocks=2)
     tokens = random_tokens(model, stream(29, "t"), n=12, allow_mask=False)
-    watch = {id(model.params[f"net/b0/{name}"]): name for name in ("h0/wq", "h1/wo", "ffn_w1")}
+    wq = model.params["net/b0/h0/wq"]
     values = {}
-    matmul = ad.matmul
+    matmul, stack, ffn = ad.matmul, ad.stack, ad.ffn
 
     def memory(a: np.ndarray) -> np.ndarray:
         return a if a.base is None else a.base
 
-    def watched(a, b, widths=None):
+    def watched_matmul(a, b, widths=None):
         out = matmul(a, b, widths)
-        name = watch.get(id(b))
-        if name is not None:
-            values[name] = weakref.ref(memory(out.data))
-            if name == "h0/wq":
-                values["h"] = weakref.ref(memory(a.data))
+        if b is wq:
+            values["q"], values["h"] = weakref.ref(memory(out.data)), weakref.ref(memory(a.data))
         return out
 
-    monkeypatch.setattr(ad, "matmul", watched)
+    def watched(name, op):
+        def run(*args, **kwargs):
+            out = op(*args, **kwargs)
+            values.setdefault(name, weakref.ref(memory(out.data)))
+            return out
+
+        return run
+
+    monkeypatch.setattr(ad, "matmul", watched_matmul)
+    monkeypatch.setattr(ad, "stack", watched("stack", stack))
+    monkeypatch.setattr(ad, "ffn", watched("ffn", ffn))
     loss = ls.sft_loss(model, tokens)
-    assert sorted(values) == ["ffn_w1", "h", "h0/wq", "h1/wo"]
-    assert values["h1/wo"]() is None and values["ffn_w1"]() is None
-    assert values["h0/wq"]() is not None and values["h"]() is not None
+    assert sorted(values) == ["ffn", "h", "q", "stack"]
+    assert values["stack"]() is None
+    assert all(values[name]() is not None for name in ("q", "h", "ffn"))
     ad.backward(loss)
-    assert values["h0/wq"]() is None and values["h"]() is None
+    assert all(ref() is None for ref in values.values())
 
 
 def test_overflow_in_a_helper_threads_fine_tune_part_raises_on_the_caller(monkeypatch):
