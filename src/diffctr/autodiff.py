@@ -14,12 +14,10 @@ rms_scale, softmax, attention_out and ffn are one node each, equal bit
 for bit to the chains of ops they stand for. The adjoints of the first
 two recompute what they need from the input instead of keeping it; the
 last two recompute nothing, and add their biases, heads and residual
-and apply their relu in place, in the buffer a GEMM just made. An
-adjoint that sums over rows (a weight's, a broadcast operand's, a
-gathered table's) returns its row-wise operands as a _Rows, reduced
-where it is applied; join_rows uses this to run the rows of one batch
-in parts, each on its own tape and thread, and to reduce each such
-adjoint once over all the rows, joining each distinct operand once.
+and apply their relu in place, in the buffer a GEMM just made. join_rows
+runs the rows of one batch in parts, each on its own tape and thread;
+each part sums its own gradients toward the nodes outside it, and the
+parts' sums are added in part order.
 
 A NaN/Inf raises NumericError naming the op that produced it, instead
 of letting it surface three modules later. Outside any scope every node
@@ -50,11 +48,10 @@ that parallel.deal starts inherits from its caller.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import partial, reduce, wraps
 from typing import Callable, Sequence
 
 import numpy as np
@@ -278,20 +275,6 @@ def _quiet(op: Callable) -> Callable:
     return run
 
 
-class _Rows:
-    """An adjoint that sums over rows, held as its row-wise operands.
-
-    reduce(*operands) is the adjoint. Every operand holds one entry per
-    row on axis 0, so the operands of several parts of a batch, joined in
-    row order, reduce to the whole batch's adjoint bit for bit.
-    """
-
-    __slots__ = ("reduce", "operands")
-
-    def __init__(self, reduce: Callable, *operands: np.ndarray):
-        self.reduce, self.operands = reduce, operands
-
-
 def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum grad over broadcast axes so it matches `shape`."""
     extra = grad.ndim - len(shape)
@@ -303,9 +286,9 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.reshape(grad, shape)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]):
-    """grad summed to `shape`: grad itself when the shapes agree, else a _Rows."""
-    return grad if grad.shape == shape else _Rows(partial(_sum_to, shape=shape), grad)
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """grad summed to `shape`: grad itself when the shapes agree."""
+    return grad if grad.shape == shape else _sum_to(grad, shape)
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
@@ -407,22 +390,16 @@ def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
         parents=(a.node, b.node),
         vjps=(
             lambda g: _unbroadcast(g @ np.swapaxes(w, -1, -2), sa),
-            lambda g: _Rows(partial(_weight_adjoint, shape=sb), x, g),
+            lambda g: _unbroadcast(np.swapaxes(x, -1, -2) @ g, sb),
         ),
     )
 
 
 def _gemm_vjps(lead: tuple[int, ...], flat: np.ndarray, w: np.ndarray) -> tuple:
-    """The adjoints of flat @ w toward flat, reshaped to lead, and toward w (a _Rows)."""
+    """The adjoints of flat @ w toward flat, reshaped to lead, and toward w."""
     n = w.shape[-1]
     return (lambda g: (g.reshape(-1, n) @ w.T).reshape(lead),
-            lambda g: _Rows(_weight_adjoint, flat, g.reshape(-1, n)))
-
-
-def _weight_adjoint(a: np.ndarray, g: np.ndarray, shape: tuple[int, ...] | None = None):
-    """matmul's adjoint toward b, a^T g over the last two axes, summed to shape when given."""
-    ga = np.swapaxes(a, -1, -2) @ g
-    return ga if shape is None else _sum_to(ga, shape)
+            lambda g: flat.T @ g.reshape(-1, n))
 
 
 def _matmul_widths(a: Tensor, b: Tensor, widths) -> Tensor:
@@ -553,12 +530,11 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
         raise ShapeError(f"gather_rows: index out of range for table with {shape[0]} rows")
     _finite(table)
-    scatter = partial(_scatter_rows, shape=shape)
     return Tensor(
         np.take(table.data, idx, axis=0),
         op="gather_rows",
         parents=(table.node,),
-        vjps=(lambda g: _Rows(scatter, idx.reshape(-1), g.reshape(-1, shape[1])),),
+        vjps=(lambda g: _scatter_rows(idx.reshape(-1), g.reshape(-1, shape[1]), shape),),
     )
 
 
@@ -696,7 +672,7 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
         s = unit.pop() if unit else xd / norm
         s *= c
         s *= g  # s * g is g * s, bit for bit
-        return _Rows(partial(_sum_to, shape=(d,)), s)
+        return _sum_to(s, (d,))
 
     return Tensor(out, op="rms_scale", parents=(x.node, gain.node), vjps=(vjp_x, vjp_gain))
 
@@ -909,7 +885,7 @@ def _topo(root: Node, shared: set[int] | None = None) -> list[Node]:
     return order
 
 
-def _walk(order: list[Node], owned: set[int] | None = None) -> list:
+def _walk(order: list[Node], owned: set[int] | None = None) -> dict[int, np.ndarray]:
     """Pass each node's .grad to its parents, from order's last node (the root) to its first.
 
     A node drops its .grad and its adjoint closures once it has passed the
@@ -917,10 +893,10 @@ def _walk(order: list[Node], owned: set[int] | None = None) -> list:
     Each node's children come before it in the walk, so no adjoint still
     to run needs a dropped closure; a node keeps op and parents, so the
     tape can still be counted. With owned, a set of node ids, an adjoint
-    toward a node outside it is not applied: it is returned, in walk
-    order, as (node, fault scale or None, _Rows).
+    toward a node outside it is summed, in walk order, into the returned
+    dict under that node's id instead of into its .grad.
     """
-    outside = []
+    outside: dict[int, np.ndarray] = {}
     for node in reversed(order):
         g = node.grad
         if g is None or not node.parents:
@@ -929,22 +905,17 @@ def _walk(order: list[Node], owned: set[int] | None = None) -> list:
         fault = _adjoint_faults.get(node.op)
         if fault is not None:
             fault.ran = True
-            fault = fault.scale
         for parent, vjp in zip(node.parents, node.vjps):
             if not parent.tracked:
                 continue
             pg = vjp(g)
-            if owned is not None and id(parent) not in owned:
-                if not isinstance(pg, _Rows):
-                    raise ShapeError(f"join_rows: op '{node.op}' reaches a node outside "
-                                     "its part by an adjoint that does not sum over rows")
-                outside.append((parent, fault, pg))
-                continue
-            if isinstance(pg, _Rows):
-                pg = pg.reduce(*pg.operands)
             if fault is not None:
-                pg = pg * fault
-            parent.grad = pg if parent.grad is None else parent.grad + pg
+                pg = pg * fault.scale
+            if owned is None or id(parent) in owned:
+                parent.grad = pg if parent.grad is None else parent.grad + pg
+            else:
+                key = id(parent)
+                outside[key] = pg if key not in outside else outside[key] + pg
             pg = None  # the next adjoint runs without it
         node.vjps = ()
     return outside
@@ -978,154 +949,18 @@ def backward(loss: Tensor) -> None:
     _walk(order)
 
 
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
-
-
-def _key(a: np.ndarray) -> tuple:
-    """What makes two arrays hold the same values on the same rows: their
-    memory, and unless they are C-contiguous and not empty, their shape and
-    strides (two C-contiguous arrays on the same bytes differ only in how
-    those bytes are cut into rows)."""
-    if a.flags.c_contiguous and a.size:
-        return _address(a), a.nbytes, a.dtype.str
-    return _address(a), a.shape, a.strides, a.dtype.str
-
-
-def _columns(by_part: list[list], index: dict[int, int]) -> tuple[dict, list]:
-    """The parts' outside adjoints as distinct operand columns and the entries that read them.
-
-    by_part holds each part's _walk output, in the same order in every
-    part. Returns (columns, entries): columns maps a key to one operand's
-    arrays, one per part, and lists them once however many adjoints read
-    the same memory; each entry is (target index, fault, reduce, reads),
-    in walk order, and reads holds (key, cut) per operand, cut giving the
-    operand from its column's joined array. An operand whose arrays each
-    view a contiguous column's array of the same part, with one offset
-    and strides, is no column of its own: it is cut as a strided view of
-    that column's joined array (_cut).
-    """
-    operands = []
-    for outside in zip(*by_part):
-        target, fault, rows = outside[0]
-        operands.append((index[id(target)], fault, rows.reduce,
-                         list(zip(*(r.operands for _, _, r in outside)))))
-    columns, entries = {}, []
-    every = [column for _, _, _, read in operands for column in read]
-    for column in sorted(every, key=lambda c: not c[0].flags.c_contiguous):  # views last
-        if _cut(column, columns) is None:
-            columns.setdefault(tuple(_key(a) for a in column), column)
-    for t, fault, reduce, read in operands:
-        reads = [_cut(column, columns)
-                 or (tuple(_key(a) for a in column), partial(_rows_as, tail=column[0].shape[1:]))
-                 for column in read]
-        entries.append((t, fault, reduce, reads))
-    return columns, entries
-
-
-def _cut(column: tuple, columns: dict) -> tuple | None:
-    """(key, cut) when each of column's arrays is a strided view of the part's
-    array of the contiguous column key, at one offset and with one set of
-    strides, and its rows tile that array: then the joined column, cut
-    alike, views the parts' rows in row order. None otherwise."""
-    first = column[0]
-    if first.base is None or first.flags.c_contiguous or min(first.strides, default=0) < 0:
-        return None
-    key = tuple(_key(a.base) for a in column)
-    offset = _address(first) - _address(first.base)
-    end = offset + sum((n - 1) * s for n, s in zip(first.shape[1:], first.strides[1:]))
-    if key not in columns or end + first.itemsize > first.strides[0]:  # a row past its stride
-        return None
-    for a in column:
-        if (a.shape[1:] != first.shape[1:] or a.strides != first.strides or a.dtype != a.base.dtype
-                or _address(a) - _address(a.base) != offset or not a.base.flags.c_contiguous
-                or a.strides[0] * len(a) != a.base.nbytes):
-            return None
-    return key, partial(_strided, tail=first.shape[1:], strides=first.strides, offset=offset)
-
-
-def _strided(joint: np.ndarray, tail: tuple, strides: tuple, offset: int) -> np.ndarray:
-    """The view of joint's bytes with rows strides[0] apart from offset on."""
-    rows = joint.nbytes // strides[0]
-    return np.ndarray((rows,) + tail, joint.dtype, joint, offset, strides)
-
-
-def _join(column: tuple) -> np.ndarray:
-    """The parts' arrays of one operand joined in row order."""
-    return column[0] if len(column) == 1 else np.concatenate(column)
-
-
-def _rows_as(joint: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
-    """joint's rows cut to shape (-1, *tail): a view of the same bytes."""
-    return joint if joint.shape[1:] == tail else joint.reshape((-1,) + tail)
-
-
-def _reduce_joined(columns: dict, entries: list, targets: int) -> list:
-    """Each target's adjoint: its entries' reductions, summed in entry order,
-    over the operand columns joined in row order (see _columns).
-
-    Targets that read a common column form one group, and the groups are
-    dealt to the threads, those with the most operand entries first. A
-    thread joins each column of its group when a reduction first reads
-    it, letting the parts' arrays go, and lets the joined array go after
-    the last reduction that reads it. So each distinct operand is joined
-    once, and only the groups in progress hold joined arrays.
-    """
-    group = list(range(targets))  # linked through the columns they read
-
-    def root(t: int) -> int:
-        while group[t] != t:
-            t = group[t]
-        return t
-
-    first = {}
-    for t, _, _, reads in entries:
-        for key, _ in reads:
-            group[root(t)] = root(first.setdefault(key, t))
-    members: dict[int, list[int]] = {}
-    for n, (t, _, _, _) in enumerate(entries):
-        members.setdefault(root(t), []).append(n)
-    size = {g: sum(sum(a.size for a in columns[key])
-                   for key in {key for n in ns for key, _ in entries[n][3]})
-            for g, ns in members.items()}
-    grads = [None] * targets
-
-    def reduce(g: int, _worker: int) -> None:
-        readers = Counter(key for n in members[g] for key, _ in entries[n][3])
-        joint = {}
-        for n in members[g]:
-            t, fault, reduce_rows, reads = entries[n]
-            for key, _ in reads:
-                if key not in joint:
-                    joint[key] = _join(columns.pop(key))
-            pg = reduce_rows(*[cut(joint[key]) for key, cut in reads])
-            for key, _ in reads:
-                readers[key] -= 1
-                if not readers[key]:
-                    del joint[key]
-            if fault is not None:
-                pg = pg * fault
-            grads[t] = pg if grads[t] is None else grads[t] + pg
-
-    deal(sorted(members, key=lambda g: -size[g]), reduce)
-    return grads
-
-
 def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
     """The parts' rows one after another on axis 0; each part's tape stays its own.
 
     Each part is computed from parameters and the shared nodes, which are
     built once outside every part. The joined node's parents are the
     parameters and shared nodes the parts reach. Its adjoint runs each
-    part's tape backward on a thread per CPU (parallel.deal), where every
-    adjoint toward one of those parents must be a _Rows and is kept
-    unreduced. Once all parts are done, each distinct operand (the same
-    memory in every part, however many adjoints read it) is joined once
-    in row order, and each such adjoint reduces once over the joined
-    operands, in the order one tape would apply them (_reduce_joined).
-    So the gradients equal one tape over all rows bit for bit wherever
-    each row's values and adjoints do not depend on the rows beside it,
-    whatever the number of threads.
+    part's tape backward on a thread per CPU (parallel.deal); each part
+    sums its adjoints toward those parents in its own walk, and each
+    parent's gradient is then the parts' sums added in part order. The
+    parts and the order do not depend on the threads, so the gradients
+    are the same bits on any CPU count. They differ from one tape over
+    all rows only in summation order; a single part is that tape.
     """
     data = np.concatenate([p.data for p in parts])
     if not recording():
@@ -1144,17 +979,16 @@ def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
         for node in tape:
             node.grad = None
         roots[k].grad = state["g"][bounds[k] : bounds[k + 1]]
-        state["rows"][k] = _walk(tape, owned if k == 0 else {id(n) for n in tape})
+        state["sums"][k] = _walk(tape, owned if k == 0 else {id(n) for n in tape})
 
     def adjoint(i: int, g: np.ndarray) -> np.ndarray:
         if state.get("g") is not g:  # the first parent's call runs every part
-            state.update(g=g, rows=[None] * len(parts))
+            state.update(g=g, sums=[None] * len(parts))
             deal(range(len(parts)), run)
-            reached = [[id(t) for t, _, _ in rows] for rows in state["rows"]]
-            if any(r != reached[0] for r in reached):
-                raise ShapeError("join_rows: the parts' tapes differ in shape")
-            index = {id(t): n for n, t in enumerate(targets)}
-            state["grads"] = _reduce_joined(*_columns(state.pop("rows"), index), len(targets))
+            sums, reached = state.pop("sums"), {id(t) for t in targets}
+            if any(s.keys() != reached for s in sums):
+                raise ShapeError("join_rows: the parts reach different nodes")
+            state["grads"] = [reduce(np.add, [s.pop(id(t)) for s in sums]) for t in targets]
         return state["grads"][i]
 
     return Tensor(data, op="join_rows", parents=targets,

@@ -11,7 +11,8 @@ All K loss-bearing fields run as one batched computation over
 (K, B, U_max) arrays, bit-identical to scoring each field alone (see
 masked_field_losses for the three rules that make it so). The fine-tune
 loss is the plain click logloss through the label-masked CTR head
-(label_logit_diff, which runs the rows in parts on a thread per CPU);
+(label_logit_diff, which runs the rows in parts on a thread per CPU,
+each part summing its own gradients);
 for label-only masking the two coincide term by term, which
 verify_label_equivalence checks numerically.
 """
@@ -26,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corruption import LABEL_MODES, CorruptedBatch, corrupt_batch, loss_positions
 from .errors import DataError, ShapeError
-from .model import Model, field_logits, encode, label_logit_diff
+from .model import Model, check_batch_shape, field_logits, encode, label_logit_diff
 from .schedule import NoiseSchedule
 
 
@@ -162,9 +163,11 @@ def pretrain_loss(
     return loss
 
 
-def _labels(tokens: np.ndarray) -> np.ndarray:
+def _labels(model: Model, tokens: np.ndarray) -> np.ndarray:
     """The label column of a (B, P) token batch, each 0 or 1."""
-    labels = np.asarray(tokens)[:, -1]
+    tokens = np.asarray(tokens)
+    check_batch_shape(model, tokens)
+    labels = tokens[:, -1]
     if np.any((labels != 0) & (labels != 1)):
         raise DataError("sft_loss: labels must be 0 or 1")
     return labels
@@ -172,7 +175,7 @@ def _labels(tokens: np.ndarray) -> np.ndarray:
 
 def _click_losses(model: Model, tokens: np.ndarray) -> Tensor:
     """Per-instance click logloss softplus(-(2y - 1) * logit) as a (B,) tensor."""
-    signs = ad.const(2.0 * _labels(tokens) - 1.0)
+    signs = ad.const(2.0 * _labels(model, tokens) - 1.0)
     signed = ad.mul(label_logit_diff(model, tokens), signs)
     return ad.softplus(ad.smul(signed, -1.0))
 
@@ -181,9 +184,10 @@ def sft_loss(model: Model, tokens: np.ndarray) -> Tensor:
     """Mean click logloss of a (B, P) token batch through the label-masked scoring head.
 
     label_logit_diff runs the rows in parts on a thread per CPU and joins
-    them, so loss and gradients equal one tape over all rows bit for bit
-    at the default shapes, on any number of CPUs (its docstring names
-    the bound elsewhere). The labels are checked before the features.
+    them: loss and gradients are the same bits on any number of CPUs, and
+    the gradients stay within the bound its docstring states of one tape
+    over all rows. The batch's shape is checked first, then the labels,
+    then the features.
     """
     return ad.tmean(_click_losses(model, tokens))
 

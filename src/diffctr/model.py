@@ -126,11 +126,18 @@ def _distinct_pairs(model: Model, tokens: np.ndarray, pos_rows: Tensor) -> tuple
     return x, index.reshape(tokens.shape)
 
 
-def _check_tokens(model: Model, tokens: np.ndarray) -> None:
-    """encode's input check: (B, P) tokens, each in [0, vocab] (vocab is the mask id)."""
+def check_batch_shape(model: Model, tokens: np.ndarray) -> None:
+    """A batch's first check, before any of its values is read: (B, P) tokens, B >= 1."""
     P = model.num_positions
     if tokens.ndim != 2 or tokens.shape[1] != P:
         raise ShapeError(f"encode: tokens must be (B, {P}), got {tokens.shape}")
+    if not len(tokens):
+        raise ShapeError(f"encode: tokens must hold at least one row, got {tokens.shape}")
+
+
+def _check_tokens(model: Model, tokens: np.ndarray) -> None:
+    """encode's input check: (B, P) tokens, each in [0, vocab] (vocab is the mask id)."""
+    check_batch_shape(model, tokens)
     for f in model.schema:
         col = tokens[:, f.index]
         if col.min() < 0 or col.max() > f.vocab_size:
@@ -171,9 +178,9 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
       the full block. The last two: BLAS may sum the leading rows of a
       small batched gemm in another order than a two-row block's, while
       the last row agrees.
-    The taped route runs every row, so its weight gradients sum as before.
-    label_logit_diff's parts rest on the same property: a row's value does
-    not depend on the rows encoded beside it.
+    The taped route runs every row. label_logit_diff's parts rest on the
+    same property: a row's value does not depend on the rows encoded
+    beside it, so parts score each row as one call does.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     _check_tokens(model, tokens)
@@ -262,13 +269,17 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
     label's two target columns. parallel.parts cuts the rows at points
     that depend on the row count alone, and each part runs
     _part_logit_diff in a check-once scope (autodiff.scoped) on a thread
-    per CPU (parallel.deal). ad.join_rows joins the gaps and, on a tape,
-    reduces every sum over rows once, in row order: values, and at the
-    default shapes gradients, equal one call on every row bit for bit on
-    any CPU count; elsewhere (encode's docstring) gradients stay within 1e-12.
+    per CPU (parallel.deal). ad.join_rows joins the gaps: at the default
+    shapes their values equal one call on every row bit for bit. On a
+    tape each part sums its own gradients and join_rows adds the parts'
+    sums in part order, so gradients are the same bits on any CPU count
+    and differ from one tape over every row only in summation order:
+    within 1e-13 at the default shapes (one part is that tape), 1e-12
+    elsewhere (encode's docstring).
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lbl = model.label_position
+    check_batch_shape(model, tokens)
     _check_unmasked(model, tokens)
     masked = tokens.copy()
     masked[:, lbl] = model.mask_ids[lbl]

@@ -467,82 +467,77 @@ def linear_rows(store, x, shared):
     return ad.tsum(ad.mul(hidden, hidden), axis=1)
 
 
-def test_join_rows_equals_one_tape_bit_for_bit(monkeypatch):
-    """Five parts on four threads, more than this host has cores, switching often."""
+def gathered_rows(store, idx, a, b, shared):
+    """As encode's input rows: stack hands each gathered table a strided view
+    of the stacked gradient, which the shared add also reads whole."""
+    x = ad.add(ad.stack([ad.gather_rows(store[f"t{k}"], idx[k][a:b]) for k in (0, 1)]), shared)
+    return ad.tsum(ad.tsum(ad.mul(x, x), axis=2), axis=1)
+
+
+def test_join_rows_stays_within_bound_of_one_tape(monkeypatch):
+    """Five parts on four threads, more than this host has cores, switching
+    often. Each part sums its own gradients and the parts' sums are added in
+    part order, so gradients differ from one tape only in summation order
+    (within 1e-13), and every run gives the same bytes. Three graphs: rows
+    through a weight, a bias and a shared row; an adjoint toward the shared
+    node that is not a sum over rows (exp's); and encode's stacked gathers."""
     monkeypatch.setattr(parallel, "cpu_workers", lambda: 4)
     store = ParamStore({"w": stream(13, "w").normal(size=(4, 3)), "b": np.zeros(3),
-                        "s": stream(13, "s").normal(size=(1, 3))})
+                        "s": stream(13, "s").normal(size=(1, 3)),
+                        "t0": stream(15, "t0").normal(size=(5, 3)),
+                        "t1": stream(15, "t1").normal(size=(4, 3)),
+                        "pos": stream(15, "pos").normal(size=(2, 3))})
     x = stream(13, "x").normal(size=(70, 4))
+    idx = [stream(15, "i", k).integers(0, n, size=70) for k, n in enumerate((5, 4))]
     cuts = [(0, 17), (17, 30), (30, 40), (40, 52), (52, 70)]
-
-    def one_tape(p):
-        return ad.tmean(linear_rows(p, ad.const(x), ad.smul(p["s"], 2.0)))
-
-    def in_parts(p):
-        shared = ad.smul(p["s"], 2.0)
-        parts = [linear_rows(p, ad.const(x[a:b]), shared) for a, b in cuts]
-        return ad.tmean(ad.join_rows(parts, [shared]))
-
-    want_loss, want = ad.forward_backward(one_tape, store)
+    graphs = {
+        "linear": (lambda p: ad.smul(p["s"], 2.0),
+                   lambda p, a, b, shared: linear_rows(p, ad.const(x[a:b]), shared)),
+        "exp": (lambda p: ad.smul(p["s"], 2.0),
+                lambda p, a, b, shared: ad.tsum(ad.mul(ad.const(x[a:b, :3]), ad.exp(shared)),
+                                                axis=1)),
+        "stacked": (lambda p: ad.smul(p["pos"], 1.5),
+                    lambda p, a, b, shared: gathered_rows(p, idx, a, b, shared)),
+    }
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            threads_before = threading.active_count()
-            loss, got = ad.forward_backward(in_parts, store)
-            assert threading.active_count() == threads_before
-            assert loss == want_loss
-            for name in want:
-                assert np.array_equal(got[name], want[name]), name
+        for graph, (shared_of, rows) in graphs.items():
+            want_loss, want = ad.forward_backward(
+                lambda p: ad.tmean(rows(p, 0, 70, shared_of(p))), store)
+
+            def in_parts(p):
+                shared = shared_of(p)
+                return ad.tmean(ad.join_rows([rows(p, a, b, shared) for a, b in cuts], [shared]))
+
+            runs = set()
+            for _ in range(20):
+                threads_before = threading.active_count()
+                loss, got = ad.forward_backward(in_parts, store)
+                assert threading.active_count() == threads_before
+                assert abs(loss - want_loss) <= 1e-13, graph
+                for name in want:
+                    np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-13,
+                                               err_msg=f"{graph} {name}")
+                runs.add(b"".join(got[name].tobytes() for name in sorted(got)))
+            assert len(runs) == 1, graph
     finally:
         sys.setswitchinterval(interval)
 
-    def not_by_rows(p):
-        shared = ad.smul(p["s"], 2.0)
-        parts = [ad.tsum(ad.mul(ad.const(x[a:b, :3]), ad.exp(shared)), axis=1) for a, b in cuts]
-        return ad.tmean(ad.join_rows(parts, [shared]))
 
-    with pytest.raises(ShapeError, match="does not sum over rows"):
-        ad.forward_backward(not_by_rows, store)
-
-
-def test_join_rows_cuts_strided_operands_from_the_joined_array_they_view(monkeypatch):
-    """As encode's input rows: stack hands each gathered column a strided view
-    of the stacked gradient, which the shared add also reads whole. The
-    columns are cut from that one joined array instead of being joined
-    again, and the gradients equal one tape's."""
-    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
-    store = ParamStore({"t0": stream(15, "t0").normal(size=(5, 3)),
-                        "t1": stream(15, "t1").normal(size=(4, 3)),
-                        "pos": stream(15, "pos").normal(size=(2, 3))})
-    idx = [stream(15, "i", k).integers(0, n, size=40) for k, n in enumerate((5, 4))]
-    cuts = [(0, 13), (13, 30), (30, 40)]
-
-    def rows(p, a, b, shared):
-        x = ad.add(ad.stack([ad.gather_rows(p[f"t{k}"], idx[k][a:b]) for k in (0, 1)]), shared)
-        return ad.tsum(ad.tsum(ad.mul(x, x), axis=2), axis=1)
+def test_join_rows_refuses_parts_that_reach_different_nodes():
+    store = ParamStore({"w": stream(13, "w").normal(size=(4, 3)), "b": np.zeros(3),
+                        "s": stream(13, "s").normal(size=(1, 3))})
+    x = stream(13, "x").normal(size=(10, 4))
 
     def in_parts(p):
-        shared = ad.smul(p["pos"], 1.5)
-        return ad.tmean(ad.join_rows([rows(p, a, b, shared) for a, b in cuts], [shared]))
+        shared = ad.smul(p["s"], 2.0)
+        parts = [linear_rows(p, ad.const(x[:5]), shared),
+                 ad.tsum(ad.matmul(ad.const(x[5:]), p["w"]), axis=1)]  # reaches neither b nor s
+        return ad.tmean(ad.join_rows(parts, [shared]))
 
-    want_loss, want = ad.forward_backward(lambda p: ad.tmean(rows(p, 0, 40, ad.smul(p["pos"], 1.5))),
-                                          store)
-    real, columns = ad._columns, []
-
-    def spy(by_part, index):
-        out = real(by_part, index)
-        columns.extend(out[0].values())
-        return out
-
-    monkeypatch.setattr(ad, "_columns", spy)
-    loss, got = ad.forward_backward(in_parts, store)
-    assert loss == want_loss
-    for name in want:
-        assert got[name].tobytes() == want[name].tobytes(), name
-    # the stacked gradient and the two index columns; no column of strided views
-    assert sorted(column[0].shape for column in columns) == [(13,), (13,), (13, 2, 3)]
-    assert all(a.flags.c_contiguous for column in columns for a in column)
+    with pytest.raises(ShapeError, match="reach different nodes"):
+        ad.forward_backward(in_parts, store)
 
 
 def test_backward_frees_the_tape_and_keeps_the_root_and_the_leaves():

@@ -1,8 +1,11 @@
 import csv
+import os
 from dataclasses import replace
 
 from conftest import build_micro_env
+from diffctr import autodiff as ad
 from diffctr import experiments as ex
+from diffctr import parallel
 from diffctr import train as tr
 from diffctr.errors import DataError
 from diffctr.losses import PretrainLossConfig
@@ -172,3 +175,32 @@ def test_sweep_suite_variants(micro_env):
         assert variants[f"T={horizon}"] == replace(micro_env, schedule=schedule)
     for epochs in range(1, 6):
         assert variants[f"epochs={epochs}"] == with_run(micro_env, pretrain_epochs=epochs)
+
+
+def test_suite_bytes_do_not_depend_on_the_cpu_count(monkeypatch, micro_env, tmp_path):
+    """8-row parts cut each 32-row fine-tune batch in four (with two parts
+    either order of the one addition gives the same bits), and two CPUs
+    share them: the parts' gradient sums are added in part order whatever
+    thread ran them, so the files are the same bytes."""
+    monkeypatch.setattr(parallel, "PART_ROWS", 8)
+    taped_parts, real = [], ad.join_rows
+
+    def spy(parts, shared=()):
+        if ad.recording():
+            taped_parts.append(len(parts))
+        return real(parts, shared)
+
+    monkeypatch.setattr(ad, "join_rows", spy)
+    written = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: cpus)
+        report = ex.run_suite(ex.headline_suite(micro_env), seeds=[0])
+        assert not report.failures
+        paths = ex.write_report_files(report, str(tmp_path / f"cpus{cpus}"))
+        written[cpus] = {}
+        for path in paths:
+            with open(path, "rb") as fh:
+                written[cpus][os.path.basename(path)] = fh.read()
+    assert 4 in taped_parts
+    assert sorted(written[1]) == ["pvalues.csv", "rows.csv", "summary.csv"]
+    assert written[1] == written[2]
