@@ -10,11 +10,12 @@ forward. backward() walks the recorded tape in reverse topological
 order with a fixed left-to-right accumulation, so repeated runs are
 bit-identical; once a node has passed its gradient on it drops its
 gradient and its closures, and with them the values only they read.
-rms_scale, softmax, attention_out and ffn are one node each, equal bit
-for bit to the chains of ops they stand for. The adjoints of the first
-two recompute what they need from the input instead of keeping it; the
-last two recompute nothing, and add their biases, heads and residual
-and apply their relu in place, in the buffer a GEMM just made. join_rows
+rms_scale, softmax, attention_out, ffn and candidate_terms are one node
+each, equal bit for bit to the chains of ops they stand for. The
+adjoints of the first two recompute what they need from the input
+instead of keeping it; the other three recompute nothing, and add their
+biases, heads and residual, apply their relu, or clip, scale, gate and
+softmax their logits in place, in the buffer a GEMM just made. join_rows
 runs the rows of one batch in parts, each on its own tape and thread;
 each part sums its own gradients toward the nodes outside it, and the
 parts' sums are added in part order.
@@ -27,15 +28,16 @@ ctr_score's call, each part of label_logit_diff) an op's node skips
 that check, and two kinds of check stay: the scope checks the tensor it
 returns, and an op whose output can be finite where its input is not
 (relu, exp, logsumexp, softmax, rms_scale, clip_unit, sigmoid,
-softplus, take_position, gather_rows, matmul with widths) checks that
+softplus, take_position, gather_rows, candidate_terms) checks that
 input unless it was checked already; ffn, whose relu maps a -inf
-pre-activation to 0, checks its pre-activations. Outside a scope
-attention_out and ffn check each value of their chains in the chains'
-order and name the chain's op. Every non-finite value then reaches one
-of them. On a failure the outermost scope runs the same call again with
-every node checked, on every thread the call deals to, and that replay
-raises the first op's NumericError, as a call outside any scope would.
-Values do not depend on the checks.
+pre-activation to 0, checks its pre-activations, and candidate_terms,
+whose clip maps an inf to 1, its cosines. Outside a scope
+attention_out, ffn and candidate_terms check each value of their chains
+that can fail in the chains' order and name the chain's op. Every
+non-finite value then reaches one of them. On a failure the outermost
+scope runs the same call again with every node checked, on every thread
+the call deals to, and that replay raises the first op's NumericError,
+as a call outside any scope would. Values do not depend on the checks.
 
 Numpy reports no overflow as a RuntimeWarning first: a scope sets its
 error state once, and an arithmetic op called outside any scope sets it
@@ -343,25 +345,9 @@ def smul(a: Tensor, c: float) -> Tensor:
     return Tensor(a.data * c, op="smul", parents=(a.node,), vjps=(lambda g: g * c,))
 
 
-def _check_widths(op: str, widths, rows: int, size: int) -> np.ndarray:
-    """widths as int64, one per leading row, each in [1, size]."""
-    widths = np.asarray(widths, dtype=np.int64)
-    if widths.shape != (rows,) or widths.min() < 1 or widths.max() > size:
-        raise ShapeError(f"{op}: widths {widths.tolist()} must be {rows} values in [1, {size}]")
-    return widths
-
-
 @_quiet
-def matmul(a: Tensor, b: Tensor, widths=None) -> Tensor:
-    """a @ b. widths, for rank-3 a (K, m, n) and b (K, n, N), limits product k
-    to the first widths[k] columns of b and leaves the rest of its output zero.
-
-    Each product runs as its own GEMM at its own width, in the forward and
-    in both adjoints: BLAS rounds a narrow product differently from the
-    same columns inside a wider one, so zero padding would not be exact.
-    """
-    if widths is not None:
-        return _matmul_widths(a, b, widths)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(
             f"matmul: operands must have rank >= 2, got {a.data.shape} and {b.data.shape}"
@@ -400,31 +386,6 @@ def _gemm_vjps(lead: tuple[int, ...], flat: np.ndarray, w: np.ndarray) -> tuple:
     n = w.shape[-1]
     return (lambda g: (g.reshape(-1, n) @ w.T).reshape(lead),
             lambda g: flat.T @ g.reshape(-1, n))
-
-
-def _matmul_widths(a: Tensor, b: Tensor, widths) -> Tensor:
-    x, w = a.data, b.data
-    if x.ndim != 3 or w.ndim != 3 or x.shape[0] != w.shape[0] or x.shape[2] != w.shape[1]:
-        raise ShapeError(f"matmul: widths need (K, m, n) @ (K, n, N), got {x.shape} @ {w.shape}")
-    widths = _check_widths("matmul", widths, w.shape[0], w.shape[2])
-    _finite(b)  # its columns past each width take no part
-    out = np.zeros(x.shape[:2] + w.shape[2:])
-    for k, n in enumerate(widths):
-        out[k, :, :n] = x[k] @ w[k, :, :n]
-
-    def vjp_a(g):
-        ga = np.empty_like(x)
-        for k, n in enumerate(widths):
-            ga[k] = g[k, :, :n] @ w[k, :, :n].T
-        return ga
-
-    def vjp_b(g):
-        gb = np.zeros(w.shape)
-        for k, n in enumerate(widths):
-            gb[k, :, :n] = x[k].T @ g[k, :, :n]
-        return gb
-
-    return Tensor(out, op="matmul", parents=(a.node, b.node), vjps=(vjp_a, vjp_b))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -622,17 +583,24 @@ def _norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(norm, 1e-30)
 
 
+def _unit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x's rows along the last axis at unit L2 norm, and their norms."""
+    norm = _norms(x)
+    return x / norm, norm
+
+
+def _unit_adjoint(y: np.ndarray, norm: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The adjoint of y, _unit's rows of norm norm, toward the rows they came from."""
+    dot = (y * g).sum(axis=-1, keepdims=True)
+    return (g - y * dot) / norm
+
+
 @_quiet
 def l2_normalize(x: Tensor) -> Tensor:
     """Normalize along the last axis to unit L2 norm."""
-    norm = _norms(x.data)
-    y = x.data / norm
-
-    def vjp(g):
-        dot = (y * g).sum(axis=-1, keepdims=True)
-        return (g - y * dot) / norm
-
-    return Tensor(y, op="l2_normalize", parents=(x.node,), vjps=(vjp,))
+    y, norm = _unit(x.data)
+    return Tensor(y, op="l2_normalize", parents=(x.node,),
+                  vjps=(lambda g: _unit_adjoint(y, norm, g),))
 
 
 @_quiet
@@ -678,32 +646,12 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
 
 
 @_quiet
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False, widths=None) -> Tensor:
-    """log(sum(exp(x))) along axis.
-
-    widths, for a rank-3 x reduced over its last axis, limits row k to
-    its first widths[k] entries; the rest take no part and get zero
-    gradient. Each row is summed over exactly its own width, because
-    numpy's pairwise summation order depends on the length.
-    """
+def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
+    """log(sum(exp(x))) along axis."""
     _finite(x)
-    if widths is None:
-        m = np.max(x.data, axis=axis, keepdims=True)
-        z = np.exp(x.data - m)
-        s = z.sum(axis=axis, keepdims=True)
-    else:
-        if x.data.ndim != 3 or axis not in (-1, 2):
-            raise ShapeError(
-                f"logsumexp: widths need rank 3 over the last axis, got {x.data.shape}"
-            )
-        widths = _check_widths("logsumexp", widths, x.data.shape[0], x.data.shape[2])
-        live = np.arange(x.data.shape[2]) < widths[:, None, None]
-        xm = np.where(live, x.data, -np.inf)
-        m = np.max(xm, axis=-1, keepdims=True)
-        z = np.exp(xm - m)
-        s = np.empty_like(m)
-        for k, w in enumerate(widths):
-            s[k] = z[k, :, :w].sum(axis=-1, keepdims=True)
+    m = np.max(x.data, axis=axis, keepdims=True)
+    z = np.exp(x.data - m)
+    s = z.sum(axis=axis, keepdims=True)
     out = m + np.log(s)
     if not keepdims:
         out = np.squeeze(out, axis=axis)
@@ -848,6 +796,106 @@ def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) ->
             lambda g: _unbroadcast(g, b2d.shape),
         ),
     )
+
+
+@_quiet
+def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
+                    positives: Sequence[np.ndarray], candidates: Sequence[np.ndarray],
+                    weights: np.ndarray, scale: float) -> Tensor:
+    """K fields' weighted candidate-softmax terms of (B, P, d) contexts x, (K, B): one node.
+
+    Field i scores its contexts x[:, fields[i]] against its U_i target
+    rows rows[i] (U_i, d): the logits are the cosines of the unit rows,
+    clipped to [-1, 1], times scale. Row b's term is the logsumexp of
+    its logits where candidates[i][b] (U_i,) holds, less the logit in
+    column positives[i][b], times weights[i, b].
+
+    Equal bit for bit, value and adjoints, to each field's chain
+    logits = smul(clip_unit(matmul(l2_normalize(take_position(x, k)),
+    transpose(l2_normalize(rows[i])))), scale), then mul(sub(logsumexp(
+    add(logits, gate)), tsum(mul(logits, onehot))), w), the gate 0.0 at
+    a candidate and LOG_ZERO elsewhere. Each field runs at its own width
+    U_i: the clip, the scale, the gate and the softmax work in place, in
+    the buffer the cosine GEMM made, the positive's logit is read by
+    index, and the adjoint turns the kept softmax weights into the
+    logits' gradient in place. Outside a check-once scope the values the
+    chain checks are checked in its order (a clip, a gate or a softmax
+    of finite values is finite, so only the cosines, the logits, the
+    difference and the product can fail); inside one the inputs and the
+    cosines, which the clip could hide, are.
+    """
+    xd, scale = x.data, float(scale)
+    weights = np.asarray(weights, dtype=np.float64)
+    K = len(fields)
+    if xd.ndim != 3 or K == 0 or len({int(k) for k in fields}) != K or not (
+            len(rows) == len(positives) == len(candidates) == K) \
+            or weights.shape != (K, xd.shape[0]):
+        raise ShapeError(f"candidate_terms: {K} distinct fields of {xd.shape}, {len(rows)} row "
+                         f"sets, {len(positives)} positives, {len(candidates)} candidate sets "
+                         f"and weights {weights.shape}")
+    B, P, d = xd.shape
+    every = np.arange(B)
+    for k, r, pos, cand in zip(fields, rows, positives, candidates):
+        U = r.data.shape[0]
+        if not 0 <= k < P or U == 0 or r.data.shape != (U, d) or np.shape(pos) != (B,) \
+                or np.shape(cand) != (B, U) or not np.all((pos >= 0) & (pos < U)) \
+                or not np.all(cand[every, pos]):
+            raise ShapeError(f"candidate_terms: field {k} of {xd.shape} has rows {r.data.shape}, "
+                             f"positives {np.shape(pos)} and candidates {np.shape(cand)}, "
+                             "each positive a candidate")
+    _finite(x)
+    for r in rows:
+        _finite(r)
+    # a logit under 2**46 in size plus LOG_ZERO rounds to LOG_ZERO, and a row's
+    # max is its positive's logit or more, so a gated entry's exp underflows to 0
+    fast_exp = abs(scale) < 2.0**46
+    ctx = [_unit(xd[:, k, :]) for k in fields]
+    targets = [_unit(r.data) for r in rows]
+    soft, denom, positive = [], [], []
+    for (c, _), (t, _), pos, cand in zip(ctx, targets, positives, candidates):
+        z = c @ t.T
+        _stage("matmul", z, hides=True)  # the clip maps an inf to 1
+        np.clip(z, -1.0, 1.0, out=z)
+        z *= scale
+        _stage("smul", z)
+        positive.append(z[every, pos])
+        z += ~cand * LOG_ZERO  # the gate; a candidate's -0.0 changes no value downstream
+        m = z.max(axis=1, keepdims=True)
+        z -= m
+        if fast_exp:  # each gated entry's exp is 0: exp runs slowly on such arguments
+            z *= cand
+            np.exp(z, out=z)
+            z *= cand
+        else:
+            np.exp(z, out=z)
+        total = z.sum(axis=1, keepdims=True)
+        denom.append((m + np.log(total))[:, 0])
+        z /= total
+        soft.append(z)
+    out = np.stack(denom)
+    out -= np.stack(positive)
+    _stage("sub", out)
+    out *= weights
+    _stage("mul", out)
+
+    shape, grads = xd.shape, []  # the adjoints toward x and each field's rows, made once
+
+    def adjoint(i: int, g: np.ndarray) -> np.ndarray:
+        if not grads:
+            gx = np.zeros(shape)
+            grads.append(gx)
+            for k, gk, z, pos, (c, cn), (t, tn) in zip(fields, g * weights, soft, positives,
+                                                       ctx, targets):
+                z *= gk[:, None]  # the softmax weights become the logits' gradient
+                z[every, pos] -= gk
+                z += 0.0  # every zero +0.0, as the one-hot product's sum leaves it
+                z *= scale
+                gx[:, k, :] = _unit_adjoint(c, cn, z @ t)
+                grads.append(_unit_adjoint(t, tn, (c.T @ z).T))
+        return grads[i]
+
+    return Tensor(out, op="candidate_terms", parents=[x.node] + [r.node for r in rows],
+                  vjps=[partial(adjoint, i) for i in range(K + 1)])
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -78,11 +78,18 @@ def corrupt_batch(
 
 def loss_positions(num_fields: int, label_mode: str) -> np.ndarray:
     """Bool mask of the positions a draw may mask, the same positions whose
-    masked tokens contribute loss terms; drop excludes the label (last)."""
+    masked tokens contribute loss terms; drop excludes the label (last).
+
+    Positions with none eligible (a label alone under drop) earn no loss
+    term, which is a DataError.
+    """
     if label_mode not in LABEL_MODES:
         raise DataError(f"unknown label_mode '{label_mode}'")
     eligible = np.ones(num_fields, dtype=bool)
     eligible[-1] = label_mode == "diffuse"
+    if not eligible.any():
+        raise DataError(f"label_mode '{label_mode}' leaves no position to pretrain on: "
+                        "the data has no feature field")
     return eligible
 
 

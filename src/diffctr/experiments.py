@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .corruption import loss_positions
 from .data import Dataset, make_output_dir, write_csv
 from .errors import DataError
 from .losses import PretrainLossConfig
@@ -88,6 +89,9 @@ class Environment:
     run_cfg: RunConfig
     schedule: NoiseSchedule
     loss_cfg: PretrainLossConfig = field(default_factory=PretrainLossConfig)
+
+    def __post_init__(self):
+        loss_positions(len(self.train.schema), self.loss_cfg.label_mode)  # some field earns a term
 
 
 def _pretrained_checkpoint(env: Environment, cfg: RunConfig, path: str) -> str:

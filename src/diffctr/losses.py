@@ -7,14 +7,13 @@ logits, softmax over the sampled candidate set), and each term is
 importance-weighted by the reciprocal of its mask probability. Logits
 cover only the U <= B distinct batch tokens of a field, never the whole
 vocabulary. The label field always uses its exhaustive two-way softmax.
-All K loss-bearing fields run as one batched computation over
-(K, B, U_max) arrays, bit-identical to scoring each field alone (see
-masked_field_losses for the three rules that make it so). The fine-tune
-loss is the plain click logloss through the label-masked CTR head
-(label_logit_diff, which runs the rows in parts on a thread per CPU,
-each part summing its own gradients);
-for label-only masking the two coincide term by term, which
-verify_label_equivalence checks numerically.
+All K loss-bearing fields are one tape node (autodiff.candidate_terms),
+each field at its own width and bit-identical to scoring it alone. The
+fine-tune loss is the plain click logloss through the label-masked CTR
+head (label_logit_diff, which runs the rows in parts on a thread per
+CPU, each part summing its own gradients); for label-only masking the
+two coincide term by term, which verify_label_equivalence checks
+numerically.
 """
 
 from __future__ import annotations
@@ -94,13 +93,11 @@ def masked_field_losses(
 ) -> tuple[Tensor, np.ndarray]:
     """Scalar pretraining loss and the detached (B, P) per-term matrix.
 
-    The K loss-bearing fields share one tape of (K, B, U_max) arrays:
-    field k's U_k candidate columns come first and the padding is gated
-    by LOG_ZERO, takes no part in any sum and gets zero gradient. Three
-    rules keep the result bit-identical to scoring each field alone:
-    each field's cosine GEMM runs at its own width U_k, each logsumexp
-    row sums exactly its U_k columns, and the total sums each field over
-    B before adding the fields first to last.
+    The K loss-bearing fields' terms are one node, candidate_terms, fed
+    by encode's output and each field's gathered candidate rows; field k
+    runs on its own (B, U_k) arrays. The total sums each field over B
+    before adding the fields first to last, so loss, terms and gradients
+    equal scoring each field on its own tape bit for bit.
     """
     B, P = corrupted.tokens.shape
     if B < 2:
@@ -118,25 +115,11 @@ def masked_field_losses(
 
     sets = [_field_candidates(model, k, corrupted.clean_tokens[:, k], cfg.max_negatives)
             for k in fields]
-    widths = np.array([len(columns) for columns, _, _ in sets])
-    U = int(widths.max())
-    gate = np.full((len(fields), B, U), ad.LOG_ZERO)
-    onehot = np.zeros((len(fields), B, U))
-    rows = []
-    for i, (k, (columns, pos, mask)) in enumerate(zip(fields, sets)):
-        gate[i, :, : len(columns)][mask] = 0.0
-        onehot[i, np.arange(B), pos] = 1.0
-        padded = np.concatenate([columns, np.full(U - len(columns), columns[0])])
-        rows.append(ad.gather_rows(model.target_table(k), padded))
-
-    ctx = ad.l2_normalize(ad.take_position(ctx_all, fields))  # (K, B, d)
-    targets = ad.transpose(ad.l2_normalize(ad.stack(rows, axis=0)))  # (K, d, U)
-    del ctx_all, rows  # no adjoint reads them
-    logits = ad.smul(ad.clip_unit(ad.matmul(ctx, targets, widths=widths)),
-                     1.0 / model.cfg.temperature)
-    denom = ad.logsumexp(ad.add(logits, ad.const(gate)), widths=widths)
-    positive = ad.tsum(ad.mul(logits, ad.const(onehot)), axis=-1)
-    weighted = ad.mul(ad.sub(denom, positive), ad.const(weights[:, fields].T))  # (K, B)
+    rows = [ad.gather_rows(model.target_table(k), columns)
+            for k, (columns, _, _) in zip(fields, sets)]
+    weighted = ad.candidate_terms(ctx_all, fields, rows, [pos for _, pos, _ in sets],
+                                  [mask for _, _, mask in sets], weights[:, fields].T,
+                                  1.0 / model.cfg.temperature)  # (K, B)
     terms = np.zeros((B, P))
     terms[:, fields] = weighted.data.T
     return ad.smul(ad.tsum_rows(weighted), 1.0 / B), terms

@@ -8,7 +8,6 @@ vs sigmoid logloss) and reports the worst deviation seen.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,9 @@ from .rng import stream
 from .schedule import build_schedule
 
 
-# the op whose adjoint --negative-control scales; every route's FFN is one such node
-CONTROL_OP = "ffn"
+# the ops whose adjoints --negative-control scales, one at a time: every route's
+# FFN is one such node, and the pretraining loss is the other
+CONTROL_OP = ("ffn", "candidate_terms")
 
 
 @dataclass
@@ -142,17 +142,32 @@ def suite_gradcheck(negative_control: bool = False, seed: int = 2027) -> SuiteRe
     def sft_fn(params):
         return ls.sft_loss(model, tokens)
 
-    worst = 0.0
-    details = []
-    with ad.adjoint_fault(CONTROL_OP, 2.0) if negative_control else nullcontext() as fault:
+    def check() -> tuple[float, list[str]]:
+        worst, details = 0.0, []
         for fn in (pretrain_fn, sft_fn):
             reports = ad.grad_check(fn, model.params, h=1e-5, tol=1e-5)
             worst = max(worst, max(r.max_rel_error for r in reports))
             details.append(f"{len(reports)} parameters")
-    if fault is not None and not fault.ran:  # a control that never ran would pass silently
-        worst = float("inf")
-        details.append(f"the faulted op '{CONTROL_OP}' never ran")
-    return SuiteResult("gradcheck", worst <= 1e-5, worst, 1e-5, detail="; ".join(details))
+        return worst, details
+
+    if not negative_control:
+        worst, details = check()
+        return SuiteResult("gradcheck", worst <= 1e-5, worst, 1e-5, detail="; ".join(details))
+    # each op faulted in turn must run and fail the check; a control that never
+    # ran, or whose faulted run passed, would let a wrong adjoint through, so the
+    # suite fails then too, with worst inf and the op named
+    worst, details, broken = float("inf"), [], False
+    for op in CONTROL_OP:
+        with ad.adjoint_fault(op, 2.0) as fault:
+            faulted, _ = check()
+        if fault.ran and faulted > 1e-5:
+            worst = min(worst, faulted)
+            details.append(f"'{op}' faulted: worst={faulted:.3e}")
+        else:
+            broken = True
+            details.append(f"the faulted op '{op}' {'passed' if fault.ran else 'never ran'}")
+    return SuiteResult("gradcheck", False, float("inf") if broken else worst, 1e-5,
+                       detail="; ".join(details))
 
 
 def suite_metrics(fixtures: int = 100, seed: int = 2028) -> SuiteResult:

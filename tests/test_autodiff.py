@@ -85,8 +85,14 @@ def test_three_layer_composite_matches_central_differences():
         ("take_position_slice", lambda p: ad.take_position(p["x3"], slice(1, 3))),
         ("stack", lambda p: ad.stack([p["a"], p["a2"]], axis=1)),
         ("stack_axis0", lambda p: ad.stack([p["a"], p["a2"]], axis=0)),
-        ("matmul_widths", lambda p: ad.matmul(p["x3"], ad.transpose(p["y3"]), widths=[5, 2])),
-        ("logsumexp_widths", lambda p: ad.logsumexp(p["y3"], widths=[3, 1])),
+        ("candidate_terms", lambda p: ad.candidate_terms(
+            p["x3"], [2, 0], [p["b2"], p["table"]], [np.array([4, 0]), np.array([1, 2])],
+            [np.ones((2, 5), bool), np.ones((2, 3), bool)], np.array([[0.5, 2.0], [1.0, 0.3]]),
+            1.3)),
+        ("candidate_terms_gated", lambda p: ad.candidate_terms(
+            p["x3"], [1], [p["b2"]], [np.array([3, 0])],
+            [np.array([[False, True, False, True, True], [True, False, True, True, False]])],
+            np.array([[0.7, 1.6]]), 2.0)),
         ("tsum_rows", lambda p: ad.tsum_rows(p["a"])),
         ("l2_normalize", lambda p: ad.l2_normalize(p["a"])),
         ("logsumexp", lambda p: ad.logsumexp(p["a"], axis=1)),
@@ -144,23 +150,89 @@ def test_logsumexp_ignores_log_zero_entries():
     np.testing.assert_allclose(got, [expected], atol=1e-12)
 
 
-def test_widths_match_the_unpadded_ops_bit_for_bit():
-    rng = stream(12, "widths")
-    a = ad.const(rng.normal(size=(3, 16, 32)))
-    b = ad.const(rng.normal(size=(3, 250, 32)))
-    x = ad.const(rng.normal(size=(3, 16, 250)))
-    widths = [250, 37, 2]
-    product = ad.matmul(a, ad.transpose(b), widths=widths).data
-    lse = ad.logsumexp(x, widths=widths).data
-    for k, w in enumerate(widths):
-        assert np.array_equal(product[k, :, :w], a.data[k] @ b.data[k, :w].T)
-        assert np.all(product[k, :, w:] == 0.0)
-        assert np.array_equal(lse[k], ad.logsumexp(ad.const(x.data[k, :, :w]), axis=1).data)
+def candidate_chain(x, fields, rows, positives, candidates, weights, scale):
+    """candidate_terms as the chain of ops its docstring names, field by field: (K, B)."""
+    out = []
+    for i, k in enumerate(fields):
+        unit = ad.transpose(ad.l2_normalize(rows[i]))
+        logits = ad.smul(ad.clip_unit(ad.matmul(ad.l2_normalize(ad.take_position(x, k)), unit)),
+                         scale)
+        gate = ad.const(np.where(candidates[i], 0.0, ad.LOG_ZERO))
+        onehot = np.zeros(candidates[i].shape)
+        onehot[np.arange(len(onehot)), positives[i]] = 1.0
+        positive = ad.tsum(ad.mul(logits, ad.const(onehot)), axis=1)
+        ce = ad.sub(ad.logsumexp(ad.add(logits, gate), axis=1), positive)
+        out.append(ad.mul(ce, ad.const(weights[i])))
+    return ad.stack(out, axis=0)
+
+
+def candidate_inputs(rng, B, P, d, widths):
+    """Random contexts, target rows, positives, candidate sets holding the positive,
+    and weights with zeros, for fields P-1, 0, 1, ...: candidate_terms' arguments."""
+    fields = [P - 1] + list(range(len(widths) - 1))
+    rows = {f"r{i}": rng.normal(size=(w, d)) for i, w in enumerate(widths)}
+    positives = [rng.integers(w, size=B) for w in widths]
+    candidates = [rng.random((B, w)) < 0.6 for w in widths]
+    for pos, cand in zip(positives, candidates):
+        cand[np.arange(B), pos] = True
+    weights = np.where(rng.random((len(widths), B)) < 0.3, 0.0, rng.uniform(1.0, 10.0, (len(widths), B)))
+    return ParamStore({"x": rng.normal(size=(B, P, d)), **rows}), fields, positives, candidates, weights
+
+
+@pytest.mark.parametrize("B,P,d,widths", [(16, 3, 32, [250, 37, 2]), (5, 4, 4, [1, 3, 2]),
+                                          (96, 9, 32, [2, 50, 41, 7])],
+                         ids=["wide-fields", "tiny", "default-batch"])
+def test_candidate_terms_match_the_chain_bit_for_bit(B, P, d, widths):
+    rng = stream(12, "candidate-terms", B, d)
+    store, fields, positives, candidates, weights = candidate_inputs(rng, B, P, d, widths)
+    upstream = rng.normal(size=(len(widths), B))  # both signs reach the adjoint
+    results = []
+    for op in (ad.candidate_terms, candidate_chain):
+        def fn(p, op=op):
+            terms = op(p["x"], fields, [p[f"r{i}"] for i in range(len(widths))], positives,
+                       candidates, weights, 10.0)
+            results.append(terms.data)
+            return ad.tsum(ad.mul(terms, ad.const(upstream)))
+
+        results.append(ad.forward_backward(fn, store))
+    node, (node_loss, node_grads), chain, (chain_loss, chain_grads) = results
+    assert node.tobytes() == chain.tobytes()
+    assert node_loss == chain_loss
+    for name in chain_grads:
+        assert node_grads[name].tobytes() == chain_grads[name].tobytes(), name
     rows = rng.normal(size=(9, 96))
     running = rows[0].sum()
     for row in rows[1:]:
         running = running + row.sum()
     assert ad.tsum_rows(ad.const(rows)).item() == running
+
+
+@pytest.mark.parametrize("op, scale, weight", [("smul", np.inf, 1.0), ("sub", 1e308, 1.0),
+                                               ("mul", 1e300, 1e300)])
+def test_candidate_terms_name_the_chain_op_that_overflows(op, scale, weight):
+    """Outside a scope and in forward_backward's replay, as the chain would: each
+    row's positive points away from its context and another candidate along it."""
+    store = ParamStore({"x": np.array([[[1.0, 0.0]], [[0.0, 1.0]]]),
+                        "r": np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])})
+    args = ([0], [store["r"]], [np.array([1, 3])], [np.ones((2, 4), bool)], np.full((1, 2), weight),
+            scale)
+    message = f"^op '{op}' produced non-finite values$"
+    for call in (ad.candidate_terms, candidate_chain):
+        with pytest.raises(NumericError, match=message):
+            call(store["x"], *args)
+        with pytest.raises(NumericError, match=message):
+            ad.forward_backward(lambda p: ad.tsum_rows(call(p["x"], *args)), store)
+
+
+def candidate_terms(x3, fields=(0,), widths=(3,), positive=0, gate_width=None, weights=None,
+                    gate=True):
+    """candidate_terms on x3 (B, P, 4) with one shape or value bent by the arguments."""
+    B = x3.data.shape[0]
+    return ad.candidate_terms(
+        x3, list(fields), [ad.const(np.ones((w, 4))) for w in widths],
+        [np.full(B, positive)] * len(fields),
+        [np.full((B, gate_width or w), gate) for w in widths],
+        np.ones((len(fields), B)) if weights is None else weights, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -174,17 +246,20 @@ def test_widths_match_the_unpadded_ops_bit_for_bit():
         lambda x3: ad.take_position(x3, slice(2, 4)),
         lambda x3: ad.take_position(x3, slice(1, 1)),
         lambda x3: ad.take_position(x3, slice(0, 3, 2)),
-        lambda x3: ad.matmul(x3, ad.transpose(x3), widths=[3, 4]),
-        lambda x3: ad.matmul(x3, ad.transpose(x3), widths=[0, 3]),
-        lambda x3: ad.matmul(x3, ad.transpose(x3), widths=[3]),
-        lambda x3: ad.logsumexp(x3, widths=[5, 1]),
-        lambda x3: ad.logsumexp(x3, widths=[0, 1]),
-        lambda x3: ad.logsumexp(x3, axis=1, widths=[1, 1]),
+        lambda x3: candidate_terms(x3, positive=3),
+        lambda x3: candidate_terms(x3, widths=(0,)),
+        lambda x3: candidate_terms(x3, fields=(0, 1)),
+        lambda x3: candidate_terms(x3, fields=(3,)),
+        lambda x3: candidate_terms(x3, fields=(1, 1), widths=(3, 3)),
+        lambda x3: candidate_terms(x3, gate_width=2),
+        lambda x3: candidate_terms(x3, weights=np.ones((1, 3))),
+        lambda x3: candidate_terms(x3, gate=False),
         lambda x3: ad.tsum_rows(x3),
     ],
     ids=["position", "positions", "negative", "repeated", "empty", "slice-wide",
          "slice-empty", "slice-step", "wide", "zero-width",
-         "widths-count", "lse-wide", "lse-zero", "lse-axis", "rows-rank"],
+         "widths-count", "terms-field", "terms-repeated", "terms-gate", "terms-weights",
+         "terms-positive", "rows-rank"],
 )
 def test_out_of_range_position_or_width_raises_shape_error(call):
     with pytest.raises(ShapeError):
@@ -253,7 +328,7 @@ BIG = np.full((2, 2), 1e200)
     ("mul", lambda: ad.mul(ad.const(BIG), ad.const(BIG))),
     ("smul", lambda: ad.smul(ad.const(BIG), 1e200)),
     ("matmul", lambda: ad.matmul(ad.const(BIG), ad.const(BIG))),
-    ("matmul", lambda: ad.matmul(ad.const(BIG[None]), ad.const(BIG[None]), widths=[1])),
+    ("matmul", lambda: ad.matmul(ad.const(BIG[None]), ad.const(BIG[None]))),
     ("exp", lambda: ad.exp(ad.const(np.array([1000.0])))),
     ("sum", lambda: ad.tsum(ad.const(BIG * 1e108))),
     ("sum", lambda: ad.tsum_rows(ad.const(BIG * 1e108))),
@@ -740,8 +815,18 @@ def test_the_gradcheck_suite_fails_when_a_fused_adjoint_is_scaled(op):
 
 def test_a_negative_control_that_never_runs_fails_the_gradcheck_suite(monkeypatch):
     assert vf.suite_gradcheck().passed
+    assert vf.CONTROL_OP == ("ffn", "candidate_terms")
+    control = vf.suite_gradcheck(negative_control=True)  # each op ran, and its fault failed
+    assert not control.passed and control.worst < float("inf")
+    assert [part.split(":")[0] for part in control.detail.split("; ")] \
+        == ["'ffn' faulted", "'candidate_terms' faulted"]
+    monkeypatch.setattr(vf, "CONTROL_OP", ("relu", "candidate_terms"))  # no route calls relu
     control = vf.suite_gradcheck(negative_control=True)
-    assert not control.passed and "never ran" not in control.detail
-    monkeypatch.setattr(vf, "CONTROL_OP", "relu")  # no route calls relu
+    assert not control.passed and control.worst == float("inf")
+    assert "the faulted op 'relu' never ran" in control.detail
+    monkeypatch.setattr(vf, "CONTROL_OP", ("candidate_terms",))
+    fault = ad.adjoint_fault
+    monkeypatch.setattr(ad, "adjoint_fault", lambda op, scale: fault(op, 1.0))  # faults nothing
     control = vf.suite_gradcheck(negative_control=True)
-    assert not control.passed and "the faulted op 'relu' never ran" in control.detail
+    assert not control.passed and control.worst == float("inf")
+    assert control.detail == "the faulted op 'candidate_terms' passed"

@@ -295,6 +295,19 @@ def test_one_row_training_file_exits_2(tmp_path, tiny_config_path, capsys):
     assert not os.path.exists(tmp_path / "pre" / "pretrained.dgct")
 
 
+def test_label_only_data_under_drop_exits_2_before_out(tmp_path, tiny_config_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for name in ("train.csv", "validation.csv", "test.csv"):
+        (data_dir / name).write_text("label\n0\n1\n1\n0\n")
+    cfg = tmp_path / "drop.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT + "\n[loss]\nlabel_mode = drop\n")
+    code = main(["pretrain", "--config", str(cfg), "--data", str(data_dir),
+                 "--out", str(tmp_path / "pre")])
+    one_line_error(capsys, code, "label_mode 'drop' leaves no position", "no feature field")
+    assert not os.path.exists(tmp_path / "pre")
+
+
 def test_blank_session_cell_exits_2(tmp_path, tiny_config_path, capsys):
     data_dir = tmp_path / "data"
     write_splits(data_dir, "f0,label,session_id\na,1,s1\nb,0,\na,0,s2\n")

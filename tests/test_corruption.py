@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffctr import corruption as fc
 from diffctr.errors import DataError
@@ -16,6 +18,33 @@ def corrupt_rows(tokens, probs, rng, ids, label_mode="diffuse", n=1):
     """n copies of one token row through corrupt_batch at fixed per-field probabilities."""
     return fc.corrupt_batch(np.tile(np.array(tokens, dtype=np.int64), (n, 1)), None, rng, ids,
                             label_mode, fixed_probs=probs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(B=st.integers(1, 12), P=st.integers(1, 6), label_mode=st.sampled_from(fc.LABEL_MODES),
+       data=st.data())
+def test_corrupt_batch_keeps_its_invariants(B, P, label_mode, data):
+    """Every row masks a loss-eligible field, drop masks every label, and each
+    token is the clean one where unmasked and the field's mask id where masked."""
+    probs = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.2, 0.5, 0.95]),
+                                        min_size=P, max_size=P), label="probs"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    vocabs = rng.integers(1, 6, size=P)
+    clean = rng.integers(vocabs, size=(B, P))
+    if P == 1 and label_mode == "drop":  # a label alone earns no term
+        with pytest.raises(DataError, match="no position"):
+            fc.corrupt_batch(clean, None, rng, vocabs, label_mode, fixed_probs=probs)
+        return
+    out = fc.corrupt_batch(clean, None, rng, vocabs, label_mode, fixed_probs=probs)
+    eligible = fc.loss_positions(P, label_mode)
+    assert np.all((out.masked & eligible).any(axis=1))
+    assert not np.any(out.masked[:, :-1] & ~eligible[:-1])
+    if label_mode == "drop":
+        assert np.all(out.masked[:, -1])
+    assert np.array_equal(out.tokens[~out.masked], clean[~out.masked])
+    assert np.array_equal(out.tokens[out.masked], np.broadcast_to(vocabs, (B, P))[out.masked])
+    assert np.array_equal(out.clean_tokens, clean) and np.array_equal(out.mask_probs[0], probs)
 
 
 class TestCorrupt:

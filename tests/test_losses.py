@@ -303,10 +303,11 @@ def test_batched_losses_bit_identical_to_per_field_loop(vocabs, B, tied):
             cfg = ls.PretrainLossConfig(max_negatives=max_negatives, label_mode=label_mode)
             loss, terms, grads = loss_terms_grads(ls.masked_field_losses, model, corrupted, cfg)
             ref_loss, ref_terms, ref_grads = loss_terms_grads(per_field_losses, model, corrupted, cfg)
-            assert loss == ref_loss
-            assert np.array_equal(terms, ref_terms)
+            # bytes, so a zero of the other sign fails too
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert terms.tobytes() == ref_terms.tobytes()
             for name in ref_grads:
-                assert np.array_equal(grads[name], ref_grads[name]), name
+                assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
 
 def loss_tape(loss):
@@ -322,51 +323,64 @@ def loss_tape(loss):
     return nodes
 
 
+def kept_arrays(node):
+    """Every array node's adjoint closures keep, through closure cells, lists and tuples."""
+    found, seen = [], set()
+    work = [getattr(v, "func", v) for v in node.vjps if v is not None]
+    while work:
+        obj = work.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            work.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            work.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
 @pytest.mark.parametrize("vocabs", [(40, 40), (40,) * 8], ids=["P3", "P9"])
 def test_one_loss_tape_for_every_field(vocabs):
-    B = 32
-    model = make_model(blocks=0, d=8, vocabs=vocabs, seed=len(vocabs))  # no attention softmax
+    B, d = 32, 8
+    model = make_model(blocks=0, d=d, vocabs=vocabs, seed=len(vocabs))  # no attention softmax
     tokens = skewed_tokens(model, stream(46, "tape", len(vocabs)), B)
     corrupted = fc.corrupt_batch(tokens, build_schedule(len(vocabs)), stream(47, "c"),
                                  model.mask_ids, fixed_probs=np.full(len(vocabs) + 1, 0.5))
     fields = np.flatnonzero(corrupted.masked.any(axis=0))
     widths = [2 if k == model.label_position else len(np.unique(tokens[:, k])) for k in fields]
-    U = max(widths)
-    assert min(widths) < U  # some field is padded
+    assert min(widths) < max(widths) and not {1, d} & set(widths)  # padding would show
 
     loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
     nodes = loss_tape(loss)
-    ops = [n.op for n in nodes]
-    assert ops.count("logsumexp") == 1
-    # one target gather per field, and no other loss-side node grows with P
-    targets = {id(model.target_table(k).node) for k in range(len(model.schema))}
-    loss_gathers = [n for n in nodes if n.op == "gather_rows" and id(n.parents[0]) in targets
-                    and n.shape[0] == U]
-    assert len(loss_gathers) == len(fields)
-    (stacked,) = [n for n in nodes if n.op == "stack" and n.shape == (len(fields), U, 8)]
-    (lse,) = [n for n in nodes if n.op == "logsumexp"]
-    # backward frees interior gradients, so the adjoints record what they are
-    # given (the stack's: the stacked target rows' gradient) and what they
-    # return (logsumexp's: the gradient of its padded logits)
-    seen = {"stack": [], "logsumexp": []}
+    # one loss node for every field, fed by encode's output and one gather per field
+    (terms,) = [n for n in nodes if n.op == "candidate_terms"]
+    assert terms.shape == (len(fields), B)
+    assert [n.op for n in terms.parents[1:]] == ["gather_rows"] * len(fields)
+    assert [n.shape for n in terms.parents[1:]] == [(w, d) for w in widths]
+    encoded = {id(n) for n in loss_tape(terms.parents[0])}
+    assert sorted(n.op for n in nodes if id(n) not in encoded and n.op != "param") \
+        == sorted(["smul", "sum", "candidate_terms"] + ["gather_rows"] * len(fields))
+    # the softmax weights it keeps: one (B, U_k) array per field, none padded
+    kept = kept_arrays(terms)
+    assert sorted(a.shape[1] for a in kept if a.ndim == 2 and a.shape[0] == B
+                  and a.shape[1] not in (1, d)) == sorted(widths)
+    assert all(a.shape[0] in (B, len(fields), *widths) for a in kept if a.ndim == 2)
+    # backward frees interior gradients, so the adjoints record what they return
+    seen = []
 
-    def recorded(op, vjp):
+    def recorded(vjp):
         def call(g):
             out = vjp(g)
-            seen[op].append(g if op == "stack" else out)
+            seen.append(out)
             return out
         return call
 
-    for node in (stacked, lse):
-        node.vjps = tuple(recorded(node.op, v) for v in node.vjps)
+    terms.vjps = tuple(recorded(v) for v in terms.vjps)
     ad.backward(loss)
-    assert len(seen["stack"]) == len(fields) and len(seen["logsumexp"]) == 1
-    assert all(g is seen["stack"][0] for g in seen["stack"])  # one gradient, sliced per field
-    stacked_grad, logits_grad = seen["stack"][0], seen["logsumexp"][0]
-    for i, w in enumerate(widths):
-        assert np.all(stacked_grad[i, w:] == 0.0)
-        assert np.all(logits_grad[i, :, w:] == 0.0)
-        assert np.any(stacked_grad[i, :w] != 0.0)
+    assert [g.shape for g in seen] == [(B, len(vocabs) + 1, d)] + [(w, d) for w in widths]
+    assert all(np.any(g != 0.0) for g in seen)
 
 
 @untied
