@@ -10,15 +10,19 @@ forward. backward() walks the recorded tape in reverse topological
 order with a fixed left-to-right accumulation, so repeated runs are
 bit-identical; once a node has passed its gradient on it drops its
 gradient and its closures, and with them the values only they read.
-rms_scale, softmax, attention_out, ffn and candidate_terms are one node
-each, equal bit for bit to the chains of ops they stand for. The
-adjoints of the first two recompute what they need from the input
-instead of keeping it; the other three recompute nothing, and add their
-biases, heads and residual, apply their relu, or clip, scale, gate and
-softmax their logits in place, in the buffer a GEMM just made. join_rows
-runs the rows of one batch in parts, each on its own tape and thread;
-each part sums its own gradients toward the nodes outside it, and the
-parts' sums are added in part order.
+rms_scale, attention, ffn and candidate_terms are one node each, equal
+bit for bit to the chains of ops they stand for. rms_scale's adjoint
+recomputes the unit rows from the input instead of keeping them, and
+attention's the softmax's exp(s - m); the others recompute nothing. Each
+adds its biases, heads and residual, applies its relu, or clips, scales,
+gates and softmaxes its logits in place, in the buffer a GEMM just made.
+At parallel.DEAL_ROWS batch rows or more, attention runs its heads and
+candidate_terms its fields side by side on parallel.deal's threads,
+forward and adjoint, each doing the arithmetic it would do alone, and
+the calling thread adds their results in order: the bits do not depend
+on the CPU count. join_rows runs the rows of one batch in parts, each on
+its own tape and thread; each part sums its own gradients toward the
+nodes outside it, and the parts' sums are added in part order.
 
 A NaN/Inf raises NumericError naming the op that produced it, instead
 of letting it surface three modules later. Outside any scope every node
@@ -27,14 +31,15 @@ Inside a check-once scope (scoped: forward_backward's graph_fn,
 ctr_score's call, each part of label_logit_diff) an op's node skips
 that check, and two kinds of check stay: the scope checks the tensor it
 returns, and an op whose output can be finite where its input is not
-(relu, exp, logsumexp, softmax, rms_scale, clip_unit, sigmoid,
-softplus, take_position, gather_rows, candidate_terms) checks that
+(relu, exp, logsumexp, rms_scale, clip_unit, sigmoid, softplus,
+take_position, gather_rows, attention, candidate_terms) checks that
 input unless it was checked already; ffn, whose relu maps a -inf
-pre-activation to 0, checks its pre-activations, and candidate_terms,
-whose clip maps an inf to 1, its cosines. Outside a scope
-attention_out, ffn and candidate_terms check each value of their chains
-that can fail in the chains' order and name the chain's op. Every
-non-finite value then reaches one of them. On a failure the outermost
+pre-activation to 0, checks its pre-activations, attention, whose
+softmax weighs a -inf score 0, its scores, and candidate_terms, whose
+clip maps an inf to 1, its cosines. Outside a scope attention, ffn and
+candidate_terms check each value of their chains that can fail in the
+chains' order and name the chain's op. Every non-finite value then
+reaches one of them. On a failure the outermost
 scope runs the same call again with every node checked, on every thread
 the call deals to, and that replay raises the first op's NumericError,
 as a call outside any scope would. Values do not depend on the checks.
@@ -44,8 +49,8 @@ error state once, and an arithmetic op called outside any scope sets it
 around itself. Inside no_grad() ops record no parents and no closures,
 so forward-only callers keep no tape alive; the finiteness checks are
 the same with or without a tape. The no_grad flag, the check mode and
-numpy's error state are context variables, which every helper thread
-that parallel.deal starts inherits from its caller.
+numpy's error state are context variables, which every item that
+parallel.deal hands to a helper thread runs in, as its caller set them.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .parallel import deal
+from .parallel import deal, threads
 
 # Finite stand-in for log(0) in additive logsumexp masks. Small enough to
 # vanish under exp, large enough to stay finite through any sum.
@@ -224,6 +229,16 @@ def _stage(op: str, value: np.ndarray, hides: bool = False) -> None:
     if (hides or mode is not _ONCE) and not np.all(np.isfinite(value)):
         error = _Deferred if mode is _ONCE else NumericError
         raise error(f"op '{op}' produced non-finite values")
+
+
+def _chain_fault(op: str) -> float | None:
+    """The scale an active adjoint_fault on op sets, for a fused node to apply
+    to the adjoints of op inside the chain it stands for; marks the fault run."""
+    fault = _adjoint_faults.get(op)
+    if fault is None:
+        return None
+    fault.ran = True
+    return fault.scale
 
 
 def scoped(fn: Callable) -> Callable:
@@ -512,41 +527,23 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape: tuple[int, int]) -> 
     return acc.astype(np.float64, copy=False).reshape(shape)  # no rows: int zeros
 
 
-def take_position(x: Tensor, pos) -> Tensor:
-    """Select x[:, pos, :] from a rank-3 (B, P, d) tensor, as a copy, so the
-    output does not keep x alive.
-
-    pos is one position, giving (B, d), a slice lo:hi of positions,
-    giving (B, hi - lo, d), or a sequence of K distinct positions,
-    giving (K, B, d) with one leading row per position.
-    """
+def take_position(x: Tensor, pos: int) -> Tensor:
+    """Select x[:, pos, :] (B, d) from a rank-3 (B, P, d) tensor, as a copy, so
+    the output does not keep x alive. pos is one position: a sequence or a
+    slice of them is refused."""
     if x.data.ndim != 3:
         raise ShapeError(f"take_position: rank 3 required, got {x.data.shape}")
-    P = x.data.shape[1]
-    if isinstance(pos, slice):
-        if pos.step is not None or not 0 <= pos.start < pos.stop <= P:
-            raise ShapeError(f"take_position: {pos} out of range for {x.data.shape}")
-        idx, out, scatter = pos, x.data[:, pos, :].copy(), lambda g: g
-    elif np.ndim(pos) == 0:
-        if not 0 <= pos < P:
-            raise ShapeError(f"take_position: position {pos} out of range for {x.data.shape}")
-        idx, out, scatter = pos, x.data[:, pos, :].copy(), lambda g: g
-    else:
-        idx = np.asarray(pos, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= P \
-                or np.unique(idx).size != idx.size:
-            raise ShapeError(f"take_position: positions {idx.tolist()} must be distinct "
-                             f"and in range for {x.data.shape}")
-        out, scatter = x.data.transpose(1, 0, 2)[idx], lambda g: g.transpose(1, 0, 2)
+    if not isinstance(pos, (int, np.integer)) or not 0 <= pos < x.data.shape[1]:
+        raise ShapeError(f"take_position: position {pos} out of range for {x.data.shape}")
     _finite(x)
     shape = x.data.shape
 
     def vjp(g):
         acc = np.zeros(shape)
-        acc[:, idx, :] = scatter(g)
+        acc[:, pos, :] = g
         return acc
 
-    return Tensor(out, op="take_position", parents=(x.node,), vjps=(vjp,))
+    return Tensor(x.data[:, pos, :].copy(), op="take_position", parents=(x.node,), vjps=(vjp,))
 
 
 def stack(parts: list[Tensor], axis: int = 1) -> Tensor:
@@ -673,72 +670,208 @@ def clip_unit(x: Tensor) -> Tensor:
 
 
 @_quiet
-def softmax(x: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
-    """The softmax of x * scale along axis, as one node.
+def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int | None = None,
+              spread: np.ndarray | None = None) -> Tensor:
+    """x + Σ_i softmax(q_i k_iᵀ / √dh) v_i wo_i, a block's attention and its residual: one node.
 
-    Equal bit for bit, value and adjoint, to exp(sub(s, logsumexp(s)))
-    of s = smul(x, scale). The adjoint recomputes the weights from x and
-    keeps only the per-row max and sum, so a forward-only call computes
-    no weights at all.
+    h holds the normed rows (B, P, d) attention reads and x the residual
+    rows, of h's shape. heads holds each head's (wq, wk, wv, wo): q_i,
+    k_i and v_i are h @ wq_i, h @ wk_i and h @ wv_i, (d, dh) each, and
+    wo_i is (dh, d). keep, a position, returns only its (B, d) rows,
+    each still attending over every position. spread, (B, P) indices
+    into the rows of x and h (U, d), runs the projections once per row
+    and gathers them to (B, P, .) before the scores; it records no tape,
+    so it is refused while one is recorded. Without a tape and with keep
+    the last position, only the last two positions are queried (two, as
+    a one-row product would run through BLAS gemv, which sums in another
+    order; encode's docstring gives the rest).
+
+    Equal bit for bit, value and adjoints, to the chain it stands for:
+    per head, matmul(h, wq_i), matmul(h, wk_i) and matmul(h, wv_i)
+    (gather_rows of each by spread, a slice of the query rows),
+    matmul(q, transpose(k)), the softmax of the scores times 1/√dh as
+    exp(s - logsumexp(s)), matmul(weights, v) (take_position of the kept
+    row), then matmul(mixed_i, wo_i); the heads' products added first to
+    last, then x (take_position or gather_rows of it). Each head runs its
+    chain's arithmetic in that order, and at DEAL_ROWS batch rows or more
+    the heads run side by side on parallel.deal's threads, forward and
+    adjoint; the products and the residual are added on the calling
+    thread in head order. h's gradient sums each head's q, k and v
+    adjoints, heads first to last, as the chain's walk does, and each
+    head frees what it kept once its adjoint has run. An adjoint_fault on
+    matmul scales the node's GEMM adjoints where it scales the chain's;
+    one on softmax scales the scores' adjoint, and one on attention_out
+    the adjoints toward x, each head's mixed rows and wo_i, so a negative
+    control can fault either part of the node alone.
+    Outside a check-once scope the values the chain checks are checked in
+    its order (gathers, slices and the softmax of finite values are
+    finite), the earliest head's error raised; inside one the values a
+    gather, the softmax or the kept row's slice could hide are.
     """
-    _finite(x)  # exp(-inf) is 0
-    scale = float(scale)
-    xd = x.data
-    s = xd * scale
-    m = np.max(s, axis=axis, keepdims=True)
-    out = np.subtract(s, m)
-    np.exp(out, out=out)
-    total = out.sum(axis=axis, keepdims=True)
-    np.subtract(s, m + np.log(total), out=out)  # exp(s - m) and the weights share one buffer
-    np.exp(out, out=out)
+    xd, hd = x.data, h.data
+    d = hd.shape[-1]
+    weights = [tuple(w.data for w in head) for head in heads]
+    dh = weights[0][0].shape[-1] if weights and len(weights[0]) == 4 else 0
+    if spread is not None:
+        if recording():
+            raise ShapeError("attention: spread rows record no tape; call it under no_grad()")
+        spread = np.asarray(spread, dtype=np.int64)
+    lead = hd.shape[:-1] if spread is None else spread.shape
+    if (xd.shape != hd.shape or len(lead) != 2 or hd.ndim != (3 if spread is None else 2)
+            or not weights or (keep is not None and not 0 <= keep < lead[1])
+            or (spread is not None and (spread.min() < 0 or spread.max() >= len(hd)))
+            or any(len(w) != 4 or {w[0].shape, w[1].shape, w[2].shape} != {(d, dh)}
+                   or w[3].shape != (dh, d) for w in weights)):
+        raise ShapeError(f"attention: x {xd.shape}, h {hd.shape}, spread "
+                         f"{None if spread is None else spread.shape}, keep {keep} and heads "
+                         f"{[[w.shape for w in head] for head in weights]}")
+    _finite(x)
+    _finite(h)
+    B, P = lead
+    taped = recording()
+    lo = P - 2 if keep == P - 1 and P > 1 and not taped else 0  # the first query position
+    scale = float(1.0 / np.sqrt(dh))
+    flat = hd.reshape(-1, d)
+    query = flat if spread is not None or lo == 0 else hd[:, lo:, :].reshape(-1, d)
+    kept: list = [None] * len(weights)  # what each head's adjoint reads
+    products: list = [None] * len(weights)
 
-    def vjp(g):
-        gs = g * out
-        glse = (-gs).sum(axis=axis, keepdims=True)
-        weights = xd * scale
-        weights -= m
-        np.exp(weights, out=weights)
-        weights /= total
-        weights *= glse
-        gs += weights
-        gs *= scale
-        return gs
+    def forward(i: int, _worker: int) -> None:
+        wq, wk, wv, wo = weights[i]
+        gathered = spread is not None  # gather_rows checks its table
+        q = query @ wq
+        _stage("matmul", q, hides=gathered)
+        k = flat @ wk
+        _stage("matmul", k, hides=gathered)
+        v = flat @ wv
+        _stage("matmul", v, hides=gathered)
+        if gathered:
+            q, k, v = (np.take(q, spread[:, lo:], axis=0), np.take(k, spread, axis=0),
+                       np.take(v, spread, axis=0))
+        else:
+            q, k, v = q.reshape(B, P - lo, dh), k.reshape(B, P, dh), v.reshape(B, P, dh)
+        s = q @ np.swapaxes(k, -1, -2)
+        _stage("matmul", s, hides=True)  # the softmax maps -inf to a weight of 0
+        s *= scale
+        m = np.max(s, axis=-1, keepdims=True)
+        soft = np.subtract(s, m)
+        np.exp(soft, out=soft)
+        total = soft.sum(axis=-1, keepdims=True)
+        np.subtract(s, m + np.log(total), out=soft)  # exp(s - m) and the weights share one buffer
+        np.exp(soft, out=soft)
+        mixed = soft @ v
+        _stage("matmul", mixed, hides=keep is not None)  # the kept row's slice drops the rest
+        rows = mixed.reshape(-1, dh) if keep is None else mixed[:, keep - lo, :].copy()
+        products[i] = rows @ wo
+        if taped:
+            kept[i] = (q, k, s, m, total, soft, v, rows)
 
-    return Tensor(out, op="softmax", parents=(x.node,), vjps=(vjp,))
-
-
-@_quiet
-def attention_out(x: Tensor, mixed: Sequence[Tensor], wo: Sequence[Tensor]) -> Tensor:
-    """x + Σ_h mixed[h] @ wo[h], the heads summed first to last: one node.
-
-    Equal bit for bit, value and adjoints, to add(x, add(...add(matmul(
-    mixed[0], wo[0]), matmul(mixed[1], wo[1]))...)): each head's product
-    runs as matmul's one GEMM, and the sum and the residual are added in
-    place, in the first head's product.
-    """
-    xd = x.data
-    if len(mixed) != len(wo) or not mixed:
-        raise ShapeError(f"attention_out: {len(mixed)} heads and {len(wo)} output weights")
-    out, vjps = None, []
-    for m, w in zip(mixed, wo):
-        rows, wd = m.data, w.data
-        if wd.ndim != 2 or rows.shape[-1:] != wd.shape[:1] \
-                or rows.shape[:-1] + wd.shape[1:] != xd.shape:
-            raise ShapeError(f"attention_out: {xd.shape} + {rows.shape} @ {wd.shape}")
-        flat = rows.reshape(-1, rows.shape[-1])
-        product = flat @ wd
+    deal(range(len(weights)), forward, B)
+    out = None
+    for product in products:
         _stage("matmul", product)
         if out is None:
             out = product
         else:
             out += product
             _stage("add", out)
-        vjps += _gemm_vjps(rows.shape, flat, wd)
-    np.add(xd.reshape(out.shape), out, out=out)
+    del products
+    if spread is not None:
+        residual = np.take(xd, spread if keep is None else spread[:, keep], axis=0)
+    else:
+        residual = xd if keep is None else xd[:, keep, :]
+    np.add(residual.reshape(out.shape), out, out=out)
     _stage("add", out)
-    return Tensor(out.reshape(xd.shape), op="attention_out",
-                  parents=[x.node] + [t.node for pair in zip(mixed, wo) for t in pair],
-                  vjps=[lambda g: g] + vjps)
+
+    grads: dict[int, np.ndarray] = {}  # the adjoints toward h and the weights, made once
+
+    def head_adjoint(i: int, g: np.ndarray):
+        """Head i's adjoints: its weights' into grads, then its q, k and v
+        adjoints toward h, yielded in turn. What the head kept is freed as
+        the chain's walk would free it."""
+        q, k, s, m, total, soft, v, rows = kept[i]
+        kept[i] = None
+        wq, wk, wv, wo = weights[i]
+        c = _chain_fault("matmul")  # scales each of the chain's matmul adjoints when set
+        out_fault, soft_fault = _chain_fault("attention_out"), _chain_fault("softmax")
+        gflat = g.reshape(-1, d)
+        grads[5 + 4 * i] = rows.T @ gflat
+        del rows
+        gmixed = gflat @ wo.T
+        if out_fault is not None:
+            grads[5 + 4 * i] *= out_fault
+            gmixed *= out_fault
+        if keep is None:
+            gmixed = gmixed.reshape(B, P, dh)
+        else:
+            gmixed, gm = np.zeros((B, P, dh)), gmixed
+            gmixed[:, keep, :] = gm
+        gs = gmixed @ np.swapaxes(v, -1, -2)
+        gv = (np.swapaxes(soft, -1, -2) @ gmixed).reshape(-1, dh)
+        del gmixed, v
+        if c is not None:
+            gs *= c
+            gv *= c
+        gs *= soft
+        del soft
+        glse = (-gs).sum(axis=-1, keepdims=True)
+        recomputed = np.subtract(s, m)  # the softmax's adjoint recomputes exp(s - m)
+        del s, m
+        np.exp(recomputed, out=recomputed)
+        recomputed /= total
+        recomputed *= glse
+        gs += recomputed
+        gs *= scale
+        if soft_fault is not None:
+            gs *= soft_fault
+        del recomputed, total, glse
+        gq = (gs @ k).reshape(-1, dh)
+        gk = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2).reshape(-1, dh)
+        del q, k, gs
+        if c is not None:
+            gq *= c
+            gk *= c
+        for n, (gp, w) in enumerate(((gq, wq), (gk, wk), (gv, wv))):
+            grads[2 + 4 * i + n] = flat.T @ gp
+            toward_h = gp @ w.T
+            if c is not None:
+                toward_h *= c
+                grads[2 + 4 * i + n] *= c
+            yield toward_h
+
+    def adjoint(j: int, g: np.ndarray) -> np.ndarray:
+        if not grads:
+            H = len(weights)
+            if threads(weights, B) > 1:
+                parts: list = [None] * H
+
+                def run(i: int, _worker: int) -> None:
+                    parts[i] = list(head_adjoint(i, g))
+
+                deal(range(H), run, B)
+            else:  # each head's adjoints toward h are added as they are made
+                parts = [head_adjoint(i, g) for i in range(H)]
+            gh = None
+            for i in range(H):
+                for part in parts[i]:
+                    gh = part if gh is None else np.add(gh, part, out=gh)
+                parts[i] = None
+            grads[1] = gh.reshape(hd.shape)
+        return grads.pop(j)
+
+    def vjp_x(g: np.ndarray) -> np.ndarray:
+        out_fault = _chain_fault("attention_out")
+        if out_fault is not None:
+            g = g * out_fault
+        if keep is None:
+            return g
+        acc = np.zeros(xd.shape)
+        acc[:, keep, :] = g
+        return acc
+
+    return Tensor(out.reshape(lead + (d,) if keep is None else (B, d)), op="attention",
+                  parents=[x.node, h.node] + [w.node for head in heads for w in head],
+                  vjps=[vjp_x] + [partial(adjoint, j) for j in range(1, 2 + 4 * len(weights))])
 
 
 @_quiet
@@ -822,7 +955,9 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     chain checks are checked in its order (a clip, a gate or a softmax
     of finite values is finite, so only the cosines, the logits, the
     difference and the product can fail); inside one the inputs and the
-    cosines, which the clip could hide, are.
+    cosines, which the clip could hide, are. At DEAL_ROWS rows or more the
+    fields run side by side on parallel.deal's threads, forward and
+    adjoint, and the earliest field's error is raised.
     """
     xd, scale = x.data, float(scale)
     weights = np.asarray(weights, dtype=np.float64)
@@ -849,16 +984,18 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     # a logit under 2**46 in size plus LOG_ZERO rounds to LOG_ZERO, and a row's
     # max is its positive's logit or more, so a gated entry's exp underflows to 0
     fast_exp = abs(scale) < 2.0**46
-    ctx = [_unit(xd[:, k, :]) for k in fields]
-    targets = [_unit(r.data) for r in rows]
-    soft, denom, positive = [], [], []
-    for (c, _), (t, _), pos, cand in zip(ctx, targets, positives, candidates):
+    ctx, targets = [None] * K, [None] * K  # each field's unit rows and their norms
+    soft, denom, positive = [None] * K, [None] * K, [None] * K
+
+    def forward(i: int, _worker: int) -> None:
+        (c, _), (t, _) = ctx[i], targets[i] = _unit(xd[:, fields[i], :]), _unit(rows[i].data)
+        pos, cand = positives[i], candidates[i]
         z = c @ t.T
         _stage("matmul", z, hides=True)  # the clip maps an inf to 1
         np.clip(z, -1.0, 1.0, out=z)
         z *= scale
         _stage("smul", z)
-        positive.append(z[every, pos])
+        positive[i] = z[every, pos]
         z += ~cand * LOG_ZERO  # the gate; a candidate's -0.0 changes no value downstream
         m = z.max(axis=1, keepdims=True)
         z -= m
@@ -869,29 +1006,34 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
         else:
             np.exp(z, out=z)
         total = z.sum(axis=1, keepdims=True)
-        denom.append((m + np.log(total))[:, 0])
+        denom[i] = (m + np.log(total))[:, 0]
         z /= total
-        soft.append(z)
+        soft[i] = z
+
+    deal(range(K), forward, B)
     out = np.stack(denom)
     out -= np.stack(positive)
     _stage("sub", out)
     out *= weights
     _stage("mul", out)
 
-    shape, grads = xd.shape, []  # the adjoints toward x and each field's rows, made once
+    grads: list = []  # the adjoints toward x and each field's rows, made once
 
     def adjoint(i: int, g: np.ndarray) -> np.ndarray:
         if not grads:
-            gx = np.zeros(shape)
-            grads.append(gx)
-            for k, gk, z, pos, (c, cn), (t, tn) in zip(fields, g * weights, soft, positives,
-                                                       ctx, targets):
+            grads.extend([np.zeros(xd.shape)] + [None] * K)
+            gw = g * weights
+
+            def field(f: int, _worker: int) -> None:
+                z, gk, pos, (c, cn), (t, tn) = soft[f], gw[f], positives[f], ctx[f], targets[f]
                 z *= gk[:, None]  # the softmax weights become the logits' gradient
                 z[every, pos] -= gk
                 z += 0.0  # every zero +0.0, as the one-hot product's sum leaves it
                 z *= scale
-                gx[:, k, :] = _unit_adjoint(c, cn, z @ t)
-                grads.append(_unit_adjoint(t, tn, (c.T @ z).T))
+                grads[0][:, fields[f], :] = _unit_adjoint(c, cn, z @ t)
+                grads[1 + f] = _unit_adjoint(t, tn, (c.T @ z).T)
+
+            deal(range(K), field, B)
         return grads[i]
 
     return Tensor(out, op="candidate_terms", parents=[x.node] + [r.node for r in rows],

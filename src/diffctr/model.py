@@ -164,20 +164,26 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     the field-position rows (P, d) built once for several calls, stand
     in for the ones encode would gather itself; every route reads them.
 
+    Each block is rms_scale, one autodiff.attention node (its heads,
+    their output projections and the residual; at DEAL_ROWS rows or more
+    its heads run side by side on the training loop's helper threads),
+    then rms_scale and one ffn node. Every route below calls that node.
+
     While no tape is recorded (under no_grad) encode computes only what
     its output needs. Its values equal the taped route's bit for bit
     wherever BLAS sums a GEMM row alike at every row count, as OpenBLAS
     does at the default shapes; at some head widths (4 wide at d = 16,
     B * P above ~10^4) it does not, and values differ by up to ~1e-14:
-    - block 0's input row, rms_scale and Q/K/V run once per distinct
-      (field, token) pair of the batch, then are gathered to (B, P, .);
-    - when keep is the last position (the label's), the last block
-      projects the query, and runs scores, softmax and mixing, for the
-      last two positions alone. Two rows, not one: numpy sends a one-row
-      matmul to BLAS gemv, which sums in another order than the gemm of
-      the full block. The last two: BLAS may sum the leading rows of a
-      small batched gemm in another order than a two-row block's, while
-      the last row agrees.
+    - block 0's input row and rms_scale run once per distinct (field,
+      token) pair of the batch, and attention projects Q/K/V once per
+      pair, then gathers them to (B, P, .) (its spread);
+    - when keep is the last position (the label's), the last block's
+      attention projects the query, and runs scores, softmax and mixing,
+      for the last two positions alone. Two rows, not one: numpy sends a
+      one-row matmul to BLAS gemv, which sums in another order than the
+      gemm of the full block. The last two: BLAS may sum the leading rows
+      of a small batched gemm in another order than a two-row block's,
+      while the last row agrees.
     The taped route runs every row. label_logit_diff's parts rest on the
     same property: a row's value does not depend on the rows encoded
     beside it, so parts score each row as one call does.
@@ -186,7 +192,6 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     _check_tokens(model, tokens)
     P = model.num_positions
     cfg = model.cfg
-    dh = cfg.embed_dim // cfg.heads
     pairs = None
     if pos_rows is None:
         pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(P))
@@ -199,33 +204,12 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     # one row would run the tail through BLAS gemv, which sums in another
     # order than the gemm of the full route, so a single row keeps every row
     tail_block = cfg.blocks - 1 if keep is not None and len(tokens) > 1 else None
-    every = slice(0, P)
-    query = slice(P - 2, P) if pairs is not None and keep == P - 1 else every
-
     for b in range(cfg.blocks):
-        tail = b == tail_block
-        spread = pairs if b == 0 else None  # x holds one row per distinct pair
-        rows = query if tail else every
         h = ad.rms_scale(x, model.params[f"net/b{b}/attn_gain"])
-        hq = h if spread is not None or rows == every else ad.take_position(h, rows)
-        heads = []
-        for head in range(cfg.heads):
-            q = ad.matmul(hq, model.params[f"net/b{b}/h{head}/wq"])
-            k = ad.matmul(h, model.params[f"net/b{b}/h{head}/wk"])
-            v = ad.matmul(h, model.params[f"net/b{b}/h{head}/wv"])
-            if spread is not None:
-                q, k, v = (ad.gather_rows(q, spread[:, rows]), ad.gather_rows(k, spread),
-                           ad.gather_rows(v, spread))
-            scores = ad.matmul(q, ad.transpose(k))
-            mixed = ad.matmul(ad.softmax(scores, axis=-1, scale=1.0 / np.sqrt(dh)), v)
-            heads.append(ad.take_position(mixed, keep - rows.start) if tail else mixed)
-        if spread is not None:
-            x = ad.gather_rows(x, spread[:, keep] if tail else spread)
-        elif tail:
-            x = ad.take_position(x, keep)
-        x = ad.attention_out(x, heads, [model.params[f"net/b{b}/h{head}/wo"]
-                                        for head in range(cfg.heads)])
-        del heads, mixed  # only wo's adjoint reads them: without a tape they die here
+        heads = [[model.params[f"net/b{b}/h{head}/{w}"] for w in ("wq", "wk", "wv", "wo")]
+                 for head in range(cfg.heads)]
+        x = ad.attention(x, h, heads, keep=keep if b == tail_block else None,
+                         spread=pairs if b == 0 else None)
         x = ad.ffn(x, ad.rms_scale(x, model.params[f"net/b{b}/ffn_gain"]),
                    *(model.params[f"net/b{b}/ffn_{w}"] for w in ("w1", "b1", "w2", "b2")))
 

@@ -21,7 +21,7 @@ from .losses import PretrainLossConfig, pretrain_loss, sft_loss
 from .metrics import MetricReport, report_for
 from .model import TRANSFER_MODES, Model, ctr_score, encode, full_vocab_logits, save_checkpoint
 from .optim import adam_step
-from .parallel import cpu_workers
+from .parallel import cpu_workers, helpers
 from .rng import stream
 from .schedule import NoiseSchedule
 
@@ -116,6 +116,7 @@ def _epochs(model: Model, dataset: Dataset, cfg: RunConfig, report: RunReport, s
         yield report.epochs[-1]
 
 
+@helpers()
 def pretrain(
     model: Model,
     dataset: Dataset,
@@ -129,7 +130,9 @@ def pretrain(
     loss_cfg decides the objective, label mode and fixed-rate ablation
     included. Returns the model it was given, trained in place; a
     non-finite loss aborts the run and returns a copy of the last
-    epoch-end parameters instead.
+    epoch-end parameters instead. The call is one helper scope
+    (parallel.helpers): its threads start once and are joined before it
+    returns.
     """
     loss_cfg = loss_cfg or PretrainLossConfig()
     rows = len(dataset.token_matrix())
@@ -152,6 +155,7 @@ def pretrain(
     return (last_good if report.diverged else model), report
 
 
+@helpers()
 def finetune(
     model: Model,
     train: Dataset,
@@ -166,7 +170,8 @@ def finetune(
     them untouched. Stops early after `patience` epochs without a
     validation AUC improvement; report.validation holds the returned
     snapshot's validation metrics. A validation or test split without
-    both labels is rejected before the first step.
+    both labels is rejected before the first step. The call is one
+    helper scope (parallel.helpers), as pretrain's is.
     """
     for split, data in (("validation", validation), ("test", test)):
         if data is not None and len(np.unique(data.labels())) < 2:

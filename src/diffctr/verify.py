@@ -24,8 +24,8 @@ from .schedule import build_schedule
 
 
 # the ops whose adjoints --negative-control scales, one at a time: every route's
-# FFN is one such node, and the pretraining loss is the other
-CONTROL_OP = ("ffn", "candidate_terms")
+# FFN and attention are one such node each, and the pretraining loss is the third
+CONTROL_OP = ("ffn", "attention", "candidate_terms")
 
 
 @dataclass

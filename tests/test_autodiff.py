@@ -1,8 +1,10 @@
+import contextlib
 import sys
 import threading
 import time
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from diffctr import autodiff as ad
+from diffctr import model as md
 from diffctr import parallel
 from diffctr import verify as vf
 from diffctr.errors import NumericError, ShapeError
@@ -64,6 +67,12 @@ def test_three_layer_composite_matches_central_differences():
     assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
 
 
+def held(name, shape):
+    """A fixed operand of a case: the finite differences move only the
+    store's parameters, so the case checks the part of the node they reach."""
+    return ad.const(stream(9, "held", name).normal(size=shape))
+
+
 @pytest.mark.parametrize(
     "name,builder",
     [
@@ -81,8 +90,6 @@ def test_three_layer_composite_matches_central_differences():
         ("mean_axis", lambda p: ad.tmean(p["a"], axis=0)),
         ("gather", lambda p: ad.gather_rows(p["table"], np.array([0, 2, 2, 1]))),
         ("take_position", lambda p: ad.take_position(p["x3"], 1)),
-        ("take_positions", lambda p: ad.take_position(p["x3"], [2, 0])),
-        ("take_position_slice", lambda p: ad.take_position(p["x3"], slice(1, 3))),
         ("stack", lambda p: ad.stack([p["a"], p["a2"]], axis=1)),
         ("stack_axis0", lambda p: ad.stack([p["a"], p["a2"]], axis=0)),
         ("candidate_terms", lambda p: ad.candidate_terms(
@@ -97,14 +104,27 @@ def test_three_layer_composite_matches_central_differences():
         ("l2_normalize", lambda p: ad.l2_normalize(p["a"])),
         ("logsumexp", lambda p: ad.logsumexp(p["a"], axis=1)),
         ("cosine_matrix", lambda p: cosine_matrix(p["a"], p["b2"])),
-        ("softmax", lambda p: ad.softmax(p["a"], axis=1)),
-        ("softmax_scaled", lambda p: ad.softmax(p["x3"], axis=1, scale=0.7)),
         ("rms_scale", lambda p: ad.rms_scale(p["x3"], p["row_b"])),
         ("log_softmax", lambda p: ad.log_softmax(p["a"], axis=1)),
         ("ffn", lambda p: ad.ffn(p["a2"], p["a"], p["b"], p["b1"], p["w2"], p["row_b"])),
         ("ffn_rank3", lambda p: ad.ffn(p["x3"], p["x3"], p["b"], p["b1"], p["w2"], p["row_b"])),
-        ("attention_out", lambda p: ad.attention_out(p["a"], [p["a"], p["a2"]], [p["w4"], p["w4"]])),
-        ("attention_out_rank3", lambda p: ad.attention_out(p["x3"], [p["x3"]], [p["w4"]])),
+        ("attention", lambda p: ad.attention(p["x3"], p["h3"], [[p["b"], p["p4"], p["v4"], p["w2"]],
+                                                               [p["v4"], p["b"], p["p4"], p["w2"]]])),
+        ("attention_kept", lambda p: ad.attention(p["x3"], p["h3"], [[p["p4"], p["v4"], p["b"], p["w2"]]],
+                                                  keep=2)),
+        # the node's softmax alone: wq and wk reach the loss through the scores only
+        ("softmax", lambda p: ad.attention(held("x", (2, 3, 4)), held("h", (2, 3, 4)),
+                                           [[p["b"], p["p4"], held("v", (4, 2)), held("o", (2, 4))]])),
+        ("softmax_scaled", lambda p: ad.attention(  # dh = 4: the scores times 1/2, on the kept row
+            held("x", (2, 3, 4)), held("h", (2, 3, 4)),
+            [[p["q44"], p["k44"], held("v", (4, 4)), held("o", (4, 4))]], keep=2)),
+        # the output projections and the residual alone: x and each wo_i vary
+        ("attention_out", lambda p: ad.attention(
+            p["x3"], held("h", (2, 3, 4)),
+            [[held(f"{w}{i}", (4, 2)) for w in "qkv"] + [wo] for i, wo in enumerate((p["w2"], p["w2b"]))],
+            keep=1)),
+        ("attention_out_rank3", lambda p: ad.attention(
+            p["x3"], held("h", (2, 3, 4)), [[held(w, (4, 2)) for w in "qkv"] + [p["w2"]]])),
     ],
 )
 def test_each_op_matches_finite_differences(name, builder):
@@ -118,10 +138,15 @@ def test_each_op_matches_finite_differences(name, builder):
             "row_b": rng.normal(size=(4,)),
             "table": rng.normal(size=(3, 4)),
             "x3": rng.normal(size=(2, 3, 4)),
+            "h3": rng.normal(size=(2, 3, 4)),
             "y3": rng.normal(size=(2, 5, 4)),
             "b1": rng.normal(size=(2,)),
             "w2": rng.normal(size=(2, 4)),
-            "w4": rng.normal(size=(4, 4)),
+            "p4": rng.normal(size=(4, 2)),
+            "v4": rng.normal(size=(4, 2)),
+            "w2b": rng.normal(size=(2, 4)),
+            "q44": rng.normal(size=(4, 4)),
+            "k44": rng.normal(size=(4, 4)),
         }
     )
 
@@ -238,9 +263,10 @@ def candidate_terms(x3, fields=(0,), widths=(3,), positive=0, gate_width=None, w
 @pytest.mark.parametrize(
     "call",
     [
+        # take_position takes one position in range: a sequence or a slice is refused
         lambda x3: ad.take_position(x3, 3),
         lambda x3: ad.take_position(x3, [0, 3]),
-        lambda x3: ad.take_position(x3, [-1]),
+        lambda x3: ad.take_position(x3, -1),
         lambda x3: ad.take_position(x3, [1, 1]),
         lambda x3: ad.take_position(x3, []),
         lambda x3: ad.take_position(x3, slice(2, 4)),
@@ -632,12 +658,6 @@ def test_backward_frees_the_tape_and_keeps_the_root_and_the_leaves():
         ad.backward(loss)
 
 
-def composite_softmax(x, axis, scale):
-    """The chain ad.softmax replaces."""
-    s = ad.smul(x, scale)
-    return ad.exp(ad.sub(s, ad.logsumexp(s, axis=axis, keepdims=True)))
-
-
 def composite_rms_scale(x, gain):
     """The chain ad.rms_scale replaces."""
     return ad.mul(ad.smul(ad.l2_normalize(x), float(np.sqrt(x.data.shape[-1]))), gain)
@@ -678,18 +698,6 @@ values = st.floats(-30, 30, allow_nan=False, allow_subnormal=False)
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=7), data=st.data(),
-       scale=st.sampled_from([1.0, 0.25, 1 / np.sqrt(16), 1 / np.sqrt(3), 2.5]))
-def test_fused_softmax_equals_the_chain_it_replaces_bit_for_bit(shape, data, scale):
-    x = data.draw(hnp.arrays(np.float64, shape, elements=values), label="x")
-    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
-    weight = stream(15, "w", *shape).normal(size=shape)
-    assert_bit_for_bit(*fused_and_composite(
-        lambda x: ad.softmax(x, axis=axis, scale=scale),
-        lambda x: composite_softmax(x, axis, scale), {"x": x}, weight))
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=7), data=st.data(),
        exponent=st.sampled_from([0, 0, 0, 520, 600]))
 def test_fused_rms_scale_equals_the_chain_it_replaces_bit_for_bit(shape, data, exponent):
     """Also where a row's squares overflow (2**520 and up)."""
@@ -706,12 +714,28 @@ def composite_ffn(x, h, w1, b1, w2, b2):
     return ad.add(x, ad.add(ad.matmul(inner, w2), b2))
 
 
-def composite_attention_out(x, mixed, wo):
-    """The chain ad.attention_out replaces: the heads summed first to last, then x added."""
+def attention_chain(x, h, heads, keep=None, spread=None):
+    """The chain ad.attention replaces: encode's per-head loop before the node."""
+    B, P = h.data.shape[:-1] if spread is None else spread.shape
+    lo = P - 2 if keep == P - 1 and P > 1 and not ad.recording() else 0
+    query = h if spread is not None or lo == 0 else \
+        ad.stack([ad.take_position(h, pos) for pos in range(lo, P)], axis=1)
     total = None
-    for m, w in zip(mixed, wo):
-        out = ad.matmul(m, w)
+    for wq, wk, wv, wo in heads:
+        q, k, v = ad.matmul(query, wq), ad.matmul(h, wk), ad.matmul(h, wv)
+        if spread is not None:
+            q, k, v = (ad.gather_rows(q, spread[:, lo:]), ad.gather_rows(k, spread),
+                       ad.gather_rows(v, spread))
+        s = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(wq.data.shape[1]))
+        mixed = ad.matmul(ad.exp(ad.sub(s, ad.logsumexp(s, axis=-1, keepdims=True))), v)
+        if keep is not None:
+            mixed = ad.take_position(mixed, keep - lo)
+        out = ad.matmul(mixed, wo)
         total = out if total is None else ad.add(total, out)
+    if spread is not None:
+        x = ad.gather_rows(x, spread if keep is None else spread[:, keep])
+    elif keep is not None:
+        x = ad.take_position(x, keep)
     return ad.add(x, total)
 
 
@@ -734,23 +758,169 @@ def test_fused_ffn_equals_the_chain_it_replaces_bit_for_bit(lead, dims, data):
     assert_bit_for_bit(*fused_and_composite(ad.ffn, composite_ffn, arrays, weight))
 
 
+def head_weights(store, heads):
+    return [[store[f"{w}{i}"] for w in ("wq", "wk", "wv", "wo")] for i in range(heads)]
+
+
+def assert_attention_is_the_chain(arrays, heads, keep):
+    """attention and attention_chain over the same x, h and head weights,
+    with a tape: the values, the loss and every gradient agree by bytes."""
+    B, P, d = arrays["x"].shape
+    weight = stream(19, "w", B, P, d).normal(size=(B, P, d) if keep is None else (B, d))
+    results = []
+    for op in (ad.attention, attention_chain):
+        def fn(p, op=op):
+            out = op(p["x"], p["h"], head_weights(p, heads), keep=keep)
+            results.append(out.data)
+            return ad.tsum(ad.mul(out, ad.const(weight)))
+
+        results.append(ad.forward_backward(fn, ParamStore({k: v.copy() for k, v in arrays.items()})))
+    node, (node_loss, node_grads), chain, (chain_loss, chain_grads) = results
+    assert node.tobytes() == chain.tobytes()
+    assert np.float64(node_loss).tobytes() == np.float64(chain_loss).tobytes()
+    assert sorted(node_grads) == sorted(chain_grads)
+    for name in chain_grads:
+        assert node_grads[name].tobytes() == chain_grads[name].tobytes(), name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(lead=st.tuples(st.integers(1, 5), st.integers(1, 4)), heads=st.integers(1, 3),
+       dims=st.tuples(st.integers(1, 4), st.integers(1, 6)), data=st.data())
+def test_attention_equals_the_per_head_chain_bit_for_bit(lead, heads, dims, data):
+    """On all four routes: the full block and the kept row with a tape, values
+    and every gradient; then without one, the block's rows gathered from
+    distinct rows (spread) and the last position's two-row query."""
+    (B, P), (dh, d) = lead, dims
+
+    def draw(shape, label):
+        return data.draw(hnp.arrays(np.float64, shape, elements=signed), label=label)
+
+    shapes = {"x": (B, P, d), "h": (B, P, d)}
+    for i in range(heads):
+        shapes.update({f"wq{i}": (d, dh), f"wk{i}": (d, dh), f"wv{i}": (d, dh), f"wo{i}": (dh, d)})
+    arrays = {k: draw(shape, k) for k, shape in shapes.items()}
+    keep = data.draw(st.one_of(st.none(), st.just(P - 1), st.integers(0, P - 1)), label="keep")
+    assert_attention_is_the_chain(arrays, heads, keep)
+
+    U = data.draw(st.integers(1, 6), label="rows")
+    spread = data.draw(hnp.arrays(np.int64, (B, P), elements=st.integers(0, U - 1)), label="spread")
+    distinct = {"x": draw((U, d), "x rows"), "h": draw((U, d), "h rows")}
+    consts = {k: ad.const(v) for k, v in arrays.items()}
+    with ad.no_grad():
+        for rows, index in ((arrays, None), (distinct, spread)):
+            x, h = ad.const(rows["x"]), ad.const(rows["h"])
+            node, chain = (op(x, h, head_weights(consts, heads), keep=keep, spread=index).data
+                           for op in (ad.attention, attention_chain))
+            assert node.tobytes() == chain.tobytes()
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(lead=hnp.array_shapes(min_dims=1, max_dims=2, max_side=6), heads=st.integers(1, 3),
-       dims=st.tuples(st.integers(1, 5), st.integers(1, 6)), data=st.data())
-def test_fused_attention_out_equals_the_chain_it_replaces_bit_for_bit(lead, heads, dims, data):
+@given(lead=st.tuples(st.integers(1, 4), st.integers(1, 4)), d=st.integers(1, 4),
+       dh=st.sampled_from([1, 3, 4, 16]), temper=st.sampled_from([2.0**-40, 1.0, 1.0, 2.0**20]),
+       data=st.data())
+def test_fused_softmax_equals_the_chain_it_replaces_bit_for_bit(lead, d, dh, temper, data):
+    """The node's softmax against smul, logsumexp, sub and exp: at the
+    scales 1/√dh of 1, 1/√3, 1/2 and 1/4, over scores from near zero (all
+    weights near equal) to far beyond exp's range (all weight on the
+    largest), with tied rows and ±0.0 drawn often."""
+    (B, P) = lead
+    rows = st.one_of(signed, st.sampled_from([1.0, -1.0]))  # equal entries tie the scores
+    shapes = {"x": (B, P, d), "h": (B, P, d), "wq0": (d, dh), "wk0": (d, dh), "wv0": (d, dh),
+              "wo0": (dh, d)}
+    arrays = {k: data.draw(hnp.arrays(np.float64, shape, elements=rows), label=k)
+              for k, shape in shapes.items()}
+    arrays["wq0"] *= temper
+    keep = data.draw(st.one_of(st.none(), st.just(P - 1), st.integers(0, P - 1)), label="keep")
+    assert_attention_is_the_chain(arrays, 1, keep)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(P=st.integers(1, 3), heads=st.integers(1, 4), dims=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+       keep=st.sampled_from([None, 0]), data=st.data())
+def test_fused_attention_out_equals_the_chain_it_replaces_bit_for_bit(P, heads, dims, keep, data):
+    """With the heads dealt to a helper at DEAL_ROWS rows, their products
+    and the residual are still added in head order on the calling thread:
+    the node's value and every gradient are the chain's, by bytes, where
+    the products cancel or are ±0.0."""
     dh, d = dims
-    shapes = {"x": lead + (d,)}
-    for h in range(heads):
-        shapes[f"m{h}"], shapes[f"w{h}"] = lead + (dh,), (dh, d)
+    B = parallel.DEAL_ROWS
+    shapes = {"x": (d,), "h": (d,)}
+    for i in range(heads):
+        shapes.update({f"wq{i}": (d, dh), f"wk{i}": (d, dh), f"wv{i}": (d, dh), f"wo{i}": (dh, d)})
     arrays = {k: data.draw(hnp.arrays(np.float64, shape, elements=signed), label=k)
               for k, shape in shapes.items()}
-    weight = stream(19, "w", *lead, d).normal(size=lead + (d,))
+    # head i's product is often 2**60 times larger than the rest, or the
+    # negated product of head i - 1, so a sum in another order loses bits
+    for i in range(heads):
+        if i and data.draw(st.booleans(), label=f"cancel{i}"):
+            arrays.update({f"w{w}{i}": arrays[f"w{w}{i - 1}"].copy() for w in "qkv"})
+            arrays[f"wo{i}"] = -arrays[f"wo{i - 1}"]
+        else:
+            arrays[f"wo{i}"] *= data.draw(st.sampled_from([1.0, 2.0**60]), label=f"scale{i}")
+    # a few distinct rows, drawn once, tiled across the batch's B * P rows
+    U = data.draw(st.integers(1, 5), label="rows")
+    for k in ("x", "h"):
+        distinct = data.draw(hnp.arrays(np.float64, (U, d), elements=signed), label=f"{k} rows")
+        arrays[k] = np.resize(distinct, (B, P, d)) + arrays[k]
+    with mock.patch.object(parallel, "cpu_workers", lambda: 2):
+        assert parallel.threads(range(heads), B) == min(heads, 2)
+        with parallel.helpers():
+            assert_attention_is_the_chain(arrays, heads, keep)
 
-    def split(op):
-        return lambda x, *pairs: op(x, list(pairs[0::2]), list(pairs[1::2]))
 
-    assert_bit_for_bit(*fused_and_composite(split(ad.attention_out),
-                                            split(composite_attention_out), arrays, weight))
+def overflowing_heads(case):
+    """Two heads (d = 2, dh = 1) and normed rows, the second head made to fail."""
+    ones = np.ones((2, 1))
+    heads = [[ones * 0.5, ones * 0.5, ones, ones.T]] * 2
+    h = np.ones((parallel.DEAL_ROWS, 2, 2))
+    if case == "v":  # its v projection overflows
+        heads[1] = [ones, ones, ones * 1e308, ones.T]
+    elif case == "scores":  # one score per row is -inf, which the softmax weighs 0
+        heads[1] = [ones * 1e200, ones * -1e200, ones, ones.T]
+        h[:, 1] = 0.0
+    else:  # the heads' sum overflows
+        heads = [[ones * 0.0, ones * 0.0, ones, ones.T * 0.45e308]] * 2
+    return h, heads
+
+
+@pytest.mark.parametrize("case, op", [("v", "matmul"), ("scores", "matmul"), ("sum", "add")])
+def test_attention_names_the_chain_op_that_fails_on_a_dealt_head(monkeypatch, case, op):
+    """The second head runs on the helper: bare, in a check-once scope and in
+    forward_backward's replay, inside and outside a helper scope, the node
+    raises the chain's NumericError text."""
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
+    h, heads = overflowing_heads(case)
+    assert parallel.threads(heads, len(h)) == 2
+    names = [f"{w}{i}" for i in range(2) for w in ("wq", "wk", "wv", "wo")]
+    store = ParamStore({"x": np.zeros(h.shape), "h": h,
+                        **dict(zip(names, (w for head in heads for w in head)))})
+    message = f"^op '{op}' produced non-finite values$"
+    threads_before = threading.active_count()
+    for scope in (contextlib.nullcontext, parallel.helpers):
+        for call in (ad.attention, attention_chain):
+            with warnings.catch_warnings(), scope():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NumericError, match=message):
+                    call(store["x"], store["h"], head_weights(store, 2))
+                with pytest.raises(NumericError, match=message):
+                    ad.scoped(lambda: ad.tsum(call(store["x"], store["h"],
+                                                   head_weights(store, 2))))()
+                with pytest.raises(NumericError, match=message):
+                    ad.forward_backward(
+                        lambda p: ad.tsum(call(p["x"], p["h"], head_weights(p, 2))), store)
+    assert threading.active_count() == threads_before
+
+
+def test_attention_refuses_spread_rows_on_a_tape():
+    rows = ad.const(np.ones((2, 4)))
+    heads = [[ad.const(np.ones((4, 2)))] * 3 + [ad.const(np.ones((2, 4)))]]
+    with pytest.raises(ShapeError, match="no_grad"):
+        ad.attention(rows, rows, heads, spread=np.zeros((3, 2), dtype=np.int64))
+    with ad.no_grad():
+        assert ad.attention(rows, rows, heads, spread=np.zeros((3, 2), dtype=np.int64)).shape \
+            == (3, 2, 4)
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(rows, rows, heads, spread=np.full((3, 2), 2))
 
 
 @pytest.mark.parametrize("h,w1,b1,op", [
@@ -806,7 +976,7 @@ def test_l2_normalize_of_a_row_scaled_by_a_power_of_two_is_exact(k):
     assert g.tobytes() == (want_g * 2.0**-k).tobytes()
 
 
-@pytest.mark.parametrize("op", ["softmax", "rms_scale", "ffn", "attention_out"])
+@pytest.mark.parametrize("op", ["softmax", "rms_scale", "ffn", "attention_out", "attention"])
 def test_the_gradcheck_suite_fails_when_a_fused_adjoint_is_scaled(op):
     with ad.adjoint_fault(op, 2.0) as fault:
         assert not vf.suite_gradcheck().passed
@@ -815,15 +985,21 @@ def test_the_gradcheck_suite_fails_when_a_fused_adjoint_is_scaled(op):
 
 def test_a_negative_control_that_never_runs_fails_the_gradcheck_suite(monkeypatch):
     assert vf.suite_gradcheck().passed
-    assert vf.CONTROL_OP == ("ffn", "candidate_terms")
+    assert vf.CONTROL_OP == ("ffn", "attention", "candidate_terms")
     control = vf.suite_gradcheck(negative_control=True)  # each op ran, and its fault failed
     assert not control.passed and control.worst < float("inf")
     assert [part.split(":")[0] for part in control.detail.split("; ")] \
-        == ["'ffn' faulted", "'candidate_terms' faulted"]
+        == ["'ffn' faulted", "'attention' faulted", "'candidate_terms' faulted"]
     monkeypatch.setattr(vf, "CONTROL_OP", ("relu", "candidate_terms"))  # no route calls relu
     control = vf.suite_gradcheck(negative_control=True)
     assert not control.passed and control.worst == float("inf")
     assert "the faulted op 'relu' never ran" in control.detail
+    monkeypatch.setattr(vf, "CONTROL_OP", ("attention", "candidate_terms"))
+    monkeypatch.setattr(vf, "ModelConfig", lambda **kw: md.ModelConfig(**{**kw, "blocks": 0}))
+    control = vf.suite_gradcheck(negative_control=True)  # a model without blocks attends nowhere
+    assert not control.passed and control.worst == float("inf")
+    assert control.detail.split("; ")[0] == "the faulted op 'attention' never ran"
+    monkeypatch.setattr(vf, "ModelConfig", md.ModelConfig)
     monkeypatch.setattr(vf, "CONTROL_OP", ("candidate_terms",))
     fault = ad.adjoint_fault
     monkeypatch.setattr(ad, "adjoint_fault", lambda op, scale: fault(op, 1.0))  # faults nothing

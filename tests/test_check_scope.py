@@ -23,11 +23,11 @@ from diffctr.rng import stream
 from diffctr.schedule import build_schedule
 
 # every op a route can call, wrapped by name on the autodiff module, so
-# the composites (softmax, cosine_columns, ...) reach the wrappers too
+# the composites (cosine_columns, log_softmax, ...) reach the wrappers too
 OPS = ["const", "add", "sub", "mul", "smul", "matmul", "transpose", "relu", "exp", "sigmoid",
        "softplus", "tsum", "tsum_rows", "tmean", "gather_rows", "take_position", "stack",
-       "l2_normalize", "logsumexp", "clip_unit", "join_rows", "softmax", "rms_scale",
-       "attention_out", "ffn", "candidate_terms"]
+       "l2_normalize", "logsumexp", "clip_unit", "join_rows", "rms_scale", "attention", "ffn",
+       "candidate_terms"]
 
 DATA, _ = dd.generate_synthetic(dd.random_spec(num_fields=3, vocab=6, clusters=2, samples=64,
                                                 seed=5))
@@ -157,14 +157,16 @@ CALLS = {route: route_calls(route) for route in ROUTES}
 def test_every_route_reaches_the_ops_that_can_hide_a_value():
     for route in ROUTES:
         names = {name for _, name, _ in CALLS[route]}
-        assert {"ffn", "softmax", "rms_scale", "gather_rows"} <= names
-        assert {"attention_out"} <= names and "relu" not in names  # the FFN's relu is in ffn
+        assert {"ffn", "attention", "rms_scale", "gather_rows"} <= names
+        # the FFN's relu is in ffn, and the softmax's exp in attention
+        assert not {"relu", "exp"} & names
     # the pretraining loss is one node, which checks its inputs and its cosines
     pretrain = {name for _, name, _ in CALLS["pretrain"]}
     assert {"candidate_terms", "matmul"} <= pretrain
     assert not {"clip_unit", "logsumexp", "take_position"} & pretrain
     for route in ("sft", "score"):
-        assert {"clip_unit", "take_position"} <= {name for _, name, _ in CALLS[route]}
+        names = {name for _, name, _ in CALLS[route]}
+        assert "clip_unit" in names and "take_position" not in names  # its slices are in attention
     assert {"sigmoid"} <= {name for _, name, _ in CALLS["score"]}
     assert {"softplus", "join_rows"} <= {name for _, name, _ in CALLS["sft"]}
     for route in ("sft", "score"):

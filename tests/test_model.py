@@ -2,6 +2,7 @@ import threading
 import warnings
 import weakref
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ def test_field_logits_softmax_example():
     rows[3] = [0, 0, 0, 1]
     model.params.set_data("embed/target/f0", rows)
     logits = md.field_logits(model, 0, context, np.array([0, 1]))
-    probs = ad.softmax(logits, axis=1).data[0]
+    probs = np.exp(ad.log_softmax(logits, axis=1).data[0])
     np.testing.assert_allclose(probs, [0.98201379, 0.01798621], atol=1e-7)
 
 
@@ -274,6 +275,38 @@ def test_ctr_score_raises_on_overflowing_attention_score():
         md.ctr_score(model, tokens)
 
 
+class WeightProducts(np.ndarray):
+    """A head weight's value that logs the operands' shapes of every product
+    it takes part in, then computes it as a plain array would."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)  # views (w.T) log too
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*(a.view(np.ndarray) if isinstance(a, WeightProducts) else a
+                                       for a in inputs), **kwargs)
+        if ufunc is np.matmul:
+            self.log.append((tuple(a.shape for a in inputs), inputs[0], out))
+        return out
+
+
+@contextmanager
+def weight_products(model):
+    """Every head weight (wq, wk, wv, wo) a WeightProducts view while active;
+    yields their shared log of ((rows' shape, weight's shape), rows, product)."""
+    log, saved = [], {}
+    for name, tensor in model.params.items():
+        if name.rsplit("/", 1)[-1] in ("wq", "wk", "wv", "wo"):
+            saved[name] = tensor.data
+            tensor.data = tensor.data.view(WeightProducts)
+            tensor.data.log = log
+    try:
+        yield log
+    finally:
+        for name, data in saved.items():
+            model.params[name].data = data
+
+
 def test_ctr_score_builds_no_tape(monkeypatch):
     model = make_model(blocks=2)
     tokens = random_tokens(model, stream(23, "t"), n=9, allow_mask=False)
@@ -285,26 +318,28 @@ def test_ctr_score_builds_no_tape(monkeypatch):
         created.append(self)
 
     monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
-    md.ctr_score(model, tokens)
+    with weight_products(model) as products:
+        md.ctr_score(model, tokens)
     assert created and all(t.parents == () and t.vjps == () for t in created)
     # the last block's attention output and FFN see the label row alone
     sublayers = [(9, 4, 8), (9, 4, 8), (9, 8), (9, 8)]
-    assert [t.data.shape for t in created if t.op in ("attention_out", "ffn")] == sublayers
+    assert [t.data.shape for t in created if t.op in ("attention", "ffn")] == sublayers
     # block 0 projects each distinct (field, token) pair once, the label masked in every row;
     # the last block queries positions 2 and 3 only
     pairs = len({(k, t) for row in tokens[:, :-1] for k, t in enumerate(row)}) + 1
-    first = [(pairs, 4)] * 3 + [(9, 4, 4), (9, 4, 4)]
-    last = [(9, 2, 4), (9, 4, 4), (9, 4, 4), (9, 2, 4), (9, 2, 4)]
-    matmuls = [t.data.shape for t in created if t.op == "matmul"]
+    first = [((pairs, 8), (8, 4))] * 3 + [((36, 4), (4, 8))]
+    last = [((18, 8), (8, 4)), ((36, 8), (8, 4)), ((36, 8), (8, 4)), ((9, 4), (4, 8))]
     assert pairs < 9 * 4
-    assert matmuls == first * 2 + last * 2 + [(9, 8), (9, 2)]
+    assert [shapes for shapes, _, _ in products] == first * 2 + last * 2
+    assert [t.data.shape for t in created if t.op == "matmul"] == [(9, 8), (9, 2)]
     created.clear()
-    ls.sft_loss(model, tokens)  # training records its tape on the same label-row route
+    with weight_products(model) as products:
+        ls.sft_loss(model, tokens)  # training records its tape on the same label-row route
     assert any(t.parents for t in created)
-    assert [t.data.shape for t in created if t.op in ("attention_out", "ffn")] == sublayers
-    matmuls = [t.data.shape for t in created if t.op == "matmul"]
-    assert matmuls[:3] == matmuls[5:8] == [(9, 4, 4)] * 3  # block 0 keeps all B * P rows
-    assert matmuls[10] == matmuls[15] == (9, 4, 4)  # and the last block every query row
+    assert [t.data.shape for t in created if t.op in ("attention", "ffn")] == sublayers
+    shapes = [shapes for shapes, _, _ in products]
+    assert shapes[:3] == shapes[4:7] == [((36, 8), (8, 4))] * 3  # block 0 keeps all B * P rows
+    assert shapes[8] == shapes[12] == ((36, 8), (8, 4))  # and the last block every query row
 
 
 @pytest.fixture(scope="module")
@@ -570,7 +605,7 @@ def test_a_pretraining_step_frees_its_tape_and_keeps_the_loss_and_the_parameters
     loss, counts = taped
     nodes = reached(loss)
     assert Counter(n.op for n in nodes) == counts
-    assert counts["rms_scale"] == 5 and counts["softmax"] == 4
+    assert counts["rms_scale"] == 5 and counts["attention"] == 2 and counts["ffn"] == 2
     assert loss.data.shape == () and loss.vjps == ()
     interior = [n for n in nodes[1:] if n.parents]
     assert interior and all(n.vjps == () and n.grad is None for n in interior)
@@ -584,18 +619,11 @@ def test_a_value_lives_while_an_adjoint_reads_it(monkeypatch):
     rms_scale adjoint), live until backward has run them."""
     model = make_model(blocks=2)
     tokens = random_tokens(model, stream(29, "t"), n=12, allow_mask=False)
-    wq = model.params["net/b0/h0/wq"]
     values = {}
-    matmul, stack, ffn = ad.matmul, ad.stack, ad.ffn
+    stack, ffn = ad.stack, ad.ffn
 
     def memory(a: np.ndarray) -> np.ndarray:
         return a if a.base is None else a.base
-
-    def watched_matmul(a, b):
-        out = matmul(a, b)
-        if b is wq:
-            values["q"], values["h"] = weakref.ref(memory(out.data)), weakref.ref(memory(a.data))
-        return out
 
     def watched(name, op):
         def run(*args, **kwargs):
@@ -605,10 +633,13 @@ def test_a_value_lives_while_an_adjoint_reads_it(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(ad, "matmul", watched_matmul)
     monkeypatch.setattr(ad, "stack", watched("stack", stack))
     monkeypatch.setattr(ad, "ffn", watched("ffn", ffn))
-    loss = ls.sft_loss(model, tokens)
+    with weight_products(model) as products:
+        loss = ls.sft_loss(model, tokens)
+    _, rows, q = products[0]  # block 0's first head's q projection
+    values["q"], values["h"] = weakref.ref(memory(q)), weakref.ref(memory(rows))
+    del products, rows, q
     assert sorted(values) == ["ffn", "h", "q", "stack"]
     assert values["stack"]() is None
     assert all(values[name]() is not None for name in ("q", "h", "ffn"))

@@ -1,0 +1,220 @@
+"""The helper scope and the dealing rule: threads started once per pretrain or
+finetune call, nested deals kept serial, every helper joined on every exit."""
+
+import hashlib
+import sys
+import threading
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import diffctr.autodiff as ad
+import diffctr.train as tr
+from diffctr import data as dd
+from diffctr import losses as ls
+from diffctr import model as md
+from diffctr import parallel
+from diffctr.errors import NumericError
+from diffctr.optim import ParamStore, adam_step
+from diffctr.schedule import build_schedule
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started while the test runs, on two CPUs."""
+    threads = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
+    monkeypatch.setattr(parallel.threading, "Thread", CountingThread)
+    return threads
+
+
+def thread_of(log):
+    def work(item, worker):
+        log.append((item, worker, threading.get_ident()))
+
+    return work
+
+
+def test_a_deal_inside_a_dealt_item_runs_on_that_thread(started):
+    seen = []
+
+    def outer(item, worker):
+        assert parallel.threads(range(4)) == 1
+        parallel.deal([f"{item}.{k}" for k in range(3)], thread_of(seen))
+        seen.append((item, worker, threading.get_ident()))
+
+    parallel.deal(["a", "b"], outer)
+    thread = {item: ident for item, _, ident in seen}
+    assert len(started) == 1 and thread["a"] != thread["b"]
+    assert all(thread[item] == thread[item.split(".")[0]] for item in thread)
+    assert {(item, worker) for item, worker, _ in seen if "." in item} \
+        == {(f"{i}.{k}", 0) for i in "ab" for k in range(3)}
+
+
+def test_below_deal_rows_the_items_run_on_the_calling_thread(started):
+    seen = []
+    parallel.deal(range(4), thread_of(seen), rows=parallel.DEAL_ROWS - 1)
+    assert not started and {ident for *_, ident in seen} == {threading.get_ident()}
+    parallel.deal(range(4), thread_of(seen), rows=parallel.DEAL_ROWS)
+    assert len(started) == 1 and len({ident for *_, ident in seen}) == 2
+
+
+def test_a_scope_starts_its_helpers_once_and_joins_them_on_exit(started):
+    threads_before = threading.active_count()
+    for _ in range(3):
+        parallel.deal(range(2), thread_of([]))
+    assert len(started) == 3  # outside a scope, one per call
+    started.clear()
+    seen = []
+    with parallel.helpers():
+        with parallel.helpers():  # a scope inside a scope uses the outer one's helpers
+            for _ in range(5):
+                parallel.deal(range(3), thread_of(seen))
+        assert threading.active_count() == threads_before + 1
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == threads_before
+    assert sorted((item, worker) for item, worker, _ in seen) == sorted([(0, 0), (1, 1), (2, 0)] * 5)
+    assert len({ident for *_, ident in seen}) == 2
+
+
+def test_a_failing_item_in_a_scope_raises_on_the_caller_and_the_helpers_are_joined(started):
+    threads_before = threading.active_count()
+
+    def work(item, _worker):
+        if item >= 1:
+            raise ValueError(f"item {item}")
+
+    with pytest.raises(ValueError, match="item 1"):
+        with parallel.helpers():
+            parallel.deal(range(4), thread_of([]))
+            parallel.deal(range(4), work)  # items 1 and 3 raise on the helper
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == threads_before
+
+
+def test_heads_and_fields_on_more_threads_than_cpus_keep_their_bits(monkeypatch):
+    """Four heads and three loss fields on four threads switching every
+    microsecond write their results, kept arrays and gradients into shared
+    lists and dicts: every run gives the serial run's bytes."""
+    rng = np.random.default_rng(3)
+    B, P, d, dh = parallel.DEAL_ROWS, 3, 8, 2
+    arrays = {"x": rng.normal(size=(B, P, d)), "h": rng.normal(size=(B, P, d)),
+              "t0": rng.normal(size=(5, d)), "t1": rng.normal(size=(7, d)),
+              "t2": rng.normal(size=(2, d))}
+    for i in range(4):
+        arrays.update({f"w{i}{w}": rng.normal(size=(d, dh) if w != "o" else (dh, d))
+                       for w in "qkvo"})
+    positives = [rng.integers(n, size=B) for n in (5, 7, 2)]
+    candidates = [np.ones((B, n), dtype=bool) for n in (5, 7, 2)]
+    weights = rng.uniform(0.5, 2.0, size=(3, B))
+
+    def loss(p):
+        heads = [[p[f"w{i}{w}"] for w in "qkvo"] for i in range(4)]
+        x = ad.attention(p["x"], p["h"], heads)
+        terms = ad.candidate_terms(x, [0, 1, 2], [p["t0"], p["t1"], p["t2"]], positives,
+                                   candidates, weights, 5.0)
+        return ad.tsum_rows(terms)
+
+    def run():
+        store = ParamStore({k: v.copy() for k, v in arrays.items()})
+        value, grads = ad.forward_backward(loss, store)
+        return np.float64(value).tobytes() + b"".join(grads[k].tobytes() for k in sorted(grads))
+
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 1)
+    want = run()
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 4)
+    threads_before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with parallel.helpers():
+            assert {run() for _ in range(10)} == {want}
+        assert {run() for _ in range(3)} == {want}
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads_before
+
+
+def wide_pretraining(samples=256 * 30, seed=7):
+    spec = dd.random_spec(num_fields=8, vocab=50, samples=samples, seed=seed)
+    ds, _ = dd.generate_synthetic(spec)
+    model = md.Model.init(md.ModelConfig(), ds.schema, seed)
+    cfg = tr.RunConfig(seed=seed, pretrain_epochs=1, pretrain_batch=256)
+    return model, ds, build_schedule(ds.num_fields, lo=0.0, hi=0.9), cfg
+
+
+def test_a_pretraining_of_dealt_steps_starts_its_helpers_once(monkeypatch, started):
+    model, ds, schedule, cfg = wide_pretraining(samples=256 * 4)
+    workers = []
+    deal = ad.deal
+
+    def counted(items, work, rows=None):
+        workers.append(parallel.threads(items, rows))
+        deal(items, work, rows)
+
+    monkeypatch.setattr(ad, "deal", counted)
+    threads_before = threading.active_count()
+    _, report = tr.pretrain(model, ds, schedule, cfg)
+    assert len(report.epochs) == 1
+    assert len(started) == parallel.cpu_workers() - 1 == 1
+    # per step: each block's attention, forward and adjoint, and the loss's fields
+    assert workers == [2] * (4 * 6)
+    assert threading.active_count() == threads_before
+
+
+def test_thirty_dealt_pretraining_steps_are_bit_identical_on_one_and_two_cpus(monkeypatch):
+    digests = set()
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: cpus)
+        model, ds, schedule, cfg = wide_pretraining()
+        out, report = tr.pretrain(model, ds, schedule, cfg)
+        digest = hashlib.sha256(np.float64(report.epochs[0].train_loss).tobytes())
+        for name in out.params.names():
+            digest.update(out.params.get_data(name).tobytes())
+        digests.add(digest.hexdigest())
+    assert len(digests) == 1
+
+
+def test_no_thread_outlives_a_training_scoring_or_optimizer_call(monkeypatch, started):
+    """With heads dealt at every batch size and parts of 16 rows: a
+    pretraining that diverges, a fine-tuning that stops early, a scoring
+    call and an Adam step."""
+    monkeypatch.setattr(parallel, "DEAL_ROWS", 2)
+    monkeypatch.setattr(parallel, "PART_ROWS", 16)
+    model, ds, schedule, cfg = wide_pretraining(samples=200)
+    threads_before = threading.active_count()
+    calls = 0
+    loss = ls.pretrain_loss
+
+    def diverging(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 2:
+            raise NumericError("op 'matmul' produced non-finite values")
+        return loss(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "pretrain_loss", diverging)
+    _, report = tr.pretrain(model, ds, schedule, replace(cfg, pretrain_batch=64))
+    assert report.diverged and len(started) == 1
+    assert threading.active_count() == threads_before
+    started.clear()
+    train, validation = dd.subset(ds, np.arange(120), "train"), dd.subset(ds, np.arange(120, 200), "v")
+    # steps too small to move the validation AUC: the first epoch without a gain stops the run
+    _, report = tr.finetune(model, train, validation, None,
+                            replace(cfg, finetune_epochs=5, finetune_batch=40, patience=1,
+                                    finetune_lr=1e-300))
+    assert len(report.epochs) == 1 and len(started) == 1
+    assert threading.active_count() == threads_before
+    started.clear()
+    md.ctr_score(model, ds.token_matrix())
+    _, grads = ad.forward_backward(lambda p: ls.pretrain_loss(model, ds.token_matrix()[:64], schedule,
+                                                              np.random.default_rng(0)),
+                                   model.params)
+    adam_step(model.params, grads)
+    assert threading.active_count() == threads_before
