@@ -25,24 +25,25 @@ its own tape and thread; each part sums its own gradients toward the
 nodes outside it, and the parts' sums are added in part order.
 
 A NaN/Inf raises NumericError naming the op that produced it, instead
-of letting it surface three modules later. Outside any scope every node
-checks its value when it is created; so do leaves and consts always.
-Inside a check-once scope (scoped: forward_backward's graph_fn,
-ctr_score's call, each part of label_logit_diff) an op's node skips
-that check, and two kinds of check stay: the scope checks the tensor it
-returns, and an op whose output can be finite where its input is not
-(relu, exp, logsumexp, rms_scale, clip_unit, sigmoid, softplus,
-take_position, gather_rows, attention, candidate_terms) checks that
-input unless it was checked already; ffn, whose relu maps a -inf
-pre-activation to 0, checks its pre-activations, attention, whose
-softmax weighs a -inf score 0, its scores, and candidate_terms, whose
-clip maps an inf to 1, its cosines. Outside a scope attention, ffn and
-candidate_terms check each value of their chains that can fail in the
-chains' order and name the chain's op. Every non-finite value then
-reaches one of them. On a failure the outermost
-scope runs the same call again with every node checked, on every thread
-the call deals to, and that replay raises the first op's NumericError,
-as a call outside any scope would. Values do not depend on the checks.
+of letting it surface three modules later; a fused node is the op of
+every value inside it. Outside any scope every node checks its value
+when it is created; so do leaves and consts always. Inside a check-once
+scope (scoped: forward_backward's graph_fn, ctr_score's call, each part
+of label_logit_diff) an op's node skips that check, and two kinds of
+check stay: the scope checks the tensor it returns, and an op whose
+output can be finite where its input is not (relu, exp, logsumexp,
+rms_scale, clip_unit, sigmoid, softplus, take_position, gather_rows,
+attention, candidate_terms) checks that input unless it was checked
+already. A fused node also checks, in every mode, each value inside it
+that its next step could hide: ffn its pre-activations (its relu maps
+-inf to 0), attention its scores (its softmax weighs a -inf score 0),
+the projections a spread gathers from and the mixed rows a kept row
+drops, and candidate_terms its cosines (its clip maps an inf to 1).
+Every other value inside a fused node reaches the node's output. On a
+failure the outermost scope runs the same call again with every node
+checked, on every thread the call deals to, and that replay raises the
+first op's NumericError, as a call outside any scope would. Values do
+not depend on the checks.
 
 Numpy reports no overflow as a RuntimeWarning first: a scope sets its
 error state once, and an arithmetic op called outside any scope sets it
@@ -210,31 +211,31 @@ def const(data) -> Tensor:
     return Tensor(data, op="const", tracked=False)
 
 
+def _stage(op: str, value: np.ndarray) -> None:
+    """Check a value whose next step in op could hide a non-finite entry,
+    in every mode; inside a check-once scope a failure is left to the
+    scope's replay to name."""
+    if not np.all(np.isfinite(value)):
+        error = _Deferred if _checks.get() is _ONCE else NumericError
+        raise error(f"op '{op}' produced non-finite values")
+
+
 def _finite(x: Tensor) -> None:
     """Check x if its node deferred its check: an op whose output can be
     finite where its input is not calls this on that input."""
     if not x.checked:
-        if not np.all(np.isfinite(x.data)):
-            raise _Deferred(f"op '{x.op}' produced non-finite values")
+        _stage(x.op, x.data)
         x.checked = True
 
 
-def _stage(op: str, value: np.ndarray, hides: bool = False) -> None:
-    """A fused node's check of one value of the chain it stands for, named
-    after the chain op that computed it. Outside a check-once scope each
-    value is checked, in the chain's order, as the chain's own nodes would
-    be; inside one only a value whose next step can hide a non-finite
-    entry (hides) is."""
-    mode = _checks.get()
-    if (hides or mode is not _ONCE) and not np.all(np.isfinite(value)):
-        error = _Deferred if mode is _ONCE else NumericError
-        raise error(f"op '{op}' produced non-finite values")
-
-
-def _chain_fault(op: str) -> float | None:
-    """The scale an active adjoint_fault on op sets, for a fused node to apply
-    to the adjoints of op inside the chain it stands for; marks the fault run."""
-    fault = _adjoint_faults.get(op)
+def _chain_fault() -> float | None:
+    """The scale an active adjoint_fault on matmul sets, which attention
+    applies to its GEMMs' adjoints as the per-head chain of matmul nodes
+    took it; marks the fault run. It stays for perfbench's negative
+    control, which faults matmul: pretraining's only taped matmul is the
+    output projection, and a uniform scale there alone Adam all but
+    cancels."""
+    fault = _adjoint_faults.get("matmul")
     if fault is None:
         return None
     fault.ran = True
@@ -699,14 +700,11 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
     thread in head order. h's gradient sums each head's q, k and v
     adjoints, heads first to last, as the chain's walk does, and each
     head frees what it kept once its adjoint has run. An adjoint_fault on
-    matmul scales the node's GEMM adjoints where it scales the chain's;
-    one on softmax scales the scores' adjoint, and one on attention_out
-    the adjoints toward x, each head's mixed rows and wo_i, so a negative
-    control can fault either part of the node alone.
-    Outside a check-once scope the values the chain checks are checked in
-    its order (gathers, slices and the softmax of finite values are
-    finite), the earliest head's error raised; inside one the values a
-    gather, the softmax or the kept row's slice could hide are.
+    matmul scales the node's GEMM adjoints where it scales the chain's.
+    Besides its inputs and its output, the node checks each head's
+    scores, which the softmax weighs 0 at -inf, the projections a spread
+    gathers from and, with keep, the mixed rows the kept row's slice
+    drops; every failure names attention.
     """
     xd, hd = x.data, h.data
     d = hd.shape[-1]
@@ -738,20 +736,16 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
 
     def forward(i: int, _worker: int) -> None:
         wq, wk, wv, wo = weights[i]
-        gathered = spread is not None  # gather_rows checks its table
-        q = query @ wq
-        _stage("matmul", q, hides=gathered)
-        k = flat @ wk
-        _stage("matmul", k, hides=gathered)
-        v = flat @ wv
-        _stage("matmul", v, hides=gathered)
-        if gathered:
+        q, k, v = query @ wq, flat @ wk, flat @ wv
+        if spread is not None:  # the gathers drop the rows spread does not name
+            for projected in (q, k, v):
+                _stage("attention", projected)
             q, k, v = (np.take(q, spread[:, lo:], axis=0), np.take(k, spread, axis=0),
                        np.take(v, spread, axis=0))
         else:
             q, k, v = q.reshape(B, P - lo, dh), k.reshape(B, P, dh), v.reshape(B, P, dh)
         s = q @ np.swapaxes(k, -1, -2)
-        _stage("matmul", s, hides=True)  # the softmax maps -inf to a weight of 0
+        _stage("attention", s)  # the softmax weighs a -inf score 0
         s *= scale
         m = np.max(s, axis=-1, keepdims=True)
         soft = np.subtract(s, m)
@@ -760,28 +754,25 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
         np.subtract(s, m + np.log(total), out=soft)  # exp(s - m) and the weights share one buffer
         np.exp(soft, out=soft)
         mixed = soft @ v
-        _stage("matmul", mixed, hides=keep is not None)  # the kept row's slice drops the rest
-        rows = mixed.reshape(-1, dh) if keep is None else mixed[:, keep - lo, :].copy()
+        if keep is None:
+            rows = mixed.reshape(-1, dh)
+        else:
+            _stage("attention", mixed)  # the kept row's slice drops the rest
+            rows = mixed[:, keep - lo, :].copy()
         products[i] = rows @ wo
         if taped:
             kept[i] = (q, k, s, m, total, soft, v, rows)
 
     deal(range(len(weights)), forward, B)
-    out = None
-    for product in products:
-        _stage("matmul", product)
-        if out is None:
-            out = product
-        else:
-            out += product
-            _stage("add", out)
+    out = products[0]
+    for product in products[1:]:
+        out += product
     del products
     if spread is not None:
         residual = np.take(xd, spread if keep is None else spread[:, keep], axis=0)
     else:
         residual = xd if keep is None else xd[:, keep, :]
     np.add(residual.reshape(out.shape), out, out=out)
-    _stage("add", out)
 
     grads: dict[int, np.ndarray] = {}  # the adjoints toward h and the weights, made once
 
@@ -792,15 +783,11 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
         q, k, s, m, total, soft, v, rows = kept[i]
         kept[i] = None
         wq, wk, wv, wo = weights[i]
-        c = _chain_fault("matmul")  # scales each of the chain's matmul adjoints when set
-        out_fault, soft_fault = _chain_fault("attention_out"), _chain_fault("softmax")
+        c = _chain_fault()  # scales each of the chain's matmul adjoints when set
         gflat = g.reshape(-1, d)
         grads[5 + 4 * i] = rows.T @ gflat
         del rows
         gmixed = gflat @ wo.T
-        if out_fault is not None:
-            grads[5 + 4 * i] *= out_fault
-            gmixed *= out_fault
         if keep is None:
             gmixed = gmixed.reshape(B, P, dh)
         else:
@@ -822,8 +809,6 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
         recomputed *= glse
         gs += recomputed
         gs *= scale
-        if soft_fault is not None:
-            gs *= soft_fault
         del recomputed, total, glse
         gq = (gs @ k).reshape(-1, dh)
         gk = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2).reshape(-1, dh)
@@ -860,9 +845,6 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
         return grads.pop(j)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        out_fault = _chain_fault("attention_out")
-        if out_fault is not None:
-            g = g * out_fault
         if keep is None:
             return g
         acc = np.zeros(xd.shape)
@@ -883,7 +865,9 @@ def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) ->
     GEMMs; the bias, the relu and the residual go in place into the
     buffer each GEMM made. The adjoints run the chain's GEMMs and _sum_to
     calls on its shapes, with the relu mask applied in place; h's, w1's
-    and b1's share the hidden gradient, computed once.
+    and b1's share the hidden gradient, computed once. Besides its output
+    the node checks its pre-activations, which the relu maps to 0 at
+    -inf; every failure names ffn.
     """
     xd, hd, w1d, b1d, w2d, b2d = x.data, h.data, w1.data, b1.data, w2.data, b2.data
     if (w1d.ndim != 2 or w2d.ndim != 2 or hd.shape[-1:] != w1d.shape[:1]
@@ -893,17 +877,13 @@ def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) ->
                          f"@ {w2d.shape} + {b2d.shape}")
     flat = hd.reshape(-1, hd.shape[-1])
     inner = flat @ w1d
-    _stage("matmul", inner)
     inner += b1d
-    _stage("add", inner, hides=True)  # relu maps -inf to 0
+    _stage("ffn", inner)  # relu maps -inf to 0
     np.maximum(inner, 0.0, out=inner)
     inner += 0.0  # as relu: every zero +0.0
     out = inner @ w2d
-    _stage("matmul", out)
     out += b2d
-    _stage("add", out)
     np.add(xd.reshape(out.shape), out, out=out)
-    _stage("add", out)
 
     vjp_h, vjp_w1 = _gemm_vjps(hd.shape, flat, w1d)
     vjp_inner, vjp_w2 = _gemm_vjps(hd.shape[:-1] + b1d.shape, inner, w2d)
@@ -951,13 +931,11 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     U_i: the clip, the scale, the gate and the softmax work in place, in
     the buffer the cosine GEMM made, the positive's logit is read by
     index, and the adjoint turns the kept softmax weights into the
-    logits' gradient in place. Outside a check-once scope the values the
-    chain checks are checked in its order (a clip, a gate or a softmax
-    of finite values is finite, so only the cosines, the logits, the
-    difference and the product can fail); inside one the inputs and the
-    cosines, which the clip could hide, are. At DEAL_ROWS rows or more the
-    fields run side by side on parallel.deal's threads, forward and
-    adjoint, and the earliest field's error is raised.
+    logits' gradient in place. At DEAL_ROWS rows or more the fields run
+    side by side on parallel.deal's threads, forward and adjoint.
+    Besides its inputs and its output, the node checks each field's
+    cosines, which the clip maps to 1 at inf; every failure names
+    candidate_terms.
     """
     xd, scale = x.data, float(scale)
     weights = np.asarray(weights, dtype=np.float64)
@@ -991,10 +969,9 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
         (c, _), (t, _) = ctx[i], targets[i] = _unit(xd[:, fields[i], :]), _unit(rows[i].data)
         pos, cand = positives[i], candidates[i]
         z = c @ t.T
-        _stage("matmul", z, hides=True)  # the clip maps an inf to 1
+        _stage("candidate_terms", z)  # the clip maps an inf to 1
         np.clip(z, -1.0, 1.0, out=z)
         z *= scale
-        _stage("smul", z)
         positive[i] = z[every, pos]
         z += ~cand * LOG_ZERO  # the gate; a candidate's -0.0 changes no value downstream
         m = z.max(axis=1, keepdims=True)
@@ -1013,9 +990,7 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     deal(range(K), forward, B)
     out = np.stack(denom)
     out -= np.stack(positive)
-    _stage("sub", out)
     out *= weights
-    _stage("mul", out)
 
     grads: list = []  # the adjoints toward x and each field's rows, made once
 

@@ -212,6 +212,8 @@ def cmd_finetune(args) -> int:
     run_cfg = replace(env.run_cfg, transfer=args.transfer) if args.transfer else env.run_cfg
     if run_cfg.transfer != "none" and not args.init:
         raise UsageError(f"--transfer {run_cfg.transfer} requires --init CHECKPOINT")
+    if run_cfg.transfer == "none" and args.init:
+        raise UsageError("--transfer none trains from scratch and takes no --init")
     if run_cfg.transfer == "none":
         model = Model.init(env.model_cfg, env.train.schema, run_cfg.seed)
     else:

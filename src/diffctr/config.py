@@ -87,6 +87,10 @@ class Config:
 
 
 def _coerce(section: str, key: str, value, want: type):
+    if want is str and isinstance(value, str) and (value != value.strip() or "\n" in value):
+        # a config file strips a value and ends it at a line break
+        raise ConfigError(f"[{section}] {key}: {value!r} begins or ends with whitespace or "
+                          "holds a line break")
     if isinstance(value, want) and not (want is int and isinstance(value, bool)):
         return value
     if not isinstance(value, str):

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corruption import LABEL_MODES, CorruptedBatch, corrupt_batch, loss_positions
 from .errors import DataError, ShapeError
-from .model import Model, check_batch_shape, field_logits, encode, label_logit_diff
+from .model import Model, check_batch_shape, encode, label_logit_diff
 from .schedule import NoiseSchedule
 
 
@@ -184,16 +184,16 @@ def per_instance_sft_losses(model: Model, tokens: np.ndarray) -> np.ndarray:
 def verify_label_equivalence(model: Model, tokens: np.ndarray) -> float:
     """Max |label-only-masked pretraining term - fine-tune logloss term|.
 
-    The pretraining side runs the two-way softmax route, the fine-tune
-    side the sigmoid route; the two are algebraically identical.
+    The pretraining side runs the training route, masked_field_losses
+    (its label term is candidate_terms' two-way softmax), on the batch
+    with only the label masked and uniform term weights (no_diff); the
+    fine-tune side runs the sigmoid route. The two are algebraically
+    identical.
     """
     lbl = model.label_position
-    masked = tokens.copy()
-    masked[:, lbl] = model.mask_ids[lbl]
-    ctx = ad.take_position(encode(model, masked), lbl)
-    logits = field_logits(model, lbl, ctx, np.array([0, 1]))
-    log_probs = ad.log_softmax(logits, axis=1).data
-    labels = tokens[:, lbl]
-    softmax_route = -log_probs[np.arange(len(tokens)), labels]
-    sigmoid_route = per_instance_sft_losses(model, tokens)
-    return float(np.max(np.abs(softmax_route - sigmoid_route)))
+    masked = np.zeros(tokens.shape, dtype=bool)
+    masked[:, lbl] = True
+    corrupted = CorruptedBatch(tokens=np.where(masked, model.mask_ids, tokens), masked=masked,
+                               mask_probs=np.ones(tokens.shape), clean_tokens=tokens)
+    _, terms = masked_field_losses(model, corrupted, PretrainLossConfig(no_diff=True))
+    return float(np.max(np.abs(terms[:, lbl] - per_instance_sft_losses(model, tokens))))

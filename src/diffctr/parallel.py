@@ -4,21 +4,21 @@ numpy releases the interpreter lock inside its loops and BLAS runs one
 thread per call, so items dealt to threads run side by side, each doing
 the arithmetic it would do alone.
 
-deal starts its helper threads per call and joins them before it
-returns. Inside helpers() (a pretrain or finetune call) it hands its
-items to the scope's cpu_workers() - 1 helper threads instead, started
-once: a no-op item costs about 125-145 us on a thread started and
-joined for it, 45-65 us on a live helper (medians, 2-vCPU host). A deal called while an item of another deal runs,
-on the calling thread or on a helper, runs its items on that thread, so
-work dealt inside a dealt part (a fine-tune or scoring part's heads)
-stays serial.
+deal hands its items to the cpu_workers() - 1 helper threads of a
+helper scope (helpers()), started once for the scope: a pretrain,
+finetune or evaluate call is one, and a deal called outside every scope
+opens one for its own call. A deal of two no-op items takes about 50-65
+us with a live helper and 220-230 us with one started and joined for
+the call (medians of 2000 calls, 2-vCPU host). A deal called while an
+item of another deal runs, on the calling thread or on a helper, runs
+its items on that thread, so work dealt inside a dealt part (a fine-tune
+or scoring part's heads) stays serial.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -106,6 +106,9 @@ def deal(items: Sequence, work: Callable, rows: int | None = None) -> None:
     caller does.
     """
     workers = threads(items, rows)
+    if workers > 1 and _pool.get() is None:
+        with helpers():  # a scope for this call alone
+            return deal(items, work, rows)
     errors: dict[int, BaseException] = {}
 
     def run(first: int) -> None:
@@ -119,21 +122,12 @@ def deal(items: Sequence, work: Callable, rows: int | None = None) -> None:
     token = _dealing.set(True)
     pool, started = _pool.get(), []
     try:
-        for w in range(1, workers):
-            context = contextvars.copy_context()
-            if pool is None:
-                helper = threading.Thread(target=context.run, args=(run, w))
-                helper.start()
-            else:  # run stores its own exceptions, so the future holds none
-                helper = pool.submit(context.run, run, w)
-            started.append(helper)
+        for w in range(1, workers):  # run stores its own exceptions, so the futures hold none
+            started.append(pool.submit(contextvars.copy_context().run, run, w))
         run(0)
     finally:
         _dealing.reset(token)
         for helper in started:
-            if pool is None:
-                helper.join()
-            else:
-                helper.result()
+            helper.result()
     if errors:
         raise errors[min(errors)]

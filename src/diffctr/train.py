@@ -56,8 +56,10 @@ class RunConfig:
             raise DataError("pretrain_batch must be >= 2: in-batch negatives need two rows")
         if self.patience < 1:
             raise DataError("patience must be >= 1")
-        if not all(v > 0 for v in (self.pretrain_lr, self.finetune_lr, self.adam_eps)):
-            raise DataError("pretrain_lr, finetune_lr and adam_eps must be > 0")
+        for name in ("pretrain_lr", "finetune_lr", "adam_eps"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise DataError(f"{name} must be finite and > 0, got {value}")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise DataError("adam_beta1 and adam_beta2 must lie in [0, 1)")
 
@@ -83,8 +85,10 @@ def _build_fingerprint() -> dict:  # perfbench records it with its machine finge
             "score_workers": cpu_workers()}
 
 
+@helpers()
 def evaluate(model: Model, dataset: Dataset, split: str) -> MetricReport:
-    """Chunked CTR scoring of a whole split."""
+    """Chunked CTR scoring of a whole split. The call is one helper scope
+    (parallel.helpers), so every chunk's parts share its live helpers."""
     tokens = dataset.token_matrix()
     scores = np.empty(len(tokens))
     for start in range(0, len(tokens), EVAL_CHUNK):

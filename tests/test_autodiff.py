@@ -235,18 +235,61 @@ def test_candidate_terms_match_the_chain_bit_for_bit(B, P, d, widths):
 @pytest.mark.parametrize("op, scale, weight", [("smul", np.inf, 1.0), ("sub", 1e308, 1.0),
                                                ("mul", 1e300, 1e300)])
 def test_candidate_terms_name_the_chain_op_that_overflows(op, scale, weight):
-    """Outside a scope and in forward_backward's replay, as the chain would: each
-    row's positive points away from its context and another candidate along it."""
+    """Outside a scope and in forward_backward's replay the chain names the
+    op that overflows, and the node, whose every value inside reaches its
+    output, names itself: each row's positive points away from its
+    context and another candidate along it."""
     store = ParamStore({"x": np.array([[[1.0, 0.0]], [[0.0, 1.0]]]),
                         "r": np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])})
     args = ([0], [store["r"]], [np.array([1, 3])], [np.ones((2, 4), bool)], np.full((1, 2), weight),
             scale)
-    message = f"^op '{op}' produced non-finite values$"
-    for call in (ad.candidate_terms, candidate_chain):
+    for call, name in ((ad.candidate_terms, "candidate_terms"), (candidate_chain, op)):
+        message = f"^op '{name}' produced non-finite values$"
         with pytest.raises(NumericError, match=message):
             call(store["x"], *args)
         with pytest.raises(NumericError, match=message):
             ad.forward_backward(lambda p: ad.tsum_rows(call(p["x"], *args)), store)
+
+
+def test_candidate_terms_check_the_cosines_the_clip_bounds_on_a_dealt_field(monkeypatch):
+    """An inf planted in the second field's unit target rows, the field the
+    helper runs, makes cosines of inf that the clip maps to 1: bare, in a
+    check-once scope and in forward_backward's replay, the node raises its
+    own NumericError, and without its checks its terms are finite."""
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
+    B = parallel.DEAL_ROWS
+    assert parallel.threads(range(2), B) == 2
+    unit = ad._unit
+
+    def planted(x):
+        y, norm = unit(x)
+        if x.shape == (3, 2):  # the second field's target rows
+            y = y.copy()
+            y[0, 0] = np.inf
+        return y, norm
+
+    monkeypatch.setattr(ad, "_unit", planted)
+    store = ParamStore({"x": np.ones((B, 2, 2)), "r0": np.ones((2, 2)), "r1": np.ones((3, 2))})
+
+    def terms(p):
+        return ad.candidate_terms(p["x"], [0, 1], [p["r0"], p["r1"]], [np.zeros(B, int)] * 2,
+                                  [np.ones((B, 2), bool), np.ones((B, 3), bool)], np.ones((2, B)),
+                                  1.0)
+
+    message = "^op 'candidate_terms' produced non-finite values$"
+    threads_before = threading.active_count()
+    for scope in (contextlib.nullcontext, parallel.helpers):
+        with warnings.catch_warnings(), scope():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match=message):
+                terms(store)
+            with pytest.raises(NumericError, match=message):
+                ad.scoped(lambda: ad.tsum_rows(terms(store)))()
+            with pytest.raises(NumericError, match=message):
+                ad.forward_backward(lambda p: ad.tsum_rows(terms(p)), store)
+    monkeypatch.setattr(ad, "_stage", lambda op, value: None)
+    assert np.all(np.isfinite(terms(store).data))
+    assert threading.active_count() == threads_before
 
 
 def candidate_terms(x3, fields=(0,), widths=(3,), positive=0, gate_width=None, weights=None,
@@ -869,45 +912,71 @@ def test_fused_attention_out_equals_the_chain_it_replaces_bit_for_bit(P, heads, 
 
 
 def overflowing_heads(case):
-    """Two heads (d = 2, dh = 1) and normed rows, the second head made to fail."""
+    """Two heads (d = 2, dh = 1), the normed rows and the call's keep or
+    spread, the second head made to fail."""
     ones = np.ones((2, 1))
     heads = [[ones * 0.5, ones * 0.5, ones, ones.T]] * 2
-    h = np.ones((parallel.DEAL_ROWS, 2, 2))
+    h, options = np.ones((parallel.DEAL_ROWS, 2, 2)), {}
     if case == "v":  # its v projection overflows
         heads[1] = [ones, ones, ones * 1e308, ones.T]
     elif case == "scores":  # one score per row is -inf, which the softmax weighs 0
         heads[1] = [ones * 1e200, ones * -1e200, ones, ones.T]
         h[:, 1] = 0.0
-    else:  # the heads' sum overflows
+    elif case == "sum":  # the heads' sum overflows
         heads = [[ones * 0.0, ones * 0.0, ones, ones.T * 0.45e308]] * 2
-    return h, heads
+    elif case == "kept":
+        # each v row is the largest double: the first six positions weigh
+        # all seven by 1/7, whose rounded sum, 1 + 2**-52, overflows their
+        # mixed rows; the kept seventh weighs only itself
+        h = np.zeros((parallel.DEAL_ROWS, 7, 2))
+        h[:, :, 0], h[:, 6, 1] = 1.0, 40.0
+        axis = np.array([[0.0], [1.0]])
+        heads[1] = [axis, axis, np.array([[np.finfo(np.float64).max], [0.0]]), ones.T * 1e-300]
+        options = {"keep": 6}
+    else:  # the query of h's last row overflows, and spread names only the first two
+        h = np.array([[0.0, 1.0], [1.0, 0.0], [1e200, 0.0]])
+        heads[1] = [np.array([[1e200], [0.0]]), ones, ones, ones.T]
+        options = {"spread": np.tile([0, 1], (parallel.DEAL_ROWS, 1))}
+    return h, heads, options
 
 
-@pytest.mark.parametrize("case, op", [("v", "matmul"), ("scores", "matmul"), ("sum", "add")])
+@pytest.mark.parametrize("case, op", [("v", "matmul"), ("scores", "matmul"), ("sum", "add"),
+                                      ("kept", "matmul"), ("spread", "matmul")])
 def test_attention_names_the_chain_op_that_fails_on_a_dealt_head(monkeypatch, case, op):
     """The second head runs on the helper: bare, in a check-once scope and in
-    forward_backward's replay, inside and outside a helper scope, the node
-    raises the chain's NumericError text."""
+    forward_backward's replay (spread rows record no tape, so those run
+    bare and scoped), inside and outside a helper scope, the chain raises
+    its op's NumericError text and the node its own. The scores, the rows
+    the kept row drops and the rows spread drops are values the node's
+    next step would hide: without its checks its output is finite."""
     monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
-    h, heads = overflowing_heads(case)
-    assert parallel.threads(heads, len(h)) == 2
+    h, heads, options = overflowing_heads(case)
+    assert parallel.threads(heads, len(options.get("spread", h))) == 2
     names = [f"{w}{i}" for i in range(2) for w in ("wq", "wk", "wv", "wo")]
     store = ParamStore({"x": np.zeros(h.shape), "h": h,
                         **dict(zip(names, (w for head in heads for w in head)))})
-    message = f"^op '{op}' produced non-finite values$"
+    taped = "spread" not in options
     threads_before = threading.active_count()
     for scope in (contextlib.nullcontext, parallel.helpers):
-        for call in (ad.attention, attention_chain):
-            with warnings.catch_warnings(), scope():
+        for call, name in ((ad.attention, "attention"), (attention_chain, op)):
+            message = f"^op '{name}' produced non-finite values$"
+            with (warnings.catch_warnings(), scope(),
+                  contextlib.nullcontext() if taped else ad.no_grad()):
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(NumericError, match=message):
-                    call(store["x"], store["h"], head_weights(store, 2))
+                    call(store["x"], store["h"], head_weights(store, 2), **options)
                 with pytest.raises(NumericError, match=message):
                     ad.scoped(lambda: ad.tsum(call(store["x"], store["h"],
-                                                   head_weights(store, 2))))()
-                with pytest.raises(NumericError, match=message):
-                    ad.forward_backward(
-                        lambda p: ad.tsum(call(p["x"], p["h"], head_weights(p, 2))), store)
+                                                   head_weights(store, 2), **options)))()
+                if taped:
+                    with pytest.raises(NumericError, match=message):
+                        ad.forward_backward(lambda p: ad.tsum(
+                            call(p["x"], p["h"], head_weights(p, 2), **options)), store)
+    if case in ("scores", "kept", "spread"):
+        monkeypatch.setattr(ad, "_stage", lambda op, value: None)
+        with ad.no_grad(), np.errstate(all="ignore"):
+            assert np.all(np.isfinite(
+                ad.attention(store["x"], store["h"], head_weights(store, 2), **options).data))
     assert threading.active_count() == threads_before
 
 
@@ -929,14 +998,15 @@ def test_attention_refuses_spread_rows_on_a_tape():
 ])
 def test_a_minus_inf_before_the_fused_relu_raises_inside_and_outside_a_scope(h, w1, b1, op):
     """relu maps -inf to 0, after which the FFN's output is finite: the
-    fused node names the chain op that made the -inf, as the chain does,
-    whether every node is checked or only the ops that can hide a value."""
+    chain names the op that made the -inf and the fused node itself,
+    whether every node is checked or only the ops that can hide a value.
+    Without its checks the node's output is finite."""
     store = ParamStore({"w1": np.array(w1), "b1": np.array(b1), "w2": np.ones((2, 1)),
                         "b2": np.zeros(1)})
     x, h = ad.const(np.zeros((2, 1))), ad.const(np.array(h))
     names = ("w1", "b1", "w2", "b2")
-    message = f"^op '{op}' produced non-finite values$"
-    for ffn in (ad.ffn, composite_ffn):
+    for ffn, name in ((ad.ffn, "ffn"), (composite_ffn, op)):
+        message = f"^op '{name}' produced non-finite values$"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericError, match=message):
@@ -945,6 +1015,8 @@ def test_a_minus_inf_before_the_fused_relu_raises_inside_and_outside_a_scope(h, 
                 ad.scoped(lambda: ad.tsum(ffn(x, h, *(store[k] for k in names))))()
             with pytest.raises(NumericError, match=message):
                 ad.forward_backward(lambda p: ad.tsum(ffn(x, h, *(p[k] for k in names))), store)
+    with mock.patch.object(ad, "_stage", lambda op, value: None):
+        assert np.all(np.isfinite(ad.ffn(x, h, *(store[k] for k in names)).data))
 
 
 def test_rms_scale_takes_one_gain_per_column():
@@ -976,7 +1048,7 @@ def test_l2_normalize_of_a_row_scaled_by_a_power_of_two_is_exact(k):
     assert g.tobytes() == (want_g * 2.0**-k).tobytes()
 
 
-@pytest.mark.parametrize("op", ["softmax", "rms_scale", "ffn", "attention_out", "attention"])
+@pytest.mark.parametrize("op", ["rms_scale", "ffn", "attention"])
 def test_the_gradcheck_suite_fails_when_a_fused_adjoint_is_scaled(op):
     with ad.adjoint_fault(op, 2.0) as fault:
         assert not vf.suite_gradcheck().passed

@@ -129,6 +129,23 @@ def test_finetune_requires_init_for_transfer(tmp_path, tiny_config_path, capsys)
     assert "requires --init" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("transfer", [["--transfer", "none"], []], ids=["flag", "config"])
+def test_finetune_refuses_init_without_transfer(tmp_path, tiny_data, capsys, transfer):
+    """From the flag or, without it, from the config's transfer key."""
+    cfg_path, data_dir = tiny_data
+    if not transfer:
+        cfg = tmp_path / "scratch.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT.replace("[run]", "[run]\ntransfer = none"))
+        cfg_path = str(cfg)
+    capsys.readouterr()
+    code = main(["finetune", "--config", cfg_path, "--data", data_dir, "--init", "any.dgct",
+                 *transfer, "--out", str(tmp_path / "ft")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: --transfer none trains from scratch and takes no --init\n"
+    assert not os.path.exists(tmp_path / "ft")
+
+
 def test_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nonsense"])

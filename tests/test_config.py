@@ -1,9 +1,13 @@
+import math
 import re
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffctr.config import (
+    DEFAULTS,
     Config,
     default_config_text,
     parse_config,
@@ -38,6 +42,46 @@ def test_overrides_round_trip():
     assert again.get("run", "seed") == 42
     assert again.get("schedule", "lambda_max") == 0.875
     assert again.get("loss", "no_diff") is True
+
+
+# a value of each key's type, drawn without regard to the key's range
+VALUE_OF = {bool: st.booleans(), int: st.integers(), float: st.floats(), str: st.text()}
+DRAWN_VALUES = st.fixed_dictionaries({
+    section: st.fixed_dictionaries({key: VALUE_OF[type(value)] for key, value in entries.items()})
+    for section, entries in DEFAULTS.items()})
+
+
+def same_value(a, b) -> bool:
+    """a and b equal, with the sign of a zero and a NaN equal to a NaN."""
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1, a) == math.copysign(1, b)
+    return type(a) is type(b) and a == b
+
+
+def unwritable(value) -> bool:
+    """A string a config file cannot hold: it strips values and ends them at a line break."""
+    return isinstance(value, str) and (value != value.strip() or "\n" in value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(values=DRAWN_VALUES)
+@example(values={"run": {"transfer": "\r"}})
+@example(values={"data": {"train": "a\nb = c"}})
+def test_a_rendered_config_parses_back_to_itself(values):
+    """Or, for a string value no config file can hold, Config refuses it."""
+    bad = [(section, key) for section, entries in values.items()
+           for key, value in entries.items() if unwritable(value)]
+    if bad:
+        with pytest.raises(ConfigError, match=re.escape(f"[{bad[0][0]}] {bad[0][1]}: ")):
+            Config(values)
+        return
+    cfg = Config(values)
+    again = parse_config(render_config(cfg))
+    for section, entries in cfg.values.items():
+        for key, value in entries.items():
+            assert same_value(again.get(section, key), value), (section, key)
 
 
 def test_unknown_key_rejected():
@@ -86,13 +130,17 @@ def test_each_setting_has_one_owner():
 @pytest.mark.parametrize("valid,patch,message", [
     (RunConfig(), {"patience": 0}, "patience must be >= 1"),
     (RunConfig(), {"transfer": "bogus"}, "unknown transfer mode 'bogus'"),
+    (RunConfig(), {"adam_eps": float("inf")}, "adam_eps must be finite and > 0, got inf"),
+    (RunConfig(), {"pretrain_lr": float("inf")}, "pretrain_lr must be finite and > 0, got inf"),
+    (RunConfig(), {"finetune_lr": float("nan")}, "finetune_lr must be finite and > 0, got nan"),
     (PretrainLossConfig(), {"max_negatives": 0}, "max_negatives must be >= 1"),
     (PretrainLossConfig(), {"label_mode": "always-mask"}, "unknown label_mode 'always-mask'"),
     (ModelConfig(), {"heads": 3}, "embed_dim 32 not divisible by heads 3"),
     (ModelConfig(), {"temperature": float("nan")}, "temperature must be finite and > 0, got nan"),
     (FieldCurve(0.0, 0.5), {"lo": 0.5}, "schedule bounds must satisfy 0 <= lo < hi <= 0.9999, got (0.5, 0.5)"),
     (FieldSchema(0, "f0", 3), {"vocab_size": 0}, "field 'f0': vocab_size must be >= 1"),
-], ids=["run-patience", "run-transfer", "loss-max_negatives", "loss-label_mode", "model-heads",
+], ids=["run-patience", "run-transfer", "run-adam_eps", "run-pretrain_lr", "run-finetune_lr",
+        "loss-max_negatives", "loss-label_mode", "model-heads",
         "model-temperature", "curve-lo", "schema-vocab_size"])
 def test_configs_check_themselves_when_built(valid, patch, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):

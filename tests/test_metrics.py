@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffctr import metrics as mt
 from diffctr.errors import DataError
@@ -181,6 +184,28 @@ class TestRanks:
                 num += rows.sum() * rank_auc(scores[rows], labels[rows])
                 den += rows.sum()
         assert mt.gauc_pv(scores, labels, sessions) == float(num / den)
+
+
+# few distinct scores, so most pairs tie; -0.0 ties with 0.0
+TIED_SCORES = st.sampled_from([-1e300, -1.0, -0.0, 0.0, 5e-324, 0.25, 0.5, 1.0, 1e300])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rows=st.lists(st.tuples(TIED_SCORES, st.integers(0, 1), st.sampled_from("abcdef")),
+                     min_size=1, max_size=60))
+@example(rows=[(0.0, 1, "a"), (-0.0, 0, "a")])
+def test_rank_metrics_equal_their_pairwise_oracles(rows):
+    """auc and gauc_pv give their oracles' value exactly, or the same DataError."""
+    scores, labels, sessions = (np.array(column) for column in zip(*rows))
+    for fast, oracle, extra in ((mt.auc, mt.auc_pairwise, ()),
+                                (mt.gauc_pv, mt.gauc_pv_pairwise, (sessions,))):
+        try:
+            want = oracle(scores, labels, *extra)
+        except DataError as e:
+            with pytest.raises(DataError, match=f"^{re.escape(str(e))}$"):
+                fast(scores, labels, *extra)
+            continue
+        assert fast(scores, labels, *extra) == want
 
 
 def test_importing_diffctr_leaves_scipy_stats_unloaded():

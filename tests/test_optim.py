@@ -154,7 +154,7 @@ def test_only_a_store_larger_than_one_block_starts_threads(monkeypatch):
             super().start()
 
     monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
-    monkeypatch.setattr(parallel.threading, "Thread", CountingThread)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
     for vocab, threads in ((50, 0), (2000, 1)):
         store = md.Model.init(md.ModelConfig(), dd.feature_schema([vocab] * 8), 0).params
         started.clear()

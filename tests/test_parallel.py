@@ -31,7 +31,7 @@ def started(monkeypatch):
             super().start()
 
     monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
-    monkeypatch.setattr(parallel.threading, "Thread", CountingThread)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
     return threads
 
 
