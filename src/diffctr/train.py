@@ -19,14 +19,13 @@ from .data import Dataset, batch_iter
 from .errors import DataError, NumericError
 from .losses import PretrainLossConfig, pretrain_loss, sft_loss
 from .metrics import MetricReport, report_for
-from .model import TRANSFER_MODES, Model, ctr_score, encode, full_vocab_logits, save_checkpoint
+from .model import TRANSFER_MODES, Model, ctr_score, save_checkpoint
 from .optim import adam_step
 from .parallel import cpu_workers, helpers
 from .rng import stream
 from .schedule import NoiseSchedule
 
 TRANSFERS = (*TRANSFER_MODES, "none")
-REVERSE_CHUNK = 4096  # rows sample_reverse_batch denoises at once
 EVAL_CHUNK = 4096  # rows evaluate scores at once
 
 
@@ -198,78 +197,3 @@ def finetune(
     if test is not None:
         report.test = evaluate(model, test, "test")
     return model, report
-
-
-def sample_reverse_batch(
-    model: Model,
-    schedule: NoiseSchedule,
-    steps: int,
-    rng: np.random.Generator,
-    n: int,
-    conditioning: dict[int, int] | None = None,
-) -> np.ndarray:
-    """Ancestral denoising diagnostic: (n, P) generated token rows.
-
-    Walks the schedule backwards on a uniform grid; a still-masked field
-    unmasks between times t and s with probability (m(t)-m(s))/m(t) and
-    then draws from the model's full-vocabulary conditional at its
-    position. Fields left masked after the last step are forced.
-    """
-    if steps < 1:
-        raise DataError("steps must be >= 1")
-    conditioning = conditioning or {}
-    P = model.num_positions
-    for k, tok in conditioning.items():
-        if not 0 <= k < P:
-            raise DataError(f"conditioning position {k} outside [0, {P})")
-        f = model.schema[k]
-        if not 0 <= tok < f.vocab_size:
-            raise DataError(f"conditioning token {tok} outside [0, {f.vocab_size}) for field '{f.name}'")
-    out = np.empty((n, P), dtype=np.int64)
-    curve = schedule.mask_probs(schedule.horizon * (1.0 - np.arange(steps + 1) / steps))
-    now, later = curve[:-1], curve[1:]
-    unmask_probs = np.where(now > 0, (now - later) / np.where(now > 0, now, 1.0), 1.0)
-    for start in range(0, n, REVERSE_CHUNK):
-        m = min(REVERSE_CHUNK, n - start)
-        tokens = np.tile(model.mask_ids, (m, 1))
-        for k, tok in conditioning.items():
-            tokens[:, k] = tok
-        for probs in unmask_probs:
-            still = tokens == model.mask_ids[None, :]
-            if not still.any():
-                break
-            unmask = still & (rng.random((m, P)) < probs[None, :])
-            tokens = _fill_from_conditionals(model, tokens, unmask, rng)
-        still = tokens == model.mask_ids[None, :]
-        if still.any():
-            tokens = _fill_from_conditionals(model, tokens, still, rng)
-        out[start : start + m] = tokens
-    return out
-
-
-@ad.no_grad()
-def _fill_from_conditionals(
-    model: Model, tokens: np.ndarray, fill: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw tokens for the flagged positions from one shared encoding.
-
-    Only rows with at least one position to fill are encoded.
-    """
-    active = np.flatnonzero(fill.any(axis=1))
-    if active.size == 0:
-        return tokens
-    ctx_all = encode(model, tokens[active])
-    tokens = tokens.copy()
-    for k in range(model.num_positions):
-        sub = np.flatnonzero(fill[active, k])
-        if sub.size == 0:
-            continue
-        logits = full_vocab_logits(model, k, ad.take_position(ctx_all, k)).data[sub]
-        z = np.exp(logits - logits.max(axis=1, keepdims=True))
-        cdf = np.cumsum(z / z.sum(axis=1, keepdims=True), axis=1)
-        u = rng.random(sub.size)
-        tokens[active[sub], k] = np.minimum(
-            (u[:, None] > cdf).sum(axis=1), model.schema[k].vocab_size - 1
-        )
-    return tokens
-

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -105,7 +105,7 @@ def held(name, shape):
         ("logsumexp", lambda p: ad.logsumexp(p["a"], axis=1)),
         ("cosine_matrix", lambda p: cosine_matrix(p["a"], p["b2"])),
         ("rms_scale", lambda p: ad.rms_scale(p["x3"], p["row_b"])),
-        ("log_softmax", lambda p: ad.log_softmax(p["a"], axis=1)),
+        ("log_softmax", lambda p: ad.sub(p["a"], ad.logsumexp(p["a"], axis=1, keepdims=True))),
         ("ffn", lambda p: ad.ffn(p["a2"], p["a"], p["b"], p["b1"], p["w2"], p["row_b"])),
         ("ffn_rank3", lambda p: ad.ffn(p["x3"], p["x3"], p["b"], p["b1"], p["w2"], p["row_b"])),
         ("attention", lambda p: ad.attention(p["x3"], p["h3"], [[p["b"], p["p4"], p["v4"], p["w2"]],
@@ -337,7 +337,7 @@ def test_out_of_range_position_or_width_raises_shape_error(call):
 
 def cosine_matrix(a, b):
     """All-pairs cosine of a's rows (m, d) with b's rows (n, d): (m, n)."""
-    return ad.cosine_columns(a, ad.transpose(ad.l2_normalize(b)))
+    return ad.clip_unit(ad.matmul(ad.l2_normalize(a), ad.transpose(ad.l2_normalize(b))))
 
 
 def test_cosine_bounds():
@@ -909,6 +909,73 @@ def test_fused_attention_out_equals_the_chain_it_replaces_bit_for_bit(P, heads, 
         assert parallel.threads(range(heads), B) == min(heads, 2)
         with parallel.helpers():
             assert_attention_is_the_chain(arrays, heads, keep)
+
+
+def drawn_values(seed, shapes):
+    """Arrays of the given shapes with magnitudes in [0.1, 0.7] of either
+    sign: no two entries tie, no row nears zero and no score saturates a
+    softmax, so no gradient is zero by symmetry or by saturation."""
+    rng = stream(21, "grad-check", seed)
+    return {k: rng.uniform(0.1, 0.7, shape) * rng.choice([-1.0, 1.0], shape)
+            for k, shape in shapes.items()}
+
+
+def assert_grad_check_passes(node, arrays, h):
+    """grad_check of tsum(node(p) * w), w a fixed projection, at step h.
+    Drawn values put an entry of some gradient near zero now and then,
+    where the difference quotient's error is a large share of it: tol =
+    1e-4 allows for that, and a wrong adjoint is off by far more."""
+    store = ParamStore(arrays)
+    shape = node(store).shape
+    weight = ad.const(stream(22, "weight", *shape).normal(size=shape))
+    reports = ad.grad_check(lambda p: ad.tsum(ad.mul(node(p), weight)), store, h=h, tol=1e-4)
+    assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(lead=st.tuples(st.integers(1, 4), st.integers(1, 4)), heads=st.integers(1, 3),
+       dh=st.sampled_from([1, 2, 4]), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_attention_passes_grad_check_on_drawn_shapes(lead, heads, dh, d, seed, data):
+    """h = 1e-4: the quotient's rounding, not its truncation, is the larger
+    error here (the worst of 2000 random draws read 9e-6)."""
+    B, P = lead
+    keep = data.draw(st.one_of(st.none(), st.integers(0, P - 1)), label="keep")
+    shapes = {"x": (B, P, d), "h": (B, P, d)}
+    for i in range(heads):
+        shapes.update({f"wq{i}": (d, dh), f"wk{i}": (d, dh), f"wv{i}": (d, dh), f"wo{i}": (dh, d)})
+    assert_grad_check_passes(lambda p: ad.attention(p["x"], p["h"], head_weights(p, heads), keep=keep),
+                             drawn_values(seed, shapes), h=1e-4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(B=st.integers(1, 4), widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       d=st.integers(2, 4), scale=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_candidate_terms_pass_grad_check_on_drawn_shapes(B, widths, d, scale, seed, data):
+    """Drawn fields, widths U_k and gates, each row's positive among its
+    candidates, and weights of which some are 0. h = 1e-5: the unit rows
+    curve enough that truncation is the larger error at 1e-4 (the worst
+    of 2000 random draws read 8e-5)."""
+    K = len(widths)
+    P = data.draw(st.integers(K, 4), label="P")
+    fields = data.draw(st.permutations(range(P)), label="fields")[:K]
+    positives, candidates = [], []
+    for U in widths:
+        positives.append(data.draw(hnp.arrays(np.int64, (B,), elements=st.integers(0, U - 1)),
+                                   label="positive"))
+        gate = data.draw(hnp.arrays(np.bool_, (B, U)), label="gate")
+        gate[np.arange(B), positives[-1]] = True
+        candidates.append(gate)
+    arrays = drawn_values(seed, {"x": (B, P, d), "w": (K, B),
+                                 **{f"r{i}": (U, d) for i, U in enumerate(widths)}})
+    weights = 3.0 * np.abs(arrays.pop("w")) * data.draw(hnp.arrays(np.bool_, (K, B)), label="weighed")
+    for i, k in enumerate(fields):  # cosines inside ±0.999, away from the clip's kinks
+        unit = [v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (arrays["x"][:, k], arrays[f"r{i}"])]
+        assume(np.abs(unit[0] @ unit[1].T).max() < 0.999)
+    assert_grad_check_passes(
+        lambda p: ad.candidate_terms(p["x"], fields, [p[f"r{i}"] for i in range(K)], positives,
+                                     candidates, weights, scale), arrays, h=1e-5)
 
 
 def overflowing_heads(case):

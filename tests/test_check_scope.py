@@ -23,7 +23,7 @@ from diffctr.rng import stream
 from diffctr.schedule import build_schedule
 
 # every op a route can call, wrapped by name on the autodiff module, so
-# the composites (cosine_columns, log_softmax, ...) reach the wrappers too
+# the model's composites (_cosine_logits, _target_columns, ...) reach the wrappers too
 OPS = ["const", "add", "sub", "mul", "smul", "matmul", "transpose", "relu", "exp", "sigmoid",
        "softplus", "tsum", "tsum_rows", "tmean", "gather_rows", "take_position", "stack",
        "l2_normalize", "logsumexp", "clip_unit", "join_rows", "rms_scale", "attention", "ffn",

@@ -191,7 +191,7 @@ def full_vocab_field_losses(model, corrupted, cfg):
             limit = cfg.max_negatives + (rank[col] < cfg.max_negatives)
             mask = rank[None, :] < limit[:, None]
             mask[np.arange(B), col] = True
-        logits = md.full_vocab_logits(model, k, ad.take_position(ctx_all, k))
+        logits = md.field_logits(model, k, ad.take_position(ctx_all, k), np.arange(V))
         gate = np.where(mask, 0.0, ad.LOG_ZERO)
         denom = ad.logsumexp(ad.add(logits, ad.const(gate)), axis=1)
         onehot = np.zeros((B, V))
@@ -479,7 +479,8 @@ def test_cross_entropy_equals_loss_term_when_candidates_span_the_vocabulary():
     corrupted = fc.CorruptedBatch(tokens=tokens, masked=masked, mask_probs=np.full((2, 3), 0.5),
                                   clean_tokens=clean)
     _, terms = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig(no_diff=True))
-    logits = md.full_vocab_logits(model, 0, ad.take_position(md.encode(model, tokens), 0)).data
+    ctx = ad.take_position(md.encode(model, tokens), 0)
+    logits = md.field_logits(model, 0, ctx, np.arange(2)).data
     log_q = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(terms[:, 0], -log_q[np.arange(2), clean[:, 0]], rtol=0, atol=1e-9)
 

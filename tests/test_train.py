@@ -8,8 +8,7 @@ from diffctr import data as dd
 from diffctr import losses as ls
 from diffctr import model as md
 from diffctr import parallel
-from diffctr.errors import DataError, NumericError
-from diffctr.rng import stream
+from diffctr.errors import NumericError
 from diffctr.schedule import build_schedule
 from conftest import untied
 
@@ -236,56 +235,6 @@ def test_drop_mode_pretrain_leaves_label_head_at_init(tied, no_diff):
         out, report = tr.pretrain(model.clone(), train, schedule, tiny_run_cfg(seed=13), loss_cfg)
         assert report.epochs and not report.diverged
         assert np.array_equal(out.target_table(lbl).data, head) == untouched, label_mode
-
-
-class TestSampleReverse:
-    def test_conditioning_on_all_fields_is_identity(self):
-        train, _, _ = tiny_env()
-        model = tiny_model(train, seed=15)
-        schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
-        conditioning = {k: 1 for k in range(model.num_positions)}
-        out = tr.sample_reverse_batch(model, schedule, steps=4, rng=stream(0, "r"), n=1,
-                                      conditioning=conditioning)[0]
-        assert tuple(out) == tuple([1] * model.num_positions)
-
-    def test_one_step_draws_everything(self):
-        train, _, _ = tiny_env()
-        model = tiny_model(train, seed=16)
-        schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
-        out = tr.sample_reverse_batch(model, schedule, steps=1, rng=stream(1, "r"), n=50)
-        assert out.shape == (50, model.num_positions)
-        for k, f in enumerate(model.schema):
-            assert out[:, k].max() < f.vocab_size  # nothing left masked
-
-    def test_many_steps_leave_no_masks(self):
-        train, _, _ = tiny_env()
-        model = tiny_model(train, seed=17)
-        schedule = build_schedule(train.num_fields, lo=0.05, hi=0.9)
-        out = tr.sample_reverse_batch(model, schedule, steps=16, rng=stream(2, "r"), n=64)
-        for k, f in enumerate(model.schema):
-            assert out[:, k].max() < f.vocab_size
-
-    def test_conditioned_fields_never_resampled(self):
-        train, _, _ = tiny_env()
-        model = tiny_model(train, seed=18)
-        schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
-        out = tr.sample_reverse_batch(model, schedule, steps=8, rng=stream(3, "r"),
-                                      n=40, conditioning={0: 2})
-        assert np.all(out[:, 0] == 2)
-
-    @pytest.mark.parametrize("conditioning,fragment", [
-        (lambda P, V: {P: 0}, r"position \d+ outside \[0, \d+\)"),
-        (lambda P, V: {-1: 1}, r"position -1 outside"),
-        (lambda P, V: {0: V}, r"token \d+ outside \[0, \d+\) for field 'f0'"),  # f0's mask id
-        (lambda P, V: {0: -1}, r"token -1 outside"),
-    ], ids=["past-last-position", "negative-position", "mask-id", "negative-token"])
-    def test_conditioning_out_of_range_rejected(self, conditioning, fragment):
-        train, _, _ = tiny_env()
-        model = tiny_model(train, seed=18)
-        schedule = build_schedule(train.num_fields, lo=0.0, hi=0.9)
-        with pytest.raises(DataError, match=fragment):
-            tr.sample_reverse_batch(model, schedule, steps=2, rng=stream(3, "r"), n=4,
-                                    conditioning=conditioning(model.num_positions, model.schema[0].vocab_size))
 
 
 def test_evaluate_matches_direct_scoring(monkeypatch):
