@@ -1,21 +1,23 @@
 """Reverse-mode differentiation over dense float64 arrays.
 
 Every operation returns a fresh Tensor: a value (.data) and a tape node
-(.node) recording its parents' nodes and one vector-Jacobian closure
-per parent. The tape holds nodes, never values. Each closure keeps only
-the arrays its adjoint reads, and a shape where a shape is all it needs,
-so a value lives while a name or an adjoint refers to it: one that no
-adjoint reads (a sum's operands, a bias add's input) dies during the
-forward. backward() walks the recorded tape in reverse topological
-order with a fixed left-to-right accumulation, so repeated runs are
-bit-identical; once a node has passed its gradient on it drops its
-gradient and its closures, and with them the values only they read.
-rms_scale, attention, ffn and candidate_terms are one node each, equal
-bit for bit to the chains of ops they stand for. rms_scale's adjoint
-recomputes the unit rows from the input instead of keeping them, and
-attention's the softmax's exp(s - m); the others recompute nothing. Each
-adds its biases, heads and residual, applies its relu, or clips, scales,
-gates and softmaxes its logits in place, in the buffer a GEMM just made.
+(.node) recording its parents' nodes and one adjoint, from the output's
+gradient to a tuple of one gradient per parent. The tape holds nodes,
+never values. An adjoint keeps only the arrays it reads, and a shape
+where a shape is all it needs, so a value lives while a name or an
+adjoint refers to it: one that no adjoint reads (a sum's operands, a
+bias add's input) dies during the forward. backward() walks the
+recorded tape in reverse topological order, runs each adjoint once and
+adds its gradients left to right, so repeated runs are bit-identical;
+once a node has passed its gradient on it drops its gradient and its
+adjoint, and with them the values only it read. rms_scale, attention,
+ffn and candidate_terms are one node each, equal bit for bit to the
+chains of ops they stand for; the work their parents' gradients share
+is done once, in the one adjoint. rms_scale's adjoint recomputes the
+unit rows from the input instead of keeping them, and attention's the
+softmax's exp(s - m); the others recompute nothing. Each adds its
+biases, heads and residual, applies its relu, or clips, scales, gates
+and softmaxes its logits in place, in the buffer a GEMM just made.
 At parallel.DEAL_ROWS batch rows or more, attention runs its heads and
 candidate_terms its fields side by side on parallel.deal's threads,
 forward and adjoint, each doing the arithmetic it would do alone, and
@@ -47,7 +49,7 @@ not depend on the checks.
 
 Numpy reports no overflow as a RuntimeWarning first: a scope sets its
 error state once, and an arithmetic op called outside any scope sets it
-around itself. Inside no_grad() ops record no parents and no closures,
+around itself. Inside no_grad() ops record no parents and no adjoint,
 so forward-only callers keep no tape alive; the finiteness checks are
 the same with or without a tape. The no_grad flag, the check mode and
 numpy's error state are context variables, which every item that
@@ -59,7 +61,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial, reduce, wraps
+from functools import reduce, wraps
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,17 +134,18 @@ def recording() -> bool:
 
 class Node:
     """A value's entry on the tape, without the value: its op, the nodes it
-    was computed from, one adjoint closure per parent (None toward a parent
-    that is not tracked, which the walk never calls), its gradient while
-    the walk passes it on, and the value's shape."""
+    was computed from, its adjoint vjp (the output's gradient to a tuple
+    with one gradient per parent; None without a tape and once the walk
+    has run it), its gradient while the walk passes it on, and the
+    value's shape."""
 
-    __slots__ = ("op", "parents", "vjps", "grad", "tracked", "shape")
+    __slots__ = ("op", "parents", "vjp", "grad", "tracked", "shape")
 
-    def __init__(self, op, parents, vjps, tracked, shape):
+    def __init__(self, op, parents, vjp, tracked, shape):
         self.op = op
         self.parents = parents
         self.tracked = any(p.tracked for p in parents) if tracked is None else tracked
-        self.vjps = tuple(v if p.tracked else None for p, v in zip(parents, vjps))
+        self.vjp = vjp
         self.grad = None
         self.shape = shape
 
@@ -157,13 +160,13 @@ class Tensor:
 
     __slots__ = ("data", "node", "checked")
 
-    def __init__(self, data, op="leaf", parents=(), vjps=(), tracked=None):
+    def __init__(self, data, op="leaf", parents=(), vjp=None, tracked=None):
         self.data = np.asarray(data, dtype=np.float64)
         # inside a check-once scope an op's node defers its check; a leaf never does
         self.checked = not parents or _checks.get() is not _ONCE
         if not recording():
-            parents, vjps = (), ()
-        self.node = Node(op, tuple(parents), vjps, tracked, self.data.shape)
+            parents, vjp = (), None
+        self.node = Node(op, tuple(parents), vjp, tracked, self.data.shape)
         if self.checked and not np.all(np.isfinite(self.data)):
             raise NumericError(f"op '{op}' produced non-finite values")
 
@@ -177,11 +180,12 @@ class Tensor:
 
     @property
     def vjps(self) -> tuple:
-        return self.node.vjps
+        """The node's adjoint as a 1-tuple, or () without one: perfbench's tracer rewraps it."""
+        return () if self.node.vjp is None else (self.node.vjp,)
 
     @vjps.setter
     def vjps(self, vjps) -> None:
-        self.node.vjps = tuple(vjps)
+        (self.node.vjp,) = tuple(vjps) or (None,)
 
     @property
     def grad(self):
@@ -326,7 +330,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a.data + b.data,
         op="add",
         parents=(a.node, b.node),
-        vjps=(lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)),
+        vjp=lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
     )
 
 
@@ -338,7 +342,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         a.data - b.data,
         op="sub",
         parents=(a.node, b.node),
-        vjps=(lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)),
+        vjp=lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
     )
 
 
@@ -351,14 +355,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         x * y,
         op="mul",
         parents=(a.node, b.node),
-        vjps=(lambda g: _unbroadcast(g * y, sa), lambda g: _unbroadcast(g * x, sb)),
+        vjp=lambda g: (_unbroadcast(g * y, sa), _unbroadcast(g * x, sb)),
     )
 
 
 @_quiet
 def smul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return Tensor(a.data * c, op="smul", parents=(a.node,), vjps=(lambda g: g * c,))
+    return Tensor(a.data * c, op="smul", parents=(a.node,), vjp=lambda g: (g * c,))
 
 
 @_quiet
@@ -383,25 +387,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # is far slower than a single large multiply
         flat = x.reshape(-1, x.shape[-1])
         out = (flat @ w).reshape(x.shape[:-1] + w.shape[-1:])
-        return Tensor(out, op="matmul", parents=(a.node, b.node), vjps=_gemm_vjps(x.shape, flat, w))
+        return Tensor(out, op="matmul", parents=(a.node, b.node), vjp=_gemm_vjp(x.shape, flat, w))
 
     sa, sb = x.shape, w.shape
     return Tensor(
         x @ w,
         op="matmul",
         parents=(a.node, b.node),
-        vjps=(
-            lambda g: _unbroadcast(g @ np.swapaxes(w, -1, -2), sa),
-            lambda g: _unbroadcast(np.swapaxes(x, -1, -2) @ g, sb),
-        ),
+        vjp=lambda g: (_unbroadcast(g @ np.swapaxes(w, -1, -2), sa),
+                       _unbroadcast(np.swapaxes(x, -1, -2) @ g, sb)),
     )
 
 
-def _gemm_vjps(lead: tuple[int, ...], flat: np.ndarray, w: np.ndarray) -> tuple:
-    """The adjoints of flat @ w toward flat, reshaped to lead, and toward w."""
+def _gemm_vjp(lead: tuple[int, ...], flat: np.ndarray, w: np.ndarray) -> Callable:
+    """The adjoint of flat @ w: its gradients toward flat, reshaped to lead, and toward w."""
     n = w.shape[-1]
-    return (lambda g: (g.reshape(-1, n) @ w.T).reshape(lead),
-            lambda g: flat.T @ g.reshape(-1, n))
+    return lambda g: ((g.reshape(-1, n) @ w.T).reshape(lead), flat.T @ g.reshape(-1, n))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -412,7 +413,7 @@ def transpose(a: Tensor) -> Tensor:
         np.swapaxes(a.data, -1, -2),
         op="transpose",
         parents=(a.node,),
-        vjps=(lambda g: np.swapaxes(g, -1, -2),),
+        vjp=lambda g: (np.swapaxes(g, -1, -2),),
     )
 
 
@@ -421,14 +422,14 @@ def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     out += 0.0  # np.maximum may keep a -0.0; this makes every zero +0.0 (inputs are finite)
     # out > 0 where a > 0 and nowhere else, so the adjoint keeps no array but out
-    return Tensor(out, op="relu", parents=(a.node,), vjps=(lambda g: g * (out > 0),))
+    return Tensor(out, op="relu", parents=(a.node,), vjp=lambda g: (g * (out > 0),))
 
 
 @_quiet
 def exp(a: Tensor) -> Tensor:
     _finite(a)
     out = np.exp(a.data)
-    return Tensor(out, op="exp", parents=(a.node,), vjps=(lambda g: g * out,))
+    return Tensor(out, op="exp", parents=(a.node,), vjp=lambda g: (g * out,))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -440,7 +441,7 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     _finite(a)
     out = _logistic(a.data)
-    return Tensor(out, op="sigmoid", parents=(a.node,), vjps=(lambda g: g * out * (1.0 - out),))
+    return Tensor(out, op="sigmoid", parents=(a.node,), vjp=lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -448,7 +449,7 @@ def softplus(a: Tensor) -> Tensor:
     _finite(a)
     sig = _logistic(a.data)
     return Tensor(np.logaddexp(0.0, a.data), op="softplus", parents=(a.node,),
-                  vjps=(lambda g: g * sig,))
+                  vjp=lambda g: (g * sig,))
 
 
 def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
@@ -462,7 +463,7 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
         a.data.sum(axis=axis),
         op="sum",
         parents=(a.node,),
-        vjps=(lambda g: _expand_reduced(g, shape, axis),),
+        vjp=lambda g: (_expand_reduced(g, shape, axis),),
     )
 
 
@@ -482,7 +483,7 @@ def tsum_rows(a: Tensor) -> Tensor:
         np.add.accumulate(rows)[-1],  # accumulate adds strictly left to right
         op="sum",
         parents=(a.node,),
-        vjps=(lambda g: np.broadcast_to(g, shape),),
+        vjp=lambda g: (np.broadcast_to(g, shape),),
     )
 
 
@@ -494,7 +495,7 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
         a.data.mean(axis=axis),
         op="mean",
         parents=(a.node,),
-        vjps=(lambda g: _expand_reduced(g, shape, axis) / count,),
+        vjp=lambda g: (_expand_reduced(g, shape, axis) / count,),
     )
 
 
@@ -511,7 +512,7 @@ def gather_rows(table: Tensor, idx) -> Tensor:
         np.take(table.data, idx, axis=0),
         op="gather_rows",
         parents=(table.node,),
-        vjps=(lambda g: _scatter_rows(idx.reshape(-1), g.reshape(-1, shape[1]), shape),),
+        vjp=lambda g: (_scatter_rows(idx.reshape(-1), g.reshape(-1, shape[1]), shape),),
     )
 
 
@@ -542,9 +543,9 @@ def take_position(x: Tensor, pos: int) -> Tensor:
     def vjp(g):
         acc = np.zeros(shape)
         acc[:, pos, :] = g
-        return acc
+        return (acc,)
 
-    return Tensor(x.data[:, pos, :].copy(), op="take_position", parents=(x.node,), vjps=(vjp,))
+    return Tensor(x.data[:, pos, :].copy(), op="take_position", parents=(x.node,), vjp=vjp)
 
 
 def stack(parts: list[Tensor], axis: int = 1) -> Tensor:
@@ -553,12 +554,13 @@ def stack(parts: list[Tensor], axis: int = 1) -> Tensor:
         raise ShapeError(f"stack: mismatched shapes {sorted(shapes)}")
     out = np.stack([p.data for p in parts], axis=axis)
     lead = (slice(None),) * (axis % out.ndim)
+    n = len(parts)  # the adjoint keeps the parts' count, not the parts
     return Tensor(
         out,
         op="stack",
         parents=tuple(p.node for p in parts),
         # each part's gradient is a view of the stacked one, not a copy
-        vjps=tuple((lambda g, i=i: g[lead + (i,)]) for i in range(len(parts))),
+        vjp=lambda g: tuple(g[lead + (i,)] for i in range(n)),
     )
 
 
@@ -598,7 +600,7 @@ def l2_normalize(x: Tensor) -> Tensor:
     """Normalize along the last axis to unit L2 norm."""
     y, norm = _unit(x.data)
     return Tensor(y, op="l2_normalize", parents=(x.node,),
-                  vjps=(lambda g: _unit_adjoint(y, norm, g),))
+                  vjp=lambda g: (_unit_adjoint(y, norm, g),))
 
 
 @_quiet
@@ -606,8 +608,8 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
     """x over its root mean square along the last axis, times gain (d,): one node.
 
     Equal bit for bit, value and adjoints, to l2_normalize, smul by
-    sqrt(d) and mul by gain; the adjoints recompute the unit rows from x
-    instead of keeping them.
+    sqrt(d) and mul by gain; the adjoint recomputes the unit rows from x
+    instead of keeping them, once for both parents.
     """
     xd, gd = x.data, gain.data
     d = xd.shape[-1]
@@ -621,26 +623,19 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
     out *= c
     out *= gd
 
-    unit = []  # the walk calls vjp_x, then vjp_gain: they compute the unit rows once
-
-    def vjp_x(g):
+    def vjp(g):
         y = xd / norm
-        unit.append(y)
         gy = g * gd
         gy *= c
         dot = (y * gy).sum(axis=-1, keepdims=True)
         gx = y * dot
         np.subtract(gy, gx, out=gx)
         gx /= norm
-        return gx
+        y *= c
+        y *= g  # y * g is g * y, bit for bit
+        return gx, _sum_to(y, (d,))
 
-    def vjp_gain(g):
-        s = unit.pop() if unit else xd / norm
-        s *= c
-        s *= g  # s * g is g * s, bit for bit
-        return _sum_to(s, (d,))
-
-    return Tensor(out, op="rms_scale", parents=(x.node, gain.node), vjps=(vjp_x, vjp_gain))
+    return Tensor(out, op="rms_scale", parents=(x.node, gain.node), vjp=vjp)
 
 
 @_quiet
@@ -658,16 +653,16 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return soft * g
+        return (soft * g,)
 
-    return Tensor(out, op="logsumexp", parents=(x.node,), vjps=(vjp,))
+    return Tensor(out, op="logsumexp", parents=(x.node,), vjp=vjp)
 
 
 def clip_unit(x: Tensor) -> Tensor:
     # Rounding guard: dots of float-normalized rows can exceed 1 by an ulp.
     _finite(x)
     return Tensor(np.clip(x.data, -1.0, 1.0), op="clip_unit", parents=(x.node,),
-                  vjps=(lambda g: g,))
+                  vjp=lambda g: (g,))
 
 
 @_quiet
@@ -774,9 +769,7 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
         residual = xd if keep is None else xd[:, keep, :]
     np.add(residual.reshape(out.shape), out, out=out)
 
-    grads: dict[int, np.ndarray] = {}  # the adjoints toward h and the weights, made once
-
-    def head_adjoint(i: int, g: np.ndarray):
+    def head_adjoint(i: int, g: np.ndarray, grads: list):
         """Head i's adjoints: its weights' into grads, then its q, k and v
         adjoints toward h, yielded in turn. What the head kept is freed as
         the chain's walk would free it."""
@@ -824,36 +817,31 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
                 grads[2 + 4 * i + n] *= c
             yield toward_h
 
-    def adjoint(j: int, g: np.ndarray) -> np.ndarray:
-        if not grads:
-            H = len(weights)
-            if threads(weights, B) > 1:
-                parts: list = [None] * H
+    def vjp(g: np.ndarray) -> tuple:
+        H = len(weights)
+        grads: list = [g] + [None] * (1 + 4 * H)
+        if keep is not None:
+            grads[0] = np.zeros(xd.shape)
+            grads[0][:, keep, :] = g
+        if threads(weights, B) > 1:
+            parts: list = [None] * H
 
-                def run(i: int, _worker: int) -> None:
-                    parts[i] = list(head_adjoint(i, g))
+            def run(i: int, _worker: int) -> None:
+                parts[i] = list(head_adjoint(i, g, grads))
 
-                deal(range(H), run, B)
-            else:  # each head's adjoints toward h are added as they are made
-                parts = [head_adjoint(i, g) for i in range(H)]
-            gh = None
-            for i in range(H):
-                for part in parts[i]:
-                    gh = part if gh is None else np.add(gh, part, out=gh)
-                parts[i] = None
-            grads[1] = gh.reshape(hd.shape)
-        return grads.pop(j)
-
-    def vjp_x(g: np.ndarray) -> np.ndarray:
-        if keep is None:
-            return g
-        acc = np.zeros(xd.shape)
-        acc[:, keep, :] = g
-        return acc
+            deal(range(H), run, B)
+        else:  # each head's adjoints toward h are added as they are made
+            parts = [head_adjoint(i, g, grads) for i in range(H)]
+        gh = None
+        for i in range(H):
+            for part in parts[i]:
+                gh = part if gh is None else np.add(gh, part, out=gh)
+            parts[i] = None
+        grads[1] = gh.reshape(hd.shape)
+        return tuple(grads)
 
     return Tensor(out.reshape(lead + (d,) if keep is None else (B, d)), op="attention",
-                  parents=[x.node, h.node] + [w.node for head in heads for w in head],
-                  vjps=[vjp_x] + [partial(adjoint, j) for j in range(1, 2 + 4 * len(weights))])
+                  parents=[x.node, h.node] + [w.node for head in heads for w in head], vjp=vjp)
 
 
 @_quiet
@@ -885,30 +873,17 @@ def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) ->
     out += b2d
     np.add(xd.reshape(out.shape), out, out=out)
 
-    vjp_h, vjp_w1 = _gemm_vjps(hd.shape, flat, w1d)
-    vjp_inner, vjp_w2 = _gemm_vjps(hd.shape[:-1] + b1d.shape, inner, w2d)
-    hidden = []  # relu's adjoint, for the three parents that read it
+    first = _gemm_vjp(hd.shape, flat, w1d)
+    second = _gemm_vjp(hd.shape[:-1] + b1d.shape, inner, w2d)
 
-    def hidden_grad(g):
-        if not hidden:
-            gi = vjp_inner(g)
-            gi *= inner.reshape(gi.shape) > 0
-            hidden.append(gi)
-        return hidden[0]
+    def vjp(g):
+        gi, gw2 = second(g)
+        gi *= inner.reshape(gi.shape) > 0  # relu's adjoint: the hidden gradient
+        gh, gw1 = first(gi)
+        return g, gh, gw1, _unbroadcast(gi, b1d.shape), gw2, _unbroadcast(g, b2d.shape)
 
-    return Tensor(
-        out.reshape(xd.shape),
-        op="ffn",
-        parents=(x.node, h.node, w1.node, b1.node, w2.node, b2.node),
-        vjps=(
-            lambda g: g,
-            lambda g: vjp_h(hidden_grad(g)),
-            lambda g: vjp_w1(hidden_grad(g)),
-            lambda g: _unbroadcast(hidden_grad(g), b1d.shape),
-            vjp_w2,
-            lambda g: _unbroadcast(g, b2d.shape),
-        ),
-    )
+    return Tensor(out.reshape(xd.shape), op="ffn",
+                  parents=(x.node, h.node, w1.node, b1.node, w2.node, b2.node), vjp=vjp)
 
 
 @_quiet
@@ -992,27 +967,23 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     out -= np.stack(positive)
     out *= weights
 
-    grads: list = []  # the adjoints toward x and each field's rows, made once
+    def vjp(g: np.ndarray) -> tuple:
+        grads: list = [np.zeros((B, P, d))] + [None] * K  # x's shape: x itself may die
+        gw = g * weights
 
-    def adjoint(i: int, g: np.ndarray) -> np.ndarray:
-        if not grads:
-            grads.extend([np.zeros(xd.shape)] + [None] * K)
-            gw = g * weights
+        def field(f: int, _worker: int) -> None:
+            z, gk, pos, (c, cn), (t, tn) = soft[f], gw[f], positives[f], ctx[f], targets[f]
+            z *= gk[:, None]  # the softmax weights become the logits' gradient
+            z[every, pos] -= gk
+            z += 0.0  # every zero +0.0, as the one-hot product's sum leaves it
+            z *= scale
+            grads[0][:, fields[f], :] = _unit_adjoint(c, cn, z @ t)
+            grads[1 + f] = _unit_adjoint(t, tn, (c.T @ z).T)
 
-            def field(f: int, _worker: int) -> None:
-                z, gk, pos, (c, cn), (t, tn) = soft[f], gw[f], positives[f], ctx[f], targets[f]
-                z *= gk[:, None]  # the softmax weights become the logits' gradient
-                z[every, pos] -= gk
-                z += 0.0  # every zero +0.0, as the one-hot product's sum leaves it
-                z *= scale
-                grads[0][:, fields[f], :] = _unit_adjoint(c, cn, z @ t)
-                grads[1 + f] = _unit_adjoint(t, tn, (c.T @ z).T)
+        deal(range(K), field, B)
+        return tuple(grads)
 
-            deal(range(K), field, B)
-        return grads[i]
-
-    return Tensor(out, op="candidate_terms", parents=[x.node] + [r.node for r in rows],
-                  vjps=[partial(adjoint, i) for i in range(K + 1)])
+    return Tensor(out, op="candidate_terms", parents=[x.node] + [r.node for r in rows], vjp=vjp)
 
 
 def _topo(root: Node, shared: set[int] | None = None) -> list[Node]:
@@ -1044,13 +1015,14 @@ def _topo(root: Node, shared: set[int] | None = None) -> list[Node]:
 def _walk(order: list[Node], owned: set[int] | None = None) -> dict[int, np.ndarray]:
     """Pass each node's .grad to its parents, from order's last node (the root) to its first.
 
-    A node drops its .grad and its adjoint closures once it has passed the
-    gradient on, and with the closures the arrays that only they read.
-    Each node's children come before it in the walk, so no adjoint still
-    to run needs a dropped closure; a node keeps op and parents, so the
-    tape can still be counted. With owned, a set of node ids, an adjoint
-    toward a node outside it is summed, in walk order, into the returned
-    dict under that node's id instead of into its .grad.
+    Each node's adjoint runs once, and each gradient it returns goes to
+    its parent (or is dropped, toward an untracked one) and is let go.
+    The node then drops its .grad and its adjoint, and with it the arrays
+    only it read; its children came before it, so no adjoint still to
+    run needs it, and it keeps op and parents, so the tape can still be
+    counted. With owned, a set of node ids, a gradient toward a node
+    outside it is summed, in walk order, into the returned dict under
+    that node's id instead of into its .grad.
     """
     outside: dict[int, np.ndarray] = {}
     for node in reversed(order):
@@ -1061,10 +1033,11 @@ def _walk(order: list[Node], owned: set[int] | None = None) -> dict[int, np.ndar
         fault = _adjoint_faults.get(node.op)
         if fault is not None:
             fault.ran = True
-        for parent, vjp in zip(node.parents, node.vjps):
+        grads = list(node.vjp(g))
+        for i, parent in enumerate(node.parents):
+            pg, grads[i] = grads[i], None
             if not parent.tracked:
                 continue
-            pg = vjp(g)
             if fault is not None:
                 pg = pg * fault.scale
             if owned is None or id(parent) in owned:
@@ -1072,8 +1045,8 @@ def _walk(order: list[Node], owned: set[int] | None = None) -> dict[int, np.ndar
             else:
                 key = id(parent)
                 outside[key] = pg if key not in outside else outside[key] + pg
-            pg = None  # the next adjoint runs without it
-        node.vjps = ()
+        pg = None  # the next adjoint runs without it
+        node.vjp = None
     return outside
 
 
@@ -1082,21 +1055,20 @@ def _walk(order: list[Node], owned: set[int] | None = None) -> dict[int, np.ndar
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into the leaves' .grad.
 
-    Every other node on the tape drops its gradient and its adjoint
-    closures once it has passed the gradient to its parents. The tape
-    holds no values, only what its closures read, so the pass frees each
-    value once the last adjoint reading it has run (a value no adjoint
-    reads died during the forward), and holds only the gradients in
-    flight and the values still to be read. The nodes keep op and
-    parents, so the tape can still be counted, but not walked again: a
-    second call raises.
+    Every other node on the tape drops its gradient and its adjoint once
+    it has passed the gradient to its parents. The tape holds no values,
+    only what its adjoints read, so the pass frees each value once the
+    last adjoint reading it has run (a value no adjoint reads died during
+    the forward), and holds only the gradients in flight and the values
+    still to be read. The nodes keep op and parents, so the tape can
+    still be counted, but not walked again: a second call raises.
     """
     if not recording():
         raise RuntimeError("backward: called inside no_grad(), which records no tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     root = loss.node
-    if root.parents and not root.vjps:
+    if root.parents and root.vjp is None:
         raise RuntimeError("backward: this tape was walked already and keeps no values")
     order = _topo(root)
     for node in order:
@@ -1128,27 +1100,24 @@ def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
     targets = list({id(p): p for n in reversed(first) for p in n.parents
                     if p.tracked and id(p) not in owned}.values())
     bounds = np.cumsum([0] + [len(p.data) for p in parts]).tolist()
-    state: dict = {}
 
-    def run(k: int, _worker: int) -> None:
-        tape = first if k == 0 else _topo(roots[k], stop)
-        for node in tape:
-            node.grad = None
-        roots[k].grad = state["g"][bounds[k] : bounds[k + 1]]
-        state["sums"][k] = _walk(tape, owned if k == 0 else {id(n) for n in tape})
+    def vjp(g: np.ndarray) -> tuple:
+        sums: list = [None] * len(roots)
 
-    def adjoint(i: int, g: np.ndarray) -> np.ndarray:
-        if state.get("g") is not g:  # the first parent's call runs every part
-            state.update(g=g, sums=[None] * len(parts))
-            deal(range(len(parts)), run)
-            sums, reached = state.pop("sums"), {id(t) for t in targets}
-            if any(s.keys() != reached for s in sums):
-                raise ShapeError("join_rows: the parts reach different nodes")
-            state["grads"] = [reduce(np.add, [s.pop(id(t)) for s in sums]) for t in targets]
-        return state["grads"][i]
+        def run(k: int, _worker: int) -> None:
+            tape = first if k == 0 else _topo(roots[k], stop)
+            for node in tape:
+                node.grad = None
+            roots[k].grad = g[bounds[k] : bounds[k + 1]]
+            sums[k] = _walk(tape, owned if k == 0 else {id(n) for n in tape})
 
-    return Tensor(data, op="join_rows", parents=targets,
-                  vjps=[partial(adjoint, i) for i in range(len(targets))])
+        deal(range(len(roots)), run)
+        reached = {id(t) for t in targets}
+        if any(s.keys() != reached for s in sums):
+            raise ShapeError("join_rows: the parts reach different nodes")
+        return tuple(reduce(np.add, [s.pop(id(t)) for s in sums]) for t in targets)
+
+    return Tensor(data, op="join_rows", parents=targets, vjp=vjp)
 
 
 def forward_backward(graph_fn: Callable, params) -> tuple[float, dict[str, np.ndarray]]:
@@ -1184,8 +1153,11 @@ class GradCheckReport:
 def grad_check(graph_fn, params, h: float = 1e-5, tol: float = 1e-5) -> list[GradCheckReport]:
     """Compare analytic gradients against central finite differences.
 
-    Relative error per entry is |a - f| / max(|a|, |f|, 1e-8); each
-    parameter gets one report with the max over its entries.
+    Relative error per entry is |a - f| / max(|a|, |f|, 1e-8, r / tol),
+    where r = 8 eps max(|up|, |down|) / h is the rounding error the
+    quotient f = (up - down) / 2h can carry: an entry whose true gradient
+    is 0 or below r passes while a and f agree to within r. Each parameter
+    gets one report with the max over its entries.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"grad_check: h={h} outside [1e-7, 1e-3]")
@@ -1205,7 +1177,8 @@ def grad_check(graph_fn, params, h: float = 1e-5, tol: float = 1e-5) -> list[Gra
             flat[i] = keep
             fd = (up - down) / (2.0 * h)
             a = analytic.reshape(-1)[i]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
+            resolved = 8.0 * np.finfo(np.float64).eps * max(abs(up), abs(down)) / h
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8, resolved / tol)
             worst = max(worst, rel)
         reports.append(GradCheckReport(name, worst, tol, worst <= tol))
     return reports

@@ -1,14 +1,16 @@
 import contextlib
+import gc
 import sys
 import threading
 import time
 import warnings
+import weakref
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -692,13 +694,66 @@ def test_backward_frees_the_tape_and_keeps_the_root_and_the_leaves():
     nodes = [n for n in reached(loss)[1:] if n.parents]
     assert len(nodes) == 4
     ad.backward(loss)
-    assert all(n.vjps == () and n.grad is None for n in nodes)
-    assert loss.data.shape == () and loss.vjps == ()
+    assert all(n.vjp is None and n.grad is None for n in nodes)
+    assert loss.data.shape == () and loss.node.vjp is None
     assert x.data.shape == (5, 3) and store["w"].data.shape == (3, 2)
     assert store["w"].grad is not None and store["b"].grad is not None
     assert Counter(n.op for n in reached(loss)) == counts
     with pytest.raises(RuntimeError, match="walked already"):
         ad.backward(loss)
+
+
+def test_each_adjoint_runs_once_per_backward():
+    """A fused node with six parents and a two-parent primitive: one call
+    each, which returns a gradient for every parent."""
+    rng = stream(16, "once")
+    shapes = {"x": (2, 3, 4), "h": (2, 3, 4), "w1": (4, 5), "b1": (5,), "w2": (5, 4), "b2": (4,),
+              "s": (2, 3, 4)}
+    store = ParamStore({k: rng.normal(size=shape) for k, shape in shapes.items()})
+    out = ad.ffn(*[store[k] for k in ("x", "h", "w1", "b1", "w2", "b2")])
+    scaled = ad.mul(out, store["s"])
+    calls = Counter()
+    for tensor in (out, scaled):
+        def counted(g, vjp=tensor.node.vjp, op=tensor.op, parents=len(tensor.parents)):
+            calls[op] += 1
+            grads = vjp(g)
+            assert len(grads) == parents
+            return grads
+
+        tensor.node.vjp = counted
+    ad.backward(ad.tsum(scaled))
+    assert calls == {"ffn": 1, "mul": 1}
+    assert all(store[k].grad is not None for k in shapes)
+
+
+def test_a_taped_stack_keeps_none_of_its_parts_alive():
+    """stack's adjoint hands out views of the stacked gradient, so it needs
+    the parts' count, not the parts: once nothing else names them, their
+    values die during the forward, as the input gathers' do in encode."""
+    table = ParamStore({"t": stream(17, "t").normal(size=(4, 3))})["t"]
+    parts = [ad.gather_rows(table, [2 * k, 2 * k + 1]) for k in range(2)]
+    values = [weakref.ref(part.data) for part in parts]
+    stacked = ad.stack(parts)
+    del parts
+    gc.collect()
+    assert all(value() is None for value in values)
+    ad.backward(ad.tsum(stacked))
+    np.testing.assert_array_equal(table.grad, np.ones((4, 3)))
+
+
+def test_an_untracked_parent_never_gets_a_gradient():
+    """The adjoints compute a gradient toward every parent; the walk drops
+    those toward untracked ones, on primitives and fused nodes alike."""
+    store = ParamStore({"x": stream(18, "x").normal(size=(3, 4)),
+                        "w": stream(18, "w").normal(size=(4, 2))})
+    gain, scale, rows = (ad.const(stream(18, k).normal(size=shape))
+                         for k, shape in (("gain", (4,)), ("scale", (3, 2)), ("rows", (3, 4))))
+    doubled = ad.smul(rows, 2.0)  # computed from a const alone: never walked
+    normed = ad.rms_scale(ad.add(store["x"], doubled), gain)
+    loss = ad.tsum(ad.mul(ad.matmul(normed, store["w"]), scale))
+    ad.backward(loss)
+    assert store["x"].grad is not None and store["w"].grad is not None
+    assert all(t.grad is None for t in (gain, scale, rows, doubled))
 
 
 def composite_rms_scale(x, gain):
@@ -935,17 +990,37 @@ def assert_grad_check_passes(node, arrays, h):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(lead=st.tuples(st.integers(1, 4), st.integers(1, 4)), heads=st.integers(1, 3),
        dh=st.sampled_from([1, 2, 4]), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
-def test_attention_passes_grad_check_on_drawn_shapes(lead, heads, dh, d, seed, data):
+       keep=st.one_of(st.none(), st.integers(0, 3)), tied_rows=st.booleans())
+@example(lead=(1, 3), heads=1, dh=2, d=3, seed=5, keep=None, tied_rows=True)
+def test_attention_passes_grad_check_on_drawn_shapes(lead, heads, dh, d, seed, keep, tied_rows):
     """h = 1e-4: the quotient's rounding, not its truncation, is the larger
-    error here (the worst of 2000 random draws read 9e-6)."""
+    error here (the worst of 2000 random draws read 9e-6). Tied rows give
+    every query equal scores for any wq and wk, so their gradients are 0
+    and the quotient reads rounding alone."""
     B, P = lead
-    keep = data.draw(st.one_of(st.none(), st.integers(0, P - 1)), label="keep")
+    keep = None if keep is None else keep % P
     shapes = {"x": (B, P, d), "h": (B, P, d)}
     for i in range(heads):
         shapes.update({f"wq{i}": (d, dh), f"wk{i}": (d, dh), f"wv{i}": (d, dh), f"wo{i}": (dh, d)})
+    arrays = drawn_values(seed, shapes)
+    if tied_rows:
+        for k in ("x", "h"):
+            arrays[k][...] = arrays[k][0, 0]
     assert_grad_check_passes(lambda p: ad.attention(p["x"], p["h"], head_weights(p, heads), keep=keep),
-                             drawn_values(seed, shapes), h=1e-4)
+                             arrays, h=1e-4)
+
+
+def test_grad_check_passes_where_tied_rows_zero_a_gradient():
+    """One head over three equal rows at the default h and tol: wq's and
+    wk's gradients are 0, where the difference quotient reads only its
+    rounding, which grad_check's floor lets through."""
+    x = ad.const(np.ones((1, 3, 3)))
+    for seed in range(40):
+        rng = stream(seed, "gc")
+        store = ParamStore({f"w{w}0": rng.uniform(0.1, 0.7, (2, 3) if w == "o" else (3, 2))
+                            for w in "qkvo"})
+        reports = ad.grad_check(lambda p: ad.tsum(ad.attention(x, x, head_weights(p, 1))), store)
+        assert all(r.passed for r in reports), (seed, [(r.name, r.max_rel_error) for r in reports])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -89,7 +89,7 @@ class Planter:
             # has parents, which no_grad strips only after the check is decided
             inputs = [a for a in args if isinstance(a, ad.Tensor)]
             inputs += [t for a in args if isinstance(a, list) for t in a]
-            return ad.Tensor(data, op=out.op, parents=out.parents or inputs, vjps=out.vjps)
+            return ad.Tensor(data, op=out.op, parents=out.parents or inputs, vjp=out.node.vjp)
 
         return op
 
