@@ -27,33 +27,24 @@ its own tape and thread; each part sums its own gradients toward the
 nodes outside it, and the parts' sums are added in part order.
 
 A NaN/Inf raises NumericError naming the op that produced it, instead
-of letting it surface three modules later; a fused node is the op of
-every value inside it. Outside any scope every node checks its value
-when it is created; so do leaves and consts always. Inside a check-once
-scope (scoped: forward_backward's graph_fn, ctr_score's call, each part
-of label_logit_diff) an op's node skips that check, and two kinds of
-check stay: the scope checks the tensor it returns, and an op whose
-output can be finite where its input is not (relu, exp, logsumexp,
-rms_scale, clip_unit, sigmoid, softplus, take_position, gather_rows,
-attention, candidate_terms) checks that input unless it was checked
-already. A fused node also checks, in every mode, each value inside it
-that its next step could hide: ffn its pre-activations (its relu maps
--inf to 0), attention its scores (its softmax weighs a -inf score 0),
-the projections a spread gathers from and the mixed rows a kept row
-drops, and candidate_terms its cosines (its clip maps an inf to 1).
-Every other value inside a fused node reaches the node's output. On a
-failure the outermost scope runs the same call again with every node
-checked, on every thread the call deals to, and that replay raises the
-first op's NumericError, as a call outside any scope would. Values do
-not depend on the checks.
+of letting it surface three modules later: every Tensor checks its value
+when it is created, leaf, const or op, in every context, and a fused node
+is the op of every value inside it. A fused node also checks each value
+inside it that its next step could hide: ffn its pre-activations (its
+relu maps -inf to 0), attention its scores (its softmax weighs a -inf
+score 0), the projections a spread gathers from and the mixed rows a
+kept row drops, and candidate_terms its cosines (its clip maps an inf to
+1). Every other value inside a fused node reaches the node's output.
+Values do not depend on the checks.
 
-Numpy reports no overflow as a RuntimeWarning first: a scope sets its
-error state once, and an arithmetic op called outside any scope sets it
-around itself. Inside no_grad() ops record no parents and no adjoint,
-so forward-only callers keep no tape alive; the finiteness checks are
-the same with or without a tape. The no_grad flag, the check mode and
-numpy's error state are context variables, which every item that
-parallel.deal hands to a helper thread runs in, as its caller set them.
+Numpy reports no overflow as a RuntimeWarning first: quiet sets its
+error state to ignore once per context, around forward_backward's
+graph_fn, ctr_score's call and each arithmetic op called outside those.
+Inside no_grad() ops record no parents and no adjoint, so forward-only
+callers keep no tape alive; the finiteness checks are the same with or
+without a tape. The no_grad flag, quiet's flag and numpy's error state
+are context variables, which every item that parallel.deal hands to a
+helper thread runs in, as its caller set them.
 """
 
 from __future__ import annotations
@@ -77,16 +68,7 @@ _adjoint_faults: dict[str, "Fault"] = {}
 
 
 _recording: ContextVar[bool] = ContextVar("recording", default=True)  # false inside no_grad()
-
-_ONCE, _STRICT = "once", "strict"
-
-# the check-once scope the current context is in: None, _ONCE or _STRICT (the replay)
-_checks: ContextVar[str | None] = ContextVar("checks", default=None)
-
-
-class _Deferred(NumericError):
-    """A non-finite value found inside a check-once scope, whose nodes skipped
-    their own checks; the scope that owns the call replays it to name the op."""
+_quiet: ContextVar[bool] = ContextVar("quiet", default=False)  # true inside quiet()
 
 
 @dataclass
@@ -156,19 +138,18 @@ class Tensor:
     parents are the nodes (Tensor.node) the value was computed from. The
     tape holds nodes only, so a value lives while a name or an adjoint
     closure refers to its array, not while a node computed from it does.
+    Making one checks its value: a NaN or an Inf raises NumericError
+    naming op.
     """
 
-    __slots__ = ("data", "node", "checked")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, op="leaf", parents=(), vjp=None, tracked=None):
         self.data = np.asarray(data, dtype=np.float64)
-        # inside a check-once scope an op's node defers its check; a leaf never does
-        self.checked = not parents or _checks.get() is not _ONCE
         if not recording():
             parents, vjp = (), None
         self.node = Node(op, tuple(parents), vjp, tracked, self.data.shape)
-        if self.checked and not np.all(np.isfinite(self.data)):
-            raise NumericError(f"op '{op}' produced non-finite values")
+        _stage(op, self.data)
 
     @property
     def op(self) -> str:
@@ -216,20 +197,9 @@ def const(data) -> Tensor:
 
 
 def _stage(op: str, value: np.ndarray) -> None:
-    """Check a value whose next step in op could hide a non-finite entry,
-    in every mode; inside a check-once scope a failure is left to the
-    scope's replay to name."""
+    """Raise op's NumericError if value holds a NaN or an Inf."""
     if not np.all(np.isfinite(value)):
-        error = _Deferred if _checks.get() is _ONCE else NumericError
-        raise error(f"op '{op}' produced non-finite values")
-
-
-def _finite(x: Tensor) -> None:
-    """Check x if its node deferred its check: an op whose output can be
-    finite where its input is not calls this on that input."""
-    if not x.checked:
-        _stage(x.op, x.data)
-        x.checked = True
+        raise NumericError(f"op '{op}' produced non-finite values")
 
 
 def _chain_fault() -> float | None:
@@ -246,53 +216,22 @@ def _chain_fault() -> float | None:
     return fault.scale
 
 
-def scoped(fn: Callable) -> Callable:
-    """fn, to run in a check-once scope.
+def quiet(fn: Callable) -> Callable:
+    """fn under numpy's ignore error state, so an overflow raises the op's
+    NumericError with no RuntimeWarning first. The state is set once per
+    context: a call inside another quiet call, on its thread or on a
+    helper parallel.deal started from it, costs one flag read."""
 
-    In the scope a node skips its own finiteness check (see the module
-    docstring), and the Tensor fn returns is checked. A call made
-    outside any scope owns its scope: on a failure it runs fn again with
-    every node checked, which raises the first op's NumericError. A call
-    made inside a scope, on the scope's thread or on a helper that
-    parallel.deal started from it, runs in that scope's mode, reports a
-    failure to the scope that owns the call, and runs strict when that
-    scope replays. Numpy's error state is set to ignore while fn runs: a
-    non-finite value is raised as NumericError, never as a warning.
-    """
-
+    @wraps(fn)
     def run(*args, **kwargs):
-        inherited = _checks.get()
-        token = _checks.set(inherited or _ONCE)
+        if _quiet.get():
+            return fn(*args, **kwargs)
+        token = _quiet.set(True)
         try:
             with np.errstate(all="ignore"):
-                out = fn(*args, **kwargs)
-                if isinstance(out, Tensor):
-                    _finite(out)
-            return out
-        except _Deferred as e:
-            if inherited is not None:  # the scope that owns the call replays it
-                raise
-            _checks.set(_STRICT)
-            with np.errstate(all="ignore"):
-                fn(*args, **kwargs)
-            raise NumericError(str(e)) from None  # the replay computed other values
+                return fn(*args, **kwargs)
         finally:
-            _checks.reset(token)
-
-    return run
-
-
-def _quiet(op: Callable) -> Callable:
-    """op under numpy's ignore error state when no scope has set it, so an
-    overflow outside any scope raises the op's NumericError with no
-    RuntimeWarning first. Inside a scope it costs one attribute read."""
-
-    @wraps(op)
-    def run(*args, **kwargs):
-        if _checks.get() is not None:
-            return op(*args, **kwargs)
-        with np.errstate(all="ignore"):
-            return op(*args, **kwargs)
+            _quiet.reset(token)
 
     return run
 
@@ -322,7 +261,7 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
         ) from None
 
 
-@_quiet
+@quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
     sa, sb = a.data.shape, b.data.shape
@@ -334,7 +273,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-@_quiet
+@quiet
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
     sa, sb = a.data.shape, b.data.shape
@@ -346,7 +285,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-@_quiet
+@quiet
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
     x, y = a.data, b.data
@@ -359,13 +298,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-@_quiet
+@quiet
 def smul(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return Tensor(a.data * c, op="smul", parents=(a.node,), vjp=lambda g: (g * c,))
 
 
-@_quiet
+@quiet
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b."""
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -418,16 +357,14 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    _finite(a)
     out = np.maximum(a.data, 0.0)
     out += 0.0  # np.maximum may keep a -0.0; this makes every zero +0.0 (inputs are finite)
     # out > 0 where a > 0 and nowhere else, so the adjoint keeps no array but out
     return Tensor(out, op="relu", parents=(a.node,), vjp=lambda g: (g * (out > 0),))
 
 
-@_quiet
+@quiet
 def exp(a: Tensor) -> Tensor:
-    _finite(a)
     out = np.exp(a.data)
     return Tensor(out, op="exp", parents=(a.node,), vjp=lambda g: (g * out,))
 
@@ -439,14 +376,12 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    _finite(a)
     out = _logistic(a.data)
     return Tensor(out, op="sigmoid", parents=(a.node,), vjp=lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow; its slope is the logistic."""
-    _finite(a)
     sig = _logistic(a.data)
     return Tensor(np.logaddexp(0.0, a.data), op="softplus", parents=(a.node,),
                   vjp=lambda g: (g * sig,))
@@ -456,7 +391,7 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
     return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
 
-@_quiet
+@quiet
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     shape = a.data.shape
     return Tensor(
@@ -467,7 +402,7 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     )
 
 
-@_quiet
+@quiet
 def tsum_rows(a: Tensor) -> Tensor:
     """Scalar sum of a rank-2 tensor: each row summed on its own, then the
     row sums added first to last.
@@ -487,7 +422,7 @@ def tsum_rows(a: Tensor) -> Tensor:
     )
 
 
-@_quiet
+@quiet
 def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     shape = a.data.shape
     count = a.data.size if axis is None else shape[axis]
@@ -507,7 +442,6 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
         raise ShapeError(f"gather_rows: index out of range for table with {shape[0]} rows")
-    _finite(table)
     return Tensor(
         np.take(table.data, idx, axis=0),
         op="gather_rows",
@@ -537,7 +471,6 @@ def take_position(x: Tensor, pos: int) -> Tensor:
         raise ShapeError(f"take_position: rank 3 required, got {x.data.shape}")
     if not isinstance(pos, (int, np.integer)) or not 0 <= pos < x.data.shape[1]:
         raise ShapeError(f"take_position: position {pos} out of range for {x.data.shape}")
-    _finite(x)
     shape = x.data.shape
 
     def vjp(g):
@@ -595,7 +528,7 @@ def _unit_adjoint(y: np.ndarray, norm: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (g - y * dot) / norm
 
 
-@_quiet
+@quiet
 def l2_normalize(x: Tensor) -> Tensor:
     """Normalize along the last axis to unit L2 norm."""
     y, norm = _unit(x.data)
@@ -603,7 +536,7 @@ def l2_normalize(x: Tensor) -> Tensor:
                   vjp=lambda g: (_unit_adjoint(y, norm, g),))
 
 
-@_quiet
+@quiet
 def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
     """x over its root mean square along the last axis, times gain (d,): one node.
 
@@ -615,7 +548,6 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
     d = xd.shape[-1]
     if gd.shape != (d,):
         raise ShapeError(f"rms_scale: gain must be ({d},), got {gd.shape}")
-    _finite(x)  # a row's rescale (_norms) reads the exponent of an inf, which C leaves open
     c = float(np.sqrt(d))
     out = xd * xd
     norm = _norms(xd, out)
@@ -638,10 +570,9 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
     return Tensor(out, op="rms_scale", parents=(x.node, gain.node), vjp=vjp)
 
 
-@_quiet
+@quiet
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     """log(sum(exp(x))) along axis."""
-    _finite(x)
     m = np.max(x.data, axis=axis, keepdims=True)
     z = np.exp(x.data - m)
     s = z.sum(axis=axis, keepdims=True)
@@ -660,12 +591,11 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 def clip_unit(x: Tensor) -> Tensor:
     # Rounding guard: dots of float-normalized rows can exceed 1 by an ulp.
-    _finite(x)
     return Tensor(np.clip(x.data, -1.0, 1.0), op="clip_unit", parents=(x.node,),
                   vjp=lambda g: (g,))
 
 
-@_quiet
+@quiet
 def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int | None = None,
               spread: np.ndarray | None = None) -> Tensor:
     """x + Σ_i softmax(q_i k_iᵀ / √dh) v_i wo_i, a block's attention and its residual: one node.
@@ -696,10 +626,10 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
     adjoints, heads first to last, as the chain's walk does, and each
     head frees what it kept once its adjoint has run. An adjoint_fault on
     matmul scales the node's GEMM adjoints where it scales the chain's.
-    Besides its inputs and its output, the node checks each head's
-    scores, which the softmax weighs 0 at -inf, the projections a spread
-    gathers from and, with keep, the mixed rows the kept row's slice
-    drops; every failure names attention.
+    Besides its output, the node checks each head's scores, which the
+    softmax weighs 0 at -inf, the projections a spread gathers from and,
+    with keep, the mixed rows the kept row's slice drops; every failure
+    names attention.
     """
     xd, hd = x.data, h.data
     d = hd.shape[-1]
@@ -718,8 +648,6 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
         raise ShapeError(f"attention: x {xd.shape}, h {hd.shape}, spread "
                          f"{None if spread is None else spread.shape}, keep {keep} and heads "
                          f"{[[w.shape for w in head] for head in weights]}")
-    _finite(x)
-    _finite(h)
     B, P = lead
     taped = recording()
     lo = P - 2 if keep == P - 1 and P > 1 and not taped else 0  # the first query position
@@ -844,7 +772,7 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
                   parents=[x.node, h.node] + [w.node for head in heads for w in head], vjp=vjp)
 
 
-@_quiet
+@quiet
 def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """x + (relu(h @ w1 + b1) @ w2 + b2), a feed-forward sublayer and its residual: one node.
 
@@ -886,7 +814,7 @@ def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) ->
                   parents=(x.node, h.node, w1.node, b1.node, w2.node, b2.node), vjp=vjp)
 
 
-@_quiet
+@quiet
 def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
                     positives: Sequence[np.ndarray], candidates: Sequence[np.ndarray],
                     weights: np.ndarray, scale: float) -> Tensor:
@@ -908,9 +836,8 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     index, and the adjoint turns the kept softmax weights into the
     logits' gradient in place. At DEAL_ROWS rows or more the fields run
     side by side on parallel.deal's threads, forward and adjoint.
-    Besides its inputs and its output, the node checks each field's
-    cosines, which the clip maps to 1 at inf; every failure names
-    candidate_terms.
+    Besides its output, the node checks each field's cosines, which the
+    clip maps to 1 at inf; every failure names candidate_terms.
     """
     xd, scale = x.data, float(scale)
     weights = np.asarray(weights, dtype=np.float64)
@@ -931,9 +858,6 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
             raise ShapeError(f"candidate_terms: field {k} of {xd.shape} has rows {r.data.shape}, "
                              f"positives {np.shape(pos)} and candidates {np.shape(cand)}, "
                              "each positive a candidate")
-    _finite(x)
-    for r in rows:
-        _finite(r)
     # a logit under 2**46 in size plus LOG_ZERO rounds to LOG_ZERO, and a row's
     # max is its positive's logit or more, so a gated entry's exp underflows to 0
     fast_exp = abs(scale) < 2.0**46
@@ -1124,12 +1048,10 @@ def forward_backward(graph_fn: Callable, params) -> tuple[float, dict[str, np.nd
     """Evaluate graph_fn(params) and return (loss, grads per parameter).
 
     Parameters the loss does not depend on get zero gradients. graph_fn
-    runs in a check-once scope (scoped), which checks the loss. On a
-    non-finite value graph_fn runs a second time with every node
-    checked, to raise the NumericError of the first op that produced
-    one, so it must compute the same values each time it is called.
+    runs once, under quiet: a non-finite value raises the NumericError
+    of the op that produced it.
     """
-    loss = scoped(graph_fn)(params)
+    loss = quiet(graph_fn)(params)
     if not isinstance(loss, Tensor):
         raise ShapeError("forward_backward: graph_fn must return a Tensor")
     if loss.data.shape != ():

@@ -54,7 +54,7 @@ def corrupt_batch(
         fixed = np.asarray(fixed_probs, dtype=np.float64)
         if fixed.shape != (P,):
             raise DataError(f"mask_probs has shape {fixed.shape}, expected ({P},)")
-        if np.any(fixed < 0) or np.any(fixed >= 1):
+        if not np.all((fixed >= 0) & (fixed < 1)):  # NaN fails too
             raise DataError("mask probabilities must lie in [0, 1)")
         probs = np.tile(fixed, (B, 1))
     else:

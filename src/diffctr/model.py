@@ -47,6 +47,8 @@ class ModelConfig:
             )
         if not 0 < self.temperature < float("inf"):  # NaN fails too
             raise DataError(f"temperature must be finite and > 0, got {self.temperature}")
+        if 1.0 / float(self.temperature) == float("inf"):  # the logits' scale
+            raise DataError(f"temperature must have a finite reciprocal, got {self.temperature}")
 
 
 class Model:
@@ -249,8 +251,8 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
     builds the nodes no row changes once: the field-position rows and the
     label's two target columns. parallel.parts cuts the rows at points
     that depend on the row count alone, and each part runs
-    _part_logit_diff in a check-once scope (autodiff.scoped) on a thread
-    per CPU (parallel.deal). ad.join_rows joins the gaps: at the default
+    _part_logit_diff on a thread per CPU (parallel.deal), in its
+    caller's context. ad.join_rows joins the gaps: at the default
     shapes their values equal one call on every row bit for bit. On a
     tape each part sums its own gradients and join_rows adds the parts'
     sums in part order, so gradients are the same bits on any CPU count
@@ -269,10 +271,9 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
               _target_columns(model, lbl, np.array([0, 1])))
     cuts = parts(len(tokens))
     gaps = [None] * len(cuts)
-    part_gap = ad.scoped(_part_logit_diff)
 
     def run(k: int, _worker: int) -> None:
-        gaps[k] = part_gap(model, masked[slice(*cuts[k])], *shared)
+        gaps[k] = _part_logit_diff(model, masked[slice(*cuts[k])], *shared)
 
     deal(range(len(cuts)), run)
     return ad.join_rows(gaps, shared)
@@ -296,13 +297,12 @@ def ctr_score(model: Model, tokens: np.ndarray) -> np.ndarray:
     The sigmoid of label_logit_diff, whose parts run on a thread per CPU,
     each BLAS call on one thread, so at the default shapes the scores
     equal one unsplit call's bit for bit (encode's docstring names the
-    shapes where they do not). The call is one check-once scope
-    (autodiff.scoped), which the parts' threads inherit: sigmoid checks
-    the gap, and a failing call is scored again, whole, with every node
-    checked to name the op.
+    shapes where they do not). The call runs once, under autodiff.quiet,
+    which the parts' threads inherit: a non-finite value raises the
+    NumericError of the op that produced it.
     """
     with ad.no_grad():
-        return ad.scoped(lambda: ad.sigmoid(label_logit_diff(model, tokens)))().data
+        return ad.quiet(lambda: ad.sigmoid(label_logit_diff(model, tokens)))().data
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def deal(items: Sequence, work: Callable, rows: int | None = None) -> None:
     Every helper has finished its items before the call returns, then the
     exception of the earliest item that raised is re-raised here. Each
     helper runs in a copy of the caller's context (contextvars), so work
-    sees numpy's error state, no_grad and the check-once scope as its
+    sees numpy's error state, no_grad and autodiff.quiet's flag as its
     caller does.
     """
     workers = threads(items, rows)

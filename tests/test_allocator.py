@@ -64,7 +64,7 @@ def test_a_b2048_fine_tune_backward_peaks_near_what_its_forward_holds(default_mo
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss = ad.scoped(lambda: sft_loss(model, tokens[:2048]))()
+        loss = ad.quiet(lambda: sft_loss(model, tokens[:2048]))()
         held = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         ad.backward(loss)

@@ -237,10 +237,10 @@ def test_candidate_terms_match_the_chain_bit_for_bit(B, P, d, widths):
 @pytest.mark.parametrize("op, scale, weight", [("smul", np.inf, 1.0), ("sub", 1e308, 1.0),
                                                ("mul", 1e300, 1e300)])
 def test_candidate_terms_name_the_chain_op_that_overflows(op, scale, weight):
-    """Outside a scope and in forward_backward's replay the chain names the
-    op that overflows, and the node, whose every value inside reaches its
-    output, names itself: each row's positive points away from its
-    context and another candidate along it."""
+    """Bare and in forward_backward the chain names the op that overflows,
+    and the node, whose every value inside reaches its output, names
+    itself: each row's positive points away from its context and another
+    candidate along it."""
     store = ParamStore({"x": np.array([[[1.0, 0.0]], [[0.0, 1.0]]]),
                         "r": np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])})
     args = ([0], [store["r"]], [np.array([1, 3])], [np.ones((2, 4), bool)], np.full((1, 2), weight),
@@ -255,9 +255,9 @@ def test_candidate_terms_name_the_chain_op_that_overflows(op, scale, weight):
 
 def test_candidate_terms_check_the_cosines_the_clip_bounds_on_a_dealt_field(monkeypatch):
     """An inf planted in the second field's unit target rows, the field the
-    helper runs, makes cosines of inf that the clip maps to 1: bare, in a
-    check-once scope and in forward_backward's replay, the node raises its
-    own NumericError, and without its checks its terms are finite."""
+    helper runs, makes cosines of inf that the clip maps to 1: bare, under
+    quiet and in forward_backward, the node raises its own NumericError,
+    and without its checks its terms are finite."""
     monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
     B = parallel.DEAL_ROWS
     assert parallel.threads(range(2), B) == 2
@@ -286,7 +286,7 @@ def test_candidate_terms_check_the_cosines_the_clip_bounds_on_a_dealt_field(monk
             with pytest.raises(NumericError, match=message):
                 terms(store)
             with pytest.raises(NumericError, match=message):
-                ad.scoped(lambda: ad.tsum_rows(terms(store)))()
+                ad.quiet(lambda: ad.tsum_rows(terms(store)))()
             with pytest.raises(NumericError, match=message):
                 ad.forward_backward(lambda p: ad.tsum_rows(terms(p)), store)
     monkeypatch.setattr(ad, "_stage", lambda op, value: None)
@@ -388,6 +388,19 @@ def test_non_finite_names_op():
     store = ParamStore({"w": np.full((2,), 1e200)})
     with pytest.raises(NumericError, match="'mul'"):
         ad.forward_backward(lambda p: ad.tsum(ad.mul(p["w"], p["w"])), store)
+
+
+def test_forward_backward_calls_graph_fn_once_when_it_raises():
+    store = ParamStore({"w": np.array([1e10, 2.0])})
+    calls = []
+
+    def graph(p):
+        calls.append(p)
+        return ad.tsum(ad.clip_unit(ad.smul(p["w"], 1e300)))  # clip_unit would map the inf to 1
+
+    with pytest.raises(NumericError, match="^op 'smul' produced non-finite values$"):
+        ad.forward_backward(graph, store)
+    assert calls == [store]
 
 
 BIG = np.full((2, 2), 1e200)
@@ -556,29 +569,29 @@ def test_no_grad_state_is_per_thread_under_contention():
 
 def test_work_dealt_to_a_helper_runs_in_its_callers_context(monkeypatch):
     """parallel.deal starts each helper in a copy of the caller's context, so
-    the helper sees the caller's numpy error state, no_grad and check-once
-    scope; a plain thread starts from the defaults."""
+    the helper sees the caller's numpy error state, no_grad and quiet flag;
+    a plain thread starts from the defaults."""
     monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
     seen = {}
 
     def state(key, _worker=None):
         seen[key] = (np.geterr()["over"], np.geterr()["divide"], ad.recording(),
-                     ad._checks.get(), threading.get_ident())
+                     ad._quiet.get(), threading.get_ident())
 
-    with np.errstate(over="ignore", divide="raise"), ad.no_grad():
-        token = ad._checks.set(ad._ONCE)
-        try:
+    @ad.quiet
+    def call():
+        with np.errstate(divide="raise"), ad.no_grad():
             parallel.deal(["caller", "helper"], state)
             plain = threading.Thread(target=state, args=("plain",))
             plain.start()
             plain.join(timeout=60)
             assert not plain.is_alive()
-        finally:
-            ad._checks.reset(token)
+
+    call()
     assert seen["caller"][-1] != seen["helper"][-1]
-    assert seen["caller"][:-1] == seen["helper"][:-1] == ("ignore", "raise", False, ad._ONCE)
-    assert seen["plain"][:-1] == ("warn", "warn", True, None)
-    assert np.geterr()["over"] == "warn" and ad.recording() and ad._checks.get() is None
+    assert seen["caller"][:-1] == seen["helper"][:-1] == ("ignore", "raise", False, True)
+    assert seen["plain"][:-1] == ("warn", "warn", True, False)
+    assert np.geterr()["over"] == "warn" and ad.recording() and not ad._quiet.get()
 
 
 def test_backward_refuses_to_run_inside_no_grad():
@@ -1085,9 +1098,9 @@ def overflowing_heads(case):
 @pytest.mark.parametrize("case, op", [("v", "matmul"), ("scores", "matmul"), ("sum", "add"),
                                       ("kept", "matmul"), ("spread", "matmul")])
 def test_attention_names_the_chain_op_that_fails_on_a_dealt_head(monkeypatch, case, op):
-    """The second head runs on the helper: bare, in a check-once scope and in
-    forward_backward's replay (spread rows record no tape, so those run
-    bare and scoped), inside and outside a helper scope, the chain raises
+    """The second head runs on the helper: bare, under quiet and in
+    forward_backward (spread rows record no tape, so those run bare and
+    under quiet), inside and outside a helper scope, the chain raises
     its op's NumericError text and the node its own. The scores, the rows
     the kept row drops and the rows spread drops are values the node's
     next step would hide: without its checks its output is finite."""
@@ -1108,8 +1121,8 @@ def test_attention_names_the_chain_op_that_fails_on_a_dealt_head(monkeypatch, ca
                 with pytest.raises(NumericError, match=message):
                     call(store["x"], store["h"], head_weights(store, 2), **options)
                 with pytest.raises(NumericError, match=message):
-                    ad.scoped(lambda: ad.tsum(call(store["x"], store["h"],
-                                                   head_weights(store, 2), **options)))()
+                    ad.quiet(lambda: ad.tsum(call(store["x"], store["h"],
+                                                  head_weights(store, 2), **options)))()
                 if taped:
                     with pytest.raises(NumericError, match=message):
                         ad.forward_backward(lambda p: ad.tsum(
@@ -1141,8 +1154,8 @@ def test_attention_refuses_spread_rows_on_a_tape():
 def test_a_minus_inf_before_the_fused_relu_raises_inside_and_outside_a_scope(h, w1, b1, op):
     """relu maps -inf to 0, after which the FFN's output is finite: the
     chain names the op that made the -inf and the fused node itself,
-    whether every node is checked or only the ops that can hide a value.
-    Without its checks the node's output is finite."""
+    bare, under quiet and in forward_backward. Without its checks the
+    node's output is finite."""
     store = ParamStore({"w1": np.array(w1), "b1": np.array(b1), "w2": np.ones((2, 1)),
                         "b2": np.zeros(1)})
     x, h = ad.const(np.zeros((2, 1))), ad.const(np.array(h))
@@ -1154,7 +1167,7 @@ def test_a_minus_inf_before_the_fused_relu_raises_inside_and_outside_a_scope(h, 
             with pytest.raises(NumericError, match=message):
                 ffn(x, h, *(store[k] for k in names))
             with pytest.raises(NumericError, match=message):
-                ad.scoped(lambda: ad.tsum(ffn(x, h, *(store[k] for k in names))))()
+                ad.quiet(lambda: ad.tsum(ffn(x, h, *(store[k] for k in names))))()
             with pytest.raises(NumericError, match=message):
                 ad.forward_backward(lambda p: ad.tsum(ffn(x, h, *(p[k] for k in names))), store)
     with mock.patch.object(ad, "_stage", lambda op, value: None):

@@ -1,5 +1,6 @@
-"""Check-once scopes: a non-finite value planted in any op's output, on any
-route, raises the same NumericError as checking every node would."""
+"""Every node checks its own value: a non-finite value planted in any op's
+output, or in ffn's weights, on any route, raises the NumericError of the
+op that made it, on every run alike."""
 
 import sys
 import threading
@@ -8,8 +9,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from diffctr import autodiff as ad
@@ -18,7 +18,6 @@ from diffctr import losses as ls
 from diffctr import model as md
 from diffctr import parallel
 from diffctr.errors import NumericError
-from diffctr.optim import ParamStore
 from diffctr.rng import stream
 from diffctr.schedule import build_schedule
 
@@ -28,6 +27,9 @@ OPS = ["const", "add", "sub", "mul", "smul", "matmul", "transpose", "relu", "exp
        "softplus", "tsum", "tsum_rows", "tmean", "gather_rows", "take_position", "stack",
        "l2_normalize", "logsumexp", "clip_unit", "join_rows", "rms_scale", "attention", "ffn",
        "candidate_terms"]
+# the weights ffn reads in every row, by argument position: a -inf in b1
+# reaches a pre-activation the relu maps to 0
+WEIGHTS = {"ffn": (2, 3, 4, 5)}
 
 DATA, _ = dd.generate_synthetic(dd.random_spec(num_fields=3, vocab=6, clusters=2, samples=64,
                                                 seed=5))
@@ -53,43 +55,57 @@ ROUTES = {"pretrain": pretrain_route, "sft": sft_route, "score": score_route}
 
 
 class Planter:
-    """Counts each op's calls per site and plants a value in one call's output.
+    """Counts each op's calls per site and plants a value in one call's output
+    or, for ffn, in one of the weights it reads.
 
-    A thread's site is "call" from the start of graph_fn or of the
-    label_logit_diff call in ctr_score's scope, then the row part it last
+    A target is (site, op, index, argument): the index-th call of op at
+    site, and the argument position it plants in, or None for the
+    output. A thread's site is "call" from the start of graph_fn or of
+    the label_logit_diff call in ctr_score, then the row part it last
     entered (keyed by the part's first row in the label-masked batch);
     each part runs on one thread, and a thread runs its parts in a fixed
-    order. Entering a site restarts its counts, so a replay of the route,
-    or of a part inside it, meets the same planted call again.
+    order.
     """
 
     def __init__(self, target=None, value=None, where=0, workers=2):
         self.target, self.value, self.where, self.workers = target, value, where, workers
         self.counts: dict = {}  # site -> Counter of op calls, each site on one thread
-        self.calls: list[tuple] = []  # (site, op, index, size) of every call seen
+        self.calls: list[tuple] = []  # (site, op, index, argument, size) of every plant site
         self.local = threading.local()
 
     def enter(self, site) -> None:
         self.local.site = site
         self.counts[site] = Counter()
 
+    def plant(self, data):
+        data = data.copy()
+        data.flat[self.where % data.size] = self.value
+        return data
+
     def wrap(self, name, real):
         def op(*args, **kwargs):
-            out = real(*args, **kwargs)
             site = getattr(self.local, "site", "call")
             counts = self.counts.setdefault(site, Counter())
             index = counts[name]
             counts[name] += 1
-            self.calls.append((site, name, index, out.data.size))
-            if (site, name, index) != self.target:
+            args = list(args)
+            for k in WEIGHTS.get(name, ()):
+                self.calls.append((site, name, index, k, args[k].data.size))
+                if (site, name, index, k) == self.target:
+                    # the weight's node with a planted value that no check has seen
+                    weight, args[k] = args[k], object.__new__(ad.Tensor)
+                    args[k].data, args[k].node = self.plant(weight.data), weight.node
+            out = real(*args, **kwargs)
+            self.calls.append((site, name, index, None, out.data.size))
+            if (site, name, index, None) != self.target:
                 return out
-            data = out.data.copy()
-            data.flat[self.where % data.size] = self.value
-            # the same node, made again from the planted value: an op's node
-            # has parents, which no_grad strips only after the check is decided
-            inputs = [a for a in args if isinstance(a, ad.Tensor)]
-            inputs += [t for a in args if isinstance(a, list) for t in a]
-            return ad.Tensor(data, op=out.op, parents=out.parents or inputs, vjp=out.node.vjp)
+            # the same node, made again from the planted value, with the op's
+            # inputs as its parents when no_grad has dropped them
+            inputs = [a.node for a in args if isinstance(a, ad.Tensor)]
+            inputs += [t.node for a in args if isinstance(a, list) for t in a
+                       if isinstance(t, ad.Tensor)]
+            return ad.Tensor(self.plant(out.data), op=out.op, parents=out.parents or inputs,
+                             vjp=out.node.vjp)
 
         return op
 
@@ -105,7 +121,7 @@ class Planter:
                         - rows.base.__array_interface__["data"][0]) // rows.strides[0])
             return part(model, rows, *shared)
 
-        def score_call(model, tokens):  # ctr_score's scope calls it again when it replays
+        def score_call(model, tokens):  # ctr_score's one call
             self.enter("call")
             return logit(model, tokens)
 
@@ -131,24 +147,20 @@ class Planter:
             parallel.PART_ROWS, parallel.cpu_workers = part_rows, workers
 
 
-def outcome(route, planter, strict):
+def outcome(route, planter):
     """(exception type, message) of one run of route, or None if it returns."""
     with planter.installed():
-        ad._checks.set(ad._STRICT if strict else None)
         try:
             ROUTES[route]()
         except Exception as e:
             return type(e), str(e)
-        finally:
-            ad._checks.set(None)
     return None
 
 
 def route_calls(route):
     planter = Planter()
-    assert outcome(route, planter, strict=False) is None
-    return sorted({(site, name, index) for site, name, index, size in planter.calls if size},
-                  key=str)
+    assert outcome(route, planter) is None
+    return sorted({call[:4] for call in planter.calls if call[4]}, key=str)
 
 
 CALLS = {route: route_calls(route) for route in ROUTES}
@@ -156,21 +168,22 @@ CALLS = {route: route_calls(route) for route in ROUTES}
 
 def test_every_route_reaches_the_ops_that_can_hide_a_value():
     for route in ROUTES:
-        names = {name for _, name, _ in CALLS[route]}
+        names = {name for _, name, _, _ in CALLS[route]}
         assert {"ffn", "attention", "rms_scale", "gather_rows"} <= names
         # the FFN's relu is in ffn, and the softmax's exp in attention
         assert not {"relu", "exp"} & names
-    # the pretraining loss is one node, which checks its inputs and its cosines
-    pretrain = {name for _, name, _ in CALLS["pretrain"]}
+        assert {k for _, name, _, k in CALLS[route] if name == "ffn"} == {None, 2, 3, 4, 5}
+    # the pretraining loss is one node, which checks its cosines
+    pretrain = {name for _, name, _, _ in CALLS["pretrain"]}
     assert {"candidate_terms", "matmul"} <= pretrain
     assert not {"clip_unit", "logsumexp", "take_position"} & pretrain
     for route in ("sft", "score"):
-        names = {name for _, name, _ in CALLS[route]}
+        names = {name for _, name, _, _ in CALLS[route]}
         assert "clip_unit" in names and "take_position" not in names  # its slices are in attention
-    assert {"sigmoid"} <= {name for _, name, _ in CALLS["score"]}
-    assert {"softplus", "join_rows"} <= {name for _, name, _ in CALLS["sft"]}
+    assert {"sigmoid"} <= {name for _, name, _, _ in CALLS["score"]}
+    assert {"softplus", "join_rows"} <= {name for _, name, _, _ in CALLS["sft"]}
     for route in ("sft", "score"):
-        assert {site for site, _, _ in CALLS[route]} == {"call", 0, 8, 16, 24, 32}
+        assert {site for site, _, _, _ in CALLS[route]} == {"call", 0, 8, 16, 24, 32}
 
 
 OP_NAME = {"tsum": "sum", "tsum_rows": "sum", "tmean": "mean"}  # Tensor.op where it differs
@@ -178,86 +191,38 @@ OP_NAME = {"tsum": "sum", "tsum_rows": "sum", "tmean": "mean"}  # Tensor.op wher
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(route=st.sampled_from(sorted(ROUTES)), data=st.data(),
+@given(case=st.sampled_from([(route, call) for route in sorted(ROUTES) for call in CALLS[route]]),
        value=st.sampled_from([np.inf, -np.inf, np.nan]), where=st.integers(0, 2**16))
-def test_a_planted_value_raises_as_checking_every_node_would(route, data, value, where):
-    target = data.draw(st.sampled_from(CALLS[route]), label="call")
+@example(case=("pretrain", ("call", "ffn", 0, 3)), value=-np.inf, where=1)  # the relu zeroes it
+def test_a_planted_value_raises_as_checking_every_node_would(case, value, where):
+    route, target = case
     threads_before = threading.active_count()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        once = outcome(route, Planter(target, value, where), strict=False)
-        strict = outcome(route, Planter(target, value, where), strict=True)
+        first = outcome(route, Planter(target, value, where))
+        again = outcome(route, Planter(target, value, where))
     name = OP_NAME.get(target[1], target[1])
-    assert strict == (NumericError, f"op '{name}' produced non-finite values")
-    assert once == strict
+    assert first == (NumericError, f"op '{name}' produced non-finite values")
+    assert again == first
     assert threading.active_count() == threads_before
 
 
 def test_parts_on_more_threads_than_cpus_raise_alike_under_thread_switches():
     """Five parts on four threads switching every microsecond: the parts share
-    label_logit_diff's shared nodes, whose deferred checks any of them may run first."""
+    label_logit_diff's shared nodes, and whichever raises first raises the
+    same error."""
     threads_before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for target in [("call", "l2_normalize", 0), (24, "matmul", 3), (32, "ffn", 0)]:
+        for target in [("call", "l2_normalize", 0, None), (24, "matmul", 1, None),
+                       (32, "ffn", 0, None), (16, "ffn", 0, 3)]:
+            name = target[1]
             for route in ("sft", "score"):
-                want = outcome(route, Planter(target, -np.inf, 5, workers=4), strict=True)
+                assert target in CALLS[route]
                 for _ in range(5):
-                    assert outcome(route, Planter(target, -np.inf, 5, workers=4),
-                                   strict=False) == want
-        assert outcome("sft", Planter(workers=4), strict=False) is None
+                    assert outcome(route, Planter(target, -np.inf, 5, workers=4)) == (
+                        NumericError, f"op '{name}' produced non-finite values")
+        assert outcome("sft", Planter(workers=4)) is None
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads_before
-
-
-def test_a_failing_call_runs_again_with_every_node_checked():
-    store = ParamStore({"w": np.array([1e10, 2.0])})
-    modes = []
-
-    def graph(p):
-        modes.append(ad._checks.get())
-        return ad.tsum(ad.clip_unit(ad.smul(p["w"], 1e300)))  # clip_unit maps the inf to 1
-
-    with pytest.raises(NumericError, match="^op 'smul' produced non-finite values$") as caught:
-        ad.forward_backward(graph, store)
-    assert type(caught.value) is NumericError
-    assert modes == [ad._ONCE, ad._STRICT]
-    assert ad._checks.get() is None
-    modes.clear()
-    store.set_data("w", np.array([1.0, 2.0]))
-    ad.forward_backward(graph, store)
-    assert modes == [ad._ONCE]
-
-
-def test_nodes_defer_their_check_only_inside_a_scope():
-    w = ParamStore({"w": np.ones((2, 2))})["w"]
-    made = []
-
-    def graph():
-        made.extend([ad.const(np.ones(2)), ad.add(w, w)])
-        made.append(ad.tsum(made[1]))
-        return made[2]
-
-    graph()
-    assert all(t.checked for t in made)
-    made.clear()
-    ad.scoped(graph)()
-    const, interior, out = made
-    assert const.checked and out.checked  # a leaf checks itself; the scope checks its output
-    assert not interior.checked  # left to the ops that could hide a non-finite value
-
-
-def test_a_replay_that_finds_only_finite_values_keeps_the_first_error():
-    """fn computes other values when it runs again, so the replay raises nothing."""
-    runs = []
-
-    def fn():
-        runs.append(ad._checks.get())
-        x = np.array([-np.inf, 1.0]) if len(runs) == 1 else np.zeros(2)
-        return ad.relu(ad.Tensor(x, op="made-up", parents=(ad.const(0.0),)))
-
-    with pytest.raises(NumericError, match="^op 'made-up' produced non-finite values$") as caught:
-        ad.scoped(fn)()
-    assert type(caught.value) is NumericError
-    assert runs == [ad._ONCE, ad._STRICT]

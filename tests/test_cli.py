@@ -400,6 +400,17 @@ def test_non_finite_temperature_exits_2(tmp_path, tiny_data, capsys, value):
     assert not os.path.exists(tmp_path / "ft")
 
 
+@pytest.mark.parametrize("command", [["pretrain"], ["experiment", "--suite", "headline"]])
+def test_temperature_whose_reciprocal_overflows_exits_2(tmp_path, tiny_data, capsys, command):
+    _, data_dir = tiny_data
+    cfg = tmp_path / "cold.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT.replace("[model]", "[model]\ntemperature = 1e-320"))
+    capsys.readouterr()
+    code = main(command + ["--config", str(cfg), "--data", data_dir, "--out", str(tmp_path / "o")])
+    one_line_error(capsys, code, "temperature must have a finite reciprocal, got 1e-320")
+    assert not os.path.exists(tmp_path / "o")
+
+
 def rejected_before_out(tmp_path, data_dir, capsys, config_text, fragment):
     """pretrain, finetune --transfer none and experiment each exit 2 with one line and create no --out."""
     cfg = tmp_path / "bad.cfg"

@@ -137,11 +137,12 @@ def test_each_setting_has_one_owner():
     (PretrainLossConfig(), {"label_mode": "always-mask"}, "unknown label_mode 'always-mask'"),
     (ModelConfig(), {"heads": 3}, "embed_dim 32 not divisible by heads 3"),
     (ModelConfig(), {"temperature": float("nan")}, "temperature must be finite and > 0, got nan"),
+    (ModelConfig(), {"temperature": 1e-320}, "temperature must have a finite reciprocal, got 1e-320"),
     (FieldCurve(0.0, 0.5), {"lo": 0.5}, "schedule bounds must satisfy 0 <= lo < hi <= 0.9999, got (0.5, 0.5)"),
     (FieldSchema(0, "f0", 3), {"vocab_size": 0}, "field 'f0': vocab_size must be >= 1"),
 ], ids=["run-patience", "run-transfer", "run-adam_eps", "run-pretrain_lr", "run-finetune_lr",
         "loss-max_negatives", "loss-label_mode", "model-heads",
-        "model-temperature", "curve-lo", "schema-vocab_size"])
+        "model-temperature", "model-temperature-reciprocal", "curve-lo", "schema-vocab_size"])
 def test_configs_check_themselves_when_built(valid, patch, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         type(valid)(**(asdict(valid) | patch))

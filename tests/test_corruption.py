@@ -96,6 +96,11 @@ class TestCorrupt:
         with pytest.raises(DataError):
             corrupt_rows((0, 0, 0, 0), np.full(3, 0.5), stream(0, "x"), ids)
 
+    def test_nan_probs_rejected(self):
+        with pytest.raises(DataError, match=r"^mask probabilities must lie in \[0, 1\)$"):
+            fc.corrupt_batch(np.zeros((3, 3), dtype=np.int64), None, stream(0, "x"),
+                             mask_ids_for((2, 2, 2)), fixed_probs=[np.nan] * 3)
+
 
 class TestKernels:
     def test_zero_rate_is_identity(self):

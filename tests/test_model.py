@@ -267,6 +267,17 @@ def test_ctr_score_raises_where_relu_would_hide_minus_inf():
         md.label_logit_diff(model, tokens)
 
 
+def test_a_failing_ctr_score_calls_label_logit_diff_once(monkeypatch):
+    model = constant_input_model()
+    model.params.set_data("net/b0/ffn_w1", np.full((8, 16), -1e308))
+    tokens = random_tokens(model, stream(21, "t"), n=5, allow_mask=False)
+    calls, logit_diff = [], md.label_logit_diff
+    monkeypatch.setattr(md, "label_logit_diff", lambda *args: calls.append(args) or logit_diff(*args))
+    with pytest.raises(NumericError, match="'ffn'"):
+        md.ctr_score(model, tokens)
+    assert len(calls) == 1
+
+
 def test_ctr_score_raises_on_overflowing_attention_score():
     model = constant_input_model()
     for name in ("net/b0/h0/wq", "net/b0/h0/wk"):
