@@ -55,19 +55,27 @@ _ALLOCATOR = "glibc-fixed" if _fix_malloc_thresholds() else "default"
 # depend on it.
 
 
+def _bundled_blas():
+    """numpy's bundled scipy-openblas library, or None where numpy bundles none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = min(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
+        return ctypes.CDLL(os.path.join(libs, name))
+    except (OSError, ValueError):  # no directory, no library
+        return None
+
+
 def _pin_blas_threads():
     """Set numpy's bundled OpenBLAS to one thread; return its thread count read back.
 
     Returns None, raising nothing and changing nothing, where numpy
     bundles no scipy-openblas library or the library lacks the calls.
     """
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
-        name = min(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
-        blas = ctypes.CDLL(os.path.join(libs, name))
+        blas = _bundled_blas()
         set_threads = blas.scipy_openblas_set_num_threads64_
         get_threads = blas.scipy_openblas_get_num_threads64_
-    except (OSError, ValueError, AttributeError):  # no directory, no library, no symbol
+    except AttributeError:  # no library, or no symbol
         return None
     set_threads.argtypes = (ctypes.c_int,)
     set_threads.restype = None
@@ -76,4 +84,34 @@ def _pin_blas_threads():
     return get_threads()
 
 
+def _blas_core() -> str:
+    """The kernel the bundled OpenBLAS runs on this CPU (SkylakeX, Haswell, ...), or "unknown".
+
+    OpenBLAS picks it at load time, or OPENBLAS_CORETYPE names it; GEMM
+    bits can differ between kernels.
+    """
+    try:
+        corename = _bundled_blas().scipy_openblas_get_corename64_
+    except AttributeError:  # no library, or no symbol
+        return "unknown"
+    corename.argtypes = ()
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _simd_targets() -> str:
+    """numpy's enabled SIMD dispatch targets, space-separated, or "unknown".
+
+    The CPU and NPY_ENABLE_CPU_FEATURES decide them, and numpy's loops can
+    sum in another order under each.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # a numpy without these tables
+        return "unknown"
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+
+
 _BLAS_THREADS = _pin_blas_threads()
+_BLAS_CORE = _blas_core()
+_SIMD = _simd_targets()

@@ -18,13 +18,20 @@ unit rows from the input instead of keeping them, and attention's the
 softmax's exp(s - m); the others recompute nothing. Each adds its
 biases, heads and residual, applies its relu, or clips, scales, gates
 and softmaxes its logits in place, in the buffer a GEMM just made.
-At parallel.DEAL_ROWS batch rows or more, attention runs its heads and
-candidate_terms its fields side by side on parallel.deal's threads,
-forward and adjoint, each doing the arithmetic it would do alone, and
-the calling thread adds their results in order: the bits do not depend
-on the CPU count. join_rows runs the rows of one batch in parts, each on
-its own tape and thread; each part sums its own gradients toward the
-nodes outside it, and the parts' sums are added in part order.
+At parallel.DEAL_ROWS batch rows or more, outside another deal's item,
+all four deal their work to parallel.deal's threads, forward and
+adjoint: attention its heads, candidate_terms its fields, rms_scale its
+rows in parallel.row_cuts' two halves, ffn its forward in those halves
+and its adjoint's whole GEMMs in two pairs. Each item does the
+arithmetic it would do alone, and the calling thread adds the items'
+results in order: the bits do not depend on the CPU count. Below that,
+or inside another deal's item, each runs on the calling thread; rms_scale
+and ffn then make no deal call at all. ffn's halves equal its
+one piece wherever BLAS sums a GEMM row alike at both row counts, as
+OpenBLAS does at the default shapes; every other dealt value is exact by
+construction. join_rows runs the rows of one batch in parts, each on its
+own tape and thread; each part sums its own gradients toward the nodes
+outside it, and the parts' sums are added in part order.
 
 A NaN/Inf raises NumericError naming the op that produced it, instead
 of letting it surface three modules later: every Tensor checks its value
@@ -52,13 +59,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import partial, reduce, wraps
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .parallel import deal, threads
+from .parallel import deal, row_cuts, threads
 
 # Finite stand-in for log(0) in additive logsumexp masks. Small enough to
 # vanish under exp, large enough to stay finite through any sum.
@@ -234,6 +241,19 @@ def quiet(fn: Callable) -> Callable:
             _quiet.reset(token)
 
     return run
+
+
+def _calls(calls: Sequence[Callable], dealt: bool) -> list:
+    """Each call's result, in order: the calls dealt to parallel.deal's threads, or made in turn."""
+    if not dealt:
+        return [call() for call in calls]
+    results: list = [None] * len(calls)
+
+    def run(i: int, _worker: int) -> None:
+        results[i] = calls[i]()
+
+    deal(range(len(calls)), run)
+    return results
 
 
 def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -542,30 +562,53 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
 
     Equal bit for bit, value and adjoints, to l2_normalize, smul by
     sqrt(d) and mul by gain; the adjoint recomputes the unit rows from x
-    instead of keeping them, once for both parents.
+    instead of keeping them, once for both parents. The rows run in
+    parallel.row_cuts' pieces, forward and adjoint, each written into the
+    node's output or gradient: a row's arithmetic does not depend on the
+    rows beside it, and gain's gradient is one sum over every row on the
+    calling thread.
     """
     xd, gd = x.data, gain.data
     d = xd.shape[-1]
     if gd.shape != (d,):
         raise ShapeError(f"rms_scale: gain must be ({d},), got {gd.shape}")
     c = float(np.sqrt(d))
-    out = xd * xd
-    norm = _norms(xd, out)
-    np.divide(xd, norm, out=out)  # the squares' buffer becomes the output
-    out *= c
-    out *= gd
+    pieces = [slice(*cut) for cut in row_cuts(len(xd))] if xd.ndim > 1 else [slice(None)]
+    out = np.empty(xd.shape)
+
+    def forward(at: slice) -> np.ndarray:
+        rows, o = xd[at], out[at]
+        np.multiply(rows, rows, out=o)
+        norm = _norms(rows, o)
+        np.divide(rows, norm, out=o)  # the squares' buffer becomes the output
+        o *= c
+        o *= gd
+        return norm
+
+    norms = _calls([partial(forward, at) for at in pieces], len(pieces) > 1)
 
     def vjp(g):
-        y = xd / norm
-        gy = g * gd
-        gy *= c
-        dot = (y * gy).sum(axis=-1, keepdims=True)
-        gx = y * dot
-        np.subtract(gy, gx, out=gx)
-        gx /= norm
-        y *= c
-        y *= g  # y * g is g * y, bit for bit
-        return gx, _sum_to(y, (d,))
+        units = np.empty(xd.shape)  # the unit rows, then gain's gradient before its sum
+
+        def adjoint(at: slice, norm: np.ndarray, gx: np.ndarray | None = None) -> np.ndarray:
+            """x's gradient on rows at, in gx or, as the chain makes it, a new array."""
+            y = np.divide(xd[at], norm, out=units[at])
+            gy = g[at] * gd
+            gy *= c
+            dot = (y * gy).sum(axis=-1, keepdims=True)
+            gx = np.multiply(y, dot, out=gx)
+            np.subtract(gy, gx, out=gx)
+            gx /= norm
+            y *= c
+            y *= g[at]  # y * g is g * y, bit for bit
+            return gx
+
+        if len(pieces) > 1:
+            gx = np.empty(xd.shape)
+            _calls([partial(adjoint, at, norm, gx[at]) for at, norm in zip(pieces, norms)], True)
+        else:
+            gx = adjoint(pieces[0], norms[0])
+        return gx, _sum_to(units, (d,))
 
     return Tensor(out, op="rms_scale", parents=(x.node, gain.node), vjp=vjp)
 
@@ -778,12 +821,16 @@ def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) ->
 
     Equal bit for bit, value and adjoints, to add(x, add(matmul(relu(add(
     matmul(h, w1), b1)), w2), b2)). The forward runs the chain's two
-    GEMMs; the bias, the relu and the residual go in place into the
-    buffer each GEMM made. The adjoints run the chain's GEMMs and _sum_to
-    calls on its shapes, with the relu mask applied in place; h's, w1's
-    and b1's share the hidden gradient, computed once. Besides its output
-    the node checks its pre-activations, which the relu maps to 0 at
-    -inf; every failure names ffn.
+    GEMMs on each of parallel.row_cuts' pieces of the rows; the bias, the
+    relu and the residual go in place into the buffer each GEMM wrote.
+    The adjoints run the chain's GEMMs whole and _sum_to calls on its
+    shapes, with the relu mask applied in place; h's, w1's and b1's share
+    the hidden gradient, computed once. With two pieces they run as two
+    dealt pairs: the hidden gradient beside w2's and b2's, then h's beside
+    w1's and b1's. Two pieces equal one wherever BLAS sums a GEMM row alike
+    at both row counts (the module docstring). Besides its output the
+    node checks its pre-activations, which the relu maps to 0 at -inf;
+    every failure names ffn.
     """
     xd, hd, w1d, b1d, w2d, b2d = x.data, h.data, w1.data, b1.data, w2.data, b2.data
     if (w1d.ndim != 2 or w2d.ndim != 2 or hd.shape[-1:] != w1d.shape[:1]
@@ -792,23 +839,44 @@ def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) ->
         raise ShapeError(f"ffn: {xd.shape} + relu({hd.shape} @ {w1d.shape} + {b1d.shape}) "
                          f"@ {w2d.shape} + {b2d.shape}")
     flat = hd.reshape(-1, hd.shape[-1])
-    inner = flat @ w1d
-    inner += b1d
-    _stage("ffn", inner)  # relu maps -inf to 0
-    np.maximum(inner, 0.0, out=inner)
-    inner += 0.0  # as relu: every zero +0.0
-    out = inner @ w2d
-    out += b2d
-    np.add(xd.reshape(out.shape), out, out=out)
+    (F, n), B = w2d.shape, len(xd) if xd.ndim > 1 else 1
+    per = len(flat) // max(B, 1)  # rows of flat per batch row
+    pieces = [slice(a * per, b * per) for a, b in row_cuts(B)]
+    dealt = len(pieces) > 1
+    inner, residual = np.empty((len(flat), F)), xd.reshape(len(flat), n)
 
-    first = _gemm_vjp(hd.shape, flat, w1d)
-    second = _gemm_vjp(hd.shape[:-1] + b1d.shape, inner, w2d)
+    def forward(at: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The output's rows at, in out or, as the chain makes it, a new array."""
+        hidden = np.matmul(flat[at], w1d, out=inner[at])
+        hidden += b1d
+        _stage("ffn", hidden)  # relu maps -inf to 0
+        np.maximum(hidden, 0.0, out=hidden)
+        hidden += 0.0  # as relu: every zero +0.0
+        out = np.matmul(hidden, w2d, out=out)
+        out += b2d
+        return np.add(residual[at], out, out=out)
+
+    if dealt:
+        out = np.empty((len(flat), n))
+        _calls([partial(forward, at, out[at]) for at in pieces], True)
+    else:
+        out = forward(slice(None))
+    lead = hd.shape[:-1] + b1d.shape
 
     def vjp(g):
-        gi, gw2 = second(g)
-        gi *= inner.reshape(gi.shape) > 0  # relu's adjoint: the hidden gradient
-        gh, gw1 = first(gi)
-        return g, gh, gw1, _unbroadcast(gi, b1d.shape), gw2, _unbroadcast(g, b2d.shape)
+        gflat = g.reshape(-1, n)
+
+        def hidden_grad() -> np.ndarray:
+            gi = (gflat @ w2d.T).reshape(lead)
+            gi *= inner.reshape(lead) > 0  # relu's adjoint
+            return gi
+
+        gi, (gw2, gb2) = _calls(
+            [hidden_grad, lambda: (inner.T @ gflat, _unbroadcast(g, b2d.shape))], dealt)
+        gh, (gw1, gb1) = _calls(
+            [lambda: (gi.reshape(-1, F) @ w1d.T).reshape(hd.shape),
+             lambda: (flat.T @ gi.reshape(-1, F), _unbroadcast(gi, b1d.shape))], dealt)
+        return g, gh, gw1, gb1, gw2, gb2
 
     return Tensor(out.reshape(xd.shape), op="ffn",
                   parents=(x.node, h.node, w1.node, b1.node, w2.node, b2.node), vjp=vjp)

@@ -293,6 +293,17 @@ class SyntheticSpec:
         return out
 
 
+@contextmanager
+def _allocating(keys: str):
+    """Raise a DataError naming the [synthetic] keys when numpy refuses, or
+    fails, to allocate an array they size: a dimension past its limit, a
+    byte count past the address space, or memory the system will not give."""
+    try:
+        yield
+    except (MemoryError, ValueError) as e:
+        raise DataError(f"[synthetic] {keys}: too large to allocate ({e})") from None
+
+
 def random_spec(
     num_fields: int = 8,
     vocab: int = 50,
@@ -332,41 +343,42 @@ def random_spec(
     ):
         if not ok:  # NaN fails every comparison
             raise DataError(f"[synthetic] {name} must be {want}, got {value!r}")
-    rng = stream(seed, "synthetic-spec")
-    vocab_sizes = tuple([vocab] * num_fields)
-    cluster_probs = [rng.dirichlet(np.full(vocab, concentration), size=clusters) for _ in range(num_fields)]
-    main_effects = [rng.normal(0.0, main_scale, size=vocab) for _ in range(num_fields)]
+    with _allocating(f"vocab = {vocab} with clusters = {clusters}"):
+        rng = stream(seed, "synthetic-spec")
+        vocab_sizes = tuple([vocab] * num_fields)
+        cluster_probs = [rng.dirichlet(np.full(vocab, concentration), size=clusters) for _ in range(num_fields)]
+        main_effects = [rng.normal(0.0, main_scale, size=vocab) for _ in range(num_fields)]
 
-    cluster_dirs = rng.normal(size=(clusters, cross_rank))
-    cluster_dirs *= 0.6 + 0.8 * rng.random((clusters, 1))  # varied cluster strengths
-    latents = []
-    for k in range(num_fields):
-        probs = cluster_probs[k]
-        posterior = (probs / np.maximum(probs.sum(axis=0, keepdims=True), 1e-300)).T  # (V, C)
-        latents.append(
-            cross_scale * (posterior @ cluster_dirs + cross_noise * rng.normal(size=(vocab, cross_rank)))
+        cluster_dirs = rng.normal(size=(clusters, cross_rank))
+        cluster_dirs *= 0.6 + 0.8 * rng.random((clusters, 1))  # varied cluster strengths
+        latents = []
+        for k in range(num_fields):
+            probs = cluster_probs[k]
+            posterior = (probs / np.maximum(probs.sum(axis=0, keepdims=True), 1e-300)).T  # (V, C)
+            latents.append(
+                cross_scale * (posterior @ cluster_dirs + cross_noise * rng.normal(size=(vocab, cross_rank)))
+            )
+        cross_effects = {}
+        offset = 0.0
+        cluster_means = [cluster_probs[k] @ latents[k] for k in range(num_fields)]  # (C, r)
+        for k in range(num_fields):
+            for l in range(k + 1, num_fields):
+                active = rng.random() < cross_density
+                cross_effects[(k, l)] = latents[k] @ latents[l].T if active else np.zeros((vocab, vocab))
+                if active:
+                    # expected pair contribution under the cluster mixture, so the
+                    # aligned quadratic does not shift the base click rate
+                    offset += float(np.mean((cluster_means[k] * cluster_means[l]).sum(axis=1)))
+        spec = SyntheticSpec(
+            vocab_sizes=vocab_sizes,
+            num_clusters=clusters,
+            samples=samples,
+            seed=seed,
+            cluster_probs=cluster_probs,
+            main_effects=main_effects,
+            cross_effects=cross_effects,
+            intercept=intercept - offset,
         )
-    cross_effects = {}
-    offset = 0.0
-    cluster_means = [cluster_probs[k] @ latents[k] for k in range(num_fields)]  # (C, r)
-    for k in range(num_fields):
-        for l in range(k + 1, num_fields):
-            active = rng.random() < cross_density
-            cross_effects[(k, l)] = latents[k] @ latents[l].T if active else np.zeros((vocab, vocab))
-            if active:
-                # expected pair contribution under the cluster mixture, so the
-                # aligned quadratic does not shift the base click rate
-                offset += float(np.mean((cluster_means[k] * cluster_means[l]).sum(axis=1)))
-    spec = SyntheticSpec(
-        vocab_sizes=vocab_sizes,
-        num_clusters=clusters,
-        samples=samples,
-        seed=seed,
-        cluster_probs=cluster_probs,
-        main_effects=main_effects,
-        cross_effects=cross_effects,
-        intercept=intercept - offset,
-    )
     spec.validate()
     return spec
 
@@ -374,25 +386,26 @@ def random_spec(
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     """Sample a dataset plus the exact posterior P(click | F) per row."""
     spec.validate()
-    rng = stream(spec.seed, "synthetic-draw")
-    n = spec.samples
-    clusters = rng.integers(0, spec.num_clusters, size=n)
-    tokens = np.empty((n, spec.num_fields), dtype=np.int64)
-    for k in range(spec.num_fields):
-        u = rng.random(n)
-        cdf = np.cumsum(spec.cluster_probs[k], axis=1)
-        # inverse-cdf draw against each row's cluster distribution
-        tokens[:, k] = np.minimum(
-            (u[:, None] > cdf[clusters]).sum(axis=1), spec.vocab_sizes[k] - 1
-        )
-    logits = spec.logits(tokens)
-    bayes = 1.0 / (1.0 + np.exp(-logits))
-    labels = (rng.random(n) < bayes).astype(np.int64)
+    with _allocating(f"samples = {spec.samples} with vocab = {max(spec.vocab_sizes)}"):
+        rng = stream(spec.seed, "synthetic-draw")
+        n = spec.samples
+        clusters = rng.integers(0, spec.num_clusters, size=n)
+        tokens = np.empty((n, spec.num_fields), dtype=np.int64)
+        for k in range(spec.num_fields):
+            u = rng.random(n)
+            cdf = np.cumsum(spec.cluster_probs[k], axis=1)
+            # inverse-cdf draw against each row's cluster distribution
+            tokens[:, k] = np.minimum(
+                (u[:, None] > cdf[clusters]).sum(axis=1), spec.vocab_sizes[k] - 1
+            )
+        logits = spec.logits(tokens)
+        bayes = 1.0 / (1.0 + np.exp(-logits))
+        labels = (rng.random(n) < bayes).astype(np.int64)
 
-    schema = feature_schema(spec.vocab_sizes)
-    samples = [
-        Sample(tokens=tuple(tokens[i]) + (int(labels[i]),)) for i in range(n)
-    ]
+        schema = feature_schema(spec.vocab_sizes)
+        samples = [
+            Sample(tokens=tuple(tokens[i]) + (int(labels[i]),)) for i in range(n)
+        ]
     return Dataset(schema=schema, samples=samples, split="train"), bayes
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -167,9 +168,12 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     in for the ones encode would gather itself; every route reads them.
 
     Each block is rms_scale, one autodiff.attention node (its heads,
-    their output projections and the residual; at DEAL_ROWS rows or more
-    its heads run side by side on the training loop's helper threads),
-    then rms_scale and one ffn node. Every route below calls that node.
+    their output projections and the residual), then rms_scale and one
+    ffn node. At DEAL_ROWS rows or more, outside a dealt part, each of
+    these nodes deals its work to the training loop's helper threads:
+    attention its heads, rms_scale its rows in two halves, ffn its
+    forward in two halves and its adjoint in two pairs of GEMMs. Every
+    route below calls these nodes.
 
     While no tape is recorded (under no_grad) encode computes only what
     its output needs. Its values equal the taped route's bit for bit
@@ -381,11 +385,15 @@ def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     arrays = {}
     total = len(payload) // 8
     for name, shape, offset in header["params"]:
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)  # exact: numpy's int64 product wraps
         if offset + size > total:
             raise CheckpointError(f"{path}: truncated payload for parameter '{name}'")
         flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset * 8)
-        arrays[name] = flat.astype(np.float64).reshape(shape)
+        try:
+            arrays[name] = flat.astype(np.float64).reshape(shape)
+        except ValueError:  # an empty shape with a side numpy cannot hold
+            raise CheckpointError(f"{path}: parameter '{name}' has shape {shape}, "
+                                  "which numpy cannot hold") from None
     return header, arrays
 
 

@@ -12,7 +12,8 @@ us with a live helper and 220-230 us with one started and joined for
 the call (medians of 2000 calls, 2-vCPU host). A deal called while an
 item of another deal runs, on the calling thread or on a helper, runs
 its items on that thread, so work dealt inside a dealt part (a fine-tune
-or scoring part's heads) stays serial.
+or scoring part's heads) stays serial. row_cuts is the one rule by which
+autodiff's fused nodes cut a batch's rows into the items they deal.
 """
 
 from __future__ import annotations
@@ -27,12 +28,18 @@ import numpy as np
 
 PART_ROWS = 1024  # fewest rows a part of a batch holds
 
-# Fewest batch rows at which autodiff.attention deals its heads and
-# candidate_terms its fields: the smallest measured batch where dealing won
-# by 5% or more. A default-model pretraining step with both dealt to a live
-# helper, against serial (in-process medians, 2-vCPU Xeon, one BLAS
-# thread): 1.22x the time at B = 96, 1.06x at 128, 1.00-1.08x at 160,
-# 0.96x at 192, 0.99x at 224, 0.94x at 256 and 0.86x at 384.
+# Fewest batch rows at which autodiff's four fused nodes deal their work:
+# attention its heads, candidate_terms its fields, rms_scale and ffn their
+# rows (row_cuts). Chosen when only the first two dealt, as the smallest
+# measured batch where dealing won by 5% or more: a default-model
+# pretraining step with those two dealt to a live helper, against serial,
+# took 1.22x the time at B = 96, 1.06x at 128, 1.00-1.08x at 160, 0.96x at
+# 192, 0.99x at 224, 0.94x at 256 and 0.86x at 384 (in-process medians,
+# 2-vCPU Xeon, one BLAS thread). With all four dealt, the same measure
+# (two runs, medians of 40 and 80 alternating steps) reads 0.95-0.97x at
+# B = 96, 0.91-0.92x at 128, 0.87-0.88x at 160, 0.83-0.85x at 192,
+# 0.83-0.89x at 224, 0.76x at 256 and 0.72-0.73x at 384. The value stays
+# at 256, which keeps the default B = 96 step on one thread.
 DEAL_ROWS = 256
 
 _dealing: contextvars.ContextVar[bool] = contextvars.ContextVar("dealing", default=False)
@@ -59,6 +66,19 @@ def threads(items: Sequence, rows: int | None = None) -> int:
     if _dealing.get() or (rows is not None and rows < DEAL_ROWS):
         return 1
     return max(min(len(items), cpu_workers()), 1)
+
+
+def row_cuts(n: int) -> list[tuple[int, int]]:
+    """(start, end) of the pieces a fused node deals a batch of n rows in.
+
+    Two halves at DEAL_ROWS rows or more outside an item of another deal,
+    else one piece, which the node runs on the calling thread without a
+    deal. The cuts never depend on cpu_workers(): one CPU runs the same
+    halves in order.
+    """
+    if n < DEAL_ROWS or _dealing.get():
+        return [(0, n)]
+    return [(0, n // 2), (n // 2, n)]
 
 
 def parts(n: int) -> list[tuple[int, int]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _ALLOCATOR, _BLAS_THREADS, __version__
+from . import _ALLOCATOR, _BLAS_CORE, _BLAS_THREADS, _SIMD, __version__
 from . import autodiff as ad
 from .data import Dataset, batch_iter
 from .errors import DataError, NumericError
@@ -81,7 +81,7 @@ class RunReport:
 def _build_fingerprint() -> dict:  # perfbench records it with its machine fingerprint
     return {"package": __version__, "numpy": np.__version__, "allocator": _ALLOCATOR,
             "blas_threads": "unpinned" if _BLAS_THREADS is None else _BLAS_THREADS,
-            "score_workers": cpu_workers()}
+            "blas_core": _BLAS_CORE, "simd": _SIMD, "score_workers": cpu_workers()}
 
 
 @helpers()

@@ -825,6 +825,11 @@ def composite_ffn(x, h, w1, b1, w2, b2):
     return ad.add(x, ad.add(ad.matmul(inner, w2), b2))
 
 
+def ffn_shapes(lead, d_in, width, d):
+    return {"x": lead + (d,), "h": lead + (d_in,), "w1": (d_in, width), "b1": (width,),
+            "w2": (width, d), "b2": (d,)}
+
+
 def attention_chain(x, h, heads, keep=None, spread=None):
     """The chain ad.attention replaces: encode's per-head loop before the node."""
     B, P = h.data.shape[:-1] if spread is None else spread.shape
@@ -860,12 +865,9 @@ signed = st.one_of(values, st.sampled_from([0.0, -0.0]))
        dims=st.tuples(*[st.integers(1, 6)] * 3), data=st.data())
 def test_fused_ffn_equals_the_chain_it_replaces_bit_for_bit(lead, dims, data):
     """On (B, d) label rows and (B, P, d) blocks alike."""
-    d_in, width, d = dims
-    shapes = {"x": lead + (d,), "h": lead + (d_in,), "w1": (d_in, width), "b1": (width,),
-              "w2": (width, d), "b2": (d,)}
     arrays = {k: data.draw(hnp.arrays(np.float64, shape, elements=signed), label=k)
-              for k, shape in shapes.items()}
-    weight = stream(18, "w", *lead, d).normal(size=lead + (d,))
+              for k, shape in ffn_shapes(lead, *dims).items()}
+    weight = stream(18, "w", *lead, dims[2]).normal(size=lead + dims[2:])
     assert_bit_for_bit(*fused_and_composite(ad.ffn, composite_ffn, arrays, weight))
 
 
@@ -1064,6 +1066,111 @@ def test_candidate_terms_pass_grad_check_on_drawn_shapes(B, widths, d, scale, se
     assert_grad_check_passes(
         lambda p: ad.candidate_terms(p["x"], fields, [p[f"r{i}"] for i in range(K)], positives,
                                      candidates, weights, scale), arrays, h=1e-5)
+
+
+def ffn_node(p):
+    return ad.ffn(*(p[k] for k in ("x", "h", "w1", "b1", "w2", "b2")))
+
+
+def rms_scale_node(p):
+    return ad.rms_scale(p["x"], p["gain"])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(rows=st.sampled_from([1, 5, parallel.DEAL_ROWS]), P=st.integers(1, 2), d=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_rms_scale_passes_grad_check_on_drawn_shapes(rows, P, d, seed):
+    """Below DEAL_ROWS rows as one piece, at DEAL_ROWS in two dealt halves."""
+    with parallel.helpers():
+        assert_grad_check_passes(rms_scale_node, drawn_values(seed, {"x": (rows, P, d), "gain": (d,)}),
+                                 h=1e-5)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(rows=st.sampled_from([1, 5, parallel.DEAL_ROWS]), P=st.integers(1, 2),
+       dims=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_ffn_passes_grad_check_on_drawn_shapes(rows, P, dims, seed):
+    """Below DEAL_ROWS rows as one piece, at DEAL_ROWS in dealt halves and
+    pairs. Every pre-activation lies 1e-5 or more from the relu's kink,
+    beyond what a step of h = 1e-5 moves it."""
+    arrays = drawn_values(seed, ffn_shapes((rows, P), *dims))
+    assume(np.abs(arrays["h"] @ arrays["w1"] + arrays["b1"]).min() > 1e-5)
+    with parallel.helpers():
+        assert_grad_check_passes(ffn_node, arrays, h=1e-5)
+
+
+def dealt_and_whole(node, arrays):
+    """node's value and its gradients under tsum(node(p) * w), w a fixed
+    projection: in parallel.row_cuts' halves, then as one piece (DEAL_ROWS
+    past the rows), with the deal calls each made."""
+    results = []
+    rows = len(arrays["x"])
+    for deal_rows in (parallel.DEAL_ROWS, rows + 1):
+        store = ParamStore({k: v.copy() for k, v in arrays.items()})
+        with mock.patch.object(parallel, "DEAL_ROWS", deal_rows), \
+                mock.patch.object(ad, "deal", wraps=ad.deal) as dealt, parallel.helpers():
+            out = node(store)
+            weight = ad.const(stream(23, "weight", *out.shape).normal(size=out.shape))
+            ad.backward(ad.tsum(ad.mul(out, weight)))
+        results.append(([out.data] + [store[k].grad for k in sorted(arrays)], dealt.call_count))
+    return results
+
+
+@pytest.mark.parametrize("lead", [(parallel.DEAL_ROWS, 9), (parallel.DEAL_ROWS + 1, 9),
+                                  (parallel.DEAL_ROWS,)])
+@pytest.mark.parametrize("node", ["rms_scale", "ffn"])
+def test_dealt_nodes_equal_one_piece_byte_for_byte_at_the_default_shapes(lead, node):
+    """The default model's blocks (d = 32, ffn_width = 64) at DEAL_ROWS rows
+    and one more: (B, P, d) blocks and encode's (B, d) kept rows."""
+    if node == "rms_scale":
+        fn, shapes, deals = rms_scale_node, {"x": lead + (32,), "gain": (32,)}, 2
+    else:
+        fn, shapes, deals = ffn_node, ffn_shapes(lead, 32, 64, 32), 3
+    rng = stream(24, node, *lead)
+    arrays = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    (dealt, deal_calls), (whole, no_calls) = dealt_and_whole(fn, arrays)
+    assert (deal_calls, no_calls) == (deals, 0)
+    for got, want in zip(dealt, whole):
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(extra=st.integers(0, 300), P=st.integers(1, 3),
+       dims=st.tuples(st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 8, 16, 128]),
+                      st.sampled_from([1, 2, 4, 8])),
+       seed=st.integers(0, 2**32 - 1))
+@example(extra=282, P=2, dims=(8, 1, 8), seed=1)  # a value and w2's gradient differ
+def test_dealt_ffn_stays_within_its_bound_of_one_piece(extra, P, dims, seed):
+    """The stated bound: where BLAS sums a GEMM row otherwise at half the
+    rows (widths of 8 or less, on OpenBLAS's SkylakeX kernel), each value
+    and gradient entry of the dealt node lies within 1e-12 times its
+    array's largest magnitude (at least 1) of the one-piece node's; the
+    largest difference seen is 2e-15. rms_scale's halves are exact: its
+    bytes agree."""
+    rows = parallel.DEAL_ROWS + extra
+    rng = stream(25, "bound", seed)
+    arrays = {k: rng.normal(size=shape) for k, shape in ffn_shapes((rows, P), *dims).items()}
+    (dealt, _), (whole, _) = dealt_and_whole(ffn_node, arrays)
+    for got, want in zip(dealt, whole):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    arrays = {"x": arrays["x"], "gain": arrays["b2"]}
+    (dealt, _), (whole, _) = dealt_and_whole(rms_scale_node, arrays)
+    assert [a.tobytes() for a in dealt] == [a.tobytes() for a in whole]
+
+
+def test_a_minus_inf_in_the_helpers_half_raises_the_dealt_ffns_error():
+    """The last row's pre-activation overflows to -inf in the second half,
+    which a helper runs: the caller raises ffn's NumericError."""
+    rows = parallel.DEAL_ROWS
+    h = np.ones((rows, 1))
+    h[-1] = -1e200
+    store = ParamStore({"w1": np.array([[1e200]]), "b1": np.zeros(1), "w2": np.ones((1, 1)),
+                        "b2": np.zeros(1)})
+    assert len(parallel.row_cuts(rows)) == 2
+    with parallel.helpers(), pytest.raises(NumericError, match="^op 'ffn' produced non-finite values$"):
+        ad.forward_backward(lambda p: ad.tsum(ad.ffn(ad.const(np.zeros((rows, 1))), ad.const(h),
+                                                     p["w1"], p["b1"], p["w2"], p["b2"])), store)
 
 
 def overflowing_heads(case):

@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import platform
 import subprocess
 import sys
 
@@ -105,3 +106,31 @@ def test_a_fine_tune_step_is_bit_identical_whatever_the_environment_asks():
     unset (a thread per CPU) and set to 2 hash the same loss and gradients."""
     unset = run_python(_FINE_TUNE_STEP_HASH)
     assert run_python(_FINE_TUNE_STEP_HASH, OPENBLAS_NUM_THREADS="2") == unset
+
+
+@bundled
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="Haswell is an x86-64 kernel")
+def test_fingerprint_names_the_kernel_openblas_runs():
+    """OPENBLAS_CORETYPE picks another kernel; the fingerprint reads the one in use."""
+    code = ("from diffctr.train import _build_fingerprint\n"
+            "print(_build_fingerprint()['blas_core'])\n")
+    assert run_python(code, OPENBLAS_CORETYPE="Haswell") == ["Haswell"]
+    assert _build_fingerprint()["blas_core"] == diffctr._BLAS_CORE != "unknown"
+
+
+def test_a_library_without_the_core_name_reads_unknown(monkeypatch):
+    monkeypatch.setattr(os, "listdir", lambda path: ["libscipy_openblas64_-0.so"])
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    assert diffctr._blas_core() == "unknown"
+    monkeypatch.setattr(os, "listdir", lambda path: [])
+    assert diffctr._blas_core() == "unknown"
+
+
+def test_fingerprint_lists_numpys_enabled_simd_targets():
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    simd = _build_fingerprint()["simd"]
+    assert simd == diffctr._SIMD and set(simd.split()) <= set(__cpu_dispatch__)
+    if "X86_V3" in simd.split():  # turning a target off drops it and what builds on it
+        code = "from diffctr.train import _build_fingerprint\nprint(_build_fingerprint()['simd'])\n"
+        assert run_python(code, NPY_ENABLE_CPU_FEATURES="X86_V2 X86_V3") == ["X86_V3"]

@@ -228,8 +228,14 @@ def damaged_checkpoint(path, cfg_path, data_dir, how):
         fh.write(bytes(blob))
 
 
+# shapes whose size numpy's int64 product wraps (to 0, to a negative), and an
+# empty shape with a side no numpy array can have
+HUGE_SHAPES = {"size-wraps-to-0": [2**32, 2**32], "size-wraps-negative": [2**62, 3],
+               "empty-side-too-long": [2**64, 0]}
+
+
 @pytest.mark.parametrize("case", ["empty-header", "params-not-list", "offset-not-int",
-                                  "truncated", "bit-flip"])
+                                  "truncated", "bit-flip", *HUGE_SHAPES])
 def test_malformed_checkpoint_exits_2(tmp_path, tiny_data, capsys, case):
     cfg_path, data_dir = tiny_data
     ckpt = str(tmp_path / "bad.dgct")
@@ -239,6 +245,8 @@ def test_malformed_checkpoint_exits_2(tmp_path, tiny_data, capsys, case):
         raw_checkpoint(ckpt, {"fingerprint": {}, "params": 5})
     elif case == "offset-not-int":
         raw_checkpoint(ckpt, {"fingerprint": {}, "params": [["x", [1], "a"]]}, bytes(8))
+    elif case in HUGE_SHAPES:
+        raw_checkpoint(ckpt, {"fingerprint": {}, "params": [["x", HUGE_SHAPES[case], 0]]}, bytes(8))
     else:
         damaged_checkpoint(ckpt, cfg_path, data_dir, case)
     capsys.readouterr()
@@ -490,6 +498,20 @@ def test_bad_synthetic_key_exits_2_before_out(tmp_path, capsys, key, value):
     out = tmp_path / "data"
     code = main(["generate-data", "--config", str(cfg), "--out", str(out)])
     one_line_error(capsys, code, f"[synthetic] {key} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["samples", "vocab", "clusters"])
+@pytest.mark.parametrize("value", [10**20, 2**62])
+def test_synthetic_size_numpy_cannot_allocate_exits_2_before_out(tmp_path, capsys, key, value):
+    """Sizes numpy refuses before it allocates: a dimension past its limit
+    (10^20), a byte count past the address space (2^62 rows of 8 bytes)."""
+    cfg = tmp_path / "huge.cfg"
+    sizes = {"samples": 300, "vocab": 20, "clusters": 3, key: value}
+    cfg.write_text("[synthetic]\n" + "".join(f"{k} = {v}\n" for k, v in sizes.items()))
+    out = tmp_path / "data"
+    code = main(["generate-data", "--config", str(cfg), "--out", str(out)])
+    one_line_error(capsys, code, f"{key} = {value}")
     assert not out.exists()
 
 

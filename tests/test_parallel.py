@@ -163,8 +163,10 @@ def test_a_pretraining_of_dealt_steps_starts_its_helpers_once(monkeypatch, start
     _, report = tr.pretrain(model, ds, schedule, cfg)
     assert len(report.epochs) == 1
     assert len(started) == parallel.cpu_workers() - 1 == 1
-    # per step: each block's attention, forward and adjoint, and the loss's fields
-    assert workers == [2] * (4 * 6)
+    # per step, forward and adjoint: each block's attention (2 x 2), the five
+    # rms_scale nodes' halves (5 x 2), each block's ffn (2 x (1 + 2 pairs)) and
+    # the loss's fields (2)
+    assert workers == [2] * (4 * 22)
     assert threading.active_count() == threads_before
 
 
