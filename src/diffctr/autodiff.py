@@ -18,20 +18,10 @@ unit rows from the input instead of keeping them, and attention's the
 softmax's exp(s - m); the others recompute nothing. Each adds its
 biases, heads and residual, applies its relu, or clips, scales, gates
 and softmaxes its logits in place, in the buffer a GEMM just made.
-At parallel.DEAL_ROWS batch rows or more, outside another deal's item,
-all four deal their work to parallel.deal's threads, forward and
-adjoint: attention its heads, candidate_terms its fields, rms_scale its
-rows in parallel.row_cuts' two halves, ffn its forward in those halves
-and its adjoint's whole GEMMs in two pairs. Each item does the
-arithmetic it would do alone, and the calling thread adds the items'
-results in order: the bits do not depend on the CPU count. Below that,
-or inside another deal's item, each runs on the calling thread; rms_scale
-and ffn then make no deal call at all. ffn's halves equal its
-one piece wherever BLAS sums a GEMM row alike at both row counts, as
-OpenBLAS does at the default shapes; every other dealt value is exact by
-construction. join_rows runs the rows of one batch in parts, each on its
-own tape and thread; each part sums its own gradients toward the nodes
-outside it, and the parts' sums are added in part order.
+in_parts runs the rows of one batch in parts, each on its own tape and
+thread, and join_rows joins them; each part sums its own gradients
+toward the nodes outside it, and the parts' sums are added in part
+order.
 
 A NaN/Inf raises NumericError naming the op that produced it, instead
 of letting it surface three modules later: every Tensor checks its value
@@ -59,13 +49,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial, reduce, wraps
+from functools import reduce, wraps
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .parallel import deal, row_cuts, threads
+from .parallel import deal, parts
 
 # Finite stand-in for log(0) in additive logsumexp masks. Small enough to
 # vanish under exp, large enough to stay finite through any sum.
@@ -241,19 +231,6 @@ def quiet(fn: Callable) -> Callable:
             _quiet.reset(token)
 
     return run
-
-
-def _calls(calls: Sequence[Callable], dealt: bool) -> list:
-    """Each call's result, in order: the calls dealt to parallel.deal's threads, or made in turn."""
-    if not dealt:
-        return [call() for call in calls]
-    results: list = [None] * len(calls)
-
-    def run(i: int, _worker: int) -> None:
-        results[i] = calls[i]()
-
-    deal(range(len(calls)), run)
-    return results
 
 
 def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -562,53 +539,30 @@ def rms_scale(x: Tensor, gain: Tensor) -> Tensor:
 
     Equal bit for bit, value and adjoints, to l2_normalize, smul by
     sqrt(d) and mul by gain; the adjoint recomputes the unit rows from x
-    instead of keeping them, once for both parents. The rows run in
-    parallel.row_cuts' pieces, forward and adjoint, each written into the
-    node's output or gradient: a row's arithmetic does not depend on the
-    rows beside it, and gain's gradient is one sum over every row on the
-    calling thread.
+    instead of keeping them, once for both parents.
     """
     xd, gd = x.data, gain.data
     d = xd.shape[-1]
     if gd.shape != (d,):
         raise ShapeError(f"rms_scale: gain must be ({d},), got {gd.shape}")
     c = float(np.sqrt(d))
-    pieces = [slice(*cut) for cut in row_cuts(len(xd))] if xd.ndim > 1 else [slice(None)]
-    out = np.empty(xd.shape)
-
-    def forward(at: slice) -> np.ndarray:
-        rows, o = xd[at], out[at]
-        np.multiply(rows, rows, out=o)
-        norm = _norms(rows, o)
-        np.divide(rows, norm, out=o)  # the squares' buffer becomes the output
-        o *= c
-        o *= gd
-        return norm
-
-    norms = _calls([partial(forward, at) for at in pieces], len(pieces) > 1)
+    out = xd * xd
+    norm = _norms(xd, out)
+    np.divide(xd, norm, out=out)  # the squares' buffer becomes the output
+    out *= c
+    out *= gd
 
     def vjp(g):
-        units = np.empty(xd.shape)  # the unit rows, then gain's gradient before its sum
-
-        def adjoint(at: slice, norm: np.ndarray, gx: np.ndarray | None = None) -> np.ndarray:
-            """x's gradient on rows at, in gx or, as the chain makes it, a new array."""
-            y = np.divide(xd[at], norm, out=units[at])
-            gy = g[at] * gd
-            gy *= c
-            dot = (y * gy).sum(axis=-1, keepdims=True)
-            gx = np.multiply(y, dot, out=gx)
-            np.subtract(gy, gx, out=gx)
-            gx /= norm
-            y *= c
-            y *= g[at]  # y * g is g * y, bit for bit
-            return gx
-
-        if len(pieces) > 1:
-            gx = np.empty(xd.shape)
-            _calls([partial(adjoint, at, norm, gx[at]) for at, norm in zip(pieces, norms)], True)
-        else:
-            gx = adjoint(pieces[0], norms[0])
-        return gx, _sum_to(units, (d,))
+        y = xd / norm
+        gy = g * gd
+        gy *= c
+        dot = (y * gy).sum(axis=-1, keepdims=True)
+        gx = y * dot
+        np.subtract(gy, gx, out=gx)
+        gx /= norm
+        y *= c
+        y *= g  # y * g is g * y, bit for bit
+        return gx, _sum_to(y, (d,))
 
     return Tensor(out, op="rms_scale", parents=(x.node, gain.node), vjp=vjp)
 
@@ -662,13 +616,11 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
     exp(s - logsumexp(s)), matmul(weights, v) (take_position of the kept
     row), then matmul(mixed_i, wo_i); the heads' products added first to
     last, then x (take_position or gather_rows of it). Each head runs its
-    chain's arithmetic in that order, and at DEAL_ROWS batch rows or more
-    the heads run side by side on parallel.deal's threads, forward and
-    adjoint; the products and the residual are added on the calling
-    thread in head order. h's gradient sums each head's q, k and v
-    adjoints, heads first to last, as the chain's walk does, and each
-    head frees what it kept once its adjoint has run. An adjoint_fault on
-    matmul scales the node's GEMM adjoints where it scales the chain's.
+    chain's arithmetic in that order. h's gradient sums each head's q, k
+    and v adjoints, heads first to last, as the chain's walk does, and
+    each head frees what it kept once its adjoint has run. An
+    adjoint_fault on matmul scales the node's GEMM adjoints where it
+    scales the chain's.
     Besides its output, the node checks each head's scores, which the
     softmax weighs 0 at -inf, the projections a spread gathers from and,
     with keep, the mixed rows the kept row's slice drops; every failure
@@ -700,7 +652,7 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
     kept: list = [None] * len(weights)  # what each head's adjoint reads
     products: list = [None] * len(weights)
 
-    def forward(i: int, _worker: int) -> None:
+    def forward(i: int) -> None:  # each head's temporaries die when it returns
         wq, wk, wv, wo = weights[i]
         q, k, v = query @ wq, flat @ wk, flat @ wv
         if spread is not None:  # the gathers drop the rows spread does not name
@@ -729,7 +681,8 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
         if taped:
             kept[i] = (q, k, s, m, total, soft, v, rows)
 
-    deal(range(len(weights)), forward, B)
+    for i in range(len(weights)):
+        forward(i)
     out = products[0]
     for product in products[1:]:
         out += product
@@ -794,20 +747,10 @@ def attention(x: Tensor, h: Tensor, heads: Sequence[Sequence[Tensor]], keep: int
         if keep is not None:
             grads[0] = np.zeros(xd.shape)
             grads[0][:, keep, :] = g
-        if threads(weights, B) > 1:
-            parts: list = [None] * H
-
-            def run(i: int, _worker: int) -> None:
-                parts[i] = list(head_adjoint(i, g, grads))
-
-            deal(range(H), run, B)
-        else:  # each head's adjoints toward h are added as they are made
-            parts = [head_adjoint(i, g, grads) for i in range(H)]
         gh = None
-        for i in range(H):
-            for part in parts[i]:
-                gh = part if gh is None else np.add(gh, part, out=gh)
-            parts[i] = None
+        for i in range(H):  # each head's adjoints toward h are added as they are made
+            for toward_h in head_adjoint(i, g, grads):
+                gh = toward_h if gh is None else np.add(gh, toward_h, out=gh)
         grads[1] = gh.reshape(hd.shape)
         return tuple(grads)
 
@@ -821,16 +764,12 @@ def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) ->
 
     Equal bit for bit, value and adjoints, to add(x, add(matmul(relu(add(
     matmul(h, w1), b1)), w2), b2)). The forward runs the chain's two
-    GEMMs on each of parallel.row_cuts' pieces of the rows; the bias, the
-    relu and the residual go in place into the buffer each GEMM wrote.
-    The adjoints run the chain's GEMMs whole and _sum_to calls on its
-    shapes, with the relu mask applied in place; h's, w1's and b1's share
-    the hidden gradient, computed once. With two pieces they run as two
-    dealt pairs: the hidden gradient beside w2's and b2's, then h's beside
-    w1's and b1's. Two pieces equal one wherever BLAS sums a GEMM row alike
-    at both row counts (the module docstring). Besides its output the
-    node checks its pre-activations, which the relu maps to 0 at -inf;
-    every failure names ffn.
+    GEMMs; the bias, the relu and the residual go in place into the
+    buffer each GEMM made. The adjoints run the chain's GEMMs and _sum_to
+    calls on its shapes, with the relu mask applied in place; h's, w1's
+    and b1's share the hidden gradient, computed once. Besides its output
+    the node checks its pre-activations, which the relu maps to 0 at
+    -inf; every failure names ffn.
     """
     xd, hd, w1d, b1d, w2d, b2d = x.data, h.data, w1.data, b1.data, w2.data, b2.data
     if (w1d.ndim != 2 or w2d.ndim != 2 or hd.shape[-1:] != w1d.shape[:1]
@@ -839,44 +778,23 @@ def ffn(x: Tensor, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) ->
         raise ShapeError(f"ffn: {xd.shape} + relu({hd.shape} @ {w1d.shape} + {b1d.shape}) "
                          f"@ {w2d.shape} + {b2d.shape}")
     flat = hd.reshape(-1, hd.shape[-1])
-    (F, n), B = w2d.shape, len(xd) if xd.ndim > 1 else 1
-    per = len(flat) // max(B, 1)  # rows of flat per batch row
-    pieces = [slice(a * per, b * per) for a, b in row_cuts(B)]
-    dealt = len(pieces) > 1
-    inner, residual = np.empty((len(flat), F)), xd.reshape(len(flat), n)
+    inner = flat @ w1d
+    inner += b1d
+    _stage("ffn", inner)  # relu maps -inf to 0
+    np.maximum(inner, 0.0, out=inner)
+    inner += 0.0  # as relu: every zero +0.0
+    out = inner @ w2d
+    out += b2d
+    np.add(xd.reshape(out.shape), out, out=out)
 
-    def forward(at: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """The output's rows at, in out or, as the chain makes it, a new array."""
-        hidden = np.matmul(flat[at], w1d, out=inner[at])
-        hidden += b1d
-        _stage("ffn", hidden)  # relu maps -inf to 0
-        np.maximum(hidden, 0.0, out=hidden)
-        hidden += 0.0  # as relu: every zero +0.0
-        out = np.matmul(hidden, w2d, out=out)
-        out += b2d
-        return np.add(residual[at], out, out=out)
-
-    if dealt:
-        out = np.empty((len(flat), n))
-        _calls([partial(forward, at, out[at]) for at in pieces], True)
-    else:
-        out = forward(slice(None))
-    lead = hd.shape[:-1] + b1d.shape
+    first = _gemm_vjp(hd.shape, flat, w1d)
+    second = _gemm_vjp(hd.shape[:-1] + b1d.shape, inner, w2d)
 
     def vjp(g):
-        gflat = g.reshape(-1, n)
-
-        def hidden_grad() -> np.ndarray:
-            gi = (gflat @ w2d.T).reshape(lead)
-            gi *= inner.reshape(lead) > 0  # relu's adjoint
-            return gi
-
-        gi, (gw2, gb2) = _calls(
-            [hidden_grad, lambda: (inner.T @ gflat, _unbroadcast(g, b2d.shape))], dealt)
-        gh, (gw1, gb1) = _calls(
-            [lambda: (gi.reshape(-1, F) @ w1d.T).reshape(hd.shape),
-             lambda: (flat.T @ gi.reshape(-1, F), _unbroadcast(gi, b1d.shape))], dealt)
-        return g, gh, gw1, gb1, gw2, gb2
+        gi, gw2 = second(g)
+        gi *= inner.reshape(gi.shape) > 0  # relu's adjoint: the hidden gradient
+        gh, gw1 = first(gi)
+        return g, gh, gw1, _unbroadcast(gi, b1d.shape), gw2, _unbroadcast(g, b2d.shape)
 
     return Tensor(out.reshape(xd.shape), op="ffn",
                   parents=(x.node, h.node, w1.node, b1.node, w2.node, b2.node), vjp=vjp)
@@ -902,10 +820,9 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     U_i: the clip, the scale, the gate and the softmax work in place, in
     the buffer the cosine GEMM made, the positive's logit is read by
     index, and the adjoint turns the kept softmax weights into the
-    logits' gradient in place. At DEAL_ROWS rows or more the fields run
-    side by side on parallel.deal's threads, forward and adjoint.
-    Besides its output, the node checks each field's cosines, which the
-    clip maps to 1 at inf; every failure names candidate_terms.
+    logits' gradient in place. Besides its output, the node checks each
+    field's cosines, which the clip maps to 1 at inf; every failure names
+    candidate_terms.
     """
     xd, scale = x.data, float(scale)
     weights = np.asarray(weights, dtype=np.float64)
@@ -932,7 +849,7 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     ctx, targets = [None] * K, [None] * K  # each field's unit rows and their norms
     soft, denom, positive = [None] * K, [None] * K, [None] * K
 
-    def forward(i: int, _worker: int) -> None:
+    for i in range(K):
         (c, _), (t, _) = ctx[i], targets[i] = _unit(xd[:, fields[i], :]), _unit(rows[i].data)
         pos, cand = positives[i], candidates[i]
         z = c @ t.T
@@ -954,7 +871,6 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
         z /= total
         soft[i] = z
 
-    deal(range(K), forward, B)
     out = np.stack(denom)
     out -= np.stack(positive)
     out *= weights
@@ -962,8 +878,7 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     def vjp(g: np.ndarray) -> tuple:
         grads: list = [np.zeros((B, P, d))] + [None] * K  # x's shape: x itself may die
         gw = g * weights
-
-        def field(f: int, _worker: int) -> None:
+        for f in range(K):
             z, gk, pos, (c, cn), (t, tn) = soft[f], gw[f], positives[f], ctx[f], targets[f]
             z *= gk[:, None]  # the softmax weights become the logits' gradient
             z[every, pos] -= gk
@@ -971,8 +886,6 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
             z *= scale
             grads[0][:, fields[f], :] = _unit_adjoint(c, cn, z @ t)
             grads[1 + f] = _unit_adjoint(t, tn, (c.T @ z).T)
-
-        deal(range(K), field, B)
         return tuple(grads)
 
     return Tensor(out, op="candidate_terms", parents=[x.node] + [r.node for r in rows], vjp=vjp)
@@ -1069,7 +982,7 @@ def backward(loss: Tensor) -> None:
     _walk(order)
 
 
-def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
+def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor]) -> Tensor:
     """The parts' rows one after another on axis 0; each part's tape stays its own.
 
     Each part is computed from parameters and the shared nodes, which are
@@ -1110,6 +1023,25 @@ def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor] = ()) -> Tensor:
         return tuple(reduce(np.add, [s.pop(id(t)) for s in sums]) for t in targets)
 
     return Tensor(data, op="join_rows", parents=targets, vjp=vjp)
+
+
+def in_parts(n: int, part_rows: int, part: Callable[[int, int], Tensor],
+             shared: Sequence[Tensor]) -> Tensor:
+    """part(start, end) of each of parallel.parts(n, part_rows), joined by join_rows.
+
+    The one place a batch's rows are cut, dealt and joined. The parts run
+    on parallel.deal's threads, each in its caller's context, and are
+    joined in row order even when there is one. shared are the nodes
+    every part reads, built once before the call (join_rows).
+    """
+    cuts = parts(n, part_rows)
+    out: list = [None] * len(cuts)
+
+    def run(k: int, _worker: int) -> None:
+        out[k] = part(*cuts[k])
+
+    deal(range(len(cuts)), run)
+    return join_rows(out, shared)
 
 
 def forward_backward(graph_fn: Callable, params) -> tuple[float, dict[str, np.ndarray]]:

@@ -10,10 +10,10 @@ vocabulary. The label field always uses its exhaustive two-way softmax.
 All K loss-bearing fields are one tape node (autodiff.candidate_terms),
 each field at its own width and bit-identical to scoring it alone. The
 fine-tune loss is the plain click logloss through the label-masked CTR
-head (label_logit_diff, which runs the rows in parts on a thread per
-CPU, each part summing its own gradients); for label-only masking the
-two coincide term by term, which verify_label_equivalence checks
-numerically.
+head (label_logit_diff); for label-only masking the two coincide term by
+term, which verify_label_equivalence checks numerically. Both losses run
+a batch's rows in parts on a thread per CPU (autodiff.in_parts), each
+part summing its own gradients.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Tensor
 from .corruption import LABEL_MODES, CorruptedBatch, corrupt_batch, loss_positions
 from .errors import DataError, ShapeError
-from .model import Model, check_batch_shape, encode, label_logit_diff
+from .model import Model, check_batch_shape, check_tokens, encode, label_logit_diff
 from .schedule import NoiseSchedule
 
 
@@ -93,16 +94,23 @@ def masked_field_losses(
 ) -> tuple[Tensor, np.ndarray]:
     """Scalar pretraining loss and the detached (B, P) per-term matrix.
 
-    The K loss-bearing fields' terms are one node, candidate_terms, fed
-    by encode's output and each field's gathered candidate rows; field k
-    runs on its own (B, U_k) arrays. The total sums each field over B
-    before adding the fields first to last, so loss, terms and gradients
-    equal scoring each field on its own tape bit for bit.
+    The whole batch is checked, and its candidate sets drawn, before any
+    part runs. The field-position rows and each field's gathered
+    candidate rows are shared nodes, built once. ad.in_parts cuts the
+    rows into parts of PRETRAIN_PART_ROWS or more; each part runs encode
+    and one candidate_terms node, field k on its own (b, U_k) arrays, and
+    the parts' (b, K) terms are joined. The total sums each field over B
+    before adding the fields first to last, so with one part (B below
+    256) loss, terms and gradients equal scoring each field on its own
+    tape bit for bit. With more, the parts' gradient sums are added in
+    part order, and BLAS may sum a row of a part's cosine product
+    otherwise than the whole batch's: each entry within 1e-13 of one
+    tape (times max(1, its array's largest magnitude)).
     """
     B, P = corrupted.tokens.shape
     if B < 2:
         raise DataError("in-batch negatives need a batch of at least 2 instances")
-    ctx_all = encode(model, corrupted.tokens)
+    check_tokens(model, corrupted.tokens)
     eligible = loss_positions(P, cfg.label_mode)
     weights = np.where(
         corrupted.masked & eligible[None, :],
@@ -115,14 +123,21 @@ def masked_field_losses(
 
     sets = [_field_candidates(model, k, corrupted.clean_tokens[:, k], cfg.max_negatives)
             for k in fields]
+    pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(P))
     rows = [ad.gather_rows(model.target_table(k), columns)
             for k, (columns, _, _) in zip(fields, sets)]
-    weighted = ad.candidate_terms(ctx_all, fields, rows, [pos for _, pos, _ in sets],
-                                  [mask for _, _, mask in sets], weights[:, fields].T,
-                                  1.0 / model.cfg.temperature)  # (K, B)
+
+    def part(a: int, b: int) -> Tensor:
+        ctx = encode(model, corrupted.tokens[a:b], pos_rows=pos_rows)
+        return ad.transpose(ad.candidate_terms(
+            ctx, fields, rows, [pos[a:b] for _, pos, _ in sets],
+            [mask[a:b] for _, _, mask in sets], weights[a:b, fields].T,
+            1.0 / model.cfg.temperature))  # (b, K)
+
+    weighted = ad.in_parts(B, parallel.PRETRAIN_PART_ROWS, part, [pos_rows, *rows])  # (B, K)
     terms = np.zeros((B, P))
-    terms[:, fields] = weighted.data.T
-    return ad.smul(ad.tsum_rows(weighted), 1.0 / B), terms
+    terms[:, fields] = weighted.data
+    return ad.smul(ad.tsum_rows(ad.transpose(weighted)), 1.0 / B), terms
 
 
 def pretrain_loss(

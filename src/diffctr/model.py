@@ -19,11 +19,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Tensor
 from .data import FieldSchema, atomic_write
 from .errors import CheckpointError, DataError, ShapeError
 from .optim import ParamStore, xavier_init
-from .parallel import deal, parts
 
 CHECKPOINT_MAGIC = b"DGCT"
 CHECKPOINT_VERSION = 1
@@ -138,7 +138,7 @@ def check_batch_shape(model: Model, tokens: np.ndarray) -> None:
         raise ShapeError(f"encode: tokens must hold at least one row, got {tokens.shape}")
 
 
-def _check_tokens(model: Model, tokens: np.ndarray) -> None:
+def check_tokens(model: Model, tokens: np.ndarray) -> None:
     """encode's input check: (B, P) tokens, each in [0, vocab] (vocab is the mask id)."""
     check_batch_shape(model, tokens)
     for f in model.schema:
@@ -169,11 +169,8 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
 
     Each block is rms_scale, one autodiff.attention node (its heads,
     their output projections and the residual), then rms_scale and one
-    ffn node. At DEAL_ROWS rows or more, outside a dealt part, each of
-    these nodes deals its work to the training loop's helper threads:
-    attention its heads, rms_scale its rows in two halves, ffn its
-    forward in two halves and its adjoint in two pairs of GEMMs. Every
-    route below calls these nodes.
+    ffn node. Every route below calls these nodes, on the thread of the
+    part that calls encode.
 
     While no tape is recorded (under no_grad) encode computes only what
     its output needs. Its values equal the taped route's bit for bit
@@ -195,7 +192,7 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     beside it, so parts score each row as one call does.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    _check_tokens(model, tokens)
+    check_tokens(model, tokens)
     P = model.num_positions
     cfg = model.cfg
     pairs = None
@@ -250,19 +247,17 @@ def field_logits(model: Model, field_index: int, context: Tensor, candidates: np
 def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
     """Differentiable click-vs-no-click logit gap (B,), label masked internally.
 
-    The one owner of row parts. It checks the whole batch (unmasked
-    features, token ranges), so a bad row raises alike in any part, and
-    builds the nodes no row changes once: the field-position rows and the
-    label's two target columns. parallel.parts cuts the rows at points
-    that depend on the row count alone, and each part runs
-    _part_logit_diff on a thread per CPU (parallel.deal), in its
-    caller's context. ad.join_rows joins the gaps: at the default
+    It checks the whole batch (unmasked features, token ranges), so a
+    bad row raises alike in any part, and builds the nodes no row changes
+    once: the field-position rows and the label's two target columns.
+    ad.in_parts runs _part_logit_diff on parts of parallel.PART_ROWS rows
+    or more, on a thread per CPU, and joins the gaps: at the default
     shapes their values equal one call on every row bit for bit. On a
-    tape each part sums its own gradients and join_rows adds the parts'
-    sums in part order, so gradients are the same bits on any CPU count
-    and differ from one tape over every row only in summation order:
-    within 1e-13 at the default shapes (one part is that tape), 1e-12
-    elsewhere (encode's docstring).
+    tape each part sums its own gradients and the parts' sums are added
+    in part order, so gradients are the same bits on any CPU count and
+    differ from one tape over every row only in summation order: within
+    1e-13 at the default shapes (one part is that tape), 1e-12 elsewhere
+    (encode's docstring).
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lbl = model.label_position
@@ -270,17 +265,11 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
     _check_unmasked(model, tokens)
     masked = tokens.copy()
     masked[:, lbl] = model.mask_ids[lbl]
-    _check_tokens(model, masked)
+    check_tokens(model, masked)
     shared = (ad.gather_rows(model.params["embed/field_pos"], np.arange(model.num_positions)),
               _target_columns(model, lbl, np.array([0, 1])))
-    cuts = parts(len(tokens))
-    gaps = [None] * len(cuts)
-
-    def run(k: int, _worker: int) -> None:
-        gaps[k] = _part_logit_diff(model, masked[slice(*cuts[k])], *shared)
-
-    deal(range(len(cuts)), run)
-    return ad.join_rows(gaps, shared)
+    return ad.in_parts(len(tokens), parallel.PART_ROWS,
+                       lambda a, b: _part_logit_diff(model, masked[a:b], *shared), shared)
 
 
 def _part_logit_diff(model: Model, masked: np.ndarray, pos_rows: Tensor, columns: Tensor) -> Tensor:
@@ -394,6 +383,8 @@ def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         except ValueError:  # an empty shape with a side numpy cannot hold
             raise CheckpointError(f"{path}: parameter '{name}' has shape {shape}, "
                                   "which numpy cannot hold") from None
+        if not np.all(np.isfinite(arrays[name])):
+            raise CheckpointError(f"{path}: parameter '{name}' holds non-finite values")
     return header, arrays
 
 

@@ -11,9 +11,8 @@ opens one for its own call. A deal of two no-op items takes about 50-65
 us with a live helper and 220-230 us with one started and joined for
 the call (medians of 2000 calls, 2-vCPU host). A deal called while an
 item of another deal runs, on the calling thread or on a helper, runs
-its items on that thread, so work dealt inside a dealt part (a fine-tune
-or scoring part's heads) stays serial. row_cuts is the one rule by which
-autodiff's fused nodes cut a batch's rows into the items they deal.
+its items on that thread. parts is the one rule by which a batch's rows
+are cut into the parts that pretraining, fine-tuning and scoring deal.
 """
 
 from __future__ import annotations
@@ -26,21 +25,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-PART_ROWS = 1024  # fewest rows a part of a batch holds
+PART_ROWS = 1024  # fewest rows a fine-tuning or scoring part holds
 
-# Fewest batch rows at which autodiff's four fused nodes deal their work:
-# attention its heads, candidate_terms its fields, rms_scale and ffn their
-# rows (row_cuts). Chosen when only the first two dealt, as the smallest
-# measured batch where dealing won by 5% or more: a default-model
-# pretraining step with those two dealt to a live helper, against serial,
-# took 1.22x the time at B = 96, 1.06x at 128, 1.00-1.08x at 160, 0.96x at
-# 192, 0.99x at 224, 0.94x at 256 and 0.86x at 384 (in-process medians,
-# 2-vCPU Xeon, one BLAS thread). With all four dealt, the same measure
-# (two runs, medians of 40 and 80 alternating steps) reads 0.95-0.97x at
-# B = 96, 0.91-0.92x at 128, 0.87-0.88x at 160, 0.83-0.85x at 192,
-# 0.83-0.89x at 224, 0.76x at 256 and 0.72-0.73x at 384. The value stays
-# at 256, which keeps the default B = 96 step on one thread.
-DEAL_ROWS = 256
+# Fewest rows a pretraining part holds: two parts at B = 256, one below.
+# A default-model pretraining step (forward, backward, Adam) in two parts
+# on a live helper took, against one part (in-process medians of 60 and 80
+# alternating steps, 2-vCPU Xeon, one BLAS thread): 1.42-1.46x the time at
+# B = 96, 1.23-1.25x at 128, 1.10-1.17x at 160, 1.02-1.03x at 192,
+# 0.84-0.87x at 256 and 0.72-0.74x at 384. So the default B = 96 step
+# stays one part.
+PRETRAIN_PART_ROWS = 128
 
 _dealing: contextvars.ContextVar[bool] = contextvars.ContextVar("dealing", default=False)
 _pool: contextvars.ContextVar[ThreadPoolExecutor | None] = contextvars.ContextVar("pool",
@@ -57,38 +51,24 @@ def cpu_workers() -> int:
     return os.cpu_count() or 1
 
 
-def threads(items: Sequence, rows: int | None = None) -> int:
+def threads(items: Sequence) -> int:
     """How many threads deal(items, ...) runs: min(len(items), cpu_workers()), at least one.
 
-    One inside an item of another deal, or when items work on a batch of
-    rows below DEAL_ROWS.
+    One inside an item of another deal.
     """
-    if _dealing.get() or (rows is not None and rows < DEAL_ROWS):
+    if _dealing.get():
         return 1
     return max(min(len(items), cpu_workers()), 1)
 
 
-def row_cuts(n: int) -> list[tuple[int, int]]:
-    """(start, end) of the pieces a fused node deals a batch of n rows in.
-
-    Two halves at DEAL_ROWS rows or more outside an item of another deal,
-    else one piece, which the node runs on the calling thread without a
-    deal. The cuts never depend on cpu_workers(): one CPU runs the same
-    halves in order.
-    """
-    if n < DEAL_ROWS or _dealing.get():
-        return [(0, n)]
-    return [(0, n // 2), (n // 2, n)]
-
-
-def parts(n: int) -> list[tuple[int, int]]:
+def parts(n: int, part_rows: int) -> list[tuple[int, int]]:
     """(start, end) of each part of n rows, in row order.
 
-    floor(n / PART_ROWS) parts of PART_ROWS to 2 * PART_ROWS - 1 rows (one
+    floor(n / part_rows) parts of part_rows to 2 * part_rows - 1 rows (one
     part below that), cut at points that depend on n alone, so the parts,
     and every result computed from them, do not depend on the CPU count.
     """
-    cuts = np.linspace(0, n, max(n // PART_ROWS, 1) + 1).astype(np.int64).tolist()
+    cuts = np.linspace(0, n, max(n // part_rows, 1) + 1).astype(np.int64).tolist()
     return list(zip(cuts[:-1], cuts[1:]))
 
 
@@ -112,8 +92,8 @@ def helpers():
             _pool.reset(token)
 
 
-def deal(items: Sequence, work: Callable, rows: int | None = None) -> None:
-    """Call work(item, worker) for every item on threads(items, rows) threads.
+def deal(items: Sequence, work: Callable) -> None:
+    """Call work(item, worker) for every item on threads(items) threads.
 
     worker is the running thread's index: 0 for the calling thread, which
     takes items[0] and every workers-th item after it, and w for the
@@ -125,10 +105,10 @@ def deal(items: Sequence, work: Callable, rows: int | None = None) -> None:
     sees numpy's error state, no_grad and autodiff.quiet's flag as its
     caller does.
     """
-    workers = threads(items, rows)
+    workers = threads(items)
     if workers > 1 and _pool.get() is None:
         with helpers():  # a scope for this call alone
-            return deal(items, work, rows)
+            return deal(items, work)
     errors: dict[int, BaseException] = {}
 
     def run(first: int) -> None:

@@ -222,6 +222,10 @@ def damaged_checkpoint(path, cfg_path, data_dir, how):
         blob = bytearray(fh.read())
     if how == "truncated":
         blob = blob[: len(blob) // 2]
+    elif how == "nan-value":  # the first float NaN, under a checksum that matches
+        start = 12 + struct.unpack("<I", blob[8:12])[0]
+        blob[start : start + 8] = struct.pack("<d", float("nan"))
+        blob[-32:] = hashlib.sha256(bytes(blob[start:-32])).digest()
     else:
         blob[len(blob) // 2] ^= 0x10
     with open(path, "wb") as fh:
@@ -235,7 +239,7 @@ HUGE_SHAPES = {"size-wraps-to-0": [2**32, 2**32], "size-wraps-negative": [2**62,
 
 
 @pytest.mark.parametrize("case", ["empty-header", "params-not-list", "offset-not-int",
-                                  "truncated", "bit-flip", *HUGE_SHAPES])
+                                  "truncated", "bit-flip", "nan-value", *HUGE_SHAPES])
 def test_malformed_checkpoint_exits_2(tmp_path, tiny_data, capsys, case):
     cfg_path, data_dir = tiny_data
     ckpt = str(tmp_path / "bad.dgct")

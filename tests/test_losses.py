@@ -7,6 +7,7 @@ from diffctr import autodiff as ad
 from diffctr import corruption as fc
 from diffctr import losses as ls
 from diffctr import model as md
+from diffctr import parallel
 from diffctr.data import feature_schema
 from diffctr.errors import DataError, NumericError, ShapeError
 from diffctr.rng import stream
@@ -306,8 +307,47 @@ def test_batched_losses_bit_identical_to_per_field_loop(vocabs, B, tied):
             # bytes, so a zero of the other sign fails too
             assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
             assert terms.tobytes() == ref_terms.tobytes()
-            for name in ref_grads:
-                assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+            for name in ref_grads:  # two parts at B = 256 sum the gradients in another order
+                if B < 2 * parallel.PRETRAIN_PART_ROWS:
+                    assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+                else:
+                    bound = 1e-13 * max(1.0, np.abs(ref_grads[name]).max())
+                    assert np.abs(grads[name] - ref_grads[name]).max() <= bound, name
+
+
+@pytest.mark.parametrize("label_mode", ["diffuse", "drop"])
+@pytest.mark.parametrize("V", [50, 2000])
+@pytest.mark.parametrize("B", [256, 512])
+def test_pretraining_in_parts_stays_within_its_bound_of_one_tape(monkeypatch, B, V, label_mode):
+    """The stated bound of pretraining's parts (B >= 2 * PRETRAIN_PART_ROWS)
+    at the default model, on three batches each: each entry of the loss,
+    the (B, P) terms and every gradient lies within 1e-13 times max(1,
+    that array's largest magnitude) of one tape over every row. The
+    gradients differ in the order the parts' sums are added. At V = 50
+    the loss and terms equal one tape's bytes; at V = 2000 a field's
+    candidate set can be 244 tokens or wider, where OpenBLAS sums a row of
+    the (b, d) @ (d, U) cosine product otherwise at 128 rows than at 256,
+    and a term moves by an ulp. One part is one tape
+    (test_batched_losses_bit_identical_to_per_field_loop)."""
+    schema = feature_schema([V] * 8)
+    cfg = ls.PretrainLossConfig(label_mode=label_mode)
+    for seed in range(3):
+        model = md.Model.init(md.ModelConfig(), schema, seed)
+        tokens = skewed_tokens(model, stream(48, "parts", B, V, seed), B)
+        corrupted = fc.corrupt_batch(tokens, build_schedule(8, lo=0.0, hi=0.9),
+                                     stream(49, "c", B, V, seed), model.mask_ids,
+                                     label_mode=label_mode)
+        assert len(parallel.parts(B, parallel.PRETRAIN_PART_ROWS)) == B // 128
+        loss, terms, grads = loss_terms_grads(ls.masked_field_losses, model, corrupted, cfg)
+        monkeypatch.setattr(parallel, "PRETRAIN_PART_ROWS", B)
+        want = loss_terms_grads(ls.masked_field_losses, model, corrupted, cfg)
+        monkeypatch.undo()
+        got = (np.float64(loss), terms, *(grads[name] for name in want[2]))
+        for a, b in zip(got, (np.float64(want[0]), want[1], *want[2].values())):
+            assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
+        if V == 50:
+            assert got[0].tobytes() + terms.tobytes() == np.float64(want[0]).tobytes() \
+                + want[1].tobytes()
 
 
 def loss_tape(loss):
@@ -342,7 +382,7 @@ def kept_arrays(node):
 
 
 @pytest.mark.parametrize("vocabs", [(40, 40), (40,) * 8], ids=["P3", "P9"])
-def test_one_loss_tape_for_every_field(vocabs):
+def test_one_loss_tape_for_every_field(monkeypatch, vocabs):
     B, d = 32, 8
     model = make_model(blocks=0, d=d, vocabs=vocabs, seed=len(vocabs))  # no attention softmax
     tokens = skewed_tokens(model, stream(46, "tape", len(vocabs)), B)
@@ -352,16 +392,21 @@ def test_one_loss_tape_for_every_field(vocabs):
     widths = [2 if k == model.label_position else len(np.unique(tokens[:, k])) for k in fields]
     assert min(widths) < max(widths) and not {1, d} & set(widths)  # padding would show
 
+    made = []
+    real = ad.candidate_terms
+    monkeypatch.setattr(ad, "candidate_terms", lambda *args: made.append(real(*args)) or made[-1])
     loss, _ = ls.masked_field_losses(model, corrupted, ls.PretrainLossConfig())
-    nodes = loss_tape(loss)
-    # one loss node for every field, fed by encode's output and one gather per field
-    (terms,) = [n for n in nodes if n.op == "candidate_terms"]
+    # one part: one loss node for every field, fed by encode's output and one
+    # gather per field; join_rows reaches the gathers, not the part's nodes
+    (terms,) = [t.node for t in made]
+    nodes = list({id(n): n for root in (loss, terms) for n in loss_tape(root)}.values())
     assert terms.shape == (len(fields), B)
     assert [n.op for n in terms.parents[1:]] == ["gather_rows"] * len(fields)
     assert [n.shape for n in terms.parents[1:]] == [(w, d) for w in widths]
     encoded = {id(n) for n in loss_tape(terms.parents[0])}
     assert sorted(n.op for n in nodes if id(n) not in encoded and n.op != "param") \
-        == sorted(["smul", "sum", "candidate_terms"] + ["gather_rows"] * len(fields))
+        == sorted(["smul", "sum", "transpose", "join_rows", "candidate_terms"]
+                  + ["gather_rows"] * len(fields))
     # the softmax weights it keeps: one (B, U_k) array per field, none padded
     kept = kept_arrays(terms)
     assert sorted(a.shape[1] for a in kept if a.ndim == 2 and a.shape[0] == B

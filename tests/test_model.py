@@ -523,7 +523,7 @@ def test_fine_tune_step_in_parts_is_bit_identical_to_one_tape(monkeypatch, rows,
         return real(model, rows, *shared)
 
     monkeypatch.setattr(md, "_part_logit_diff", spy)
-    cuts = parallel.parts(rows)
+    cuts = parallel.parts(rows, parallel.PART_ROWS)
     runs = set()
     for cpus in (1, 2, 4):
         monkeypatch.setattr(parallel, "cpu_workers", lambda: cpus)
@@ -586,7 +586,7 @@ def test_parts_joined_stay_within_bound_of_one_tape_for_drawn_cuts(default_scori
 
     md._part_logit_diff, parallel.PART_ROWS, parallel.cpu_workers = spy, part_rows, lambda: cpus
     try:
-        cuts = parallel.parts(rows)
+        cuts = parallel.parts(rows, part_rows)
         loss, grads = ad.forward_backward(lambda params: ls.sft_loss(model, batch), model.params)
     finally:
         md._part_logit_diff, (parallel.PART_ROWS, parallel.cpu_workers) = real, saved
@@ -602,24 +602,30 @@ def test_parts_joined_stay_within_bound_of_one_tape_for_drawn_cuts(default_scori
     assert all(param.data is not None for _, param in model.params.items())
 
 
-def test_a_pretraining_step_frees_its_tape_and_keeps_the_loss_and_the_parameters():
+def test_a_pretraining_step_frees_its_tape_and_keeps_the_loss_and_the_parameters(monkeypatch):
     model = make_model(blocks=2)
     tokens = random_tokens(model, stream(28, "t"), n=12, allow_mask=False)
     schedule = build_schedule(model.num_positions - 1, lo=0.2, hi=0.9)
-    taped = []
+    taped, parts = [], []
+    terms = ad.candidate_terms
+    monkeypatch.setattr(ad, "candidate_terms", lambda *args: parts.append(terms(*args)) or parts[-1])
+
+    def tape():
+        """The loss's nodes and its part's, whose nodes join_rows does not reach."""
+        return list({id(n): n for root in (taped[0], *parts) for n in reached(root.node)}.values())
 
     def graph(params):
         taped.append(ls.pretrain_loss(model, tokens, schedule, stream(28, "c")))
-        taped.append(Counter(n.op for n in reached(taped[-1])))
+        taped.append(Counter(n.op for n in tape()))
         return taped[0]
 
     ad.forward_backward(graph, model.params)
     loss, counts = taped
-    nodes = reached(loss)
-    assert Counter(n.op for n in nodes) == counts
+    nodes = tape()
+    assert len(parts) == 1 and Counter(n.op for n in nodes) == counts
     assert counts["rms_scale"] == 5 and counts["attention"] == 2 and counts["ffn"] == 2
     assert loss.data.shape == () and loss.node.vjp is None
-    interior = [n for n in nodes[1:] if n.parents]
+    interior = [n for n in nodes if n.parents]
     assert interior and all(n.vjp is None and n.grad is None for n in interior)
     assert all(param.data is not None for _, param in model.params.items())
 

@@ -16,7 +16,7 @@ from diffctr import losses as ls
 from diffctr import model as md
 from diffctr import parallel
 from diffctr.errors import NumericError
-from diffctr.optim import ParamStore, adam_step
+from diffctr.optim import adam_step
 from diffctr.schedule import build_schedule
 
 
@@ -58,14 +58,6 @@ def test_a_deal_inside_a_dealt_item_runs_on_that_thread(started):
         == {(f"{i}.{k}", 0) for i in "ab" for k in range(3)}
 
 
-def test_below_deal_rows_the_items_run_on_the_calling_thread(started):
-    seen = []
-    parallel.deal(range(4), thread_of(seen), rows=parallel.DEAL_ROWS - 1)
-    assert not started and {ident for *_, ident in seen} == {threading.get_ident()}
-    parallel.deal(range(4), thread_of(seen), rows=parallel.DEAL_ROWS)
-    assert len(started) == 1 and len({ident for *_, ident in seen}) == 2
-
-
 def test_a_scope_starts_its_helpers_once_and_joins_them_on_exit(started):
     threads_before = threading.active_count()
     for _ in range(3):
@@ -100,31 +92,18 @@ def test_a_failing_item_in_a_scope_raises_on_the_caller_and_the_helpers_are_join
 
 
 def test_heads_and_fields_on_more_threads_than_cpus_keep_their_bits(monkeypatch):
-    """Four heads and three loss fields on four threads switching every
-    microsecond write their results, kept arrays and gradients into shared
-    lists and dicts: every run gives the serial run's bytes."""
-    rng = np.random.default_rng(3)
-    B, P, d, dh = parallel.DEAL_ROWS, 3, 8, 2
-    arrays = {"x": rng.normal(size=(B, P, d)), "h": rng.normal(size=(B, P, d)),
-              "t0": rng.normal(size=(5, d)), "t1": rng.normal(size=(7, d)),
-              "t2": rng.normal(size=(2, d))}
-    for i in range(4):
-        arrays.update({f"w{i}{w}": rng.normal(size=(d, dh) if w != "o" else (dh, d))
-                       for w in "qkvo"})
-    positives = [rng.integers(n, size=B) for n in (5, 7, 2)]
-    candidates = [np.ones((B, n), dtype=bool) for n in (5, 7, 2)]
-    weights = rng.uniform(0.5, 2.0, size=(3, B))
-
-    def loss(p):
-        heads = [[p[f"w{i}{w}"] for w in "qkvo"] for i in range(4)]
-        x = ad.attention(p["x"], p["h"], heads)
-        terms = ad.candidate_terms(x, [0, 1, 2], [p["t0"], p["t1"], p["t2"]], positives,
-                                   candidates, weights, 5.0)
-        return ad.tsum_rows(terms)
+    """A pretraining step's four parts on four threads switching every
+    microsecond write their terms, tapes and gradient sums into shared
+    lists and dicts: every run gives the bytes of the run on one CPU."""
+    monkeypatch.setattr(parallel, "PRETRAIN_PART_ROWS", 16)
+    spec = dd.random_spec(num_fields=4, vocab=20, samples=64, seed=3)
+    ds, _ = dd.generate_synthetic(spec)
+    model = md.Model.init(md.ModelConfig(embed_dim=8, heads=2, ffn_width=16), ds.schema, 3)
+    schedule = build_schedule(ds.num_fields, lo=0.0, hi=0.9)
 
     def run():
-        store = ParamStore({k: v.copy() for k, v in arrays.items()})
-        value, grads = ad.forward_backward(loss, store)
+        value, grads = ad.forward_backward(lambda _: ls.pretrain_loss(
+            model, ds.token_matrix(), schedule, np.random.default_rng(0)), model.params)
         return np.float64(value).tobytes() + b"".join(grads[k].tobytes() for k in sorted(grads))
 
     monkeypatch.setattr(parallel, "cpu_workers", lambda: 1)
@@ -154,19 +133,17 @@ def test_a_pretraining_of_dealt_steps_starts_its_helpers_once(monkeypatch, start
     workers = []
     deal = ad.deal
 
-    def counted(items, work, rows=None):
-        workers.append(parallel.threads(items, rows))
-        deal(items, work, rows)
+    def counted(items, work):
+        workers.append(parallel.threads(items))
+        deal(items, work)
 
     monkeypatch.setattr(ad, "deal", counted)
     threads_before = threading.active_count()
     _, report = tr.pretrain(model, ds, schedule, cfg)
     assert len(report.epochs) == 1
     assert len(started) == parallel.cpu_workers() - 1 == 1
-    # per step, forward and adjoint: each block's attention (2 x 2), the five
-    # rms_scale nodes' halves (5 x 2), each block's ffn (2 x (1 + 2 pairs)) and
-    # the loss's fields (2)
-    assert workers == [2] * (4 * 22)
+    # per step: the two parts' forward, and join_rows' adjoint
+    assert workers == [2] * (4 * 2)
     assert threading.active_count() == threads_before
 
 
@@ -184,10 +161,9 @@ def test_thirty_dealt_pretraining_steps_are_bit_identical_on_one_and_two_cpus(mo
 
 
 def test_no_thread_outlives_a_training_scoring_or_optimizer_call(monkeypatch, started):
-    """With heads dealt at every batch size and parts of 16 rows: a
-    pretraining that diverges, a fine-tuning that stops early, a scoring
-    call and an Adam step."""
-    monkeypatch.setattr(parallel, "DEAL_ROWS", 2)
+    """With parts of 16 rows: a pretraining that diverges, a fine-tuning
+    that stops early, a scoring call and an Adam step."""
+    monkeypatch.setattr(parallel, "PRETRAIN_PART_ROWS", 16)
     monkeypatch.setattr(parallel, "PART_ROWS", 16)
     model, ds, schedule, cfg = wide_pretraining(samples=200)
     threads_before = threading.active_count()
