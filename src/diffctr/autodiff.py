@@ -19,9 +19,9 @@ softmax's exp(s - m); the others recompute nothing. Each adds its
 biases, heads and residual, applies its relu, or clips, scales, gates
 and softmaxes its logits in place, in the buffer a GEMM just made.
 in_parts runs the rows of one batch in parts, each on its own tape and
-thread, and join_rows joins them; each part sums its own gradients
-toward the nodes outside it, and the parts' sums are added in part
-order.
+thread, and join_rows joins them. A part owns the nodes it made, told
+by their serials; each part sums its own gradients toward the older
+nodes it reads, and the parts' sums are added in part order.
 
 A NaN/Inf raises NumericError naming the op that produced it, instead
 of letting it surface three modules later: every Tensor checks its value
@@ -50,6 +50,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce, wraps
+from itertools import count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,7 +63,7 @@ from .parallel import deal, parts
 LOG_ZERO = -1e30
 
 _adjoint_faults: dict[str, "Fault"] = {}
-
+_serials = count()  # one counter for every Node, so a node's serial says when it was made
 
 _recording: ContextVar[bool] = ContextVar("recording", default=True)  # false inside no_grad()
 _quiet: ContextVar[bool] = ContextVar("quiet", default=False)  # true inside quiet()
@@ -115,10 +116,10 @@ class Node:
     """A value's entry on the tape, without the value: its op, the nodes it
     was computed from, its adjoint vjp (the output's gradient to a tuple
     with one gradient per parent; None without a tape and once the walk
-    has run it), its gradient while the walk passes it on, and the
-    value's shape."""
+    has run it), its gradient while the walk passes it on, the value's
+    shape, and its serial: a node made later has a larger one."""
 
-    __slots__ = ("op", "parents", "vjp", "grad", "tracked", "shape")
+    __slots__ = ("op", "parents", "vjp", "grad", "tracked", "shape", "serial")
 
     def __init__(self, op, parents, vjp, tracked, shape):
         self.op = op
@@ -127,6 +128,7 @@ class Node:
         self.vjp = vjp
         self.grad = None
         self.shape = shape
+        self.serial = next(_serials)
 
 
 class Tensor:
@@ -891,12 +893,12 @@ def candidate_terms(x: Tensor, fields: Sequence[int], rows: Sequence[Tensor],
     return Tensor(out, op="candidate_terms", parents=[x.node] + [r.node for r in rows], vjp=vjp)
 
 
-def _topo(root: Node, shared: set[int] | None = None) -> list[Node]:
+def _topo(root: Node, since: int = -1) -> list[Node]:
     """The tracked nodes root depends on, each after its parents.
 
-    With shared, a set of node ids, the walk stops at those nodes and at
-    parameters (tracked leaves), and lists neither: what is left is the
-    tape of one join_rows part.
+    With since, a serial read before a join_rows part ran, the walk lists
+    only the nodes made after it: the part's own tape, without the
+    parameters and the older nodes every part reads.
     """
     order: list[Node] = []
     seen: set[int] = set()
@@ -911,13 +913,12 @@ def _topo(root: Node, shared: set[int] | None = None) -> list[Node]:
         seen.add(id(node))
         work.append((node, True))
         for p in node.parents:
-            if p.tracked and id(p) not in seen and (
-                    shared is None or (p.parents and id(p) not in shared)):
+            if p.tracked and p.serial > since and id(p) not in seen:
                 work.append((p, False))
     return order
 
 
-def _walk(order: list[Node], owned: set[int] | None = None) -> dict[int, np.ndarray]:
+def _walk(order: list[Node], since: int = -1) -> dict[Node, np.ndarray]:
     """Pass each node's .grad to its parents, from order's last node (the root) to its first.
 
     Each node's adjoint runs once, and each gradient it returns goes to
@@ -925,11 +926,11 @@ def _walk(order: list[Node], owned: set[int] | None = None) -> dict[int, np.ndar
     The node then drops its .grad and its adjoint, and with it the arrays
     only it read; its children came before it, so no adjoint still to
     run needs it, and it keeps op and parents, so the tape can still be
-    counted. With owned, a set of node ids, a gradient toward a node
-    outside it is summed, in walk order, into the returned dict under
-    that node's id instead of into its .grad.
+    counted. A gradient toward a node made before serial since is summed,
+    in walk order, into the returned dict under that node instead of
+    into its .grad.
     """
-    outside: dict[int, np.ndarray] = {}
+    outside: dict[Node, np.ndarray] = {}
     for node in reversed(order):
         g = node.grad
         if g is None or not node.parents:
@@ -945,14 +946,21 @@ def _walk(order: list[Node], owned: set[int] | None = None) -> dict[int, np.ndar
                 continue
             if fault is not None:
                 pg = pg * fault.scale
-            if owned is None or id(parent) in owned:
+            if parent.serial > since:
                 parent.grad = pg if parent.grad is None else parent.grad + pg
             else:
-                key = id(parent)
-                outside[key] = pg if key not in outside else outside[key] + pg
+                outside[parent] = pg if parent not in outside else outside[parent] + pg
         pg = None  # the next adjoint runs without it
         node.vjp = None
     return outside
+
+
+def _descend(order: list[Node], seed: np.ndarray, since: int = -1) -> dict[Node, np.ndarray]:
+    """Clear the gradients of order (a _topo), seed its root's with seed and walk it (_walk)."""
+    for node in order:
+        node.grad = None
+    order[-1].grad = seed
+    return _walk(order, since)
 
 
 # an overflow in an adjoint (on any thread join_rows deals to) leaves a non-finite gradient
@@ -972,68 +980,56 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError("backward: called inside no_grad(), which records no tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    root = loss.node
-    if root.parents and root.vjp is None:
+    if loss.node.parents and loss.node.vjp is None:
         raise RuntimeError("backward: this tape was walked already and keeps no values")
-    order = _topo(root)
-    for node in order:
-        node.grad = None
-    root.grad = np.ones(())
-    _walk(order)
+    _descend(_topo(loss.node), np.ones(()))
 
 
-def join_rows(parts: Sequence[Tensor], shared: Sequence[Tensor]) -> Tensor:
+def join_rows(parts: Sequence[Tensor], since: int) -> Tensor:
     """The parts' rows one after another on axis 0; each part's tape stays its own.
 
-    Each part is computed from parameters and the shared nodes, which are
-    built once outside every part. The joined node's parents are the
-    parameters and shared nodes the parts reach. Its adjoint runs each
-    part's tape backward on a thread per CPU (parallel.deal); each part
-    sums its adjoints toward those parents in its own walk, and each
-    parent's gradient is then the parts' sums added in part order. The
-    parts and the order do not depend on the threads, so the gradients
-    are the same bits on any CPU count. They differ from one tape over
-    all rows only in summation order; a single part is that tape.
+    A part owns the nodes made after serial since that its root reaches;
+    the joined node's parents are the older nodes the parts read. Its
+    adjoint runs each part's tape backward on a thread per CPU
+    (parallel.deal); each part sums its adjoints toward those parents in
+    its own walk, and each parent's gradient is then the parts' sums
+    added in part order. The parts and the order do not depend on the
+    threads, so the gradients are the same bits on any CPU count. They
+    differ from one tape over all rows only in summation order; a single
+    part is that tape.
     """
     data = np.concatenate([p.data for p in parts])
     if not recording():
         return Tensor(data, op="join_rows")
-    roots = [p.node for p in parts]
-    stop = {id(s.node) for s in shared}
-    first = _topo(roots[0], stop)
-    owned = {id(n) for n in first}
-    targets = list({id(p): p for n in reversed(first) for p in n.parents
-                    if p.tracked and id(p) not in owned}.values())
+    tapes = [_topo(p.node, since) for p in parts]
+    targets, *others = [{p: None for n in reversed(tape) for p in n.parents  # the older nodes
+                         if p.tracked and p.serial < since} for tape in tapes]
+    if any(r.keys() != targets.keys() for r in others):
+        raise ShapeError("join_rows: the parts reach different nodes")
     bounds = np.cumsum([0] + [len(p.data) for p in parts]).tolist()
 
     def vjp(g: np.ndarray) -> tuple:
-        sums: list = [None] * len(roots)
+        sums: list = [None] * len(tapes)
 
         def run(k: int, _worker: int) -> None:
-            tape = first if k == 0 else _topo(roots[k], stop)
-            for node in tape:
-                node.grad = None
-            roots[k].grad = g[bounds[k] : bounds[k + 1]]
-            sums[k] = _walk(tape, owned if k == 0 else {id(n) for n in tape})
+            sums[k] = _descend(tapes[k], g[bounds[k] : bounds[k + 1]], since)
 
-        deal(range(len(roots)), run)
-        reached = {id(t) for t in targets}
-        if any(s.keys() != reached for s in sums):
-            raise ShapeError("join_rows: the parts reach different nodes")
-        return tuple(reduce(np.add, [s.pop(id(t)) for s in sums]) for t in targets)
+        deal(range(len(tapes)), run)
+        return tuple(reduce(np.add, [s.pop(t) for s in sums]) for t in targets)
 
-    return Tensor(data, op="join_rows", parents=targets, vjp=vjp)
+    return Tensor(data, op="join_rows", parents=list(targets), vjp=vjp)
 
 
-def in_parts(n: int, part_rows: int, part: Callable[[int, int], Tensor],
-             shared: Sequence[Tensor]) -> Tensor:
+def in_parts(n: int, part_rows: int, part: Callable[[int, int], Tensor]) -> Tensor:
     """part(start, end) of each of parallel.parts(n, part_rows), joined by join_rows.
 
     The one place a batch's rows are cut, dealt and joined. The parts run
     on parallel.deal's threads, each in its caller's context, and are
-    joined in row order even when there is one. shared are the nodes
-    every part reads, built once before the call (join_rows).
+    joined in row order even when there is one. A part owns the nodes it
+    makes; those it reads that were built before the call (join_rows) are
+    the joined node's parents.
     """
+    since = next(_serials)
     cuts = parts(n, part_rows)
     out: list = [None] * len(cuts)
 
@@ -1041,7 +1037,7 @@ def in_parts(n: int, part_rows: int, part: Callable[[int, int], Tensor],
         out[k] = part(*cuts[k])
 
     deal(range(len(cuts)), run)
-    return join_rows(out, shared)
+    return join_rows(out, since)
 
 
 def forward_backward(graph_fn: Callable, params) -> tuple[float, dict[str, np.ndarray]]:
@@ -1054,8 +1050,6 @@ def forward_backward(graph_fn: Callable, params) -> tuple[float, dict[str, np.nd
     loss = quiet(graph_fn)(params)
     if not isinstance(loss, Tensor):
         raise ShapeError("forward_backward: graph_fn must return a Tensor")
-    if loss.data.shape != ():
-        raise ShapeError(f"forward_backward: loss must be scalar, got shape {loss.data.shape}")
     backward(loss)
     grads = {}
     for name, tensor in params.items():

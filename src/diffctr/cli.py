@@ -237,6 +237,8 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.negative_control and args.suite not in ("gradcheck", "all"):
+        raise UsageError(f"--negative-control applies to the gradcheck suite, not {args.suite}")
     names = sorted(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, negative_control=args.negative_control)
     for r in results:

@@ -164,6 +164,8 @@ def to_run_config(cfg: Config) -> RunConfig:
 
 
 def to_model_config(cfg: Config) -> ModelConfig:
+    if cfg.values["model"]["blocks"] == 0:  # the label position would never see a feature
+        raise ConfigError("[model] blocks = 0 gives every row the same score; use 1 or more")
     return ModelConfig(**cfg.values["model"])
 
 

@@ -144,7 +144,7 @@ def _dataset(path: str, header: list[str], rows: list[dict[str, str]],
     missing = [c for c in vocabs if c not in feature_cols]
     if missing:
         raise DataError(f"{path}: missing columns {missing}")
-
+    feature_cols = list(vocabs)  # the training file's order, which the model follows
     schema = feature_schema([len(vocabs[c]) + 1 for c in feature_cols], names=feature_cols)
     has_session = SESSION_COLUMN in header
     samples = []

@@ -92,6 +92,9 @@ class Environment:
 
     def __post_init__(self):
         loss_positions(len(self.train.schema), self.loss_cfg.label_mode)  # some field earns a term
+        for split in (self.validation, self.test):
+            if split.schema != self.train.schema:
+                raise DataError(f"the {split.split} split's schema differs from the train split's")
 
 
 def _pretrained_checkpoint(env: Environment, cfg: RunConfig, path: str) -> str:

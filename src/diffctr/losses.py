@@ -95,10 +95,10 @@ def masked_field_losses(
     """Scalar pretraining loss and the detached (B, P) per-term matrix.
 
     The whole batch is checked, and its candidate sets drawn, before any
-    part runs. The field-position rows and each field's gathered
-    candidate rows are shared nodes, built once. ad.in_parts cuts the
-    rows into parts of PRETRAIN_PART_ROWS or more; each part runs encode
-    and one candidate_terms node, field k on its own (b, U_k) arrays, and
+    part runs. Each field's gathered candidate rows are built once, before
+    the parts, which read them. ad.in_parts cuts the rows into parts of
+    PRETRAIN_PART_ROWS or more; each part runs encode and one
+    candidate_terms node, field k on its own (b, U_k) arrays, and
     the parts' (b, K) terms are joined. The total sums each field over B
     before adding the fields first to last, so with one part (B below
     256) loss, terms and gradients equal scoring each field on its own
@@ -123,18 +123,16 @@ def masked_field_losses(
 
     sets = [_field_candidates(model, k, corrupted.clean_tokens[:, k], cfg.max_negatives)
             for k in fields]
-    pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(P))
     rows = [ad.gather_rows(model.target_table(k), columns)
             for k, (columns, _, _) in zip(fields, sets)]
 
     def part(a: int, b: int) -> Tensor:
-        ctx = encode(model, corrupted.tokens[a:b], pos_rows=pos_rows)
         return ad.transpose(ad.candidate_terms(
-            ctx, fields, rows, [pos[a:b] for _, pos, _ in sets],
+            encode(model, corrupted.tokens[a:b]), fields, rows, [pos[a:b] for _, pos, _ in sets],
             [mask[a:b] for _, _, mask in sets], weights[a:b, fields].T,
             1.0 / model.cfg.temperature))  # (b, K)
 
-    weighted = ad.in_parts(B, parallel.PRETRAIN_PART_ROWS, part, [pos_rows, *rows])  # (B, K)
+    weighted = ad.in_parts(B, parallel.PRETRAIN_PART_ROWS, part)  # (B, K)
     terms = np.zeros((B, P))
     terms[:, fields] = weighted.data
     return ad.smul(ad.tsum_rows(ad.transpose(weighted)), 1.0 / B), terms

@@ -112,8 +112,8 @@ class Model:
         return Model(self.cfg, self.schema, self.params.clone())
 
 
-def _distinct_pairs(model: Model, tokens: np.ndarray, pos_rows: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Block 0's input rows embed/input[tok] + pos_rows[k], once per distinct
+def _distinct_pairs(model: Model, tokens: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Block 0's input rows embed/input[tok] + embed/field_pos[k], once per distinct
     (field, token) pair in tokens, and the (B, P) index of each entry's pair.
 
     Pairs are numbered by per-field offsets into the concatenated input
@@ -125,7 +125,7 @@ def _distinct_pairs(model: Model, tokens: np.ndarray, pos_rows: Tensor) -> tuple
     per_field = np.split(pairs - offsets[field], np.searchsorted(field, np.arange(1, len(offsets))))
     rows = np.concatenate([model.params[f"embed/input/{f.name}"].data[tok]
                            for f, tok in zip(model.schema, per_field)])
-    x = ad.add(ad.const(rows), ad.gather_rows(pos_rows, field))
+    x = ad.add(ad.const(rows), ad.gather_rows(model.params["embed/field_pos"], field))
     return x, index.reshape(tokens.shape)
 
 
@@ -156,16 +156,15 @@ def _check_unmasked(model: Model, tokens: np.ndarray) -> None:
             raise DataError(f"ctr scoring requires unmasked field '{f.name}'")
 
 
-def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
-           pos_rows: Tensor | None = None) -> Tensor:
+def encode(model: Model, tokens: np.ndarray, keep: int | None = None) -> Tensor:
     """Contextual vectors, one per field position: (B, P, d).
 
     tokens is (B, P) in field order; mask ids are allowed. keep, a
     position, returns only its (B, d) vectors: the last block still
     attends over every position, then runs its output projection,
-    residual, FFN and the final projection on that one row. pos_rows,
-    the field-position rows (P, d) built once for several calls, stand
-    in for the ones encode would gather itself; every route reads them.
+    residual, FFN and the final projection on that one row. Every node
+    it reads is a parameter or one it makes, so a part of in_parts that
+    calls encode owns its whole tape, field-position rows included.
 
     Each block is rms_scale, one autodiff.attention node (its heads,
     their output projections and the residual), then rms_scale and one
@@ -196,14 +195,12 @@ def encode(model: Model, tokens: np.ndarray, keep: int | None = None,
     P = model.num_positions
     cfg = model.cfg
     pairs = None
-    if pos_rows is None:
-        pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(P))
     if ad.recording() or cfg.blocks == 0 or P == 1:
         x = ad.stack([ad.gather_rows(model.params[f"embed/input/{f.name}"], tokens[:, f.index])
                       for f in model.schema], axis=1)  # (B, P, d)
-        x = ad.add(x, pos_rows)
+        x = ad.add(x, ad.gather_rows(model.params["embed/field_pos"], np.arange(P)))
     else:  # P >= 2 gives at least two pairs, so no projection drops to gemv
-        x, pairs = _distinct_pairs(model, tokens, pos_rows)  # (U, d) and (B, P)
+        x, pairs = _distinct_pairs(model, tokens)  # (U, d) and (B, P)
     # one row would run the tail through BLAS gemv, which sums in another
     # order than the gemm of the full route, so a single row keeps every row
     tail_block = cfg.blocks - 1 if keep is not None and len(tokens) > 1 else None
@@ -248,16 +245,16 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
     """Differentiable click-vs-no-click logit gap (B,), label masked internally.
 
     It checks the whole batch (unmasked features, token ranges), so a
-    bad row raises alike in any part, and builds the nodes no row changes
-    once: the field-position rows and the label's two target columns.
-    ad.in_parts runs _part_logit_diff on parts of parallel.PART_ROWS rows
-    or more, on a thread per CPU, and joins the gaps: at the default
-    shapes their values equal one call on every row bit for bit. On a
-    tape each part sums its own gradients and the parts' sums are added
-    in part order, so gradients are the same bits on any CPU count and
-    differ from one tape over every row only in summation order: within
-    1e-13 at the default shapes (one part is that tape), 1e-12 elsewhere
-    (encode's docstring).
+    bad row raises alike in any part, and builds the label's two target
+    columns once, before the parts, which read them. ad.in_parts runs
+    _part_logit_diff on parts of parallel.PART_ROWS rows or more, on a
+    thread per CPU, and joins the gaps: at the default shapes their
+    values equal one call on every row bit for bit. On a tape each part
+    sums its own gradients and the parts' sums are added in part order,
+    so gradients are the same bits on any CPU count and differ from one
+    tape over every row only in summation order: within 1e-13 at the
+    default shapes (one part is that tape), 1e-12 elsewhere (encode's
+    docstring).
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lbl = model.label_position
@@ -266,20 +263,19 @@ def label_logit_diff(model: Model, tokens: np.ndarray) -> Tensor:
     masked = tokens.copy()
     masked[:, lbl] = model.mask_ids[lbl]
     check_tokens(model, masked)
-    shared = (ad.gather_rows(model.params["embed/field_pos"], np.arange(model.num_positions)),
-              _target_columns(model, lbl, np.array([0, 1])))
+    columns = _target_columns(model, lbl, np.array([0, 1]))
     return ad.in_parts(len(tokens), parallel.PART_ROWS,
-                       lambda a, b: _part_logit_diff(model, masked[a:b], *shared), shared)
+                       lambda a, b: _part_logit_diff(model, masked[a:b], columns))
 
 
-def _part_logit_diff(model: Model, masked: np.ndarray, pos_rows: Tensor, columns: Tensor) -> Tensor:
-    """label_logit_diff of label-masked rows, from its shared nodes.
+def _part_logit_diff(model: Model, masked: np.ndarray, columns: Tensor) -> Tensor:
+    """label_logit_diff of label-masked rows, from the label's target columns.
 
     The last block's tail runs on the label row alone (encode's keep):
     values equal the full route's, and gradients differ from it only in
     summation order.
     """
-    ctx = encode(model, masked, keep=model.label_position, pos_rows=pos_rows)
+    ctx = encode(model, masked, keep=model.label_position)
     logits = _cosine_logits(model, ctx, columns)
     return ad.tsum(ad.mul(logits, ad.const(np.array([-1.0, 1.0]))), axis=1)
 

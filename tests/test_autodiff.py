@@ -643,7 +643,6 @@ def test_join_rows_stays_within_bound_of_one_tape(monkeypatch):
                         "pos": stream(15, "pos").normal(size=(2, 3))})
     x = stream(13, "x").normal(size=(70, 4))
     idx = [stream(15, "i", k).integers(0, n, size=70) for k, n in enumerate((5, 4))]
-    cuts = [(0, 17), (17, 30), (30, 40), (40, 52), (52, 70)]
     graphs = {
         "linear": (lambda p: ad.smul(p["s"], 2.0),
                    lambda p, a, b, shared: linear_rows(p, ad.const(x[a:b]), shared)),
@@ -662,7 +661,7 @@ def test_join_rows_stays_within_bound_of_one_tape(monkeypatch):
 
             def in_parts(p):
                 shared = shared_of(p)
-                return ad.tmean(ad.join_rows([rows(p, a, b, shared) for a, b in cuts], [shared]))
+                return ad.tmean(ad.in_parts(70, 14, lambda a, b: rows(p, a, b, shared)))
 
             runs = set()
             for _ in range(20):
@@ -686,12 +685,43 @@ def test_join_rows_refuses_parts_that_reach_different_nodes():
 
     def in_parts(p):
         shared = ad.smul(p["s"], 2.0)
-        parts = [linear_rows(p, ad.const(x[:5]), shared),
-                 ad.tsum(ad.matmul(ad.const(x[5:]), p["w"]), axis=1)]  # reaches neither b nor s
-        return ad.tmean(ad.join_rows(parts, [shared]))
+        return ad.tmean(ad.in_parts(10, 5, lambda a, b: linear_rows(p, ad.const(x[a:b]), shared)
+                                    if a == 0 else  # the second reaches neither b nor s
+                                    ad.tsum(ad.matmul(ad.const(x[a:b]), p["w"]), axis=1)))
 
     with pytest.raises(ShapeError, match="reach different nodes"):
         ad.forward_backward(in_parts, store)
+
+
+@pytest.mark.parametrize("n_parts", [2, 4])
+def test_parts_read_a_node_made_before_them_that_no_caller_names(monkeypatch, n_parts):
+    """A part owns the nodes made after in_parts began: an older node every
+    part reads, with a parent and an adjoint of its own, becomes a parent of
+    the joined node, its adjoint runs once after the parts', and every CPU
+    count gives the 1-CPU bytes, within 1e-13 of one tape."""
+    store = ParamStore({"w": stream(16, "w").normal(size=(4, 3)), "b": np.zeros(3),
+                        "s": stream(16, "s").normal(size=(1, 3))})
+    x = stream(16, "x").normal(size=(40, 4))
+    joined = []
+
+    def loss(p):
+        older = ad.exp(ad.smul(p["s"], 0.5))
+        joined.append(ad.in_parts(40, 40 // n_parts,
+                                  lambda a, b: linear_rows(p, ad.const(x[a:b]), older)))
+        assert older.node in joined[-1].parents
+        return ad.tmean(joined[-1])
+
+    want_loss, want = ad.forward_backward(
+        lambda p: ad.tmean(linear_rows(p, ad.const(x), ad.exp(ad.smul(p["s"], 0.5)))), store)
+    runs = {}
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: cpus)
+        got_loss, got = ad.forward_backward(loss, store)
+        assert abs(got_loss - want_loss) <= 1e-13
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-13, err_msg=name)
+        runs[cpus] = b"".join(got[name].tobytes() for name in sorted(got))
+    assert runs[2] == runs[1] and runs[4] == runs[1]
 
 
 def test_backward_frees_the_tape_and_keeps_the_root_and_the_leaves():
@@ -1166,7 +1196,7 @@ def test_a_minus_inf_in_the_helpers_half_raises_the_dealt_ffns_error(monkeypatch
                                                                          ("w1", "b1", "w2", "b2")))
 
     def loss(p):
-        return ad.tsum(ad.in_parts(rows, parallel.PRETRAIN_PART_ROWS, part, ()))
+        return ad.tsum(ad.in_parts(rows, parallel.PRETRAIN_PART_ROWS, part))
 
     with parallel.helpers(), pytest.raises(NumericError, match="^op 'ffn' produced non-finite values$"):
         ad.forward_backward(loss, store)

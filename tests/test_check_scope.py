@@ -208,8 +208,8 @@ def test_a_planted_value_raises_as_checking_every_node_would(case, value, where)
 
 
 def test_parts_on_more_threads_than_cpus_raise_alike_under_thread_switches():
-    """Five parts on four threads switching every microsecond: the parts share
-    label_logit_diff's shared nodes, and whichever raises first raises the
+    """Five parts on four threads switching every microsecond: the parts read
+    label_logit_diff's target columns, and whichever raises first raises the
     same error."""
     threads_before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

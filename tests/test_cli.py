@@ -16,6 +16,7 @@ from diffctr.config import DEFAULTS, parse_config, render_config, to_model_confi
 from diffctr.data import load_delimited, load_training_delimited
 from diffctr.model import load_checkpoint
 from diffctr.train import evaluate
+from diffctr.verify import SUITES as VERIFY_SUITES
 from conftest import TINY_CONFIG_TEXT
 
 
@@ -167,6 +168,15 @@ def test_verify_suite_pass_and_negative_control(capsys):
     assert "PASS" in capsys.readouterr().out
     assert main(["verify", "--suite", "gradcheck", "--negative-control"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", sorted(set(VERIFY_SUITES) - {"gradcheck"}))
+def test_a_negative_control_outside_gradcheck_is_usage_error(capsys, suite):
+    """Only the gradcheck suite has a control to run; one that never runs is no pass."""
+    assert main(["verify", "--suite", suite, "--negative-control"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --negative-control applies to the gradcheck suite, not {suite}\n"
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -445,6 +455,8 @@ def rejected_before_out(tmp_path, data_dir, capsys, config_text, fragment):
     ("[model]", "[model]\ntied_embeddings = true", "unknown config key [model] tied_embeddings"),
     ("T = 50", "T = 50\nkind = geometric-rate", "unknown config key [schedule] kind"),
     ("[model]", "[loss]\nlambda_weight = false\n[model]", "unknown config key [loss] lambda_weight"),
+    # no attention block: every row would get the same score
+    ("blocks = 1", "blocks = 0", "[model] blocks = 0 gives every row the same score"),
 ])
 def test_bad_pretrain_config_exits_2_before_out(tmp_path, tiny_data, capsys, anchor, insert, fragment):
     _, data_dir = tiny_data

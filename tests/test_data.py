@@ -103,6 +103,23 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(ds.token_matrix(), again.token_matrix())
 
 
+@pytest.mark.parametrize("order", [(1, 0, 2, 3, 4), (2, 4, 0, 3, 1), (4, 3, 2, 1, 0)])
+def test_a_file_with_its_columns_in_another_order_loads_as_the_training_file(tmp_path, order):
+    """Features follow the training file's column order, whatever the header's, and
+    the label and session columns may stand anywhere."""
+    header = ["a", "b", "c", "label", "session_id"]
+    cells = [["red", "x", "p", "1", "s1"], ["blue", "y", "q", "0", "s1"], ["red", "z", "q", "1", "s2"]]
+
+    def text(columns):
+        return "".join(",".join(row[k] for k in columns) + "\n" for row in [header, *cells])
+
+    train, vocabs = dd.load_training_delimited(write(tmp_path, "train.csv", text(range(5))))
+    permuted = dd.load_delimited(write(tmp_path, "test.csv", text(order)), vocabs, split="test")
+    assert permuted.schema == train.schema
+    np.testing.assert_array_equal(permuted.token_matrix(), train.token_matrix())
+    assert permuted.session_ids() == train.session_ids()
+
+
 def test_clean_samples_never_hold_mask_id():
     spec = dd.random_spec(num_fields=3, vocab=5, clusters=2, samples=200, seed=1)
     ds, _ = dd.generate_synthetic(spec)

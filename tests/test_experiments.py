@@ -2,8 +2,11 @@ import csv
 import os
 from dataclasses import replace
 
+import pytest
+
 from conftest import build_micro_env
 from diffctr import autodiff as ad
+from diffctr import data as dd
 from diffctr import experiments as ex
 from diffctr import parallel
 from diffctr import train as tr
@@ -57,6 +60,19 @@ def test_suite_executor_runs_cross_product_and_records_failures(monkeypatch, mic
     assert report.failures == [("broken", seed, "DataError: broken variant") for seed in (0, 1, 2)]
     summary = {(cid, metric): (mean, std) for cid, metric, mean, std in report.summary()}
     assert abs(summary[("full", "auc")][0] - 0.81) < 1e-12
+
+
+@pytest.mark.parametrize("split", ["validation", "test"])
+def test_an_environment_refuses_a_split_whose_schema_differs_from_train(micro_env, split):
+    """A split's token ids mean the train split's fields or nothing: other names
+    or vocabularies are refused before a model reads them."""
+    base = getattr(micro_env, split)
+    names = [f.name for f in base.schema[:-1]]
+    for schema in (dd.feature_schema([f.vocab_size for f in base.schema[:-1]], names[::-1]),
+                   dd.feature_schema([f.vocab_size + 1 for f in base.schema[:-1]], names)):
+        other = dd.Dataset(schema=schema, samples=base.samples, split=split)
+        with pytest.raises(DataError, match=f"^the {split} split's schema differs from the train"):
+            replace(micro_env, **{split: other})
 
 
 def test_pvalues_against_baseline():
@@ -185,10 +201,10 @@ def test_suite_bytes_do_not_depend_on_the_cpu_count(monkeypatch, micro_env, tmp_
     monkeypatch.setattr(parallel, "PART_ROWS", 8)
     taped_parts, real = [], ad.join_rows
 
-    def spy(parts, shared=()):
+    def spy(parts, since):
         if ad.recording():
             taped_parts.append(len(parts))
-        return real(parts, shared)
+        return real(parts, since)
 
     monkeypatch.setattr(ad, "join_rows", spy)
     written = {}

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import struct
 import threading
 import warnings
 import weakref
@@ -365,9 +368,8 @@ def one_call_logit_diff(model, tokens):
     """label_logit_diff's per-part function called once on every row: no parts, one tape."""
     masked = tokens.copy()
     masked[:, -1] = model.mask_ids[-1]
-    pos_rows = ad.gather_rows(model.params["embed/field_pos"], np.arange(model.num_positions))
     columns = md._target_columns(model, model.label_position, np.array([0, 1]))
-    return md._part_logit_diff(model, masked, pos_rows, columns)
+    return md._part_logit_diff(model, masked, columns)
 
 
 def unsplit_scores(model, tokens):
@@ -544,6 +546,32 @@ def test_fine_tune_step_in_parts_is_bit_identical_to_one_tape(monkeypatch, rows,
         assert len(threads) == min(cpus, len(cuts))
         assert error_states == {("ignore", "ignore", True)}
     assert len(runs) == 1
+
+
+def test_a_fine_tune_step_runs_with_its_label_columns_named_nowhere(default_scoring_rows):
+    """label_logit_diff's route by hand: the label's target columns are made
+    once before in_parts and named to no call, and a B = 2048 step (two
+    parts) gives sft_loss's bytes, the columns a parent of the joined node."""
+    schema, tokens = default_scoring_rows
+    model = md.Model.init(md.ModelConfig(), schema, 0)
+    batch, joined = tokens[:2048], []
+    masked = batch.copy()
+    masked[:, -1] = model.mask_ids[-1]
+    signs = ad.const(2.0 * batch[:, -1] - 1.0)
+
+    def loss(params):
+        columns = md._target_columns(model, model.label_position, np.array([0, 1]))
+        joined.append(ad.in_parts(len(batch), parallel.PART_ROWS,
+                                  lambda a, b: md._part_logit_diff(model, masked[a:b], columns)))
+        assert columns.node in joined[-1].parents
+        return ad.tmean(ad.softplus(ad.smul(ad.mul(joined[-1], signs), -1.0)))
+
+    got_loss, got = ad.forward_backward(loss, model.params)
+    want_loss, want = ad.forward_backward(lambda params: ls.sft_loss(model, batch), model.params)
+    assert len(parallel.parts(len(batch), parallel.PART_ROWS)) == 2
+    assert got_loss == want_loss
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_fine_tune_step_at_4_wide_heads_within_bound(default_scoring_rows):
@@ -835,6 +863,75 @@ class TestCheckpoint:
         md.save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match="mode"):
             md.load_checkpoint(path, "partial", model.cfg, model.schema, seed=0)
+
+
+# the bytes of a NaN, a negative quiet NaN, a signalling NaN and both infinities
+NON_FINITE = [struct.pack("<d", v) for v in (np.nan, -np.nan, np.inf, -np.inf)] \
+    + [bytes.fromhex("010000000000f07f")]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**64, 2**64) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def json_paths(value, path=()):
+    """The path (keys and indices) of value and of every value inside it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from json_paths(inner, path + (key,))
+
+
+def edited(blob, data):
+    """blob with one drawn edit: header bytes, a header JSON value (checksum
+    kept), payload bytes (checksum recomputed), or a truncation."""
+    end = 12 + struct.unpack("<I", blob[8:12])[0]
+    kind = data.draw(st.sampled_from(["header-bytes", "header-json", "payload", "truncate"]))
+    if kind == "header-bytes":
+        at, new = data.draw(st.integers(0, end - 1)), data.draw(st.binary(min_size=1, max_size=8))
+        return blob[:at] + new + blob[at + len(new):]
+    if kind == "header-json":
+        header = json.loads(blob[12:end])
+        *parent, key = data.draw(st.sampled_from(list(json_paths(header))[1:]))
+        inner = header
+        for k in parent:
+            inner = inner[k]
+        if isinstance(inner, dict) and data.draw(st.booleans()):
+            del inner[key]
+        else:
+            inner[key] = data.draw(st.integers(-3, 300) | JSON_VALUES)  # counts, shapes, offsets
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        return blob[:8] + struct.pack("<I", len(text)) + text + blob[end:]
+    if kind == "payload":
+        payload = blob[end:-32]
+        at = data.draw(st.integers(0, len(payload) // 8 - 1)) * 8
+        new = data.draw(st.sampled_from(NON_FINITE) | st.binary(min_size=1, max_size=8))
+        payload = payload[:at] + new + payload[at + len(new):]
+        return blob[:end] + payload + hashlib.sha256(payload).digest()
+    return blob[:data.draw(st.integers(0, len(blob) - 1))]
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    model = make_model(blocks=1, heads=1, d=2, vocabs=(2, 3))
+    path = tmp_path_factory.mktemp("edits") / "m.dgct"
+    md.save_checkpoint(model, str(path), meta={"seed": 0})
+    return model, path, path.read_bytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_a_byte_edited_checkpoint_loads_or_raises_checkpoint_error(saved_checkpoint, data):
+    model, path, blob = saved_checkpoint
+    path.write_bytes(edited(blob, data))
+    for mode in md.TRANSFER_MODES:
+        try:
+            md.load_checkpoint(str(path), mode, model.cfg, model.schema, seed=0)
+        except CheckpointError:
+            pass
 
 
 def test_training_updates_all_parameter_groups():
